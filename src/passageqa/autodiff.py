@@ -87,21 +87,6 @@ class Node:
             return np.zeros_like(self.value)
         return self.grad
 
-    def __add__(self, other):
-        return add(self, other)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    def __neg__(self):
-        return neg(self)
-
     def __repr__(self):
         return f"Node(op={self.op!r}, shape={self.value.shape})"
 
@@ -166,11 +151,6 @@ def _toposort(root: Node) -> list[Node]:
             order.append(node)
             stack.pop()
     return order
-
-
-def forward(node: Node) -> np.ndarray:
-    """Value of a node. Ops evaluate eagerly, so this is just an accessor."""
-    return node.value
 
 
 def backward(loss: Node) -> dict[Node, np.ndarray]:
@@ -513,12 +493,6 @@ def reduce_max(a, axis: int, keepdims: bool = False) -> Node:
     return _make("max", value, (a,), back)
 
 
-def reduce_mean(a, axis: int | None = None, keepdims: bool = False) -> Node:
-    a = as_node(a)
-    n = a.value.size if axis is None else a.value.shape[axis]
-    return mul(reduce_sum(a, axis, keepdims), 1.0 / n)
-
-
 # ---------------------------------------------------------------------------
 # softmax with masking
 
@@ -556,10 +530,6 @@ def masked_softmax(logits, mask: np.ndarray | None = None) -> Node:
     return _make("masked_softmax", value, (a,), back)
 
 
-def softmax(logits) -> Node:
-    return masked_softmax(logits, None)
-
-
 def masked_logsumexp(logits: Node, mask: np.ndarray | None = None) -> Node:
     """log(sum(exp(logits))) over the last axis, masked positions excluded.
 
@@ -575,7 +545,7 @@ def masked_logsumexp(logits: Node, mask: np.ndarray | None = None) -> Node:
 
 
 # ---------------------------------------------------------------------------
-# regularization and lookup
+# regularization
 
 
 def dropout(a: Node, rate: float, rng: np.random.Generator | None,
@@ -596,22 +566,6 @@ def dropout(a: Node, rate: float, rng: np.random.Generator | None,
         _accumulate(a, g * keep)
 
     return _make("dropout", value, (a,), back)
-
-
-def embedding_gather(table, ids: Sequence[int]) -> Node:
-    """Columns of a (dim x vocab) table selected by token ids."""
-    table = as_node(table)
-    ids = np.asarray(ids, dtype=np.intp)
-    value = table.value[:, ids]
-
-    def back(g):
-        if not table.needs_grad:
-            return
-        if table.grad is None:
-            table.grad = np.zeros_like(table.value)
-        np.add.at(table.grad, (slice(None), ids), g)
-
-    return _make("embedding_gather", value, (table,), back)
 
 
 # ---------------------------------------------------------------------------

@@ -6,12 +6,17 @@ Layout (integers little-endian, tensor data IEEE-754 binary32 LE):
     u32 tensor_count
     per tensor: u16 name_len | name utf-8 | u8 rank | rank * u32 dims | data
 
-Raw weights are stored under their own names; the exponential moving average
-shadow of each weight is stored under the same name with an "ema/" prefix.
+The file ends after the last tensor; trailing bytes are rejected.
+
+Raw weights are stored under their own names, in `named_arrays` order, and
+are checked on load against `model.param_shapes`; the exponential moving
+average shadow of each weight is stored under the same name with an "ema/"
+prefix.
 """
 from __future__ import annotations
 
 import json
+import math
 import struct
 
 import numpy as np
@@ -84,6 +89,8 @@ def load_checkpoint(path: str) -> tuple[Hyperparams, ModelWeights, dict[str, np.
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise CheckpointFormatError(f"{path}: bad settings block: {exc}") from None
     pos += settings_len
+    if not isinstance(settings, dict):
+        raise CheckpointFormatError(f"{path}: settings block is not a JSON object")
     embed_dim = settings.pop("embed_dim", None)
     if embed_dim is None:
         raise CheckpointFormatError(f"{path}: settings block lacks embed_dim")
@@ -96,11 +103,14 @@ def load_checkpoint(path: str) -> tuple[Hyperparams, ModelWeights, dict[str, np.
     tensors: dict[str, np.ndarray] = {}
     for _ in range(count):
         (name_len,) = take("<H")
-        name = data[pos:pos + name_len].decode("utf-8")
+        try:
+            name = data[pos:pos + name_len].decode("utf-8")
+        except UnicodeDecodeError:
+            raise CheckpointFormatError(f"{path}: tensor name at byte {pos} is not UTF-8") from None
         pos += name_len
         (rank,) = take("<B")
         dims = [take("<I")[0] for _ in range(rank)]
-        n_items = int(np.prod(dims)) if dims else 1
+        n_items = math.prod(dims)
         size = 4 * n_items
         if pos + size > len(data):
             raise CheckpointFormatError(f"{path}: truncated tensor {name!r}")
@@ -109,6 +119,8 @@ def load_checkpoint(path: str) -> tuple[Hyperparams, ModelWeights, dict[str, np.
         if name in tensors:
             raise CheckpointFormatError(f"{path}: duplicate tensor {name!r}")
         tensors[name] = array.reshape(dims).astype(np.float32)
+    if pos != len(data):
+        raise CheckpointFormatError(f"{path}: {len(data) - pos} trailing bytes after the last tensor")
 
     raw = {k: v for k, v in tensors.items() if not k.startswith(EMA_PREFIX)}
     ema = {k[len(EMA_PREFIX):]: v for k, v in tensors.items() if k.startswith(EMA_PREFIX)}

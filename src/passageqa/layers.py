@@ -6,49 +6,21 @@ Shape conventions:
   - per-timestep LSTM state is (batch, hidden)
   - sequence masks are plain float arrays of shape (batch, time) with 1.0
     at real tokens and 0.0 at padding; they are constants, never learned
+
+Layer functions take weights directly: arrays for inference, graph leaves
+for training.  An LSTM is a (w_in, w_rec, bias) triple with gate columns
+stacked as [input, forget, cell, output] blocks: w_in (in_dim, 4*hidden),
+w_rec (hidden, 4*hidden), bias (4*hidden,).  The model's parameter names
+and shapes are listed once, in `model.param_shapes`.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any
+from typing import Sequence
 
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Node
-
-
-@dataclass
-class LinearParams:
-    """Left-multiplying map: weight (out, in), bias (out, 1)."""
-    weight: Any
-    bias: Any
-
-
-@dataclass
-class LstmParams:
-    """Gate transforms stacked as [input, forget, cell, output] blocks.
-
-    w_in is (in_dim, 4*hidden), w_rec is (hidden, 4*hidden), bias (4*hidden,).
-    """
-    w_in: Any
-    w_rec: Any
-    bias: Any
-
-    @property
-    def hidden(self) -> int:
-        return self.w_rec.shape[0] if not isinstance(self.w_rec, Node) else self.w_rec.value.shape[0]
-
-
-@dataclass
-class HighwayLayerParams:
-    transform: LinearParams
-    gate: LinearParams
-
-
-@dataclass
-class HighwayParams:
-    layers: tuple[HighwayLayerParams, ...]
 
 
 def xavier_uniform(rng: np.random.Generator, shape: tuple[int, ...],
@@ -57,34 +29,10 @@ def xavier_uniform(rng: np.random.Generator, shape: tuple[int, ...],
     return rng.uniform(-limit, limit, size=shape).astype(dtype)
 
 
-def init_linear(rng: np.random.Generator, in_dim: int, out_dim: int, dtype) -> LinearParams:
-    weight = xavier_uniform(rng, (out_dim, in_dim), in_dim, out_dim, dtype)
-    bias = np.zeros((out_dim, 1), dtype=dtype)
-    return LinearParams(weight, bias)
-
-
-def init_lstm(rng: np.random.Generator, in_dim: int, hidden: int, dtype) -> LstmParams:
-    w_in = xavier_uniform(rng, (in_dim, 4 * hidden), in_dim, 4 * hidden, dtype)
-    w_rec = xavier_uniform(rng, (hidden, 4 * hidden), hidden, 4 * hidden, dtype)
-    bias = np.zeros(4 * hidden, dtype=dtype)
-    return LstmParams(w_in, w_rec, bias)
-
-
-def init_highway(rng: np.random.Generator, dim: int, n_layers: int, dtype) -> HighwayParams:
-    layers = tuple(
-        HighwayLayerParams(
-            transform=init_linear(rng, dim, dim, dtype),
-            gate=init_linear(rng, dim, dim, dtype),
-        )
-        for _ in range(n_layers)
-    )
-    return HighwayParams(layers)
-
-
-def _lstm_cell(params: LstmParams, gates_x: Node, h_prev: Node, c_prev: Node,
+def _lstm_cell(w_rec, gates_x: Node, h_prev: Node, c_prev: Node,
                hidden: int) -> tuple[Node, Node]:
     """Gate math given the precomputed input projection x_t @ w_in + bias."""
-    gates = ad.add(gates_x, ad.matmul(h_prev, params.w_rec))
+    gates = ad.add(gates_x, ad.matmul(h_prev, w_rec))
     # One sigmoid over all four gate blocks; the candidate block's sigmoid
     # output is simply never sliced out.
     squashed = ad.sigmoid(gates)
@@ -97,14 +45,15 @@ def _lstm_cell(params: LstmParams, gates_x: Node, h_prev: Node, c_prev: Node,
     return h_t, c_t
 
 
-def lstm_step(params: LstmParams, x_t: Node, h_prev: Node, c_prev: Node,
+def lstm_step(lstm: tuple, x_t: Node, h_prev: Node, c_prev: Node,
               hidden: int) -> tuple[Node, Node]:
     """One LSTM cell update; x_t is (batch, in_dim), states (batch, hidden)."""
-    gates_x = ad.add(ad.matmul(x_t, params.w_in), params.bias)
-    return _lstm_cell(params, gates_x, h_prev, c_prev, hidden)
+    w_in, w_rec, bias = lstm
+    gates_x = ad.add(ad.matmul(x_t, w_in), bias)
+    return _lstm_cell(w_rec, gates_x, h_prev, c_prev, hidden)
 
 
-def _scan(params: LstmParams, gates_x: list[Node], mask: np.ndarray,
+def _scan(w_rec, gates_x: list[Node], mask: np.ndarray,
           hidden: int, reverse: bool) -> list[Node]:
     """Run one direction, freezing state and zeroing outputs past the mask."""
     batch = gates_x[0].value.shape[0]
@@ -114,7 +63,7 @@ def _scan(params: LstmParams, gates_x: list[Node], mask: np.ndarray,
     order = range(len(gates_x) - 1, -1, -1) if reverse else range(len(gates_x))
     outputs: list[Node | None] = [None] * len(gates_x)
     for t in order:
-        h_new, c_new = _lstm_cell(params, gates_x[t], h, c, hidden)
+        h_new, c_new = _lstm_cell(w_rec, gates_x[t], h, c, hidden)
         col = mask[:, t:t + 1]
         if col.all():
             h, c = h_new, c_new
@@ -128,7 +77,7 @@ def _scan(params: LstmParams, gates_x: list[Node], mask: np.ndarray,
     return outputs  # type: ignore[return-value]
 
 
-def bilstm_encode(fwd: LstmParams, bwd: LstmParams, seq: Node,
+def bilstm_encode(fwd: tuple, bwd: tuple, seq: Node,
                   mask: np.ndarray | None, hidden: int) -> Node:
     """Bidirectional encoding of (batch, in_dim, time) -> (batch, 2*hidden, time).
 
@@ -145,27 +94,30 @@ def bilstm_encode(fwd: LstmParams, bwd: LstmParams, seq: Node,
     # the per-step (batch, 4*hidden) rows.
     seq_rows = ad.transpose(seq, (0, 2, 1))
     outputs = []
-    for params, reverse in ((fwd, False), (bwd, True)):
-        proj = ad.add(ad.matmul(seq_rows, params.w_in), params.bias)
+    for (w_in, w_rec, bias), reverse in ((fwd, False), (bwd, True)):
+        proj = ad.add(ad.matmul(seq_rows, w_in), bias)
         gates_x = [ad.index_axis(proj, 1, t) for t in range(steps_n)]
-        outputs.append(ad.stack(_scan(params, gates_x, mask, hidden, reverse), axis=2))
+        outputs.append(ad.stack(_scan(w_rec, gates_x, mask, hidden, reverse), axis=2))
     return ad.concat(outputs, axis=1)
 
 
-def linear_seq(params: LinearParams, seq: Node) -> Node:
-    """Apply (out, in) weight + bias along the feature axis of (B, in, T)."""
-    return ad.add(ad.matmul(params.weight, seq), params.bias)
+def linear_seq(weight, bias, seq: Node) -> Node:
+    """Apply (out, in) weight + (out, 1) bias along the feature axis of (B, in, T)."""
+    return ad.add(ad.matmul(weight, seq), bias)
 
 
-def highway_forward(params: HighwayParams, seq: Node, dropout_rate: float = 0.0,
+def highway_forward(layers: Sequence[tuple], seq: Node, dropout_rate: float = 0.0,
                     rng: np.random.Generator | None = None,
                     train: bool = False) -> Node:
-    """Highway network over (B, dim, T); gate mixes transform with identity."""
+    """Highway network over (B, dim, T); gate mixes transform with identity.
+
+    Each layer is (transform weight, transform bias, gate weight, gate bias).
+    """
     out = seq
-    for layer in params.layers:
+    for transform_w, transform_b, gate_w, gate_b in layers:
         out = ad.dropout(out, dropout_rate, rng, train)
-        transformed = ad.relu(linear_seq(layer.transform, out))
-        gate = ad.sigmoid(linear_seq(layer.gate, out))
+        transformed = ad.relu(linear_seq(transform_w, transform_b, out))
+        gate = ad.sigmoid(linear_seq(gate_w, gate_b, out))
         carry = ad.sub(1.0, gate)
         out = ad.add(ad.mul(gate, transformed), ad.mul(carry, out))
     return out

@@ -10,19 +10,21 @@ bidirectional attention and a fusion bi-LSTM, then splits into two heads:
 
 All sequence tensors are (batch, features, time).  Masks are plain float
 arrays (batch, time); every softmax over positions receives one.
+
+The weights are one ordered name -> array table.  `param_shapes` is the only
+listing of the parameters: initialisation, checkpoint validation and the
+forward pass all work from its names and shapes.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Iterator
+from dataclasses import dataclass, field, replace
+from typing import Any
 
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import MASK_OFFSET, Node
-from .layers import (HighwayLayerParams, HighwayParams, LinearParams, LstmParams,
-                     bilstm_encode, highway_forward, init_highway, init_linear,
-                     init_lstm, linear_seq)
+from .layers import bilstm_encode, highway_forward, linear_seq, xavier_uniform
 from .text import TokenSeq, VectorTable, embed
 
 
@@ -55,154 +57,109 @@ class Hyperparams:
         return cls(**raw)
 
 
+def param_shapes(embed_dim: int, hidden: int, attn_dim: int
+                 ) -> dict[str, tuple[int, ...]]:
+    """Name -> shape of every trainable array, in initialisation draw order.
+
+    This is the one listing of the model's parameters.  Highway layers map
+    (dim, dim) with (dim, 1) biases.  Every LSTM is bidirectional: X_fwd and
+    X_bwd each have .w_in (in_dim, 4*hidden), .w_rec (hidden, 4*hidden) and
+    .bias (4*hidden,).
+    """
+    d = hidden
+    shapes: dict[str, tuple[int, ...]] = {}
+    for i in range(2):
+        for part in ("transform", "gate"):
+            shapes[f"highway.{i}.{part}.weight"] = (embed_dim, embed_dim)
+            shapes[f"highway.{i}.{part}.bias"] = (embed_dim, 1)
+
+    def bilstm(name: str, in_dim: int) -> None:
+        for direction in ("fwd", "bwd"):
+            shapes[f"{name}_{direction}.w_in"] = (in_dim, 4 * d)
+            shapes[f"{name}_{direction}.w_rec"] = (d, 4 * d)
+            shapes[f"{name}_{direction}.bias"] = (4 * d,)
+
+    bilstm("ctx", embed_dim)
+    shapes["sim_weight"] = (6 * d,)
+    bilstm("fusion", 8 * d)
+    bilstm("start", 2 * d)
+    shapes["start_weight"] = (10 * d,)
+    bilstm("end", 14 * d)
+    shapes["end_weight"] = (10 * d,)
+    bilstm("rel", 2 * d + 1)          # fused states plus the exact-match bit
+    shapes["attn_proj.weight"] = (attn_dim, 2 * d)
+    shapes["attn_proj.bias"] = (attn_dim, 1)
+    shapes["attn_context"] = (attn_dim,)
+    shapes["rel_weight"] = (2 * d,)
+    return shapes
+
+
+def _stored_order(shapes: dict[str, tuple[int, ...]]) -> list[str]:
+    """Checkpoint order: highway arrays, then LSTMs, then the rest."""
+    def rank(name: str) -> int:
+        if name.startswith("highway."):
+            return 0
+        return 1 if name.split(".")[0] + ".w_rec" in shapes else 2
+    return sorted(shapes, key=rank)
+
+
 @dataclass
 class ModelWeights:
-    """All trainable arrays (or their graph nodes during a forward pass)."""
+    """Every trainable array (or its graph leaf), keyed as in `param_shapes`."""
 
     embed_dim: int
     hidden: int
     attn_dim: int
-    highway: HighwayParams
-    ctx_fwd: LstmParams
-    ctx_bwd: LstmParams
-    sim_weight: Any            # (6*hidden,) similarity scorer
-    fusion_fwd: LstmParams
-    fusion_bwd: LstmParams
-    start_fwd: LstmParams
-    start_bwd: LstmParams
-    start_weight: Any          # (10*hidden,)
-    end_fwd: LstmParams
-    end_bwd: LstmParams
-    end_weight: Any            # (10*hidden,)
-    rel_fwd: LstmParams
-    rel_bwd: LstmParams
-    attn_proj: LinearParams    # (attn_dim, 2*hidden) + bias
-    attn_context: Any          # (attn_dim,)
-    rel_weight: Any            # (2*hidden,)
-
-
-_LSTM_FIELDS = ("ctx_fwd", "ctx_bwd", "fusion_fwd", "fusion_bwd",
-                "start_fwd", "start_bwd", "end_fwd", "end_bwd",
-                "rel_fwd", "rel_bwd")
-
-
-def _fields(weights: ModelWeights) -> list[tuple[str, Any, str]]:
-    """Deterministic (name, owner, attribute) rows over every weight array."""
-    rows: list[tuple[str, Any, str]] = []
-    for i, layer in enumerate(weights.highway.layers):
-        rows.append((f"highway.{i}.transform.weight", layer.transform, "weight"))
-        rows.append((f"highway.{i}.transform.bias", layer.transform, "bias"))
-        rows.append((f"highway.{i}.gate.weight", layer.gate, "weight"))
-        rows.append((f"highway.{i}.gate.bias", layer.gate, "bias"))
-    for name in _LSTM_FIELDS:
-        lstm: LstmParams = getattr(weights, name)
-        rows.append((f"{name}.w_in", lstm, "w_in"))
-        rows.append((f"{name}.w_rec", lstm, "w_rec"))
-        rows.append((f"{name}.bias", lstm, "bias"))
-    rows.append(("sim_weight", weights, "sim_weight"))
-    rows.append(("start_weight", weights, "start_weight"))
-    rows.append(("end_weight", weights, "end_weight"))
-    rows.append(("attn_proj.weight", weights.attn_proj, "weight"))
-    rows.append(("attn_proj.bias", weights.attn_proj, "bias"))
-    rows.append(("attn_context", weights, "attn_context"))
-    rows.append(("rel_weight", weights, "rel_weight"))
-    return rows
-
-
-def iter_named(weights: ModelWeights) -> Iterator[tuple[str, Any]]:
-    for name, owner, attr in _fields(weights):
-        yield name, getattr(owner, attr)
+    arrays: dict[str, Any]
 
 
 def named_arrays(weights: ModelWeights) -> dict[str, np.ndarray]:
-    return dict(iter_named(weights))
-
-
-def map_weights(weights: ModelWeights, fn) -> ModelWeights:
-    """Structurally identical copy with every array passed through fn."""
-
-    def lin(p: LinearParams) -> LinearParams:
-        return LinearParams(fn(p.weight), fn(p.bias))
-
-    def lstm(p: LstmParams) -> LstmParams:
-        return LstmParams(fn(p.w_in), fn(p.w_rec), fn(p.bias))
-
-    return ModelWeights(
-        embed_dim=weights.embed_dim,
-        hidden=weights.hidden,
-        attn_dim=weights.attn_dim,
-        highway=HighwayParams(tuple(
-            HighwayLayerParams(lin(layer.transform), lin(layer.gate))
-            for layer in weights.highway.layers)),
-        ctx_fwd=lstm(weights.ctx_fwd), ctx_bwd=lstm(weights.ctx_bwd),
-        sim_weight=fn(weights.sim_weight),
-        fusion_fwd=lstm(weights.fusion_fwd), fusion_bwd=lstm(weights.fusion_bwd),
-        start_fwd=lstm(weights.start_fwd), start_bwd=lstm(weights.start_bwd),
-        start_weight=fn(weights.start_weight),
-        end_fwd=lstm(weights.end_fwd), end_bwd=lstm(weights.end_bwd),
-        end_weight=fn(weights.end_weight),
-        rel_fwd=lstm(weights.rel_fwd), rel_bwd=lstm(weights.rel_bwd),
-        attn_proj=lin(weights.attn_proj),
-        attn_context=fn(weights.attn_context),
-        rel_weight=fn(weights.rel_weight),
-    )
+    """A new name -> array dict over the same arrays, in checkpoint order."""
+    return dict(weights.arrays)
 
 
 def init_weights(rng: np.random.Generator, embed_dim: int, hidden: int,
                  attn_dim: int, dtype=np.float32) -> ModelWeights:
-    """Xavier-uniform matrices, zero biases, in a fixed draw order."""
+    """Xavier-uniform matrices and vectors, zero biases, in a fixed draw order.
 
-    def vec(n: int) -> np.ndarray:
-        from .layers import xavier_uniform
-        return xavier_uniform(rng, (n,), n, 1, dtype)
-
-    return ModelWeights(
-        embed_dim=embed_dim, hidden=hidden, attn_dim=attn_dim,
-        highway=init_highway(rng, embed_dim, 2, dtype),
-        ctx_fwd=init_lstm(rng, embed_dim, hidden, dtype),
-        ctx_bwd=init_lstm(rng, embed_dim, hidden, dtype),
-        sim_weight=vec(6 * hidden),
-        fusion_fwd=init_lstm(rng, 8 * hidden, hidden, dtype),
-        fusion_bwd=init_lstm(rng, 8 * hidden, hidden, dtype),
-        start_fwd=init_lstm(rng, 2 * hidden, hidden, dtype),
-        start_bwd=init_lstm(rng, 2 * hidden, hidden, dtype),
-        start_weight=vec(10 * hidden),
-        end_fwd=init_lstm(rng, 14 * hidden, hidden, dtype),
-        end_bwd=init_lstm(rng, 14 * hidden, hidden, dtype),
-        end_weight=vec(10 * hidden),
-        rel_fwd=init_lstm(rng, 2 * hidden + 1, hidden, dtype),
-        rel_bwd=init_lstm(rng, 2 * hidden + 1, hidden, dtype),
-        attn_proj=init_linear(rng, 2 * hidden, attn_dim, dtype),
-        attn_context=vec(attn_dim),
-        rel_weight=vec(2 * hidden),
-    )
+    A vector (n,) is drawn with fans (n, 1).
+    """
+    shapes = param_shapes(embed_dim, hidden, attn_dim)
+    drawn = {}
+    for name, shape in shapes.items():
+        if name.endswith(".bias"):
+            drawn[name] = np.zeros(shape, dtype=dtype)
+        else:
+            fan_in, fan_out = shape if len(shape) == 2 else (shape[0], 1)
+            drawn[name] = xavier_uniform(rng, shape, fan_in, fan_out, dtype)
+    arrays = {name: drawn[name] for name in _stored_order(shapes)}
+    return ModelWeights(embed_dim, hidden, attn_dim, arrays)
 
 
 def weights_from_named(embed_dim: int, hidden: int, attn_dim: int,
                        named: dict[str, np.ndarray]) -> ModelWeights:
-    """Rebuild a weight structure from a flat name -> array map."""
-    skeleton = init_weights(np.random.default_rng(0), embed_dim, hidden, attn_dim)
-    expected = {name for name, _, _ in _fields(skeleton)}
-    missing = expected - set(named)
-    extra = set(named) - expected
+    """Check a flat name -> array map against `param_shapes` and wrap it."""
+    for what, dim in (("embed_dim", embed_dim), ("hidden", hidden),
+                      ("attn_dim", attn_dim)):
+        if isinstance(dim, bool) or not isinstance(dim, int) or dim <= 0:
+            raise ValueError(f"{what} must be a positive integer, got {dim!r}")
+    shapes = param_shapes(embed_dim, hidden, attn_dim)
+    missing = set(shapes) - set(named)
+    extra = set(named) - set(shapes)
     if missing or extra:
         raise ValueError(f"weight name mismatch: missing={sorted(missing)} extra={sorted(extra)}")
-    for name, owner, attr in _fields(skeleton):
-        arr = named[name]
-        want = getattr(owner, attr).shape
-        if arr.shape != want:
-            raise ValueError(f"{name}: expected shape {want}, got {arr.shape}")
-        setattr(owner, attr, arr)
-    return skeleton
+    for name, want in shapes.items():
+        if named[name].shape != want:
+            raise ValueError(f"{name}: expected shape {want}, got {named[name].shape}")
+    arrays = {name: named[name] for name in _stored_order(shapes)}
+    return ModelWeights(embed_dim, hidden, attn_dim, arrays)
 
 
 def as_param_nodes(weights: ModelWeights, requires_grad: bool = True
                    ) -> tuple[ModelWeights, dict[str, Node]]:
-    """Wrap every weight array as a graph leaf, keeping the structure."""
-    named = named_arrays(weights)
-    nodes = {name: ad.leaf(arr, requires_grad) for name, arr in named.items()}
-    by_id = {id(arr): nodes[name] for name, arr in named.items()}
-    return map_weights(weights, lambda arr: by_id[id(arr)]), nodes
+    """Wrap every weight array as a graph leaf; returns the copy and its leaves."""
+    nodes = {name: ad.leaf(arr, requires_grad) for name, arr in weights.arrays.items()}
+    return replace(weights, arrays=nodes), nodes
 
 
 # ---------------------------------------------------------------------------
@@ -347,11 +304,12 @@ def forward_batch(weights: ModelWeights, hp: Hyperparams, batch: EncodedBatch,
     train=True, inverted dropout is applied to highway layers, LSTM inputs,
     and the inputs of the three output transforms, consuming `rng`.
     """
-    if not isinstance(weights.sim_weight, Node):
+    if not isinstance(weights.arrays["sim_weight"], Node):
         weights, _ = as_param_nodes(weights, requires_grad=False)
     unknown = set(heads) - {"span", "relevance"}
     if unknown:
         raise ValueError(f"unknown heads: {sorted(unknown)}")
+    w = weights.arrays
     d = weights.hidden
     n = batch.size
     t_len = batch.passage_emb.shape[2]
@@ -360,26 +318,31 @@ def forward_batch(weights: ModelWeights, hp: Hyperparams, batch: EncodedBatch,
     def drop(node: Node) -> Node:
         return ad.dropout(node, hp.dropout, rng, train)
 
-    passage_in = highway_forward(weights.highway, ad.constant(batch.passage_emb),
+    def lstm(name: str) -> tuple[Node, Node, Node]:
+        return w[f"{name}.w_in"], w[f"{name}.w_rec"], w[f"{name}.bias"]
+
+    def bilstm(name: str, seq: Node, mask: np.ndarray) -> Node:
+        return bilstm_encode(lstm(f"{name}_fwd"), lstm(f"{name}_bwd"), seq, mask, d)
+
+    highway = [(w[f"highway.{i}.transform.weight"], w[f"highway.{i}.transform.bias"],
+                w[f"highway.{i}.gate.weight"], w[f"highway.{i}.gate.bias"])
+               for i in range(2)]
+    passage_in = highway_forward(highway, ad.constant(batch.passage_emb),
                                  hp.dropout, rng, train)
-    question_in = highway_forward(weights.highway, ad.constant(batch.question_emb),
+    question_in = highway_forward(highway, ad.constant(batch.question_emb),
                                   hp.dropout, rng, train)
-    ctx_passage = bilstm_encode(weights.ctx_fwd, weights.ctx_bwd,
-                                drop(passage_in), pmask, d)
-    ctx_question = bilstm_encode(weights.ctx_fwd, weights.ctx_bwd,
-                                 drop(question_in), qmask, d)
+    ctx_passage = bilstm("ctx", drop(passage_in), pmask)
+    ctx_question = bilstm("ctx", drop(question_in), qmask)
     similarity, attended = attention_flow(ctx_passage, ctx_question,
-                                          weights.sim_weight, pmask, qmask)
-    fused = bilstm_encode(weights.fusion_fwd, weights.fusion_bwd,
-                          drop(attended), pmask, d)
+                                          w["sim_weight"], pmask, qmask)
+    fused = bilstm("fusion", drop(attended), pmask)
     state = ForwardState(ctx_passage, ctx_question, similarity, attended, fused,
                          pmask, qmask)
 
     if "span" in heads:
-        start_states = bilstm_encode(weights.start_fwd, weights.start_bwd,
-                                     drop(fused), pmask, d)
+        start_states = bilstm("start", drop(fused), pmask)
         start_in = ad.concat([attended, start_states], axis=1)      # (B, 10d, T)
-        w_start = ad.reshape(weights.start_weight, (1, 10 * d, 1))
+        w_start = ad.reshape(w["start_weight"], (1, 10 * d, 1))
         state.start_logits = ad.reduce_sum(ad.mul(drop(start_in), w_start), axis=1)
         state.start_probs = ad.masked_softmax(state.start_logits, pmask)
 
@@ -388,36 +351,28 @@ def forward_batch(weights: ModelWeights, hp: Hyperparams, batch: EncodedBatch,
         tiled = ad.broadcast_to(pooled, (n, 2 * d, t_len))
         end_seq_in = ad.concat([attended, start_states, tiled,
                                 ad.mul(start_states, tiled)], axis=1)     # (B, 14d, T)
-        end_states = bilstm_encode(weights.end_fwd, weights.end_bwd,
-                                   drop(end_seq_in), pmask, d)
+        end_states = bilstm("end", drop(end_seq_in), pmask)
         end_in = ad.concat([attended, end_states], axis=1)
-        w_end = ad.reshape(weights.end_weight, (1, 10 * d, 1))
+        w_end = ad.reshape(w["end_weight"], (1, 10 * d, 1))
         state.end_logits = ad.reduce_sum(ad.mul(drop(end_in), w_end), axis=1)
         state.end_probs = ad.masked_softmax(state.end_logits, pmask)
 
     if "relevance" in heads:
         rel_in = ad.concat([fused, ad.constant(batch.match_channel)], axis=1)
-        rel_states = bilstm_encode(weights.rel_fwd, weights.rel_bwd,
-                                   drop(rel_in), pmask, d)
-        proj = linear_seq(weights.attn_proj, rel_states)            # (B, c, T)
-        w_ctx = ad.reshape(weights.attn_context, (1, weights.attn_dim, 1))
+        rel_states = bilstm("rel", drop(rel_in), pmask)
+        proj = linear_seq(w["attn_proj.weight"], w["attn_proj.bias"],
+                          rel_states)                                # (B, c, T)
+        w_ctx = ad.reshape(w["attn_context"], (1, weights.attn_dim, 1))
         att_logits = ad.reduce_sum(ad.mul(proj, w_ctx), axis=1)     # (B, T)
         state.rel_attention = ad.masked_softmax(att_logits, pmask)
         summary = ad.reshape(
             ad.matmul(rel_states, ad.reshape(state.rel_attention, (n, t_len, 1))),
             (n, 2 * d))
-        w_rel = ad.reshape(weights.rel_weight, (1, 2 * d))
+        w_rel = ad.reshape(w["rel_weight"], (1, 2 * d))
         state.relevance_logit = ad.reduce_sum(ad.mul(drop(summary), w_rel), axis=1)
         state.relevance = ad.sigmoid(state.relevance_logit)
 
     return state
-
-
-def encode_shared(question: TokenSeq, passage: TokenSeq, weights: ModelWeights,
-                  hp: Hyperparams, table: VectorTable) -> ForwardState:
-    """Shared trunk only (no heads) for a single question/passage pair."""
-    batch = encode_batch([question], [passage], table)
-    return forward_batch(weights, hp, batch, train=False, heads=())
 
 
 # ---------------------------------------------------------------------------

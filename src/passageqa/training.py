@@ -18,7 +18,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Node
 from .checkpoint import save_checkpoint
-from .model import (EncodedBatch, ForwardState, Hyperparams, ModelWeights,
+from .model import (ForwardState, Hyperparams, ModelWeights,
                     as_param_nodes, encode_batch, forward_batch, init_weights,
                     named_arrays)
 from .retriever import Corpus, TfIdfIndex, similar_passages
@@ -97,31 +97,6 @@ def make_negative(positive: QuestionExample, index: TfIdfIndex, corpus: Corpus,
 
 # ---------------------------------------------------------------------------
 # losses
-
-
-def joint_loss(outputs: list[tuple[np.ndarray, np.ndarray, float]],
-               batch: Batch, ir_weight: float) -> float:
-    """Reference numeric loss over per-example (start_p, end_p, relevance_p).
-
-    relevance part: mean binary cross-entropy over all examples
-    span part: mean over positives of -(log start_p[y1] + log end_p[y2])
-    total: span + ir_weight * relevance
-    """
-    if len(outputs) != batch.size:
-        raise ValueError("one output triple per example required")
-    n_pos = batch.n_positive
-    if n_pos == 0:
-        raise ValueError("a batch must contain at least one positive example")
-    bce = 0.0
-    nll = 0.0
-    for (start_p, end_p, rel_p), ex in zip(outputs, batch.examples):
-        if ex.relevance == 1:
-            bce -= float(np.log(rel_p))
-            y1, y2 = ex.span
-            nll -= float(np.log(start_p[y1])) + float(np.log(end_p[y2]))
-        else:
-            bce -= float(np.log1p(-rel_p))
-    return nll / n_pos + ir_weight * (bce / len(outputs))
 
 
 @dataclass
@@ -239,9 +214,8 @@ def train(positives: list[QuestionExample], corpus: Corpus, index: TfIdfIndex,
           table: VectorTable, hp: Hyperparams,
           mode: TrainMode = TrainMode.MULTI_TASK,
           checkpoint_dir: str | None = None,
-          weights: ModelWeights | None = None,
           epoch_callback=None) -> TrainResult:
-    """Train from scratch (or continue from `weights`) on positive examples.
+    """Train from scratch on positive examples.
 
     Negatives are regenerated every epoch.  The EMA shadow starts as a copy
     of the initial weights and is updated after every optimizer step.  With
@@ -261,8 +235,7 @@ def train(positives: list[QuestionExample], corpus: Corpus, index: TfIdfIndex,
     rng_negative = np.random.default_rng(seeds[2])
     rng_dropout = np.random.default_rng(seeds[3])
 
-    if weights is None:
-        weights = init_weights(rng_init, table.dim, hp.hidden, hp.attn_dim)
+    weights = init_weights(rng_init, table.dim, hp.hidden, hp.attn_dim)
     arrays = named_arrays(weights)
     ema = {name: arr.copy() for name, arr in arrays.items()}
     velocity = {name: np.zeros_like(arr) for name, arr in arrays.items()}

@@ -85,9 +85,12 @@ def lstm_unroll(w_in, w_rec, bias, columns: list[list[float]], hidden: int,
 
 
 def bilstm(fwd, bwd, columns: list[list[float]], hidden: int) -> list[list[float]]:
-    """Concatenated forward/backward states; mirrors bilstm_encode at B=1."""
-    f = lstm_unroll(fwd.w_in, fwd.w_rec, fwd.bias, columns, hidden)
-    b = lstm_unroll(bwd.w_in, bwd.w_rec, bwd.bias, columns, hidden, reverse=True)
+    """Concatenated forward/backward states; mirrors bilstm_encode at B=1.
+
+    fwd and bwd are (w_in, w_rec, bias) triples.
+    """
+    f = lstm_unroll(*fwd, columns, hidden)
+    b = lstm_unroll(*bwd, columns, hidden, reverse=True)
     return [f[t] + b[t] for t in range(len(columns))]
 
 
@@ -102,12 +105,11 @@ def linear(weight, bias, col: list[float]) -> list[float]:
 
 
 def highway(layers, col: list[float]) -> list[float]:
-    """layers: iterable with .transform / .gate LinearParams holding arrays."""
+    """layers: (transform weight, transform bias, gate weight, gate bias) tuples."""
     out = list(col)
-    for layer in layers:
-        transformed = [max(0.0, v) for v in linear(layer.transform.weight,
-                                                   layer.transform.bias, out)]
-        gate = [sigmoid(v) for v in linear(layer.gate.weight, layer.gate.bias, out)]
+    for transform_w, transform_b, gate_w, gate_b in layers:
+        transformed = [max(0.0, v) for v in linear(transform_w, transform_b, out)]
+        gate = [sigmoid(v) for v in linear(gate_w, gate_b, out)]
         out = [g * t + (1.0 - g) * o for g, t, o in zip(gate, transformed, out)]
     return out
 
@@ -162,20 +164,27 @@ def full_forward(weights, question_tokens: list[str], passage_tokens: list[str],
     intermediates useful for narrower comparisons.
     """
     d = weights.hidden
+    w = weights.arrays
 
     def embed_cols(tokens):
         return [[float(v) for v in table.get(tok)] for tok in tokens]
 
-    p_cols = [highway(weights.highway.layers, c) for c in embed_cols(passage_tokens)]
-    q_cols = [highway(weights.highway.layers, c) for c in embed_cols(question_tokens)]
-    ctx_p = bilstm(weights.ctx_fwd, weights.ctx_bwd, p_cols, d)
-    ctx_q = bilstm(weights.ctx_fwd, weights.ctx_bwd, q_cols, d)
-    sim, g_cols = attention_flow(ctx_p, ctx_q, weights.sim_weight)
-    fused = bilstm(weights.fusion_fwd, weights.fusion_bwd, g_cols, d)
+    def lstm(name):
+        return w[name + ".w_in"], w[name + ".w_rec"], w[name + ".bias"]
+
+    layers = [(w[f"highway.{i}.transform.weight"], w[f"highway.{i}.transform.bias"],
+               w[f"highway.{i}.gate.weight"], w[f"highway.{i}.gate.bias"])
+              for i in range(2)]
+    p_cols = [highway(layers, c) for c in embed_cols(passage_tokens)]
+    q_cols = [highway(layers, c) for c in embed_cols(question_tokens)]
+    ctx_p = bilstm(lstm("ctx_fwd"), lstm("ctx_bwd"), p_cols, d)
+    ctx_q = bilstm(lstm("ctx_fwd"), lstm("ctx_bwd"), q_cols, d)
+    sim, g_cols = attention_flow(ctx_p, ctx_q, w["sim_weight"])
+    fused = bilstm(lstm("fusion_fwd"), lstm("fusion_bwd"), g_cols, d)
 
     t_len = len(passage_tokens)
-    start_states = bilstm(weights.start_fwd, weights.start_bwd, fused, d)
-    start_logits = [sum(float(weights.start_weight[i]) * (g_cols[t] + start_states[t])[i]
+    start_states = bilstm(lstm("start_fwd"), lstm("start_bwd"), fused, d)
+    start_logits = [sum(float(w["start_weight"][i]) * (g_cols[t] + start_states[t])[i]
                         for i in range(10 * d)) for t in range(t_len)]
     start_p = softmax(start_logits)
     pooled = [sum(start_p[t] * start_states[t][i] for t in range(t_len))
@@ -183,24 +192,24 @@ def full_forward(weights, question_tokens: list[str], passage_tokens: list[str],
     end_seq = [g_cols[t] + start_states[t] + pooled
                + [start_states[t][i] * pooled[i] for i in range(2 * d)]
                for t in range(t_len)]
-    end_states = bilstm(weights.end_fwd, weights.end_bwd, end_seq, d)
-    end_logits = [sum(float(weights.end_weight[i]) * (g_cols[t] + end_states[t])[i]
+    end_states = bilstm(lstm("end_fwd"), lstm("end_bwd"), end_seq, d)
+    end_logits = [sum(float(w["end_weight"][i]) * (g_cols[t] + end_states[t])[i]
                       for i in range(10 * d)) for t in range(t_len)]
     end_p = softmax(end_logits)
 
     q_set = set(question_tokens)
     rel_in = [fused[t] + [1.0 if passage_tokens[t] in q_set else 0.0]
               for t in range(t_len)]
-    rel_states = bilstm(weights.rel_fwd, weights.rel_bwd, rel_in, d)
+    rel_states = bilstm(lstm("rel_fwd"), lstm("rel_bwd"), rel_in, d)
     att_logits = []
     for t in range(t_len):
-        proj = linear(weights.attn_proj.weight, weights.attn_proj.bias, rel_states[t])
-        att_logits.append(sum(float(weights.attn_context[i]) * proj[i]
+        proj = linear(w["attn_proj.weight"], w["attn_proj.bias"], rel_states[t])
+        att_logits.append(sum(float(w["attn_context"][i]) * proj[i]
                               for i in range(len(proj))))
     att = softmax(att_logits)
     summary = [sum(att[t] * rel_states[t][i] for t in range(t_len))
                for i in range(2 * d)]
-    rel_logit = sum(float(weights.rel_weight[i]) * summary[i] for i in range(2 * d))
+    rel_logit = sum(float(w["rel_weight"][i]) * summary[i] for i in range(2 * d))
 
     return {
         "similarity": sim,
@@ -211,6 +220,36 @@ def full_forward(weights, question_tokens: list[str], passage_tokens: list[str],
         "relevance_logit": rel_logit,
         "relevance": sigmoid(rel_logit),
     }
+
+
+# ---------------------------------------------------------------------------
+# joint loss from per-example probabilities
+
+
+def joint_loss(outputs: list[tuple[np.ndarray, np.ndarray, float]],
+               batch, ir_weight: float) -> float:
+    """Reference numeric loss over per-example (start_p, end_p, relevance_p).
+
+    relevance part: mean binary cross-entropy over all examples
+    span part: mean over positives of -(log start_p[y1] + log end_p[y2])
+    total: span + ir_weight * relevance
+    `batch` is a training.Batch.
+    """
+    if len(outputs) != batch.size:
+        raise ValueError("one output triple per example required")
+    n_pos = batch.n_positive
+    if n_pos == 0:
+        raise ValueError("a batch must contain at least one positive example")
+    bce = 0.0
+    nll = 0.0
+    for (start_p, end_p, rel_p), ex in zip(outputs, batch.examples):
+        if ex.relevance == 1:
+            bce -= float(np.log(rel_p))
+            y1, y2 = ex.span
+            nll -= float(np.log(start_p[y1])) + float(np.log(end_p[y2]))
+        else:
+            bce -= float(np.log1p(-rel_p))
+    return nll / n_pos + ir_weight * (bce / len(outputs))
 
 
 # ---------------------------------------------------------------------------

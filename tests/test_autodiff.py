@@ -26,7 +26,7 @@ def fd(arrays, build_loss, tol=1e-6, step=1e-5):
 
 
 def test_softmax_quarter_three_quarters():
-    out = ad.softmax(constant(np.array([0.0, math.log(3.0)])))
+    out = ad.masked_softmax(constant(np.array([0.0, math.log(3.0)])), None)
     np.testing.assert_allclose(out.value, [0.25, 0.75], atol=1e-12)
 
 
@@ -99,15 +99,6 @@ def test_reduce_max_splits_gradient_on_ties():
     np.testing.assert_array_equal(x.gradient(), [[0.5, 0.5, 0.0]])
 
 
-def test_embedding_gather_accumulates_repeated_ids():
-    table = leaf(np.arange(6.0).reshape(2, 3), True)
-    out = ad.embedding_gather(table, [0, 0, 2])
-    assert out.value.shape == (2, 3)
-    np.testing.assert_array_equal(out.value[:, 0], table.value[:, 0])
-    backward(ad.reduce_sum(out))
-    np.testing.assert_array_equal(table.gradient(), [[2.0, 0.0, 1.0], [2.0, 0.0, 1.0]])
-
-
 def test_untouched_leaf_gets_zero_gradient():
     used = leaf(np.ones(2), True)
     unused = leaf(np.ones(3), True)
@@ -176,7 +167,7 @@ def test_fd_reductions():
 
     def build_loss(p):
         a = ad.reduce_max(p["x"], axis=1)
-        b = ad.reduce_mean(p["x"], axis=0)
+        b = ad.scale(ad.reduce_sum(p["x"], axis=0), 1 / 3)
         return ad.add(ad.reduce_sum(ad.mul(a, a)), ad.reduce_sum(ad.mul(b, b)))
 
     fd(arrays, build_loss)
@@ -207,13 +198,6 @@ def test_fd_dropout_with_fixed_mask():
         return ad.reduce_sum(ad.mul(dropped, dropped))
 
     fd(arrays, build_loss)
-
-
-def test_fd_embedding_gather():
-    rng = np.random.default_rng(8)
-    arrays = {"table": rng.standard_normal((3, 5))}
-    fd(arrays, lambda p: ad.reduce_sum(
-        ad.tanh(ad.embedding_gather(p["table"], [4, 0, 0, 2]))))
 
 
 def test_fd_deep_recurrence():
@@ -355,13 +339,3 @@ def test_gradient_check_rejects_non_contiguous():
         return ad.reduce_sum(node), {"w": node}
     with pytest.raises(ValueError, match="contiguous"):
         gradient_check(build, {"w": arr})
-
-
-def test_operator_overloads_match_functions():
-    a = leaf(np.array([[1.0, 2.0]]), True)
-    b = constant(np.array([[3.0], [4.0]]))
-    assert ((a @ b).value == ad.matmul(a, b).value).all()
-    assert ((a + a).value == ad.add(a, a).value).all()
-    assert ((a - a).value == np.zeros((1, 2))).all()
-    assert ((-a).value == -a.value).all()
-    assert ((a * a).value == (a.value ** 2)).all()

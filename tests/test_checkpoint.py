@@ -1,4 +1,5 @@
 """Binary checkpoint round trips and corruption handling."""
+import hashlib
 import struct
 
 import numpy as np
@@ -31,6 +32,20 @@ def test_round_trip_exact(saved):
         assert named2[name].dtype == np.float32
         np.testing.assert_array_equal(named2[name], named[name])
         np.testing.assert_array_equal(ema2[name], ema[name])
+
+
+def test_init_and_checkpoint_bytes_are_golden(tmp_path):
+    """Init draw order, stored order and layout pinned by one file digest.
+
+    The digest was taken from the nested-structure weights this table
+    replaced (numpy 2.4.6), so older checkpoints keep loading unchanged.
+    """
+    weights = init_weights(np.random.default_rng(2), 5, 3, 2)
+    ema = {name: arr + 0.5 for name, arr in named_arrays(weights).items()}
+    path = tmp_path / "golden.ckpt"
+    save_checkpoint(str(path), Hyperparams(hidden=3, attn_dim=2), weights, ema)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+        "8188457c006ea42ae05d4858d9e7620bf16cff11ec8a0b81319e9234c24e6037")
 
 
 def test_save_is_deterministic(saved, tmp_path):

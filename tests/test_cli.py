@@ -5,6 +5,7 @@ summaries, and produced artifacts.
 """
 import io
 import json
+import struct
 from contextlib import redirect_stdout
 from dataclasses import dataclass, field
 
@@ -261,13 +262,43 @@ def test_corrupt_index_exits_4(ws, tmp_path):
     assert code == 4
 
 
-def test_corrupt_checkpoint_exits_4(ws, tmp_path):
+def with_settings(real: bytes, **changes) -> bytes:
+    """Checkpoint bytes with keys of the JSON settings block replaced."""
+    (length,) = struct.unpack_from("<I", real, 8)
+    settings = json.loads(real[12:12 + length])
+    settings.update(changes)
+    blob = json.dumps(settings).encode("utf-8")
+    return real[:8] + struct.pack("<I", len(blob)) + blob + real[12 + length:]
+
+
+def test_corrupt_checkpoint_exits_4(ws, tmp_path, capsys):
     real = (ws.root / "ckpt" / "final.ckpt").read_bytes()
-    bad = tmp_path / "bad.ckpt"
-    bad.write_bytes(b"XXXX" + real[4:])
-    code, _ = run(["eval-rc", "--corpus", ws.corpus_dir, "--vectors", ws.vectors,
-                   "--checkpoint", str(bad)])
-    assert code == 4
+    (length,) = struct.unpack_from("<I", real, 8)
+    first_name = 12 + length + 4 + 2       # tensor count, then u16 name length
+    (name_len,) = struct.unpack_from("<H", real, first_name - 2)
+    first_rank = first_name + name_len
+    cases = {
+        "bad magic": b"XXXX" + real[4:],
+        "non-UTF-8 tensor name": (real[:first_name] + b"\xff"
+                                  + real[first_name + 1:]),
+        "trailing bytes": real + b"junk",
+        "string embed_dim": with_settings(real, embed_dim="8"),
+        "string hidden": with_settings(real, hidden="4"),
+        "negative hidden": with_settings(real, hidden=-1),
+        "settings not an object": (real[:8] + struct.pack("<I", 2) + b"[]"
+                                   + real[12 + length:]),
+        # 2**64 items: an int64 product of these dims wraps to zero
+        "dims overflow": (real[:first_rank] + struct.pack("<B4I", 4, *[2 ** 16] * 4)
+                          + real[first_rank + 1:]),
+    }
+    for what, data in cases.items():
+        bad = tmp_path / "bad.ckpt"
+        bad.write_bytes(data)
+        code, _ = run(["eval-rc", "--corpus", ws.corpus_dir, "--vectors", ws.vectors,
+                       "--checkpoint", str(bad)])
+        err = capsys.readouterr().err
+        assert code == 4, what
+        assert "error:" in err and "Traceback" not in err, (what, err)
 
 
 def test_vector_dimension_mismatch_exits_4(ws, tmp_path):

@@ -4,16 +4,17 @@ import pytest
 
 import passageqa.autodiff as ad
 from passageqa.autodiff import constant, gradient_check, leaf
-from passageqa.layers import (HighwayLayerParams, HighwayParams, LinearParams,
-                              LstmParams, bilstm_encode, highway_forward,
-                              init_highway, init_linear, init_lstm, linear_seq,
-                              lstm_step, xavier_uniform)
+from passageqa.layers import (bilstm_encode, highway_forward, linear_seq, lstm_step,
+                              xavier_uniform)
 
 import oracles
 
 
 def random_lstm(rng, in_dim, hidden):
-    return init_lstm(rng, in_dim, hidden, dtype=np.float64)
+    """(w_in, w_rec, bias) drawn the way the model initialises an LSTM."""
+    w_in = xavier_uniform(rng, (in_dim, 4 * hidden), in_dim, 4 * hidden, np.float64)
+    w_rec = xavier_uniform(rng, (hidden, 4 * hidden), hidden, 4 * hidden, np.float64)
+    return w_in, w_rec, np.zeros(4 * hidden)
 
 
 # ---------------------------------------------------------------------------
@@ -28,19 +29,18 @@ def test_lstm_step_matches_scalar_reference():
     c0 = rng.standard_normal((2, 3))
     h, c = lstm_step(p, constant(x), constant(h0), constant(c0), 3)
     for row in range(2):
-        h_ref, c_ref = oracles.lstm_step(p.w_in, p.w_rec, p.bias,
-                                         list(x[row]), list(h0[row]), list(c0[row]))
+        h_ref, c_ref = oracles.lstm_step(*p, list(x[row]), list(h0[row]),
+                                         list(c0[row]))
         np.testing.assert_allclose(h.value[row], h_ref, rtol=1e-12)
         np.testing.assert_allclose(c.value[row], c_ref, rtol=1e-12)
 
 
 def test_saturated_forget_gate_copies_cell_state():
     hidden = 3
-    p = LstmParams(w_in=np.zeros((2, 4 * hidden)),
-                   w_rec=np.zeros((hidden, 4 * hidden)),
-                   bias=np.zeros(4 * hidden))
-    p.bias[0:hidden] = -50.0        # input gate shut
-    p.bias[hidden:2 * hidden] = 50.0  # forget gate open
+    bias = np.zeros(4 * hidden)
+    bias[0:hidden] = -50.0        # input gate shut
+    bias[hidden:2 * hidden] = 50.0  # forget gate open
+    p = (np.zeros((2, 4 * hidden)), np.zeros((hidden, 4 * hidden)), bias)
     c0 = np.array([[0.3, -1.2, 2.0]])
     x = np.ones((1, 2))
     h, c = lstm_step(p, constant(x), constant(np.zeros((1, hidden))), constant(c0), hidden)
@@ -50,12 +50,11 @@ def test_saturated_forget_gate_copies_cell_state():
 
 def test_saturated_input_gate_overwrites_cell_state():
     hidden = 2
-    p = LstmParams(w_in=np.zeros((2, 4 * hidden)),
-                   w_rec=np.zeros((hidden, 4 * hidden)),
-                   bias=np.zeros(4 * hidden))
-    p.bias[0:hidden] = 50.0           # input gate open
-    p.bias[hidden:2 * hidden] = -50.0  # forget gate shut
-    p.bias[2 * hidden:3 * hidden] = 1.0
+    bias = np.zeros(4 * hidden)
+    bias[0:hidden] = 50.0           # input gate open
+    bias[hidden:2 * hidden] = -50.0  # forget gate shut
+    bias[2 * hidden:3 * hidden] = 1.0
+    p = (np.zeros((2, 4 * hidden)), np.zeros((hidden, 4 * hidden)), bias)
     c0 = np.full((1, hidden), 7.0)
     _, c = lstm_step(p, constant(np.zeros((1, 2))),
                      constant(np.zeros((1, hidden))), constant(c0), hidden)
@@ -134,11 +133,11 @@ def test_bilstm_gradients_with_ragged_mask():
     p = random_lstm(rng, 2, 2)
     xs = rng.standard_normal((2, 2, 4))
     mask = np.array([[1, 1, 1, 0], [1, 1, 0, 0]], dtype=np.float64)
-    arrays = {"w_in": p.w_in, "w_rec": p.w_rec, "bias": p.bias}
+    arrays = dict(zip(("w_in", "w_rec", "bias"), p))
 
     def build():
         leaves = {k: leaf(v, True) for k, v in arrays.items()}
-        lp = LstmParams(**leaves)
+        lp = (leaves["w_in"], leaves["w_rec"], leaves["bias"])
         out = bilstm_encode(lp, lp, constant(xs), mask, 2)
         return ad.reduce_sum(ad.mul(out, out)), leaves
 
@@ -150,40 +149,40 @@ def test_bilstm_gradients_with_ragged_mask():
 
 
 def test_linear_seq_frozen():
-    p = LinearParams(weight=np.array([[1.0, 0.0], [0.0, 2.0], [1.0, 1.0]]),
-                     bias=np.array([[1.0], [0.0], [0.0]]))
+    weight = np.array([[1.0, 0.0], [0.0, 2.0], [1.0, 1.0]])
+    bias = np.array([[1.0], [0.0], [0.0]])
     col = constant(np.array([[2.0], [3.0]])[None].reshape(1, 2, 1))
-    out = linear_seq(p, col)
+    out = linear_seq(weight, bias, col)
     np.testing.assert_array_equal(out.value[0, :, 0], [3.0, 6.0, 5.0])
 
 
 def test_highway_matches_scalar_reference():
     rng = np.random.default_rng(17)
-    params = init_highway(rng, 5, 2, dtype=np.float64)
+    layers = [(xavier_uniform(rng, (5, 5), 5, 5, np.float64), np.zeros((5, 1)),
+               xavier_uniform(rng, (5, 5), 5, 5, np.float64), np.zeros((5, 1)))
+              for _ in range(2)]
     cols = rng.standard_normal((1, 5, 3))
-    out = highway_forward(params, constant(cols))
+    out = highway_forward(layers, constant(cols))
     for t in range(3):
-        ref = oracles.highway(params.layers, list(cols[0, :, t]))
+        ref = oracles.highway(layers, list(cols[0, :, t]))
         np.testing.assert_allclose(out.value[0, :, t], ref, rtol=1e-10)
 
 
 def test_highway_open_gate_is_pure_transform():
     dim = 3
-    transform = LinearParams(weight=np.eye(dim) * 2.0, bias=np.zeros((dim, 1)))
-    gate = LinearParams(weight=np.zeros((dim, dim)), bias=np.full((dim, 1), 50.0))
-    params = HighwayParams((HighwayLayerParams(transform, gate),))
+    layer = (np.eye(dim) * 2.0, np.zeros((dim, 1)),
+             np.zeros((dim, dim)), np.full((dim, 1), 50.0))
     x = np.array([[1.0], [2.0], [-3.0]]).reshape(1, 3, 1)
-    out = highway_forward(params, constant(x))
+    out = highway_forward([layer], constant(x))
     np.testing.assert_allclose(out.value, np.maximum(2.0 * x, 0.0), atol=1e-15)
 
 
 def test_highway_closed_gate_is_identity():
     dim = 3
-    transform = LinearParams(weight=np.eye(dim) * 9.0, bias=np.ones((dim, 1)))
-    gate = LinearParams(weight=np.zeros((dim, dim)), bias=np.full((dim, 1), -50.0))
-    params = HighwayParams((HighwayLayerParams(transform, gate),))
+    layer = (np.eye(dim) * 9.0, np.ones((dim, 1)),
+             np.zeros((dim, dim)), np.full((dim, 1), -50.0))
     x = np.array([[1.0], [2.0], [-3.0]]).reshape(1, 3, 1)
-    out = highway_forward(params, constant(x))
+    out = highway_forward([layer], constant(x))
     np.testing.assert_allclose(out.value, x, atol=1e-15)
 
 
@@ -198,15 +197,3 @@ def test_xavier_uniform_bounds():
     assert np.all(np.abs(w) <= limit)
     assert np.abs(w).max() > 0.5 * limit  # actually spread out, not degenerate
 
-
-def test_init_shapes():
-    rng = np.random.default_rng(19)
-    lin = init_linear(rng, 4, 6, dtype=np.float32)
-    assert lin.weight.shape == (6, 4) and lin.bias.shape == (6, 1)
-    assert not lin.bias.any()
-    lstm = init_lstm(rng, 5, 3, dtype=np.float32)
-    assert lstm.w_in.shape == (5, 12) and lstm.w_rec.shape == (3, 12)
-    assert lstm.bias.shape == (12,) and lstm.hidden == 3
-    hw = init_highway(rng, 4, 2, dtype=np.float32)
-    assert len(hw.layers) == 2
-    assert hw.layers[0].transform.weight.shape == (4, 4)

@@ -4,7 +4,7 @@ import pytest
 
 from passageqa.model import (Hyperparams, encode_batch, exact_match_channel,
                              extract_answer, forward_batch, init_weights,
-                             iter_named, named_arrays, select_span,
+                             named_arrays, param_shapes, select_span,
                              weights_from_named)
 from passageqa.text import VectorTable, tokenize
 
@@ -54,7 +54,8 @@ def test_weight_naming_and_reconstruction():
                      "attn_proj.weight", "attn_context", "rel_weight"):
         assert expected in named
     rebuilt = weights_from_named(4, 3, 2, named)
-    for name, arr in iter_named(rebuilt):
+    assert list(rebuilt.arrays) == list(named)
+    for name, arr in named_arrays(rebuilt).items():
         assert arr is named[name]
 
 
@@ -69,11 +70,25 @@ def test_weights_from_named_rejects_bad_maps():
     wrong["sim_weight"] = np.zeros(5)
     with pytest.raises(ValueError, match="shape"):
         weights_from_named(4, 3, 2, wrong)
+    extra = dict(named, stray=np.zeros(1))
+    with pytest.raises(ValueError, match="extra"):
+        weights_from_named(4, 3, 2, extra)
+    for dims in (("4", 3, 2), (4, "3", 2), (4, 3, 2.0), (4, -1, 2), (0, 3, 2),
+                 (True, 3, 2), (4, 3, None)):
+        with pytest.raises(ValueError, match="positive integer"):
+            weights_from_named(*dims, named)
 
 
 def test_expected_parameter_shapes():
     _, _, w, _ = tiny_setup(embed=4, hidden=3, attn=2)
     named = named_arrays(w)
+    assert len(named) == 45
+    assert {k: v.shape for k, v in named.items()} == param_shapes(4, 3, 2)
+    assert named["highway.1.gate.weight"].shape == (4, 4)
+    assert named["highway.1.gate.bias"].shape == (4, 1)
+    assert named["ctx_bwd.w_in"].shape == (4, 12)
+    assert named["ctx_bwd.w_rec"].shape == (3, 12)
+    assert named["ctx_bwd.bias"].shape == (12,)
     assert named["sim_weight"].shape == (18,)        # 6d
     assert named["start_weight"].shape == (30,)      # 10d
     assert named["end_weight"].shape == (30,)
@@ -81,7 +96,12 @@ def test_expected_parameter_shapes():
     assert named["end_fwd.w_in"].shape == (42, 12)      # 14d
     assert named["rel_fwd.w_in"].shape == (7, 12)       # 2d + match bit
     assert named["attn_proj.weight"].shape == (2, 6)
+    assert named["attn_proj.bias"].shape == (2, 1)
     assert named["rel_weight"].shape == (6,)
+    biases = [name for name in named if name.endswith(".bias")]
+    assert len(biases) == 15
+    for name in biases:
+        assert not named[name].any(), name
 
 
 # ---------------------------------------------------------------------------
@@ -148,7 +168,7 @@ def test_forward_shapes_at_reference_dims():
 
 def test_zero_similarity_weight_gives_uniform_attention():
     _, table, weights, hp = tiny_setup()
-    weights.sim_weight = np.zeros_like(weights.sim_weight)
+    weights.arrays["sim_weight"] = np.zeros_like(weights.arrays["sim_weight"])
     batch = encode_batch(seqs("w1 w2"), seqs("w3 w4 w5"), table, dtype=np.float64)
     state = forward_batch(weights, hp, batch, heads=())
     d2 = 2 * hp.hidden
@@ -175,7 +195,7 @@ def test_single_question_token_blend_is_that_token():
 
 def test_zero_relevance_weight_gives_half_probability():
     _, table, weights, hp = tiny_setup(seed=35)
-    weights.rel_weight = np.zeros_like(weights.rel_weight)
+    weights.arrays["rel_weight"] = np.zeros_like(weights.arrays["rel_weight"])
     batch = encode_batch(seqs("w1"), seqs("w2 w3"), table, dtype=np.float64)
     state = forward_batch(weights, hp, batch, heads=("relevance",))
     assert state.relevance.value[0] == 0.5
@@ -184,7 +204,7 @@ def test_zero_relevance_weight_gives_half_probability():
 
 def test_zero_attention_context_gives_uniform_summary_weights():
     _, table, weights, hp = tiny_setup(seed=36)
-    weights.attn_context = np.zeros_like(weights.attn_context)
+    weights.arrays["attn_context"] = np.zeros_like(weights.arrays["attn_context"])
     batch = encode_batch(seqs("w1", "w1"), seqs("w2 w3 w4", "w5 w6"), table,
                          dtype=np.float64)
     state = forward_batch(weights, hp, batch, heads=("relevance",))

@@ -8,10 +8,12 @@ import passageqa.autodiff as ad
 from passageqa.autodiff import constant
 from passageqa.model import ForwardState, Hyperparams, named_arrays
 from passageqa.training import (Batch, OptimizerError, QuestionExample, TrainMode,
-                                build_targets, ema_update, graph_loss, joint_loss,
+                                build_targets, ema_update, graph_loss,
                                 make_negative, relevance_loss, sgd_momentum_step,
                                 span_loss, train)
 from passageqa.text import tokenize
+
+from oracles import joint_loss
 
 
 def positive(qid="q", pid=0, span=(0, 0)):
