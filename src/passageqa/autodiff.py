@@ -318,39 +318,6 @@ def slice_axis(a: Node, axis: int, start: int, stop: int) -> Node:
     return _make("slice", value, (a,), back)
 
 
-def index_axis(a: Node, axis: int, index) -> Node:
-    """Pick one position along an axis, dropping that axis."""
-    a = as_node(a)
-    slicer = [slice(None)] * a.value.ndim
-    slicer[axis] = index
-    slicer = tuple(slicer)
-    value = a.value[slicer]
-
-    def back(g):
-        if not a.needs_grad:
-            return
-        if a.grad is None:
-            a.grad = np.zeros_like(a.value)
-        a.grad[slicer] += g
-
-    return _make("index", value, (a,), back)
-
-
-def stack(nodes: Sequence[Node], axis: int) -> Node:
-    nodes = [as_node(n) for n in nodes]
-    try:
-        value = np.stack([n.value for n in nodes], axis=axis)
-    except ValueError:
-        raise ShapeMismatchError("stack", *[n.shape for n in nodes]) from None
-
-    def back(g):
-        pieces = np.moveaxis(g, axis, 0)
-        for node, piece in zip(nodes, pieces):
-            _accumulate(node, piece)
-
-    return _make("stack", value, tuple(nodes), back)
-
-
 def transpose(a: Node, axes: tuple[int, ...]) -> Node:
     a = as_node(a)
     value = a.value.transpose(axes)
@@ -541,7 +508,80 @@ def masked_logsumexp(logits: Node, mask: np.ndarray | None = None) -> Node:
         a = add(a, constant(offset))
     peak = reduce_max(a, axis=-1, keepdims=True)
     total = reduce_sum(exp(sub(a, peak)), axis=-1, keepdims=True)
-    return add(index_axis(peak, -1, 0), index_axis(log(total), -1, 0))
+    return reshape(add(peak, log(total)), a.shape[:-1])
+
+
+# ---------------------------------------------------------------------------
+# recurrence
+
+
+def lstm_scan(proj, w_rec, mask: np.ndarray, reverse: bool) -> Node:
+    """One LSTM direction over a whole batch: (B, T, 4h) -> (B, h, T).
+
+    `proj` holds the input projections x_t @ w_in + bias for every step, with
+    gate columns in [input, forget, cell, output] blocks; `w_rec` is
+    (h, 4h).  Each step computes gates = proj[:, t] + h @ w_rec, one sigmoid
+    over all four blocks with tanh on the cell block, c = f*c + i*g and
+    h = o*tanh(c), from zero initial states; `reverse` runs from T-1 to 0.
+    `mask` (B, T) is 1.0 at real tokens and 0.0 at padding: with k its
+    column, the carried state becomes k*new + (1-k)*old and the output
+    k*h, so padding never reaches the state and its outputs are zero.
+
+    Backward runs backprop through time and returns the gradients of `proj`
+    (B, T, 4h) and `w_rec`; `mask` is never differentiated.
+    """
+    proj, w_rec = as_node(proj), as_node(w_rec)
+    x, w = proj.value, w_rec.value
+    hidden = w.shape[0]
+    mask = np.asarray(mask)
+    if (x.ndim != 3 or w.shape != (hidden, 4 * hidden) or x.shape[2] != 4 * hidden
+            or mask.shape != x.shape[:2]):
+        raise ShapeMismatchError("lstm_scan", x.shape, w.shape, mask.shape)
+    batch, steps, _ = x.shape
+    dtype = x.dtype
+    # Time-major so every per-step slice below is contiguous.
+    keep = mask.T.astype(dtype)[:, :, None]
+    drop = (1.0 - mask.T).astype(dtype)[:, :, None]
+    acts = np.empty((steps, batch, 4 * hidden), dtype)
+    h_prev = np.empty((steps, batch, hidden), dtype)
+    c_prev = np.empty((steps, batch, hidden), dtype)
+    tanh_c = np.empty((steps, batch, hidden), dtype)
+    value = np.empty((batch, hidden, steps), dtype)
+    blocks = [slice(k * hidden, (k + 1) * hidden) for k in range(4)]  # i, f, g, o
+    h = np.zeros((batch, hidden), dtype)
+    c = np.zeros((batch, hidden), dtype)
+    order = range(steps - 1, -1, -1) if reverse else range(steps)
+    for t in order:
+        h_prev[t], c_prev[t] = h, c
+        gates = x[:, t] + h @ w
+        acts[t] = _sigmoid_values(gates)
+        acts[t, :, blocks[2]] = np.tanh(gates[:, blocks[2]])
+        i, f, cand, o = (acts[t, :, b] for b in blocks)
+        c_new = f * c + i * cand
+        h_new = o * np.tanh(c_new, out=tanh_c[t])
+        h = keep[t] * h_new + drop[t] * h
+        c = keep[t] * c_new + drop[t] * c
+        value[:, :, t] = keep[t] * h
+
+    def back(g):
+        d_gates = np.empty_like(acts)
+        dh = np.zeros((batch, hidden), dtype)
+        dc = np.zeros((batch, hidden), dtype)
+        for t in reversed(order):
+            i, f, cand, o = (acts[t, :, b] for b in blocks)
+            dh = dh + keep[t] * g[:, :, t]
+            dh_new, dc_new = keep[t] * dh, keep[t] * dc
+            dc_new += dh_new * o * (1.0 - tanh_c[t] * tanh_c[t])
+            d_gates[t] = np.concatenate([dc_new * cand * i * (1.0 - i),
+                                         dc_new * c_prev[t] * f * (1.0 - f),
+                                         dc_new * i * (1.0 - cand * cand),
+                                         dh_new * tanh_c[t] * o * (1.0 - o)], axis=1)
+            dh = drop[t] * dh + d_gates[t] @ w.T
+            dc = drop[t] * dc + dc_new * f
+        _accumulate(proj, d_gates.transpose(1, 0, 2))
+        _accumulate(w_rec, h_prev.reshape(-1, hidden).T @ d_gates.reshape(-1, 4 * hidden))
+
+    return _make("lstm_scan", value, (proj, w_rec), back)
 
 
 # ---------------------------------------------------------------------------

@@ -45,8 +45,21 @@ def _write_tensor(fh, name: str, array: np.ndarray) -> None:
 
 def save_checkpoint(path: str, hp: Hyperparams, weights: ModelWeights,
                     ema: dict[str, np.ndarray]) -> None:
-    """Write weights plus their EMA shadows; settings travel along."""
+    """Write weights plus their EMA shadows; settings travel along.
+
+    `ema` must hold exactly one shadow per weight, shaped like it; anything
+    else raises ValueError before the file is opened.
+    """
     named = named_arrays(weights)
+    for name, array in named.items():
+        if name not in ema:
+            raise ValueError(f"missing EMA shadow for {name}")
+        if np.shape(ema[name]) != array.shape:
+            raise ValueError(f"EMA shadow for {name} has shape {np.shape(ema[name])}, "
+                             f"weight has {array.shape}")
+    extra = set(ema) - set(named)
+    if extra:
+        raise ValueError(f"EMA shadows for unknown weights: {sorted(extra)}")
     settings = dict(hp.to_dict(), embed_dim=weights.embed_dim)
     blob = json.dumps(settings, sort_keys=True).encode("utf-8")
     with open(path, "wb") as fh:
@@ -58,8 +71,6 @@ def save_checkpoint(path: str, hp: Hyperparams, weights: ModelWeights,
         for name in named:
             _write_tensor(fh, name, named[name])
         for name in named:
-            if name not in ema:
-                raise ValueError(f"missing EMA shadow for {name}")
             _write_tensor(fh, EMA_PREFIX + name, ema[name])
 
 
@@ -130,4 +141,8 @@ def load_checkpoint(path: str) -> tuple[Hyperparams, ModelWeights, dict[str, np.
         weights = weights_from_named(embed_dim, hp.hidden, hp.attn_dim, raw)
     except ValueError as exc:
         raise CheckpointFormatError(f"{path}: {exc}") from None
+    for name, array in ema.items():
+        if array.shape != weights.arrays[name].shape:
+            raise CheckpointFormatError(f"{path}: {EMA_PREFIX}{name}: expected shape "
+                                        f"{weights.arrays[name].shape}, got {array.shape}")
     return hp, weights, ema

@@ -3,7 +3,6 @@
 Shape conventions:
   - a batch of sequences is (batch, features, time), mirroring the
     per-example column layout (features x time)
-  - per-timestep LSTM state is (batch, hidden)
   - sequence masks are plain float arrays of shape (batch, time) with 1.0
     at real tokens and 0.0 at padding; they are constants, never learned
 
@@ -29,56 +28,8 @@ def xavier_uniform(rng: np.random.Generator, shape: tuple[int, ...],
     return rng.uniform(-limit, limit, size=shape).astype(dtype)
 
 
-def _lstm_cell(w_rec, gates_x: Node, h_prev: Node, c_prev: Node,
-               hidden: int) -> tuple[Node, Node]:
-    """Gate math given the precomputed input projection x_t @ w_in + bias."""
-    gates = ad.add(gates_x, ad.matmul(h_prev, w_rec))
-    # One sigmoid over all four gate blocks; the candidate block's sigmoid
-    # output is simply never sliced out.
-    squashed = ad.sigmoid(gates)
-    in_gate = ad.slice_axis(squashed, 1, 0, hidden)
-    forget_gate = ad.slice_axis(squashed, 1, hidden, 2 * hidden)
-    candidate = ad.tanh(ad.slice_axis(gates, 1, 2 * hidden, 3 * hidden))
-    out_gate = ad.slice_axis(squashed, 1, 3 * hidden, 4 * hidden)
-    c_t = ad.add(ad.mul(forget_gate, c_prev), ad.mul(in_gate, candidate))
-    h_t = ad.mul(out_gate, ad.tanh(c_t))
-    return h_t, c_t
-
-
-def lstm_step(lstm: tuple, x_t: Node, h_prev: Node, c_prev: Node,
-              hidden: int) -> tuple[Node, Node]:
-    """One LSTM cell update; x_t is (batch, in_dim), states (batch, hidden)."""
-    w_in, w_rec, bias = lstm
-    gates_x = ad.add(ad.matmul(x_t, w_in), bias)
-    return _lstm_cell(w_rec, gates_x, h_prev, c_prev, hidden)
-
-
-def _scan(w_rec, gates_x: list[Node], mask: np.ndarray,
-          hidden: int, reverse: bool) -> list[Node]:
-    """Run one direction, freezing state and zeroing outputs past the mask."""
-    batch = gates_x[0].value.shape[0]
-    dtype = gates_x[0].value.dtype
-    h = ad.constant(np.zeros((batch, hidden), dtype=dtype))
-    c = ad.constant(np.zeros((batch, hidden), dtype=dtype))
-    order = range(len(gates_x) - 1, -1, -1) if reverse else range(len(gates_x))
-    outputs: list[Node | None] = [None] * len(gates_x)
-    for t in order:
-        h_new, c_new = _lstm_cell(w_rec, gates_x[t], h, c, hidden)
-        col = mask[:, t:t + 1]
-        if col.all():
-            h, c = h_new, c_new
-            outputs[t] = h
-        else:
-            keep = ad.constant(col.astype(dtype))
-            drop = ad.constant((1.0 - col).astype(dtype))
-            h = ad.add(ad.mul(keep, h_new), ad.mul(drop, h))
-            c = ad.add(ad.mul(keep, c_new), ad.mul(drop, c))
-            outputs[t] = ad.mul(keep, h)
-    return outputs  # type: ignore[return-value]
-
-
 def bilstm_encode(fwd: tuple, bwd: tuple, seq: Node,
-                  mask: np.ndarray | None, hidden: int) -> Node:
+                  mask: np.ndarray | None) -> Node:
     """Bidirectional encoding of (batch, in_dim, time) -> (batch, 2*hidden, time).
 
     The forward and backward passes run independently; their outputs are
@@ -96,8 +47,7 @@ def bilstm_encode(fwd: tuple, bwd: tuple, seq: Node,
     outputs = []
     for (w_in, w_rec, bias), reverse in ((fwd, False), (bwd, True)):
         proj = ad.add(ad.matmul(seq_rows, w_in), bias)
-        gates_x = [ad.index_axis(proj, 1, t) for t in range(steps_n)]
-        outputs.append(ad.stack(_scan(w_rec, gates_x, mask, hidden, reverse), axis=2))
+        outputs.append(ad.lstm_scan(proj, w_rec, mask, reverse))
     return ad.concat(outputs, axis=1)
 
 

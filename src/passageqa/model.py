@@ -17,6 +17,7 @@ forward pass all work from its names and shapes.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from typing import Any
 
@@ -51,10 +52,27 @@ class Hyperparams:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "Hyperparams":
-        unknown = set(raw) - set(cls.__dataclass_fields__)
+        """Defaults overridden by `raw`, a mapping read from JSON.
+
+        Each value must have its default's type (an int field takes an int,
+        a float field an int or a float; bool is neither) and be finite, and
+        vote_temperature must be positive.  Raises ValueError otherwise.
+        """
+        fields = cls.__dataclass_fields__
+        unknown = set(raw) - set(fields)
         if unknown:
             raise ValueError(f"unknown hyperparameter fields: {sorted(unknown)}")
-        return cls(**raw)
+        for key, value in raw.items():
+            kind = type(fields[key].default)
+            allowed = (int,) if kind is int else (int, float)
+            if isinstance(value, bool) or not isinstance(value, allowed):
+                raise ValueError(f"hyperparameter {key} must be {kind.__name__}, got {value!r}")
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ValueError(f"hyperparameter {key} must be finite, got {value!r}")
+        hp = cls(**raw)
+        if not hp.vote_temperature > 0:
+            raise ValueError(f"vote_temperature must be positive, got {hp.vote_temperature!r}")
+        return hp
 
 
 def param_shapes(embed_dim: int, hidden: int, attn_dim: int
@@ -322,7 +340,7 @@ def forward_batch(weights: ModelWeights, hp: Hyperparams, batch: EncodedBatch,
         return w[f"{name}.w_in"], w[f"{name}.w_rec"], w[f"{name}.bias"]
 
     def bilstm(name: str, seq: Node, mask: np.ndarray) -> Node:
-        return bilstm_encode(lstm(f"{name}_fwd"), lstm(f"{name}_bwd"), seq, mask, d)
+        return bilstm_encode(lstm(f"{name}_fwd"), lstm(f"{name}_bwd"), seq, mask)
 
     highway = [(w[f"highway.{i}.transform.weight"], w[f"highway.{i}.transform.bias"],
                 w[f"highway.{i}.gate.weight"], w[f"highway.{i}.gate.bias"])

@@ -35,7 +35,7 @@ class IndexFormatError(ValueError):
 
 
 class CorpusError(ValueError):
-    """Raised for malformed corpora (duplicate ids, empty passages)."""
+    """Raised for malformed corpora (bad or duplicate ids, empty passages, bad rows)."""
 
 
 def fnv1a_64(data: bytes) -> int:
@@ -83,15 +83,25 @@ class Corpus:
     """Ordered collection of passages with unique ids."""
 
     def __init__(self, records: list[PassageRecord]):
-        by_id: dict[int, PassageRecord] = {}
+        self.records: list[PassageRecord] = []
+        self._by_id: dict[int, PassageRecord] = {}
         for rec in records:
-            if rec.passage_id in by_id:
-                raise CorpusError(f"duplicate passage id {rec.passage_id}")
-            if not rec.text.strip():
-                raise CorpusError(f"passage {rec.passage_id} has empty text")
-            by_id[rec.passage_id] = rec
-        self.records = records
-        self._by_id = by_id
+            self._add(rec)
+
+    def _add(self, rec: PassageRecord) -> None:
+        # Ids are stored as u64 in the index, so only those are accepted.
+        for what, value in (("passage id", rec.passage_id), ("article id", rec.article_id)):
+            if isinstance(value, bool) or not isinstance(value, int) or not 0 <= value < 2 ** 64:
+                raise CorpusError(f"{what} must be an integer in [0, 2**64), got {value!r}")
+        if rec.passage_id in self._by_id:
+            raise CorpusError(f"duplicate passage id {rec.passage_id}")
+        if not isinstance(rec.text, str):
+            raise CorpusError(f"passage {rec.passage_id} text must be a string, "
+                              f"got {type(rec.text).__name__}")
+        if not rec.text.strip():
+            raise CorpusError(f"passage {rec.passage_id} has empty text")
+        self._by_id[rec.passage_id] = rec
+        self.records.append(rec)
 
     def __len__(self) -> int:
         return len(self.records)
@@ -117,15 +127,25 @@ class Corpus:
 
     @classmethod
     def load_jsonl(cls, path: str) -> "Corpus":
-        records = []
+        """Read `save_jsonl` output; a malformed row raises CorpusError naming its line."""
+        corpus = cls([])
         with open(path, encoding="utf-8") as fh:
-            for line in fh:
+            for line_no, line in enumerate(fh, 1):
                 if not line.strip():
                     continue
-                row = json.loads(line)
-                records.append(PassageRecord(row["passage_id"], row["article_id"],
-                                             row["text"]))
-        return cls(records)
+                try:
+                    row = json.loads(line)
+                    if not isinstance(row, dict):
+                        raise CorpusError("expected a JSON object")
+                    corpus._add(PassageRecord(row["passage_id"], row["article_id"],
+                                              row["text"]))
+                except json.JSONDecodeError as exc:
+                    raise CorpusError(f"{path}:{line_no}: invalid JSON: {exc}") from None
+                except KeyError as exc:
+                    raise CorpusError(f"{path}:{line_no}: missing field {exc}") from None
+                except CorpusError as exc:
+                    raise CorpusError(f"{path}:{line_no}: {exc}") from None
+        return corpus
 
 
 @dataclass

@@ -145,16 +145,46 @@ def save_examples(path: str, examples: list[QuestionExample]) -> None:
             fh.write(json.dumps(row, ensure_ascii=False, sort_keys=True) + "\n")
 
 
+def _expect_int(value, where: str) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise DatasetFormatError(f"{where}: expected int, got {type(value).__name__}")
+    return value
+
+
 def load_examples(path: str) -> list[QuestionExample]:
+    """Read `save_examples` output; a malformed row raises DatasetFormatError naming its line."""
     examples = []
     with open(path, encoding="utf-8") as fh:
-        for line in fh:
+        for line_no, line in enumerate(fh, 1):
             if not line.strip():
                 continue
-            row = json.loads(line)
-            examples.append(QuestionExample(
-                qid=row["qid"], question=tokenize(row["question"]),
-                passage_id=row["passage_id"], relevance=row["relevance"],
-                span=tuple(row["span"]) if row["span"] else None,
-                answer_texts=tuple(row["answers"])))
+            where = f"{path}:{line_no}"
+            try:
+                row = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise DatasetFormatError(f"{where}: invalid JSON: {exc}") from None
+            _expect(row, dict, where)
+            missing = {"qid", "question", "passage_id", "relevance", "span", "answers"} - set(row)
+            if missing:
+                raise DatasetFormatError(f"{where}: missing fields {sorted(missing)}")
+            span = row["span"]
+            if span is not None:
+                _expect(span, list, f"{where}.span")
+                if len(span) != 2:
+                    raise DatasetFormatError(f"{where}.span: expected 2 items, got {len(span)}")
+                span = tuple(_expect_int(v, f"{where}.span") for v in span)
+            answers = _expect(row["answers"], list, f"{where}.answers")
+            for answer in answers:
+                _expect(answer, str, f"{where}.answers")
+            passage_id = _expect_int(row["passage_id"], f"{where}.passage_id")
+            if passage_id < 0:
+                raise DatasetFormatError(f"{where}.passage_id: negative id {passage_id}")
+            qid = _expect(row["qid"], str, f"{where}.qid")
+            question = tokenize(_expect(row["question"], str, f"{where}.question"))
+            relevance = _expect_int(row["relevance"], f"{where}.relevance")
+            try:
+                examples.append(QuestionExample(qid, question, passage_id, relevance, span,
+                                                tuple(answers)))
+            except ValueError as exc:
+                raise DatasetFormatError(f"{where}: {exc}") from None
     return examples

@@ -152,10 +152,27 @@ def test_fd_shape_ops_composite():
         joined = ad.concat([top, p["y"]], axis=1)              # (2, 4, 3)
         flipped = ad.transpose(joined, (0, 2, 1))              # (2, 3, 4)
         flat = ad.reshape(flipped, (2, 12))
-        parts = [ad.index_axis(flat, 1, i) for i in (0, 5, 11)]  # each (2,)
-        spread = ad.broadcast_to(ad.reshape(ad.stack(parts, axis=0), (3, 2, 1)),
+        parts = [ad.slice_axis(flat, 1, i, i + 1) for i in (0, 5, 11)]  # each (2, 1)
+        spread = ad.broadcast_to(ad.reshape(ad.concat(parts, axis=0), (3, 2, 1)),
                                  (3, 2, 4))
         return ad.reduce_sum(ad.mul(spread, spread))
+
+    fd(arrays, build_loss)
+
+
+@pytest.mark.parametrize("reverse", [False, True])
+def test_fd_lstm_scan(reverse):
+    """BPTT through one direction; row 1 is padded at its end, row 2 has a gap
+    that the carried state must cross."""
+    rng = np.random.default_rng(9)
+    mask = np.array([[1, 1, 1, 1], [1, 1, 0, 0], [1, 0, 1, 1]], dtype=np.float64)
+    weights = rng.standard_normal((3, 3, 4))
+    arrays = {"proj": rng.standard_normal((3, 4, 12)),
+              "w_rec": rng.standard_normal((3, 12)) * 0.5}
+
+    def build_loss(p):
+        out = ad.lstm_scan(p["proj"], p["w_rec"], mask, reverse)
+        return ad.reduce_sum(ad.mul(out, constant(weights)))
 
     fd(arrays, build_loss)
 
@@ -323,8 +340,9 @@ def test_shape_errors_name_the_op():
         ad.matmul(constant(np.ones((2, 3))), constant(np.ones((4, 2))))
     with pytest.raises(ShapeMismatchError, match="concat"):
         ad.concat([constant(np.ones((2, 3))), constant(np.ones((3, 3)))], axis=1)
-    with pytest.raises(ShapeMismatchError, match="stack"):
-        ad.stack([constant(np.ones(2)), constant(np.ones(3))], axis=0)
+    with pytest.raises(ShapeMismatchError, match="lstm_scan"):
+        ad.lstm_scan(constant(np.ones((2, 3, 8))), constant(np.ones((2, 8))),
+                     np.ones((2, 4)), False)
     with pytest.raises(ShapeMismatchError, match="broadcast"):
         ad.broadcast_to(constant(np.ones(3)), (2, 4))
     with pytest.raises(ShapeMismatchError, match="masked_softmax"):

@@ -71,10 +71,16 @@ def test_float64_weights_stored_as_float32(tmp_path):
 def test_save_requires_every_ema_shadow(tmp_path):
     hp = Hyperparams(hidden=2, attn_dim=2)
     weights = init_weights(np.random.default_rng(10), 3, 2, 2)
-    ema = dict(named_arrays(weights))
-    ema.pop("sim_weight")
-    with pytest.raises(ValueError, match="sim_weight"):
-        save_checkpoint(str(tmp_path / "m.ckpt"), hp, weights, ema)
+    named = named_arrays(weights)
+    missing = {k: v for k, v in named.items() if k != "sim_weight"}
+    wrong_shape = dict(named, sim_weight=np.zeros(7, np.float32))
+    extra = dict(named, bogus=np.zeros(2, np.float32))
+    for ema, name in ((missing, "sim_weight"), (wrong_shape, "sim_weight"),
+                      (extra, "bogus")):
+        path = tmp_path / "m.ckpt"
+        with pytest.raises(ValueError, match=name):
+            save_checkpoint(str(path), hp, weights, ema)
+        assert not path.exists()
 
 
 def test_load_rejects_bad_magic(saved, tmp_path):

@@ -5,10 +5,12 @@ summaries, and produced artifacts.
 """
 import io
 import json
+import math
 import struct
 from contextlib import redirect_stdout
 from dataclasses import dataclass, field
 
+import numpy as np
 import pytest
 
 from passageqa import cli
@@ -217,7 +219,7 @@ def test_missing_required_setting_exits_2(tmp_path):
     assert code == 2
 
 
-def test_bad_config_exits_2(ws, tmp_path):
+def test_bad_config_exits_2(ws, tmp_path, capsys):
     bad_json = tmp_path / "bad.json"
     bad_json.write_text("{nope")
     assert run(["build-index", "--config", str(bad_json)])[0] == 2
@@ -230,11 +232,16 @@ def test_bad_config_exits_2(ws, tmp_path):
     unknown_key.write_text(json.dumps({"bogus": 1}))
     assert run(["build-index", "--config", str(unknown_key)])[0] == 2
 
-    bad_hp = tmp_path / "hp.json"
-    bad_hp.write_text(json.dumps({"hyperparams": {"bogus": 3}}))
-    assert run(["train", "--config", str(bad_hp), "--corpus", ws.corpus_dir,
-                "--vectors", ws.vectors, "--index", ws.index_path,
-                "--checkpoint", str(tmp_path / "out")])[0] == 2
+    for block in ({"bogus": 3}, {"vote_temperature": "x"}, {"epochs": "3"},
+                  {"hidden": True}, {"vote_temperature": 0}):
+        bad_hp = tmp_path / "hp.json"
+        bad_hp.write_text(json.dumps({"hyperparams": block}))
+        code, _ = run(["train", "--config", str(bad_hp), "--corpus", ws.corpus_dir,
+                       "--vectors", ws.vectors, "--index", ws.index_path,
+                       "--checkpoint", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == 2, block
+        assert "error:" in err and "Traceback" not in err, (block, err)
 
 
 def test_bad_chain_exits_2(ws):
@@ -271,6 +278,27 @@ def with_settings(real: bytes, **changes) -> bytes:
     return real[:8] + struct.pack("<I", len(blob)) + blob + real[12 + length:]
 
 
+def with_tensor(real: bytes, name: str, array) -> bytes:
+    """Checkpoint bytes with the tensor called `name` replaced by `array`."""
+    (length,) = struct.unpack_from("<I", real, 8)
+    pos = 12 + length + 4
+    while True:
+        start = pos
+        (name_len,) = struct.unpack_from("<H", real, pos)
+        found = real[pos + 2:pos + 2 + name_len].decode("utf-8")
+        pos += 2 + name_len
+        (rank,) = struct.unpack_from("<B", real, pos)
+        dims = struct.unpack_from(f"<{rank}I", real, pos + 1)
+        pos += 1 + 4 * rank + 4 * math.prod(dims)
+        if found == name:
+            break
+    encoded = name.encode("utf-8")
+    tensor = (struct.pack("<H", len(encoded)) + encoded
+              + struct.pack(f"<B{array.ndim}I", array.ndim, *array.shape)
+              + array.astype("<f4").tobytes())
+    return real[:start] + tensor + real[pos:]
+
+
 def test_corrupt_checkpoint_exits_4(ws, tmp_path, capsys):
     real = (ws.root / "ckpt" / "final.ckpt").read_bytes()
     (length,) = struct.unpack_from("<I", real, 8)
@@ -285,6 +313,11 @@ def test_corrupt_checkpoint_exits_4(ws, tmp_path, capsys):
         "string embed_dim": with_settings(real, embed_dim="8"),
         "string hidden": with_settings(real, hidden="4"),
         "negative hidden": with_settings(real, hidden=-1),
+        "string vote_temperature": with_settings(real, vote_temperature="x"),
+        "string epochs": with_settings(real, epochs="3"),
+        "bool hidden": with_settings(real, hidden=True),
+        "zero vote_temperature": with_settings(real, vote_temperature=0),
+        "wrong-shaped EMA shadow": with_tensor(real, "ema/sim_weight", np.zeros(7)),
         "settings not an object": (real[:8] + struct.pack("<I", 2) + b"[]"
                                    + real[12 + length:]),
         # 2**64 items: an int64 product of these dims wraps to zero
@@ -299,6 +332,28 @@ def test_corrupt_checkpoint_exits_4(ws, tmp_path, capsys):
         err = capsys.readouterr().err
         assert code == 4, what
         assert "error:" in err and "Traceback" not in err, (what, err)
+
+
+def test_malformed_jsonl_row_exits_4(ws, tmp_path, capsys):
+    source = ws.root / "corpus"
+    cases = {
+        "passages.jsonl": '{"passage_id": 0, "text": "no article id"}',
+        "examples.jsonl": json.dumps({"qid": "q", "question": "who ?", "passage_id": 0,
+                                      "relevance": 1, "answers": []}),
+    }
+    for bad_file, row in cases.items():
+        corpus_dir = tmp_path / bad_file.split(".")[0]
+        corpus_dir.mkdir()
+        for name in cases:
+            lines = (source / name).read_text(encoding="utf-8")
+            if name == bad_file:
+                lines += row + "\n"
+            (corpus_dir / name).write_text(lines, encoding="utf-8")
+        code, _ = run(["eval-rc", "--corpus", str(corpus_dir), "--vectors", ws.vectors,
+                       "--checkpoint", ws.ckpt_dir])
+        err = capsys.readouterr().err
+        assert code == 4, bad_file
+        assert f"{bad_file}:" in err and "error:" in err and "Traceback" not in err, err
 
 
 def test_vector_dimension_mismatch_exits_4(ws, tmp_path):

@@ -4,8 +4,7 @@ import pytest
 
 import passageqa.autodiff as ad
 from passageqa.autodiff import constant, gradient_check, leaf
-from passageqa.layers import (bilstm_encode, highway_forward, linear_seq, lstm_step,
-                              xavier_uniform)
+from passageqa.layers import bilstm_encode, highway_forward, linear_seq, xavier_uniform
 
 import oracles
 
@@ -18,47 +17,52 @@ def random_lstm(rng, in_dim, hidden):
 
 
 # ---------------------------------------------------------------------------
-# single step
+# one direction, step by step
 
 
-def test_lstm_step_matches_scalar_reference():
+def gate_row(hidden, input_, forget, cell, output):
+    """A (4*hidden,) input projection with one value per gate block."""
+    return np.repeat(np.array([input_, forget, cell, output], dtype=np.float64), hidden)
+
+
+def test_lstm_scan_matches_scalar_steps():
     rng = np.random.default_rng(10)
-    p = random_lstm(rng, 4, 3)
-    x = rng.standard_normal((2, 4))
-    h0 = rng.standard_normal((2, 3))
-    c0 = rng.standard_normal((2, 3))
-    h, c = lstm_step(p, constant(x), constant(h0), constant(c0), 3)
-    for row in range(2):
-        h_ref, c_ref = oracles.lstm_step(*p, list(x[row]), list(h0[row]),
-                                         list(c0[row]))
-        np.testing.assert_allclose(h.value[row], h_ref, rtol=1e-12)
-        np.testing.assert_allclose(c.value[row], c_ref, rtol=1e-12)
+    w_in, w_rec, _ = random_lstm(rng, 4, 3)
+    bias = rng.standard_normal(12)
+    x = rng.standard_normal((2, 3, 4))
+    for reverse, order in ((False, [0, 1, 2]), (True, [2, 1, 0])):
+        out = ad.lstm_scan(constant(x @ w_in + bias), constant(w_rec),
+                           np.ones((2, 3)), reverse).value
+        for row in range(2):
+            h, c = [0.0] * 3, [0.0] * 3
+            for t in order:
+                h, c = oracles.lstm_step(w_in, w_rec, bias, list(x[row, t]), h, c)
+                np.testing.assert_allclose(out[row, :, t], h, rtol=1e-12)
 
 
 def test_saturated_forget_gate_copies_cell_state():
     hidden = 3
-    bias = np.zeros(4 * hidden)
-    bias[0:hidden] = -50.0        # input gate shut
-    bias[hidden:2 * hidden] = 50.0  # forget gate open
-    p = (np.zeros((2, 4 * hidden)), np.zeros((hidden, 4 * hidden)), bias)
-    c0 = np.array([[0.3, -1.2, 2.0]])
-    x = np.ones((1, 2))
-    h, c = lstm_step(p, constant(x), constant(np.zeros((1, hidden))), constant(c0), hidden)
-    # candidate is tanh(0) = 0 exactly, so the cell state passes through untouched
-    np.testing.assert_array_equal(c.value, c0)
+    # step 0 writes tanh(cell) into c; step 1 shuts the input gate and opens
+    # the forget gate with a candidate of tanh(0) = 0, so c passes through
+    # untouched.  The output gate is 1.0 exactly, so h = tanh(c) shows c.
+    proj = np.stack([gate_row(hidden, 50.0, -50.0, 0.0, 50.0),
+                     gate_row(hidden, -50.0, 50.0, 0.0, 50.0)])[None]
+    proj[0, 0, 2 * hidden:3 * hidden] = [0.3, -1.2, 2.0]
+    out = ad.lstm_scan(constant(proj), constant(np.zeros((hidden, 4 * hidden))),
+                       np.ones((1, 2)), False).value
+    np.testing.assert_allclose(out[0, :, 0], np.tanh(np.tanh([0.3, -1.2, 2.0])), rtol=1e-15)
+    np.testing.assert_array_equal(out[0, :, 1], out[0, :, 0])
 
 
 def test_saturated_input_gate_overwrites_cell_state():
     hidden = 2
-    bias = np.zeros(4 * hidden)
-    bias[0:hidden] = 50.0           # input gate open
-    bias[hidden:2 * hidden] = -50.0  # forget gate shut
-    bias[2 * hidden:3 * hidden] = 1.0
-    p = (np.zeros((2, 4 * hidden)), np.zeros((hidden, 4 * hidden)), bias)
-    c0 = np.full((1, hidden), 7.0)
-    _, c = lstm_step(p, constant(np.zeros((1, 2))),
-                     constant(np.zeros((1, hidden))), constant(c0), hidden)
-    np.testing.assert_allclose(c.value, np.tanh(1.0), atol=1e-15)
+    # step 0 leaves tanh(3) in c; step 1 shuts the forget gate and opens the
+    # input gate, so c becomes its candidate tanh(1) whatever it held.
+    proj = np.stack([gate_row(hidden, 50.0, -50.0, 3.0, 50.0),
+                     gate_row(hidden, 50.0, -50.0, 1.0, 50.0)])[None]
+    out = ad.lstm_scan(constant(proj), constant(np.zeros((hidden, 4 * hidden))),
+                       np.ones((1, 2)), False).value
+    np.testing.assert_allclose(out[0, :, 1], np.tanh(np.tanh(1.0)), atol=1e-15)
 
 
 # ---------------------------------------------------------------------------
@@ -70,7 +74,7 @@ def test_bilstm_matches_naive_unroll():
     fwd = random_lstm(rng, 3, 2)
     bwd = random_lstm(rng, 3, 2)
     seq = rng.standard_normal((1, 3, 4))
-    enc = bilstm_encode(fwd, bwd, constant(seq), None, 2)
+    enc = bilstm_encode(fwd, bwd, constant(seq), None)
     assert enc.value.shape == (1, 4, 4)
     columns = [list(seq[0, :, t]) for t in range(4)]
     ref = oracles.bilstm(fwd, bwd, columns, 2)
@@ -83,8 +87,8 @@ def test_bilstm_direction_swap_mirrors_reversed_input():
     fwd = random_lstm(rng, 3, 2)
     bwd = random_lstm(rng, 3, 2)
     seq = rng.standard_normal((2, 3, 5))
-    enc = bilstm_encode(fwd, bwd, constant(seq), None, 2).value
-    flipped = bilstm_encode(bwd, fwd, constant(seq[:, :, ::-1].copy()), None, 2).value
+    enc = bilstm_encode(fwd, bwd, constant(seq), None).value
+    flipped = bilstm_encode(bwd, fwd, constant(seq[:, :, ::-1].copy()), None).value
     np.testing.assert_allclose(flipped[:, 2:, ::-1], enc[:, :2, :], atol=1e-12)
     np.testing.assert_allclose(flipped[:, :2, ::-1], enc[:, 2:, :], atol=1e-12)
 
@@ -93,7 +97,7 @@ def test_bilstm_single_step_sequence():
     rng = np.random.default_rng(13)
     fwd = random_lstm(rng, 2, 2)
     bwd = random_lstm(rng, 2, 2)
-    enc = bilstm_encode(fwd, bwd, constant(rng.standard_normal((1, 2, 1))), None, 2)
+    enc = bilstm_encode(fwd, bwd, constant(rng.standard_normal((1, 2, 1))), None)
     assert enc.value.shape == (1, 4, 1)
 
 
@@ -101,7 +105,7 @@ def test_bilstm_rejects_empty_sequence():
     rng = np.random.default_rng(14)
     p = random_lstm(rng, 2, 2)
     with pytest.raises(ValueError, match="empty"):
-        bilstm_encode(p, p, constant(np.zeros((1, 2, 0))), None, 2)
+        bilstm_encode(p, p, constant(np.zeros((1, 2, 0))), None)
 
 
 def test_padded_batch_equals_individual_encoding():
@@ -119,9 +123,9 @@ def test_padded_batch_equals_individual_encoding():
     padded[1, :, 3:] = 1e6
     mask = np.array([[1, 1, 1, 1, 1], [1, 1, 1, 0, 0]], dtype=np.float64)
 
-    joint = bilstm_encode(fwd, bwd, constant(padded), mask, 2).value
-    solo_long = bilstm_encode(fwd, bwd, constant(long_seq[None]), None, 2).value
-    solo_short = bilstm_encode(fwd, bwd, constant(short_seq[None]), None, 2).value
+    joint = bilstm_encode(fwd, bwd, constant(padded), mask).value
+    solo_long = bilstm_encode(fwd, bwd, constant(long_seq[None]), None).value
+    solo_short = bilstm_encode(fwd, bwd, constant(short_seq[None]), None).value
 
     np.testing.assert_allclose(joint[0], solo_long[0], atol=1e-12)
     np.testing.assert_allclose(joint[1, :, :3], solo_short[0], atol=1e-12)
@@ -138,7 +142,7 @@ def test_bilstm_gradients_with_ragged_mask():
     def build():
         leaves = {k: leaf(v, True) for k, v in arrays.items()}
         lp = (leaves["w_in"], leaves["w_rec"], leaves["bias"])
-        out = bilstm_encode(lp, lp, constant(xs), mask, 2)
+        out = bilstm_encode(lp, lp, constant(xs), mask)
         return ad.reduce_sum(ad.mul(out, out)), leaves
 
     assert gradient_check(build, arrays) < 1e-6

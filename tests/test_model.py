@@ -45,6 +45,27 @@ def test_hyperparams_reject_unknown_fields():
         Hyperparams.from_dict({"hidden": 7, "typo_field": 1})
 
 
+@pytest.mark.parametrize("raw, message", [
+    ({"epochs": "3"}, "epochs must be int"),
+    ({"hidden": True}, "hidden must be int"),
+    ({"hidden": 4.0}, "hidden must be int"),
+    ({"dropout": False}, "dropout must be float"),
+    ({"vote_temperature": "x"}, "vote_temperature must be float"),
+    ({"learning_rate": float("nan")}, "learning_rate must be finite"),
+    ({"momentum": float("inf")}, "momentum must be finite"),
+    ({"vote_temperature": 0}, "vote_temperature must be positive"),
+    ({"vote_temperature": -0.5}, "vote_temperature must be positive"),
+])
+def test_hyperparams_check_field_types(raw, message):
+    with pytest.raises(ValueError, match=message):
+        Hyperparams.from_dict(raw)
+
+
+def test_hyperparams_float_fields_take_ints():
+    hp = Hyperparams.from_dict({"learning_rate": 1, "vote_temperature": 2})
+    assert hp.learning_rate == 1 and hp.vote_temperature == 2
+
+
 def test_weight_naming_and_reconstruction():
     _, _, weights, _ = tiny_setup()
     named = named_arrays(weights)

@@ -1,5 +1,6 @@
 """TF-IDF index tests: hashing, weighting, ranking, serialization."""
 import math
+import re
 
 import numpy as np
 import pytest
@@ -172,6 +173,26 @@ def test_corpus_rejects_duplicate_ids_and_empty_text():
         Corpus([PassageRecord(1, 0, "a"), PassageRecord(1, 0, "b")])
     with pytest.raises(CorpusError, match="empty"):
         Corpus([PassageRecord(1, 0, "   ")])
+    with pytest.raises(CorpusError, match="passage id"):
+        Corpus([PassageRecord(2 ** 64, 0, "a")])
+
+
+@pytest.mark.parametrize("line, message", [
+    ('{"passage_id": 1, "text": "a"}', "missing field 'article_id'"),
+    ('{"passage_id": 1, "article_id": 0, "text": 5}', "text must be a string"),
+    ('{"passage_id": "x", "article_id": 0, "text": "a"}', "passage id must be an integer"),
+    ('{"passage_id": -1, "article_id": 0, "text": "a"}', "passage id must be an integer"),
+    ('{"passage_id": true, "article_id": 0, "text": "a"}', "passage id must be an integer"),
+    ('{"passage_id": 1, "article_id": 1.5, "text": "a"}', "article id must be an integer"),
+    ('[1, "a"]', "expected a JSON object"),
+    ('{nope', "invalid JSON"),
+])
+def test_load_jsonl_names_line_of_bad_row(tmp_path, line, message):
+    path = tmp_path / "passages.jsonl"
+    path.write_text('{"passage_id": 0, "article_id": 0, "text": "fine"}\n' + line + "\n",
+                    encoding="utf-8")
+    with pytest.raises(CorpusError, match=rf"passages\.jsonl:2: .*{re.escape(message)}"):
+        Corpus.load_jsonl(str(path))
 
 
 def test_corpus_lookup_and_jsonl_round_trip(tmp_path):

@@ -1,5 +1,6 @@
 """Dataset ingestion: span alignment, stats, and the examples file."""
 import json
+import re
 
 import pytest
 
@@ -125,6 +126,34 @@ def test_examples_file_round_trip(tmp_path):
         assert back.relevance == orig.relevance
         assert back.span == orig.span
         assert back.answer_texts == orig.answer_texts
+
+
+GOOD_ROW = {"qid": "q1", "question": "who ?", "passage_id": 0, "relevance": 1,
+            "span": [0, 0], "answers": ["a"]}
+
+
+@pytest.mark.parametrize("row, message", [
+    ({k: v for k, v in GOOD_ROW.items() if k != "span"}, "missing fields ['span']"),
+    (dict(GOOD_ROW, span=None), "needs an answer span"),
+    (dict(GOOD_ROW, relevance=2), "relevance must be 0 or 1"),
+    (dict(GOOD_ROW, relevance=True), ".relevance: expected int"),
+    (dict(GOOD_ROW, span=[1]), ".span: expected 2 items"),
+    (dict(GOOD_ROW, span=["a", 1]), ".span: expected int"),
+    (dict(GOOD_ROW, question=5), ".question: expected str"),
+    (dict(GOOD_ROW, answers="a"), ".answers: expected list"),
+    (dict(GOOD_ROW, answers=[1]), ".answers: expected str"),
+    (dict(GOOD_ROW, passage_id=-1), ".passage_id: negative id"),
+    (dict(GOOD_ROW, passage_id="0"), ".passage_id: expected int"),
+    (dict(GOOD_ROW, qid=7), ".qid: expected str"),
+    ([GOOD_ROW], "expected dict"),
+])
+def test_load_examples_names_line_of_bad_row(tmp_path, row, message):
+    path = tmp_path / "examples.jsonl"
+    path.write_text(json.dumps(GOOD_ROW) + "\n" + json.dumps(row) + "\n", encoding="utf-8")
+    with pytest.raises(DatasetFormatError, match=r"examples\.jsonl:2"):
+        load_examples(str(path))
+    with pytest.raises(DatasetFormatError, match=re.escape(message)):
+        load_examples(str(path))
 
 
 def test_fixture_dataset_round_trips_through_ingest(task, tmp_path):
