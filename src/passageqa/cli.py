@@ -22,9 +22,10 @@ from .checkpoint import CheckpointFormatError, load_checkpoint, save_checkpoint
 from .evaluation import (ChainSpecError, NeuralScorer, answer_question,
                          evaluate_ir, evaluate_mrs, evaluate_rc, parse_chain)
 from .model import Hyperparams, weights_from_named
-from .retriever import (Corpus, CorpusError, IndexFormatError, build_index,
-                        load_index, save_index)
-from .squad import DatasetFormatError, ingest_dataset, load_examples, save_examples
+from .retriever import (DEFAULT_BUCKETS, Corpus, CorpusError, IndexFormatError,
+                        build_index, load_index, save_index)
+from .squad import (DatasetFormatError, check_examples, ingest_dataset, load_examples,
+                    save_examples)
 from .text import VectorFileError, load_vectors, tokenize
 from .training import TrainMode, train
 
@@ -89,22 +90,30 @@ def _load_corpus_dir(corpus_dir: str) -> Corpus:
     return Corpus.load_jsonl(str(path))
 
 
-def _hyperparams(config: dict, args: argparse.Namespace) -> Hyperparams:
-    overrides = dict(config.get("hyperparams") or {})
+# Settings that override a hyperparameter, and the field each one sets.
+HYPERPARAM_SETTINGS = {"seed": "seed", "epochs": "epochs", "tau": "vote_temperature"}
+
+
+def _load_examples(corpus_dir: str, corpus: Corpus) -> list:
+    """The examples next to the passage store, checked against its passages."""
+    path = str(Path(corpus_dir) / EXAMPLES_FILE)
+    examples = load_examples(_require_file(path, "examples file"))
+    check_examples(path, examples, corpus)
+    return examples
+
+
+def _hyperparams(config: dict, args: argparse.Namespace, base: dict,
+                 keys) -> Hyperparams:
+    """`base` with the settings named in `keys` folded in, checked by Hyperparams.from_dict."""
+    raw = dict(base)
+    for key in keys:
+        value = _setting(args, config, key)
+        if value is not None:
+            raw[HYPERPARAM_SETTINGS[key]] = value
     try:
-        hp = Hyperparams.from_dict(overrides)
+        return Hyperparams.from_dict(raw)
     except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad hyperparams block: {exc}") from None
-    seed = _setting(args, config, "seed")
-    if seed is not None:
-        hp.seed = int(seed)
-    epochs = _setting(args, config, "epochs")
-    if epochs is not None:
-        hp.epochs = int(epochs)
-    tau = _setting(args, config, "tau")
-    if tau is not None:
-        hp.vote_temperature = float(tau)
-    return hp
+        raise ConfigError(f"bad hyperparameters: {exc}") from None
 
 
 def _build_scorer(config: dict, args: argparse.Namespace) -> tuple[NeuralScorer, Hyperparams]:
@@ -120,9 +129,7 @@ def _build_scorer(config: dict, args: argparse.Namespace) -> tuple[NeuralScorer,
         raise DatasetFormatError(
             f"vector dimension {table.dim} does not match checkpoint embed_dim "
             f"{weights.embed_dim}")
-    tau = _setting(args, config, "tau")
-    if tau is not None:
-        hp.vote_temperature = float(tau)
+    hp = _hyperparams(config, args, hp.to_dict(), ("tau",))
     # Inference uses the averaged weights.
     try:
         averaged = weights_from_named(weights.embed_dim, hp.hidden, hp.attn_dim, ema)
@@ -164,14 +171,13 @@ def cmd_ingest(args, config) -> int:
 def cmd_build_index(args, config) -> int:
     corpus_dir = _require(_setting(args, config, "corpus"), "corpus")
     index_path = _require(_setting(args, config, "index"), "index")
-    buckets = _setting(args, config, "buckets")
+    buckets = _setting(args, config, "buckets", DEFAULT_BUCKETS)
+    if isinstance(buckets, bool) or not isinstance(buckets, int) or not 1 <= buckets < 2 ** 64:
+        raise ConfigError(f"buckets must be an integer in [1, 2**64), got {buckets!r}")
     corpus = _load_corpus_dir(corpus_dir)
-    if buckets is not None:
-        index = build_index(corpus, int(buckets))
-    else:
-        index = build_index(corpus)
+    index = build_index(corpus, buckets)
     save_index(index_path, index)
-    print(f"indexed {index.n_docs} passages into {len(index.postings)} buckets "
+    print(f"indexed {index.n_docs} passages into {len(index.buckets)} buckets "
           f"(space {index.n_buckets})")
     return EXIT_OK
 
@@ -184,12 +190,13 @@ def cmd_train(args, config) -> int:
     _require_file(vectors_path, "vector file")
     _require_file(index_path, "index")
     corpus = _load_corpus_dir(corpus_dir)
-    examples_path = Path(corpus_dir) / EXAMPLES_FILE
-    _require_file(str(examples_path), "examples file")
-    positives = [ex for ex in load_examples(str(examples_path)) if ex.relevance == 1]
+    positives = [ex for ex in _load_examples(corpus_dir, corpus) if ex.relevance == 1]
     table = load_vectors(vectors_path)
     index = load_index(index_path)
-    hp = _hyperparams(config, args)
+    block = config.get("hyperparams") or {}
+    if not isinstance(block, dict):
+        raise ConfigError("hyperparams must be a JSON object")
+    hp = _hyperparams(config, args, block, HYPERPARAM_SETTINGS)
     mode_name = _setting(args, config, "mode", "mtl")
     try:
         mode = TrainMode(mode_name)
@@ -210,9 +217,7 @@ def cmd_train(args, config) -> int:
 def _eval_common(args, config):
     corpus_dir = _require(_setting(args, config, "corpus"), "corpus")
     corpus = _load_corpus_dir(corpus_dir)
-    examples_path = Path(corpus_dir) / EXAMPLES_FILE
-    _require_file(str(examples_path), "examples file")
-    examples = load_examples(str(examples_path))
+    examples = _load_examples(corpus_dir, corpus)
     scorer, hp = _build_scorer(config, args)
     return corpus, examples, scorer, hp
 

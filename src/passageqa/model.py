@@ -55,8 +55,9 @@ class Hyperparams:
         """Defaults overridden by `raw`, a mapping read from JSON.
 
         Each value must have its default's type (an int field takes an int,
-        a float field an int or a float; bool is neither) and be finite, and
-        vote_temperature must be positive.  Raises ValueError otherwise.
+        a float field an int or a float; bool is neither) and be finite;
+        vote_temperature must be positive, seed non-negative and epochs at
+        least 1.  Raises ValueError otherwise.
         """
         fields = cls.__dataclass_fields__
         unknown = set(raw) - set(fields)
@@ -72,6 +73,10 @@ class Hyperparams:
         hp = cls(**raw)
         if not hp.vote_temperature > 0:
             raise ValueError(f"vote_temperature must be positive, got {hp.vote_temperature!r}")
+        if hp.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {hp.seed}")
+        if hp.epochs < 1:
+            raise ValueError(f"epochs must be at least 1, got {hp.epochs}")
         return hp
 
 

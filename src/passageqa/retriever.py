@@ -11,6 +11,7 @@ import json
 import struct
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
@@ -165,91 +166,103 @@ class RankedList:
         return RankedList(self.entries[:k], self.warning)
 
 
-class TfIdfIndex:
-    """Inverted index over hashed n-gram buckets.
+def _idf(n_docs: int, df: np.ndarray) -> np.ndarray:
+    return np.maximum(0.0, np.log((n_docs - df + 0.5) / (df + 0.5)))
 
-    After construction the index is immutable, so concurrent readers need no
-    locking.  doc_freq maps bucket -> number of passages containing it;
-    postings maps bucket -> list of (passage_id, term_frequency) sorted by
-    passage id; norms maps passage_id -> Euclidean norm of its weight vector.
+
+def _find(keys: np.ndarray, wanted: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Where each of `wanted` sits in the ascending `keys`, and whether it is there.
+    Both are uint64: numpy compares uint64 with int64 through float64."""
+    pos = np.searchsorted(keys, wanted)
+    hit = pos < len(keys)
+    hit[hit] = keys[pos[hit]] == wanted[hit]
+    return pos, hit
+
+
+class TfIdfIndex:
+    """Inverted index over hashed n-gram buckets, in flat arrays (CSR).
+
+    pids: passage ids, ascending (uint64); norms: each one's weight-vector
+    norm (float32).  buckets: the non-empty buckets, ascending (uint64); row r
+    owns postings ptr[r]:ptr[r + 1], so df is np.diff(ptr).  Per posting: docs,
+    a row into pids (ascending within a bucket); tfs (uint32); weights,
+    ln(1 + tf) * idf.  The index is immutable, so readers need no locking.
     """
 
-    def __init__(self, n_buckets: int, n_docs: int,
-                 doc_freq: dict[int, int],
-                 postings: dict[int, list[tuple[int, int]]],
-                 norms: dict[int, float]):
+    def __init__(self, n_buckets: int, n_docs: int, buckets: np.ndarray, ptr: np.ndarray,
+                 docs: np.ndarray, tfs: np.ndarray, pids: np.ndarray, norms: np.ndarray):
         self.n_buckets = n_buckets
         self.n_docs = n_docs
-        self.doc_freq = doc_freq
-        self.postings = postings
+        self.buckets = buckets
+        self.ptr = ptr
+        self.docs = docs
+        self.tfs = tfs
+        self.pids = pids
         self.norms = norms
+        df = np.diff(ptr)
+        self.weights = np.log1p(tfs.astype(np.float64)) * np.repeat(_idf(n_docs, df), df)
 
-    def idf(self, bucket: int) -> float:
-        df = self.doc_freq.get(bucket, 0)
-        return max(0.0, float(np.log((self.n_docs - df + 0.5) / (df + 0.5))))
-
-    def weight(self, tf: int, bucket: int) -> float:
-        return float(np.log1p(tf)) * self.idf(bucket)
+    def idf(self, buckets: np.ndarray) -> np.ndarray:
+        """idf of each bucket in a uint64 array; a bucket no passage holds has df 0."""
+        pos, hit = _find(self.buckets, buckets)
+        df = np.zeros(len(buckets), np.int64)
+        df[hit] = self.ptr[pos[hit] + 1] - self.ptr[pos[hit]]
+        return _idf(self.n_docs, df)
 
 
 def build_index(corpus: Corpus, n_buckets: int = DEFAULT_BUCKETS) -> TfIdfIndex:
     """Index every passage in the corpus; ids must be unique (Corpus enforces)."""
     if n_buckets < 1:
         raise ValueError(f"bucket count must be positive, got {n_buckets}")
-    per_passage: dict[int, Counter[int]] = {}
-    doc_freq: dict[int, int] = {}
-    for rec in corpus:
-        counts = ngram_features(rec.tokens.tokens, n_buckets)
-        per_passage[rec.passage_id] = counts
-        for bucket in counts:
-            doc_freq[bucket] = doc_freq.get(bucket, 0) + 1
-
-    index = TfIdfIndex(n_buckets, len(corpus), doc_freq, {}, {})
-    postings: dict[int, list[tuple[int, int]]] = {}
-    norms: dict[int, float] = {}
-    for rec in corpus:
-        counts = per_passage[rec.passage_id]
-        sq = 0.0
-        for bucket, tf in counts.items():
-            postings.setdefault(bucket, []).append((rec.passage_id, tf))
-            sq += index.weight(tf, bucket) ** 2
-        # Norms are stored as float32 on disk; round here so that scores are
-        # bit-identical before and after a save/load round trip.
-        norms[rec.passage_id] = float(np.float32(np.sqrt(sq)))
-    for plist in postings.values():
-        plist.sort()
-    index.postings = postings
-    index.norms = norms
-    return index
+    counts = [ngram_features(rec.tokens.tokens, n_buckets) for rec in corpus]
+    keys = np.fromiter(chain.from_iterable(counts), np.uint64)
+    tfs = np.fromiter(chain.from_iterable(c.values() for c in counts), np.uint32)
+    owner = np.repeat(np.arange(len(counts)), np.fromiter(map(len, counts), np.int64))
+    buckets, bucket_of, df = np.unique(keys, return_inverse=True, return_counts=True)
+    weights = np.log1p(tfs.astype(np.float64)) * _idf(len(counts), df)[bucket_of]
+    # bincount sums each passage's squares in its feature order, as a loop
+    # would.  Norms are stored as float32 on disk; round here so that scores
+    # are bit-identical before and after a save/load round trip.
+    norms = np.sqrt(np.bincount(owner, weights=weights * weights, minlength=len(counts)))
+    ids = np.fromiter((rec.passage_id for rec in corpus), np.uint64, len(counts))
+    order = np.argsort(ids)
+    docs = np.argsort(order)[owner]    # each passage's row in the sorted ids
+    by_bucket = np.lexsort((docs, bucket_of))
+    return TfIdfIndex(n_buckets, len(counts), buckets, np.concatenate(([0], np.cumsum(df))),
+                      docs[by_bucket], tfs[by_bucket], ids[order],
+                      norms[order].astype(np.float32))
 
 
 def query_weights(index: TfIdfIndex, tokens) -> dict[int, float]:
     """Bucket -> tf-idf weight for a query, using corpus document frequencies."""
     counts = ngram_features(tokens, index.n_buckets)
-    return {bucket: index.weight(tf, bucket) for bucket, tf in counts.items()}
+    tfs = np.fromiter(counts.values(), np.float64, len(counts))
+    idf = index.idf(np.fromiter(counts, np.uint64, len(counts)))
+    return dict(zip(counts, (np.log1p(tfs) * idf).tolist()))
 
 
-def _cosine_scores(index: TfIdfIndex, weights: dict[int, float]) -> dict[int, float]:
+def _cosine_scores(index: TfIdfIndex, weights: dict[int, float]
+                   ) -> tuple[np.ndarray, np.ndarray]:
+    """Ascending rows of index.pids with a nonzero cosine to the query, and the cosines."""
     qnorm = float(np.sqrt(sum(w * w for w in weights.values())))
-    if qnorm == 0.0:
-        return {}
-    dots: dict[int, float] = {}
-    for bucket, qw in weights.items():
-        if qw == 0.0:
-            continue
-        for pid, tf in index.postings.get(bucket, ()):
-            dots[pid] = dots.get(pid, 0.0) + qw * index.weight(tf, bucket)
-    scores = {}
-    for pid, dot in dots.items():
-        pnorm = index.norms[pid]
-        if pnorm > 0.0 and dot != 0.0:
-            scores[pid] = dot / (qnorm * pnorm)
-    return scores
+    qw = np.fromiter(weights.values(), np.float64, len(weights))
+    pos, hit = _find(index.buckets, np.fromiter(weights, np.uint64, len(weights)))
+    hit &= qw != 0.0
+    starts = index.ptr[pos[hit]]
+    lengths = index.ptr[pos[hit] + 1] - starts
+    # The query buckets' postings back to back, in query-feature order, so
+    # bincount sums each passage's dot product in the order a loop would.
+    at = np.repeat(starts + lengths - np.cumsum(lengths), lengths) + np.arange(lengths.sum())
+    dots = np.bincount(index.docs[at], weights=np.repeat(qw[hit], lengths) * index.weights[at])
+    norms = index.norms[:len(dots)].astype(np.float64)
+    rows = np.flatnonzero((dots != 0.0) & (norms > 0.0))
+    return rows, dots[rows] / (qnorm * norms[rows])
 
 
-def _ranked(scores: dict[int, float], k: int, warning: str | None = None) -> RankedList:
-    ordered = sorted(scores.items(), key=lambda item: (-item[1], item[0]))
-    return RankedList(ordered[:k], warning)
+def _ranked(index: TfIdfIndex, rows: np.ndarray, scores: np.ndarray, k: int) -> RankedList:
+    # Rows ascend with the passage id, so a stable sort breaks ties by id.
+    best = np.argsort(-scores, kind="stable")[:k]
+    return RankedList(list(zip(index.pids[rows[best]].tolist(), scores[best].tolist())))
 
 
 def top_k(index: TfIdfIndex, tokens, k: int) -> RankedList:
@@ -262,20 +275,21 @@ def top_k(index: TfIdfIndex, tokens, k: int) -> RankedList:
     weights = query_weights(index, tokens)
     if not weights:
         return RankedList([], warning="query produced no features")
-    scores = _cosine_scores(index, weights)
-    if not scores:
+    rows, scores = _cosine_scores(index, weights)
+    if not len(rows):
         return RankedList([], warning="query shares no weighted features with the corpus")
-    return _ranked(scores, k)
+    return _ranked(index, rows, scores, k)
 
 
 def similar_passages(index: TfIdfIndex, passage: PassageRecord, m: int = 15) -> RankedList:
     """Most similar other passages to an indexed passage (self excluded)."""
-    if passage.passage_id not in index.norms:
-        raise KeyError(f"passage {passage.passage_id} is not in the index")
-    weights = query_weights(index, passage.tokens.tokens)
-    scores = _cosine_scores(index, weights)
-    scores.pop(passage.passage_id, None)
-    return _ranked(scores, m)
+    pid = passage.passage_id
+    pos, hit = _find(index.pids, np.array([pid] if 0 <= pid < 2 ** 64 else [], np.uint64))
+    if not hit.any():
+        raise KeyError(f"passage {pid} is not in the index")
+    rows, scores = _cosine_scores(index, query_weights(index, passage.tokens.tokens))
+    keep = rows != pos[0]
+    return _ranked(index, rows[keep], scores[keep], m)
 
 
 # ---------------------------------------------------------------------------
@@ -283,91 +297,98 @@ def similar_passages(index: TfIdfIndex, passage: PassageRecord, m: int = 15) -> 
 #
 # Layout (all integers little-endian, floats IEEE-754 binary32 LE):
 #   magic "PQIX" | u32 version | u64 n_buckets | u64 n_docs
-#   section: document frequencies  u64 byte_len | u64 count | count * (u64 bucket, u32 df)
-#   section: postings              u64 byte_len | u64 n_bucket_rows |
-#                                  rows of (u64 bucket, u32 len, len * (u64 pid, u32 tf))
-#   section: norms                 u64 byte_len | u64 count | count * (u64 pid, f32 norm)
-# Buckets and passage ids are written in ascending order, so identical
-# indexes serialize to identical bytes.
+# then three sections, each u64 byte_len | u64 count | one array of 12-byte
+# records, so byte_len = 8 + 12 * records:
+#   document frequencies  count buckets, records (u64 bucket, u32 df)
+#   postings              count bucket rows; each row is its (bucket, df)
+#                         record followed by df records (u64 pid, u32 tf)
+#   norms                 count passages, records (u64 pid, f32 norm)
+# Buckets and passage ids (also within a bucket) ascend, so identical indexes
+# serialize to identical bytes.
+
+_HEADER = struct.Struct("<4sIQQ")
+_INT_RECORD = np.dtype([("key", "<u8"), ("value", "<u4")])
+_FLOAT_RECORD = np.dtype([("key", "<u8"), ("value", "<f4")])
+
+
+def _records(dtype: np.dtype, keys: np.ndarray, values: np.ndarray) -> np.ndarray:
+    out = np.empty(len(keys), dtype)
+    out["key"], out["value"] = keys, values
+    return out
 
 
 def save_index(path: str, index: TfIdfIndex) -> None:
-    df_body = bytearray(struct.pack("<Q", len(index.doc_freq)))
-    for bucket in sorted(index.doc_freq):
-        df_body += struct.pack("<QI", bucket, index.doc_freq[bucket])
-
-    post_body = bytearray(struct.pack("<Q", len(index.postings)))
-    for bucket in sorted(index.postings):
-        plist = index.postings[bucket]
-        post_body += struct.pack("<QI", bucket, len(plist))
-        for pid, tf in plist:
-            post_body += struct.pack("<QI", pid, tf)
-
-    norm_body = bytearray(struct.pack("<Q", len(index.norms)))
-    for pid in sorted(index.norms):
-        norm_body += struct.pack("<Qf", pid, index.norms[pid])
-
+    df = _records(_INT_RECORD, index.buckets, np.diff(index.ptr))
+    # each row's (bucket, df) record goes right before the row's first posting
+    postings = np.insert(_records(_INT_RECORD, index.pids[index.docs], index.tfs),
+                         index.ptr[:-1], df)
+    norms = _records(_FLOAT_RECORD, index.pids, index.norms)
     with open(path, "wb") as fh:
-        fh.write(INDEX_MAGIC)
-        fh.write(struct.pack("<I", INDEX_VERSION))
-        fh.write(struct.pack("<QQ", index.n_buckets, index.n_docs))
-        for body in (df_body, post_body, norm_body):
-            fh.write(struct.pack("<Q", len(body)))
-            fh.write(body)
+        fh.write(_HEADER.pack(INDEX_MAGIC, INDEX_VERSION, index.n_buckets, index.n_docs))
+        for count, records in ((len(df), df), (len(df), postings), (len(norms), norms)):
+            fh.write(struct.pack("<QQ", 8 + records.nbytes, count))
+            fh.write(records.tobytes())
 
 
-class _Reader:
-    def __init__(self, data: bytes, path: str):
-        self.data = data
-        self.pos = 0
-        self.path = path
-
-    def take(self, fmt: str):
-        size = struct.calcsize(fmt)
-        if self.pos + size > len(self.data):
-            raise IndexFormatError(f"{self.path}: truncated index file")
-        out = struct.unpack_from(fmt, self.data, self.pos)
-        self.pos += size
-        return out
+def _section(data: bytes, pos: int, dtype: np.dtype, path: str, name: str
+             ) -> tuple[int, np.ndarray, int]:
+    """The count and the records of the section at `pos`, and where it ends."""
+    if len(data) < pos + 16:
+        raise IndexFormatError(f"{path}: truncated index file")
+    byte_len, count = struct.unpack_from("<QQ", data, pos)
+    n_records, rest = divmod(byte_len - 8, dtype.itemsize)
+    if byte_len < 8 or rest:
+        raise IndexFormatError(f"{path}: {name} section length {byte_len} is not "
+                               f"8 + 12 * records")
+    if len(data) < pos + 8 + byte_len:
+        raise IndexFormatError(f"{path}: truncated index file")
+    return count, np.frombuffer(data, dtype, n_records, pos + 16), pos + 8 + byte_len
 
 
 def load_index(path: str) -> TfIdfIndex:
     with open(path, "rb") as fh:
         data = fh.read()
-    rd = _Reader(data, path)
-    magic = data[:4]
-    rd.pos = 4
-    if magic != INDEX_MAGIC:
-        raise IndexFormatError(f"{path}: not a passage index (bad magic {magic!r})")
-    (version,) = rd.take("<I")
+    if data[:4] != INDEX_MAGIC:
+        raise IndexFormatError(f"{path}: not a passage index (bad magic {data[:4]!r})")
+    if len(data) < _HEADER.size:
+        raise IndexFormatError(f"{path}: truncated index file")
+    _, version, n_buckets, n_docs = _HEADER.unpack_from(data)
     if version != INDEX_VERSION:
         raise IndexFormatError(f"{path}: unsupported index version {version}")
-    n_buckets, n_docs = rd.take("<QQ")
+    n_df, df, pos = _section(data, _HEADER.size, _INT_RECORD, path, "document frequency")
+    n_rows, postings, pos = _section(data, pos, _INT_RECORD, path, "postings")
+    n_norms, norms, pos = _section(data, pos, _FLOAT_RECORD, path, "norms")
+    if pos != len(data):
+        raise IndexFormatError(f"{path}: {len(data) - pos} trailing bytes")
 
-    (df_len,) = rd.take("<Q")
-    (df_count,) = rd.take("<Q")
-    doc_freq: dict[int, int] = {}
-    for _ in range(df_count):
-        bucket, df = rd.take("<QI")
-        doc_freq[bucket] = df
+    def invalid(problem: str) -> IndexFormatError:
+        return IndexFormatError(f"{path}: {problem}")
 
-    (post_len,) = rd.take("<Q")
-    (row_count,) = rd.take("<Q")
-    postings: dict[int, list[tuple[int, int]]] = {}
-    for _ in range(row_count):
-        bucket, length = rd.take("<QI")
-        plist = []
-        for _ in range(length):
-            pid, tf = rd.take("<QI")
-            plist.append((pid, tf))
-        postings[bucket] = plist
-
-    (norm_len,) = rd.take("<Q")
-    (norm_count,) = rd.take("<Q")
-    norms: dict[int, float] = {}
-    for _ in range(norm_count):
-        pid, norm = rd.take("<Qf")
-        norms[pid] = norm
-    if rd.pos != len(data):
-        raise IndexFormatError(f"{path}: {len(data) - rd.pos} trailing bytes")
-    return TfIdfIndex(n_buckets, n_docs, doc_freq, postings, norms)
+    if not (n_df == n_rows == len(df) and n_norms == n_docs == len(norms)):
+        raise invalid(f"counts disagree: {len(df)} df records counted as {n_df} for "
+                      f"{n_rows} postings rows, {len(norms)} norms counted as {n_norms} "
+                      f"for {n_docs} passages")
+    ptr = np.concatenate(([0], np.cumsum(df["value"], dtype=np.int64)))
+    if len(postings) != n_rows + int(ptr[-1]):
+        raise invalid(f"{len(postings)} postings records for {n_rows} rows holding "
+                      f"{ptr[-1]} postings")
+    heads = ptr[:-1] + np.arange(n_rows)   # row r follows r earlier row heads
+    if not np.array_equal(postings[heads], df):
+        raise invalid("postings row heads differ from the document frequencies")
+    buckets, pids = df["key"].astype(np.uint64), norms["key"].astype(np.uint64)
+    if np.any(buckets[1:] <= buckets[:-1]) or np.any(pids[1:] <= pids[:-1]):
+        raise invalid("buckets or passage ids are not strictly ascending")
+    if n_buckets < 1 or len(buckets) and buckets[-1] >= n_buckets:
+        raise invalid(f"buckets out of range for a bucket count of {n_buckets}")
+    entries = np.delete(postings, heads)
+    docs, known = _find(pids, entries["key"].astype(np.uint64))
+    if not known.all():
+        raise invalid(f"a posting names passage {entries['key'][~known][0]}, which has no norm")
+    row_of = np.repeat(np.arange(n_rows), np.diff(ptr))
+    if np.any((row_of[1:] == row_of[:-1]) & (docs[1:] <= docs[:-1])):
+        raise invalid("posting passage ids are not strictly ascending within a bucket")
+    values = norms["value"].astype(np.float32)
+    if not np.all(np.isfinite(values) & (values >= 0)):
+        raise invalid("a norm is non-finite or negative")
+    return TfIdfIndex(n_buckets, n_docs, buckets, ptr, docs, entries["value"].astype(np.uint32),
+                      pids, values)

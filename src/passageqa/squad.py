@@ -181,6 +181,8 @@ def load_examples(path: str) -> list[QuestionExample]:
                 raise DatasetFormatError(f"{where}.passage_id: negative id {passage_id}")
             qid = _expect(row["qid"], str, f"{where}.qid")
             question = tokenize(_expect(row["question"], str, f"{where}.question"))
+            if len(question) == 0:
+                raise DatasetFormatError(f"{where}.question: no tokens")
             relevance = _expect_int(row["relevance"], f"{where}.relevance")
             try:
                 examples.append(QuestionExample(qid, question, passage_id, relevance, span,
@@ -188,3 +190,18 @@ def load_examples(path: str) -> list[QuestionExample]:
             except ValueError as exc:
                 raise DatasetFormatError(f"{where}: {exc}") from None
     return examples
+
+
+def check_examples(path: str, examples: list[QuestionExample], corpus: Corpus) -> None:
+    """Raise DatasetFormatError for an example whose passage the corpus lacks or
+    whose answer span lies outside that passage's tokens."""
+    for ex in examples:
+        if ex.passage_id not in corpus:
+            raise DatasetFormatError(
+                f"{path}: question {ex.qid}: no passage {ex.passage_id} in the corpus")
+        if ex.span is not None:
+            n_tokens = len(corpus[ex.passage_id].tokens)
+            if not 0 <= ex.span[0] <= ex.span[1] < n_tokens:
+                raise DatasetFormatError(
+                    f"{path}: question {ex.qid}: span {ex.span} outside passage "
+                    f"{ex.passage_id} of {n_tokens} tokens")

@@ -232,16 +232,37 @@ def test_bad_config_exits_2(ws, tmp_path, capsys):
     unknown_key.write_text(json.dumps({"bogus": 1}))
     assert run(["build-index", "--config", str(unknown_key)])[0] == 2
 
-    for block in ({"bogus": 3}, {"vote_temperature": "x"}, {"epochs": "3"},
-                  {"hidden": True}, {"vote_temperature": 0}):
-        bad_hp = tmp_path / "hp.json"
-        bad_hp.write_text(json.dumps({"hyperparams": block}))
-        code, _ = run(["train", "--config", str(bad_hp), "--corpus", ws.corpus_dir,
-                       "--vectors", ws.vectors, "--index", ws.index_path,
-                       "--checkpoint", str(tmp_path / "out")])
+    train_args = ["--corpus", ws.corpus_dir, "--vectors", ws.vectors,
+                  "--index", ws.index_path, "--checkpoint", str(tmp_path / "out")]
+    cases = [{"hyperparams": block} for block in (
+        {"bogus": 3}, {"vote_temperature": "x"}, {"epochs": "3"}, {"hidden": True},
+        {"vote_temperature": 0}, {"seed": -1}, {"epochs": 0})]
+    cases += [{"tau": "x"}, {"epochs": "x"}, {"epochs": -2}, {"seed": "abc"}, {"seed": -1},
+              {"hyperparams": [1, 2]}]
+    for config in cases:
+        bad = tmp_path / "bad_settings.json"
+        bad.write_text(json.dumps(config))
+        code, _ = run(["train", "--config", str(bad)] + train_args)
         err = capsys.readouterr().err
-        assert code == 2, block
-        assert "error:" in err and "Traceback" not in err, (block, err)
+        assert code == 2, config
+        assert "error:" in err and "Traceback" not in err, (config, err)
+
+    flag_cases = [["train", "--seed", "-1"] + train_args,
+                  ["train", "--epochs", "0"] + train_args]
+    flag_cases += [eval_args(ws, ["eval-mrs", "--tau", tau]) for tau in ("0", "-1", "nan")]
+    flag_cases += [["build-index", "--corpus", ws.corpus_dir, "--index",
+                    str(tmp_path / "i.idx"), "--buckets", "0"]]
+    for buckets in ("x", 1.5, 0, True):
+        bad = tmp_path / "bad_buckets.json"
+        bad.write_text(json.dumps({"buckets": buckets}))
+        flag_cases.append(["build-index", "--config", str(bad), "--corpus", ws.corpus_dir,
+                           "--index", str(tmp_path / "i.idx")])
+    for argv in flag_cases:
+        code, _ = run(argv)
+        err = capsys.readouterr().err
+        assert code == 2, argv
+        assert "error:" in err and "Traceback" not in err, (argv, err)
+    assert not (tmp_path / "i.idx").exists()
 
 
 def test_bad_chain_exits_2(ws):
@@ -261,12 +282,22 @@ def test_bad_train_mode_from_config_exits_2(ws, tmp_path):
     assert code == 2
 
 
-def test_corrupt_index_exits_4(ws, tmp_path):
-    bad = tmp_path / "bad.idx"
-    bad.write_bytes(b"garbage bytes here")
-    code, _ = run(["eval-ir", "--corpus", ws.corpus_dir, "--vectors", ws.vectors,
-                   "--index", str(bad), "--checkpoint", ws.ckpt_dir])
-    assert code == 4
+def test_corrupt_index_exits_4(ws, tmp_path, capsys):
+    real = (ws.root / "passages.idx").read_bytes()
+    cases = {
+        "garbage": b"garbage bytes here",
+        "zero buckets": real[:8] + struct.pack("<Q", 0) + real[16:],
+        "n_docs 99": real[:16] + struct.pack("<Q", 99) + real[24:],
+        "trailing bytes": real + b"\x00",
+    }
+    for what, data in cases.items():
+        bad = tmp_path / "bad.idx"
+        bad.write_bytes(data)
+        code, _ = run(["eval-ir", "--corpus", ws.corpus_dir, "--vectors", ws.vectors,
+                       "--index", str(bad), "--checkpoint", ws.ckpt_dir])
+        err = capsys.readouterr().err
+        assert code == 4, what
+        assert "error:" in err and "Traceback" not in err, (what, err)
 
 
 def with_settings(real: bytes, **changes) -> bytes:
@@ -354,6 +385,36 @@ def test_malformed_jsonl_row_exits_4(ws, tmp_path, capsys):
         err = capsys.readouterr().err
         assert code == 4, bad_file
         assert f"{bad_file}:" in err and "error:" in err and "Traceback" not in err, err
+
+
+@pytest.mark.parametrize("command", ["eval-rc", "train"])
+@pytest.mark.parametrize("change, message", [
+    ({"question": "   "}, "question: no tokens"),
+    ({"passage_id": 999}, "no passage 999"),
+    ({"span": [500, 600]}, "span (500, 600) outside passage"),
+], ids=["blank-question", "unknown-passage", "span-outside-passage"])
+def test_example_the_corpus_cannot_serve_exits_4(ws, tmp_path, capsys, command, change,
+                                                message):
+    corpus_dir = tmp_path / "corpus"
+    corpus_dir.mkdir()
+    source = ws.root / "corpus"
+    (corpus_dir / "passages.jsonl").write_bytes((source / "passages.jsonl").read_bytes())
+    lines = (source / "examples.jsonl").read_text(encoding="utf-8").splitlines()
+    row = json.loads(lines[0])
+    row.update(change)
+    lines.append(json.dumps(row))
+    (corpus_dir / "examples.jsonl").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    argv = [command, "--corpus", str(corpus_dir), "--vectors", ws.vectors]
+    if command == "train":
+        argv += ["--index", ws.index_path, "--checkpoint", str(tmp_path / "out"),
+                 "--config", ws.train_config]
+    else:
+        argv += ["--checkpoint", ws.ckpt_dir]
+    code, _ = run(argv)
+    err = capsys.readouterr().err
+    assert code == 4
+    assert "error:" in err and message in err and "Traceback" not in err, err
+    assert not (tmp_path / "out").exists()
 
 
 def test_vector_dimension_mismatch_exits_4(ws, tmp_path):

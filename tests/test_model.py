@@ -55,6 +55,8 @@ def test_hyperparams_reject_unknown_fields():
     ({"momentum": float("inf")}, "momentum must be finite"),
     ({"vote_temperature": 0}, "vote_temperature must be positive"),
     ({"vote_temperature": -0.5}, "vote_temperature must be positive"),
+    ({"seed": -1}, "seed must be non-negative"),
+    ({"epochs": 0}, "epochs must be at least 1"),
 ])
 def test_hyperparams_check_field_types(raw, message):
     with pytest.raises(ValueError, match=message):

@@ -1,9 +1,15 @@
 """TF-IDF index tests: hashing, weighting, ranking, serialization."""
+import functools
+import hashlib
 import math
 import re
+import struct
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from passageqa.retriever import (BIGRAM_SEP, DEFAULT_BUCKETS, Corpus, CorpusError,
                                  IndexFormatError, PassageRecord, build_index,
@@ -15,6 +21,10 @@ import oracles
 
 def corpus_of(texts):
     return Corpus([PassageRecord(i, 0, t) for i, t in enumerate(texts)])
+
+
+def idf_of(index, bucket):
+    return float(index.idf(np.array([bucket], np.uint64))[0])
 
 
 # ---------------------------------------------------------------------------
@@ -54,7 +64,8 @@ def test_forced_collision_merges_document_frequencies():
         i += 1
     first, second, bucket = pair
     index = build_index(corpus_of([first, second]), n_buckets=n_buckets)
-    assert index.doc_freq[bucket] == 2  # both docs land in the shared bucket
+    row = index.buckets.tolist().index(bucket)
+    assert np.diff(index.ptr)[row] == 2  # both docs land in the shared bucket
 
 
 # ---------------------------------------------------------------------------
@@ -65,23 +76,25 @@ def test_idf_frozen_value():
     texts = ["zebra"] + [f"filler{i}" for i in range(9)]
     index = build_index(corpus_of(texts))
     bucket = next(iter(ngram_features(["zebra"])))
-    assert math.isclose(index.idf(bucket), math.log(9.5 / 1.5), rel_tol=1e-12)
+    assert math.isclose(idf_of(index, bucket), math.log(9.5 / 1.5), rel_tol=1e-12)
 
 
 def test_idf_clamps_common_terms_to_zero():
     index = build_index(corpus_of(["shared apple", "shared banana"]))
     shared_bucket = next(iter(ngram_features(["shared"])))
-    assert index.idf(shared_bucket) == 0.0          # df == N: raw idf negative
+    assert idf_of(index, shared_bucket) == 0.0      # df == N: raw idf negative
     apple_bucket = next(iter(ngram_features(["apple"])))
-    assert index.idf(apple_bucket) == 0.0           # df=1, N=2: ln(1.5/1.5)
+    assert idf_of(index, apple_bucket) == 0.0       # df=1, N=2: ln(1.5/1.5)
 
 
 def test_term_weight_log_scales_frequency():
     index = build_index(corpus_of(["rare word here"] + [f"f{i}" for i in range(7)]))
     bucket = next(iter(ngram_features(["rare"])))
-    idf = index.idf(bucket)
-    assert math.isclose(index.weight(1, bucket), math.log(2.0) * idf, rel_tol=1e-12)
-    assert math.isclose(index.weight(3, bucket), math.log(4.0) * idf, rel_tol=1e-12)
+    idf = idf_of(index, bucket)
+    assert math.isclose(query_weights(index, ["rare"])[bucket], math.log(2.0) * idf,
+                        rel_tol=1e-12)
+    assert math.isclose(query_weights(index, ["rare"] * 3)[bucket], math.log(4.0) * idf,
+                        rel_tol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -218,9 +231,9 @@ def test_index_round_trip_preserves_everything(task, task_index, tmp_path):
     loaded = load_index(path)
     assert loaded.n_buckets == task_index.n_buckets
     assert loaded.n_docs == task_index.n_docs
-    assert loaded.doc_freq == task_index.doc_freq
-    assert loaded.postings == task_index.postings
-    assert loaded.norms == task_index.norms
+    for name in ("buckets", "ptr", "docs", "tfs", "pids", "norms", "weights"):
+        want, got = getattr(task_index, name), getattr(loaded, name)
+        assert got.dtype == want.dtype and np.array_equal(got, want), name
     for ex in task.examples[:5]:
         before = top_k(task_index, ex.question.tokens, 5).entries
         after = top_k(loaded, ex.question.tokens, 5).entries
@@ -232,6 +245,76 @@ def test_round_trip_bytes_are_deterministic(task, task_index, tmp_path):
     save_index(a, task_index)
     save_index(b, build_index(task.corpus))
     assert open(a, "rb").read() == open(b, "rb").read()
+
+
+def test_index_bytes_are_golden(task_index, tmp_path):
+    path = tmp_path / "task.idx"
+    save_index(str(path), task_index)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == \
+        "8cecc9e02bdc4b527cace5adf9eb3d0a64c73c90ca8bdf3a3b63ce7c29b7f1aa"
+
+
+def test_ids_above_2_to_the_53_survive(tmp_path):
+    """Ids stay exact u64 values; a float64 detour would merge 2**53 and 2**53 + 1."""
+    big = [2 ** 53, 2 ** 53 + 1, 2 ** 64 - 1]
+    # fillers keep N large enough that the shared words get a positive idf
+    records = [PassageRecord(pid, 0, "alpha beta gamma") for pid in big]
+    records += [PassageRecord(i, 0, f"filler{i} word{i}") for i in range(7)]
+    corpus = Corpus(records)
+    index = build_index(corpus)
+    path = str(tmp_path / "big.idx")
+    save_index(path, index)
+    for idx in (index, load_index(path)):
+        for pid in big:
+            assert similar_passages(idx, corpus[pid], 5).ids() == [p for p in big if p != pid]
+        ranked = top_k(idx, ["alpha", "beta"], 5)
+        assert ranked.ids() == big
+        assert len({score for _, score in ranked.entries}) == 1
+
+
+def pqix(n_buckets=16, n_docs=3, df=((2, 2), (5, 1)),
+         rows=((2, ((10, 1), (11, 2))), (5, ((12, 1),))),
+         norms=((10, 1.0), (11, 2.0), (12, 0.5)),
+         counts=(None, None, None), len_error=(0, 0, 0)):
+    """PQIX v1 bytes written field by field: `counts` replaces the count of a
+    section and `len_error` is added to its byte length."""
+    bodies = [b"".join(struct.pack("<QI", *rec) for rec in df),
+              b"".join(struct.pack("<QI", bucket, len(plist))
+                       + b"".join(struct.pack("<QI", *p) for p in plist)
+                       for bucket, plist in rows),
+              b"".join(struct.pack("<Qf", *rec) for rec in norms)]
+    out = b"PQIX" + struct.pack("<IQQ", 1, n_buckets, n_docs)
+    for body, n, count, err in zip(bodies, (len(df), len(rows), len(norms)), counts,
+                                   len_error):
+        out += struct.pack("<QQ", 8 + len(body) + err, n if count is None else count) + body
+    return out
+
+
+# pqix() arguments that break one consistency rule each, and the error they give
+INCONSISTENT = {
+    "df section length": (dict(len_error=(-4, 0, 0)), "document frequency section length"),
+    "postings section length": (dict(len_error=(0, 5, 0)), "postings section length"),
+    "norms section length": (dict(len_error=(0, 0, 4)), "norms section length"),
+    "df count": (dict(counts=(3, None, None)), "2 df records counted as 3"),
+    "postings row count": (dict(counts=(None, 1, None)), "for 1 postings rows"),
+    "norms count": (dict(counts=(None, None, 2)), "3 norms counted as 2"),
+    "n_docs 99": (dict(n_docs=99), "for 99 passages"),
+    "df sum": (dict(df=((2, 2), (5, 2))), "postings records"),
+    "row heads": (dict(df=((2, 1), (5, 2))), "row heads"),
+    "zero buckets": (dict(n_buckets=0), "bucket count of 0"),
+    "bucket out of range": (dict(n_buckets=5), "out of range for a bucket count of 5"),
+    "bucket order": (dict(df=((5, 1), (2, 2)), rows=((5, ((12, 1),)), (2, ((10, 1), (11, 2))))),
+                     "not strictly ascending"),
+    "pid order": (dict(norms=((11, 2.0), (10, 1.0), (12, 0.5))), "not strictly ascending"),
+    "posting order": (dict(rows=((2, ((11, 2), (10, 1))), (5, ((12, 1),)))), "within a bucket"),
+    "posting repeat": (dict(rows=((2, ((10, 1), (10, 2))), (5, ((12, 1),)))),
+                       "within a bucket"),
+    "pid without norm": (dict(rows=((2, ((10, 1), (11, 2))), (5, ((77, 1),)))),
+                         "passage 77, which has no norm"),
+    "nan norm": (dict(norms=((10, 1.0), (11, float("nan")), (12, 0.5))), "non-finite"),
+    "inf norm": (dict(norms=((10, 1.0), (11, float("inf")), (12, 0.5))), "non-finite"),
+    "negative norm": (dict(norms=((10, 1.0), (11, -2.0), (12, 0.5))), "or negative"),
+}
 
 
 def test_load_rejects_corrupt_files(tmp_path):
@@ -259,6 +342,58 @@ def test_load_rejects_corrupt_files(tmp_path):
     padded.write_bytes(raw + b"\x00\x00")
     with pytest.raises(IndexFormatError, match="trailing"):
         load_index(str(padded))
+
+    written = tmp_path / "written.idx"
+    written.write_bytes(pqix())
+    loaded = load_index(str(written))   # the file pqix() writes by default is valid
+    assert loaded.pids.tolist() == [10, 11, 12]
+    assert top_k(loaded, ["a"], 3).entries == []
+    for changes, message in INCONSISTENT.values():
+        written.write_bytes(pqix(**changes))
+        with pytest.raises(IndexFormatError, match=re.escape(message)):
+            load_index(str(written))
+
+
+FUZZ_CORPUS = corpus_of(["the cat sat on the mat", "the dog sat", "a cat and a dog",
+                         "birds fly south", "fish swim"])
+
+
+@functools.cache
+def fuzz_index_bytes() -> bytes:
+    with tempfile.TemporaryDirectory() as tmp:
+        save_index(f"{tmp}/fuzz.idx", build_index(FUZZ_CORPUS, n_buckets=64))
+        return Path(f"{tmp}/fuzz.idx").read_bytes()
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_damaged_index_is_rejected_or_usable(data):
+    """Truncated, bit-flipped or spliced files fail with IndexFormatError or load
+    into an index that can serve queries."""
+    raw = fuzz_index_bytes()
+    damage = data.draw(st.sampled_from(["truncate", "flip", "splice"]))
+    if damage == "truncate":
+        damaged = raw[:data.draw(st.integers(0, len(raw) - 1))]
+    elif damage == "flip":
+        bit = data.draw(st.integers(0, 8 * len(raw) - 1))
+        damaged = bytearray(raw)
+        damaged[bit // 8] ^= 1 << bit % 8
+    else:
+        cut, start, stop, resume = (data.draw(st.integers(0, len(raw))) for _ in range(4))
+        damaged = raw[:cut] + raw[start:stop] + raw[resume:]
+    with tempfile.TemporaryDirectory() as tmp:
+        Path(f"{tmp}/damaged.idx").write_bytes(damaged)
+        try:
+            index = load_index(f"{tmp}/damaged.idx")
+        except IndexFormatError:
+            return
+    for rec in FUZZ_CORPUS:
+        top_k(index, rec.tokens.tokens, 3)
+        if rec.passage_id in index.pids.tolist():
+            similar_passages(index, rec, 3)
+        else:
+            with pytest.raises(KeyError):
+                similar_passages(index, rec, 3)
 
 
 def test_query_weights_uses_corpus_frequencies():

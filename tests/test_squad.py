@@ -146,6 +146,7 @@ GOOD_ROW = {"qid": "q1", "question": "who ?", "passage_id": 0, "relevance": 1,
     (dict(GOOD_ROW, passage_id="0"), ".passage_id: expected int"),
     (dict(GOOD_ROW, qid=7), ".qid: expected str"),
     ([GOOD_ROW], "expected dict"),
+    (dict(GOOD_ROW, question=" \t "), ".question: no tokens"),
 ])
 def test_load_examples_names_line_of_bad_row(tmp_path, row, message):
     path = tmp_path / "examples.jsonl"
