@@ -4,7 +4,7 @@ Layout (integers little-endian, tensor data IEEE-754 binary32 LE):
     magic "PQCK" | u32 version
     u32 settings_len | settings JSON (utf-8): hyperparams + embed_dim
     u32 tensor_count
-    per tensor: u16 name_len | name utf-8 | u8 rank | rank * u32 dims | data
+    per tensor: u16 name_len | name utf-8 | u8 rank (1 or 2) | rank * u32 dims (>= 1) | data
 
 The file ends after the last tensor; trailing bytes are rejected.
 
@@ -121,6 +121,9 @@ def load_checkpoint(path: str) -> tuple[Hyperparams, ModelWeights, dict[str, np.
         pos += name_len
         (rank,) = take("<B")
         dims = [take("<I")[0] for _ in range(rank)]
+        # Checked before the size: with a zero dim any rank and other dims pass it.
+        if not 1 <= rank <= 2 or 0 in dims:
+            raise CheckpointFormatError(f"{path}: tensor {name!r} has shape {tuple(dims)}")
         n_items = math.prod(dims)
         size = 4 * n_items
         if pos + size > len(data):

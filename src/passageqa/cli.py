@@ -1,9 +1,12 @@
 """Command-line entry points.
 
 Commands: ingest, build-index, train, eval-ir, eval-rc, eval-mrs, ask.
-Settings come from an optional JSON config file (--config); flags override
-config values.  One seed drives every source of randomness, so runs with the
-same inputs and seed produce byte-identical outputs.
+`SETTINGS` is the one listing of the settings: each has a type, a default
+and a help text, and may be given as a flag or as a key of an optional JSON
+config file (--config); a flag overrides the config value, which overrides
+the default.  Every config value is type-checked before any command runs,
+whichever command it is.  One seed drives every source of randomness, so
+runs with the same inputs and seed produce byte-identical outputs.
 
 Exit codes: 0 success, 2 usage or configuration error, 3 missing input file,
 4 malformed data or artifact, 1 unexpected failure.
@@ -14,9 +17,8 @@ import argparse
 import json
 import logging
 import sys
+from dataclasses import dataclass
 from pathlib import Path
-
-import numpy as np
 
 from .checkpoint import CheckpointFormatError, load_checkpoint, save_checkpoint
 from .evaluation import (ChainSpecError, NeuralScorer, answer_question,
@@ -36,12 +38,39 @@ EXIT_USAGE = 2
 EXIT_MISSING = 3
 EXIT_DATA = 4
 
-CONFIG_KEYS = {"corpus", "dataset", "vectors", "index", "checkpoint", "report",
-               "seed", "chain", "k", "tau", "mode", "epochs", "buckets",
-               "hyperparams"}
-
 PASSAGES_FILE = "passages.jsonl"
 EXAMPLES_FILE = "examples.jsonl"
+
+
+@dataclass(frozen=True)
+class Setting:
+    kind: type                  # str, int, float (an int is accepted) or dict
+    default: object = None
+    help: str | None = None
+    choices: tuple | None = None
+    hyperparam: str | None = None   # the Hyperparams field the setting overrides
+
+
+SETTINGS = {
+    "corpus": Setting(str, help="passage store directory (ingest writes it)"),
+    "dataset": Setting(str, help="SQuAD-style dataset JSON"),
+    "vectors": Setting(str, help="word vector text file"),
+    "index": Setting(str, help="TF-IDF index file (build-index writes it)"),
+    "checkpoint": Setting(str, help="checkpoint file or directory (train writes the "
+                                    "directory)"),
+    "report": Setting(str, help="write the JSON report here"),
+    "seed": Setting(int, help="seed for all randomness", hyperparam="seed"),
+    "chain": Setting(str, "tfidf:200,neural:5", help="ranker chain, kind:cut,..."),
+    "k": Setting(int, help="passages read and voted on (default: the last cut)"),
+    "tau": Setting(float, help="vote temperature", hyperparam="vote_temperature"),
+    "mode": Setting(str, "mtl", help="training mode",
+                    choices=tuple(m.value for m in TrainMode)),
+    "epochs": Setting(int, help="training epochs", hyperparam="epochs"),
+    "buckets": Setting(int, DEFAULT_BUCKETS, help="hash space of the index"),
+    "hyperparams": Setting(dict, {}),   # config only
+}
+
+CONFIG_KEYS = frozenset(SETTINGS)
 
 
 class ConfigError(ValueError):
@@ -52,9 +81,9 @@ def load_config(path: str | None) -> dict:
     if path is None:
         return {}
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(_require_file(path, "config file"), encoding="utf-8") as fh:
             raw = json.load(fh)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ConfigError(f"{path}: invalid JSON: {exc}") from None
     if not isinstance(raw, dict):
         raise ConfigError(f"{path}: config must be a JSON object")
@@ -64,12 +93,26 @@ def load_config(path: str | None) -> dict:
     return raw
 
 
-def _setting(args: argparse.Namespace, config: dict, key: str, default=None):
-    """Flag value if given, else config value, else default."""
-    value = getattr(args, key.replace("-", "_"), None)
-    if value is not None:
-        return value
-    return config.get(key, default)
+def resolve_settings(args: argparse.Namespace, config: dict) -> argparse.Namespace:
+    """`args` with each setting's flag, else config value, else default.
+
+    Flag and config values alike, also one a flag overrides, must have the
+    setting's type (bool is not an int; an int is accepted for a float) and
+    be one of its choices, if any; null counts as not given.  Raises
+    ConfigError otherwise.
+    """
+    resolved = argparse.Namespace(**vars(args))
+    for name, setting in SETTINGS.items():
+        given = [v for v in (getattr(args, name, None), config.get(name)) if v is not None]
+        allowed = (int, float) if setting.kind is float else setting.kind
+        for value in given:
+            if isinstance(value, bool) or not isinstance(value, allowed):
+                raise ConfigError(f"{name} must be {setting.kind.__name__}, got {value!r}")
+            if setting.choices and value not in setting.choices:
+                raise ConfigError(f"{name} must be one of {list(setting.choices)}, "
+                                  f"got {value!r}")
+        setattr(resolved, name, given[0] if given else setting.default)
+    return resolved
 
 
 def _require(value, what: str):
@@ -90,10 +133,6 @@ def _load_corpus_dir(corpus_dir: str) -> Corpus:
     return Corpus.load_jsonl(str(path))
 
 
-# Settings that override a hyperparameter, and the field each one sets.
-HYPERPARAM_SETTINGS = {"seed": "seed", "epochs": "epochs", "tau": "vote_temperature"}
-
-
 def _load_examples(corpus_dir: str, corpus: Corpus) -> list:
     """The examples next to the passage store, checked against its passages."""
     path = str(Path(corpus_dir) / EXAMPLES_FILE)
@@ -102,26 +141,24 @@ def _load_examples(corpus_dir: str, corpus: Corpus) -> list:
     return examples
 
 
-def _hyperparams(config: dict, args: argparse.Namespace, base: dict,
-                 keys) -> Hyperparams:
-    """`base` with the settings named in `keys` folded in, checked by Hyperparams.from_dict."""
+def _hyperparams(s: argparse.Namespace, base: dict, names) -> Hyperparams:
+    """`base` with the settings named in `names` folded in, checked by Hyperparams.from_dict."""
     raw = dict(base)
-    for key in keys:
-        value = _setting(args, config, key)
-        if value is not None:
-            raw[HYPERPARAM_SETTINGS[key]] = value
+    for name in names:
+        if getattr(s, name) is not None:
+            raw[SETTINGS[name].hyperparam] = getattr(s, name)
     try:
         return Hyperparams.from_dict(raw)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad hyperparameters: {exc}") from None
 
 
-def _build_scorer(config: dict, args: argparse.Namespace) -> tuple[NeuralScorer, Hyperparams]:
-    ckpt_path = _require(_setting(args, config, "checkpoint"), "checkpoint")
+def _build_scorer(s: argparse.Namespace) -> NeuralScorer:
+    ckpt_path = _require(s.checkpoint, "checkpoint")
     if Path(ckpt_path).is_dir():
         ckpt_path = str(Path(ckpt_path) / "final.ckpt")
     _require_file(ckpt_path, "checkpoint")
-    vectors_path = _require(_setting(args, config, "vectors"), "vectors")
+    vectors_path = _require(s.vectors, "vectors")
     _require_file(vectors_path, "vector file")
     hp, weights, ema = load_checkpoint(ckpt_path)
     table = load_vectors(vectors_path)
@@ -129,13 +166,17 @@ def _build_scorer(config: dict, args: argparse.Namespace) -> tuple[NeuralScorer,
         raise DatasetFormatError(
             f"vector dimension {table.dim} does not match checkpoint embed_dim "
             f"{weights.embed_dim}")
-    hp = _hyperparams(config, args, hp.to_dict(), ("tau",))
+    hp = _hyperparams(s, hp.to_dict(), ("tau",))
     # Inference uses the averaged weights.
     try:
         averaged = weights_from_named(weights.embed_dim, hp.hidden, hp.attn_dim, ema)
     except ValueError as exc:
         raise CheckpointFormatError(f"{ckpt_path}: {exc}") from None
-    return NeuralScorer(averaged, hp, table), hp
+    return NeuralScorer(averaged, hp, table)
+
+
+def _load_index(s: argparse.Namespace):
+    return load_index(_require_file(_require(s.index, "index"), "index"))
 
 
 def _write_report(report: dict, path: str | None) -> None:
@@ -151,10 +192,9 @@ def _write_report(report: dict, path: str | None) -> None:
 # commands
 
 
-def cmd_ingest(args, config) -> int:
-    dataset = _require(_setting(args, config, "dataset"), "dataset")
-    _require_file(dataset, "dataset")
-    corpus_dir = Path(_require(_setting(args, config, "corpus"), "corpus"))
+def cmd_ingest(s) -> int:
+    dataset = _require_file(_require(s.dataset, "dataset"), "dataset")
+    corpus_dir = Path(_require(s.corpus, "corpus"))
     corpus_dir.mkdir(parents=True, exist_ok=True)
     corpus, examples, stats = ingest_dataset(dataset)
     corpus.save_jsonl(str(corpus_dir / PASSAGES_FILE))
@@ -168,43 +208,34 @@ def cmd_ingest(args, config) -> int:
     return EXIT_OK
 
 
-def cmd_build_index(args, config) -> int:
-    corpus_dir = _require(_setting(args, config, "corpus"), "corpus")
-    index_path = _require(_setting(args, config, "index"), "index")
-    buckets = _setting(args, config, "buckets", DEFAULT_BUCKETS)
-    if isinstance(buckets, bool) or not isinstance(buckets, int) or not 1 <= buckets < 2 ** 64:
-        raise ConfigError(f"buckets must be an integer in [1, 2**64), got {buckets!r}")
+def cmd_build_index(s) -> int:
+    corpus_dir = _require(s.corpus, "corpus")
+    index_path = _require(s.index, "index")
+    if not 1 <= s.buckets < 2 ** 64:
+        raise ConfigError(f"buckets must be an integer in [1, 2**64), got {s.buckets!r}")
     corpus = _load_corpus_dir(corpus_dir)
-    index = build_index(corpus, buckets)
+    index = build_index(corpus, s.buckets)
     save_index(index_path, index)
     print(f"indexed {index.n_docs} passages into {len(index.buckets)} buckets "
           f"(space {index.n_buckets})")
     return EXIT_OK
 
 
-def cmd_train(args, config) -> int:
-    corpus_dir = _require(_setting(args, config, "corpus"), "corpus")
-    vectors_path = _require(_setting(args, config, "vectors"), "vectors")
-    index_path = _require(_setting(args, config, "index"), "index")
-    out_dir = Path(_require(_setting(args, config, "checkpoint"), "checkpoint"))
+def cmd_train(s) -> int:
+    corpus_dir = _require(s.corpus, "corpus")
+    vectors_path = _require(s.vectors, "vectors")
+    index_path = _require(s.index, "index")
+    out_dir = Path(_require(s.checkpoint, "checkpoint"))
     _require_file(vectors_path, "vector file")
     _require_file(index_path, "index")
     corpus = _load_corpus_dir(corpus_dir)
     positives = [ex for ex in _load_examples(corpus_dir, corpus) if ex.relevance == 1]
     table = load_vectors(vectors_path)
     index = load_index(index_path)
-    block = config.get("hyperparams") or {}
-    if not isinstance(block, dict):
-        raise ConfigError("hyperparams must be a JSON object")
-    hp = _hyperparams(config, args, block, HYPERPARAM_SETTINGS)
-    mode_name = _setting(args, config, "mode", "mtl")
-    try:
-        mode = TrainMode(mode_name)
-    except ValueError:
-        raise ConfigError(f"unknown training mode {mode_name!r} (choose from "
-                          f"{[m.value for m in TrainMode]})") from None
+    hp = _hyperparams(s, s.hyperparams,
+                      [name for name, setting in SETTINGS.items() if setting.hyperparam])
     out_dir.mkdir(parents=True, exist_ok=True)
-    result = train(positives, corpus, index, table, hp, mode,
+    result = train(positives, corpus, index, table, hp, TrainMode(s.mode),
                    checkpoint_dir=str(out_dir))
     final = out_dir / "final.ckpt"
     save_checkpoint(str(final), hp, result.weights, result.ema)
@@ -214,69 +245,56 @@ def cmd_train(args, config) -> int:
     return EXIT_OK
 
 
-def _eval_common(args, config):
-    corpus_dir = _require(_setting(args, config, "corpus"), "corpus")
+def _eval_common(s):
+    corpus_dir = _require(s.corpus, "corpus")
     corpus = _load_corpus_dir(corpus_dir)
     examples = _load_examples(corpus_dir, corpus)
-    scorer, hp = _build_scorer(config, args)
-    return corpus, examples, scorer, hp
+    return corpus, examples, _build_scorer(s)
 
 
-def cmd_eval_ir(args, config) -> int:
-    corpus, examples, scorer, _ = _eval_common(args, config)
-    index_path = _require_file(_require(_setting(args, config, "index"), "index"), "index")
-    index = load_index(index_path)
-    chain = parse_chain(_setting(args, config, "chain", "tfidf:200,neural:5"))
-    report = evaluate_ir(examples, chain, index, corpus, scorer)
+def cmd_eval_ir(s) -> int:
+    corpus, examples, scorer = _eval_common(s)
+    index = _load_index(s)
+    report = evaluate_ir(examples, parse_chain(s.chain), index, corpus, scorer)
     agg = report["aggregate"]
     print(f"S@1 {agg['success_at_1']:.4f}  S@5 {agg['success_at_5']:.4f}  "
           f"MRR@5 {agg['mrr_at_5']:.4f}  over {agg['n_queries']} queries")
-    _write_report(report, _setting(args, config, "report"))
+    _write_report(report, s.report)
     return EXIT_OK
 
 
-def cmd_eval_rc(args, config) -> int:
-    corpus, examples, scorer, _ = _eval_common(args, config)
+def cmd_eval_rc(s) -> int:
+    corpus, examples, scorer = _eval_common(s)
     report = evaluate_rc(examples, corpus, scorer)
     agg = report["aggregate"]
     print(f"EM {agg['em']:.4f}  F1 {agg['f1']:.4f}  over {agg['n_queries']} questions")
-    _write_report(report, _setting(args, config, "report"))
+    _write_report(report, s.report)
     return EXIT_OK
 
 
-def cmd_eval_mrs(args, config) -> int:
-    corpus, examples, scorer, hp = _eval_common(args, config)
-    index_path = _require_file(_require(_setting(args, config, "index"), "index"), "index")
-    index = load_index(index_path)
-    chain = parse_chain(_setting(args, config, "chain", "tfidf:200,neural:5"))
-    k = _setting(args, config, "k")
-    report = evaluate_mrs(examples, chain, index, corpus, scorer,
-                          k=int(k) if k is not None else None,
-                          temperature=hp.vote_temperature)
+def cmd_eval_mrs(s) -> int:
+    corpus, examples, scorer = _eval_common(s)
+    index = _load_index(s)
+    chain = parse_chain(s.chain, final_k=s.k)
+    report = evaluate_mrs(examples, chain, index, corpus, scorer)
     agg = report["aggregate"]
     print(f"EM {agg['em']:.4f}  F1 {agg['f1']:.4f}  S@1 {agg['success_at_1']:.4f}  "
           f"MRR@5 {agg['mrr_at_5']:.4f}  over {agg['n_queries']} queries")
-    _write_report(report, _setting(args, config, "report"))
+    _write_report(report, s.report)
     return EXIT_OK
 
 
-def cmd_ask(args, config) -> int:
-    corpus_dir = _require(_setting(args, config, "corpus"), "corpus")
-    corpus = _load_corpus_dir(corpus_dir)
-    index_path = _require_file(_require(_setting(args, config, "index"), "index"), "index")
-    index = load_index(index_path)
-    scorer, hp = _build_scorer(config, args)
-    chain = parse_chain(_setting(args, config, "chain", "tfidf:200,neural:5"))
-    question_text = args.question
+def cmd_ask(s) -> int:
+    corpus = _load_corpus_dir(_require(s.corpus, "corpus"))
+    index = _load_index(s)
+    scorer = _build_scorer(s)
+    chain = parse_chain(s.chain, final_k=s.k)
+    question_text = s.question
     if question_text is None:
         question_text = sys.stdin.readline().strip()
     if not question_text:
         raise ConfigError("no question given (use --question or pipe one line)")
-    question = tokenize(question_text)
-    k = _setting(args, config, "k")
-    vote, ranked = answer_question(question, chain, index, corpus, scorer,
-                                   k=int(k) if k is not None else None,
-                                   temperature=hp.vote_temperature)
+    vote, ranked = answer_question(tokenize(question_text), chain, index, corpus, scorer)
     for pos, (pid, score) in enumerate(ranked.entries, start=1):
         snippet = corpus[pid].text
         if len(snippet) > 70:
@@ -292,10 +310,22 @@ def cmd_ask(args, config) -> int:
 # ---------------------------------------------------------------------------
 # argument wiring
 
+EVAL_FLAGS = ("corpus", "vectors", "index", "checkpoint", "chain", "k", "tau", "report")
 
-def _add_common(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--config", help="JSON config file; flags override it")
-    sub.add_argument("--seed", type=int, help="seed for all randomness")
+# name -> (handler, help, flags besides --config and --seed); a flag is a
+# setting's name, except --question.
+COMMANDS = {
+    "ingest": (cmd_ingest, "dataset JSON -> passage store + examples", ("dataset", "corpus")),
+    "build-index": (cmd_build_index, "passage store -> TF-IDF index",
+                    ("corpus", "index", "buckets")),
+    "train": (cmd_train, "train the neural reader/ranker",
+              ("corpus", "vectors", "index", "checkpoint", "mode", "epochs")),
+    "eval-ir": (cmd_eval_ir, "retrieval metrics over a chain", EVAL_FLAGS),
+    "eval-rc": (cmd_eval_rc, "reading metrics on gold passages", EVAL_FLAGS),
+    "eval-mrs": (cmd_eval_mrs, "end-to-end retrieve-and-read metrics", EVAL_FLAGS),
+    "ask": (cmd_ask, "answer one question",
+            ("corpus", "vectors", "index", "checkpoint", "chain", "k", "tau", "question")),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -303,70 +333,26 @@ def build_parser() -> argparse.ArgumentParser:
         prog="passageqa",
         description="question answering over a passage corpus")
     commands = parser.add_subparsers(dest="command", required=True)
-
-    p = commands.add_parser("ingest", help="dataset JSON -> passage store + examples")
-    _add_common(p)
-    p.add_argument("--dataset")
-    p.add_argument("--corpus", help="output directory")
-    p.set_defaults(func=cmd_ingest)
-
-    p = commands.add_parser("build-index", help="passage store -> TF-IDF index")
-    _add_common(p)
-    p.add_argument("--corpus")
-    p.add_argument("--index", help="output index file")
-    p.add_argument("--buckets", type=int)
-    p.set_defaults(func=cmd_build_index)
-
-    p = commands.add_parser("train", help="train the neural reader/ranker")
-    _add_common(p)
-    p.add_argument("--corpus")
-    p.add_argument("--vectors")
-    p.add_argument("--index")
-    p.add_argument("--checkpoint", help="output directory for checkpoints")
-    p.add_argument("--mode", choices=[m.value for m in TrainMode])
-    p.add_argument("--epochs", type=int)
-    p.set_defaults(func=cmd_train)
-
-    for name, fn, help_text in [
-        ("eval-ir", cmd_eval_ir, "retrieval metrics over a chain"),
-        ("eval-rc", cmd_eval_rc, "reading metrics on gold passages"),
-        ("eval-mrs", cmd_eval_mrs, "end-to-end retrieve-and-read metrics"),
-    ]:
+    for name, (handler, help_text, flags) in COMMANDS.items():
         p = commands.add_parser(name, help=help_text)
-        _add_common(p)
-        p.add_argument("--corpus")
-        p.add_argument("--vectors")
-        p.add_argument("--index")
-        p.add_argument("--checkpoint")
-        p.add_argument("--chain")
-        p.add_argument("--k", type=int)
-        p.add_argument("--tau", type=float)
-        p.add_argument("--report", help="write the JSON report here")
-        p.set_defaults(func=fn)
-
-    p = commands.add_parser("ask", help="answer one question")
-    _add_common(p)
-    p.add_argument("--corpus")
-    p.add_argument("--vectors")
-    p.add_argument("--index")
-    p.add_argument("--checkpoint")
-    p.add_argument("--chain")
-    p.add_argument("--k", type=int)
-    p.add_argument("--tau", type=float)
-    p.add_argument("--question")
-    p.set_defaults(func=cmd_ask)
-
+        p.add_argument("--config", help="JSON config file; flags override it")
+        for flag in ("seed",) + flags:
+            if flag == "question":
+                p.add_argument("--question", help="the question (default: one line of stdin)")
+            else:
+                setting = SETTINGS[flag]
+                p.add_argument(f"--{flag}", type=setting.kind, choices=setting.choices,
+                               help=setting.help)
+        p.set_defaults(func=handler)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     logging.basicConfig(level=logging.INFO,
                         format="%(levelname)s %(name)s: %(message)s")
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        config = load_config(args.config)
-        return args.func(args, config)
+        return args.func(resolve_settings(args, load_config(args.config)))
     except (ConfigError, ChainSpecError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

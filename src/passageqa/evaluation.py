@@ -239,11 +239,10 @@ def vote_answers(candidates: list[AnswerCandidate], temperature: float) -> VoteR
 
 def answer_question(question: TokenSeq, chain: RankerChain, index: TfIdfIndex,
                     corpus: Corpus, scorer: NeuralScorer,
-                    k: int | None = None,
                     temperature: float | None = None) -> tuple[VoteResult, RankedList]:
-    """Retrieve with the chain, read the top k survivors, vote on answers."""
+    """Retrieve with the chain, read its final_k survivors, vote on answers."""
     ranked = telescope(question, chain, index, corpus, scorer)
-    keep = ranked.top(k if k is not None else chain.final_k)
+    keep = ranked.top(chain.final_k)
     if not keep.entries:
         return (VoteResult(None, warning=keep.warning or "retrieval came back empty"),
                 keep)
@@ -410,15 +409,13 @@ def evaluate_rc(examples: list[QuestionExample], corpus: Corpus,
 
 
 def evaluate_mrs(examples: list[QuestionExample], chain: RankerChain,
-                 index: TfIdfIndex, corpus: Corpus, scorer: NeuralScorer,
-                 k: int | None = None, temperature: float | None = None) -> dict:
+                 index: TfIdfIndex, corpus: Corpus, scorer: NeuralScorer) -> dict:
     """End-to-end report: retrieve, read, vote; IR and answer metrics."""
     cases = group_questions(examples)
     queries = []
     rankings, relevant, ems, f1s = [], [], [], []
     for case in cases:
-        vote, ranked = answer_question(case.question, chain, index, corpus,
-                                       scorer, k=k, temperature=temperature)
+        vote, ranked = answer_question(case.question, chain, index, corpus, scorer)
         ids = ranked.ids()
         em = exact_match(vote.answer, case.answers)
         f1 = f1_score(vote.answer, case.answers)

@@ -130,17 +130,18 @@ class Corpus:
     def load_jsonl(cls, path: str) -> "Corpus":
         """Read `save_jsonl` output; a malformed row raises CorpusError naming its line."""
         corpus = cls([])
-        with open(path, encoding="utf-8") as fh:
-            for line_no, line in enumerate(fh, 1):
-                if not line.strip():
-                    continue
+        with open(path, "rb") as fh:
+            for line_no, raw in enumerate(fh, 1):
                 try:
+                    line = raw.decode("utf-8")
+                    if not line.strip():
+                        continue
                     row = json.loads(line)
                     if not isinstance(row, dict):
                         raise CorpusError("expected a JSON object")
                     corpus._add(PassageRecord(row["passage_id"], row["article_id"],
                                               row["text"]))
-                except json.JSONDecodeError as exc:
+                except (json.JSONDecodeError, UnicodeDecodeError) as exc:
                     raise CorpusError(f"{path}:{line_no}: invalid JSON: {exc}") from None
                 except KeyError as exc:
                     raise CorpusError(f"{path}:{line_no}: missing field {exc}") from None

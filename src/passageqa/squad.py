@@ -34,9 +34,10 @@ class IngestStats:
 
 
 def _expect(value, kind, where: str):
+    """`value` if it is an instance of `kind`, a type or a tuple of types."""
     if not isinstance(value, kind):
-        raise DatasetFormatError(
-            f"{where}: expected {kind.__name__}, got {type(value).__name__}")
+        names = " or ".join(k.__name__ for k in (kind if isinstance(kind, tuple) else (kind,)))
+        raise DatasetFormatError(f"{where}: expected {names}, got {type(value).__name__}")
     return value
 
 
@@ -67,7 +68,7 @@ def ingest_dataset(path: str) -> tuple[Corpus, list[QuestionExample], IngestStat
     with open(path, encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise DatasetFormatError(f"{path}: invalid JSON: {exc}") from None
 
     _expect(doc, dict, "$")
@@ -154,14 +155,15 @@ def _expect_int(value, where: str) -> int:
 def load_examples(path: str) -> list[QuestionExample]:
     """Read `save_examples` output; a malformed row raises DatasetFormatError naming its line."""
     examples = []
-    with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, 1):
-            if not line.strip():
-                continue
+    with open(path, "rb") as fh:
+        for line_no, raw in enumerate(fh, 1):
             where = f"{path}:{line_no}"
             try:
+                line = raw.decode("utf-8")
+                if not line.strip():
+                    continue
                 row = json.loads(line)
-            except json.JSONDecodeError as exc:
+            except (json.JSONDecodeError, UnicodeDecodeError) as exc:
                 raise DatasetFormatError(f"{where}: invalid JSON: {exc}") from None
             _expect(row, dict, where)
             missing = {"qid", "question", "passage_id", "relevance", "span", "answers"} - set(row)

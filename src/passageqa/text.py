@@ -16,11 +16,11 @@ import numpy as np
 
 
 class VectorFileError(ValueError):
-    """Raised for malformed word vector files; carries the line number."""
+    """Raised for malformed word vector files; carries the path and line number."""
 
-    def __init__(self, line_no: int, message: str):
+    def __init__(self, path: str, line_no: int, message: str):
         self.line_no = line_no
-        super().__init__(f"line {line_no}: {message}")
+        super().__init__(f"{path}: line {line_no}: {message}")
 
 
 def _is_punct(ch: str) -> bool:
@@ -101,33 +101,42 @@ class VectorTable:
 def load_vectors(path: str, dtype=np.float32) -> VectorTable:
     """Read a text vector file: header "COUNT DIM", then "word v1 .. vDIM".
 
-    Duplicate words keep the first occurrence.  A malformed row raises
-    VectorFileError with its line number.
+    Duplicate words keep the first occurrence.  A malformed or non-UTF-8 row
+    raises VectorFileError with the path and its line number.
     """
+    def decoded(fh):
+        for line_no, raw in enumerate(fh, start=1):
+            try:
+                yield line_no, raw.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise VectorFileError(path, line_no, f"not UTF-8: {exc}") from None
+
     vectors: dict[str, np.ndarray] = {}
-    with open(path, encoding="utf-8") as fh:
-        header = fh.readline()
+    with open(path, "rb") as fh:
+        lines = decoded(fh)
+        _, header = next(lines, (1, ""))
         parts = header.split()
         if len(parts) != 2:
-            raise VectorFileError(1, f"expected 'COUNT DIM' header, got {header.strip()!r}")
+            raise VectorFileError(path, 1, f"expected 'COUNT DIM' header, got {header.strip()!r}")
         try:
             _count, dim = int(parts[0]), int(parts[1])
         except ValueError:
-            raise VectorFileError(1, f"non-integer header fields: {header.strip()!r}") from None
+            raise VectorFileError(path, 1,
+                                  f"non-integer header fields: {header.strip()!r}") from None
         if dim <= 0:
-            raise VectorFileError(1, f"dimension must be positive, got {dim}")
-        for line_no, line in enumerate(fh, start=2):
+            raise VectorFileError(path, 1, f"dimension must be positive, got {dim}")
+        for line_no, line in lines:
             if not line.strip():
                 continue
             fields = line.rstrip("\n").split(" ")
             if len(fields) != dim + 1:
                 raise VectorFileError(
-                    line_no, f"expected 1 word + {dim} values, got {len(fields)} fields")
+                    path, line_no, f"expected 1 word + {dim} values, got {len(fields)} fields")
             word = fields[0]
             try:
                 vec = np.array([float(x) for x in fields[1:]], dtype=dtype)
             except ValueError:
-                raise VectorFileError(line_no, "non-numeric vector component") from None
+                raise VectorFileError(path, line_no, "non-numeric vector component") from None
             if word not in vectors:
                 vec.setflags(write=False)
                 vectors[word] = vec

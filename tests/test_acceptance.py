@@ -345,7 +345,7 @@ def test_vote_weights_match_direct_exponentials():
 def test_persistence_round_trips_reproduce_eval_bitwise(task, task_index,
                                                         tmp_path):
     examples = task.examples[:10]
-    chain = parse_chain("tfidf:6,neural:2")
+    chain = parse_chain("tfidf:6,neural:2", final_k=1)
     hp = Hyperparams(hidden=4, attn_dim=4, dropout=0.0)
     weights = init_weights(np.random.default_rng(31), task.table.dim, 4, 4)
     ema = {name: arr.copy() for name, arr in named_arrays(weights).items()}
@@ -361,10 +361,8 @@ def test_persistence_round_trips_reproduce_eval_bitwise(task, task_index,
     scorer2 = NeuralScorer(
         weights_from_named(task.table.dim, hp2.hidden, hp2.attn_dim, ema2),
         hp2, task.table)
-    before = evaluate_mrs(examples, chain, task_index, task.corpus, scorer,
-                          k=1)
-    after = evaluate_mrs(examples, chain, loaded_index, task.corpus, scorer2,
-                         k=1)
+    before = evaluate_mrs(examples, chain, task_index, task.corpus, scorer)
+    after = evaluate_mrs(examples, chain, loaded_index, task.corpus, scorer2)
     blob1 = json.dumps(before, sort_keys=True)
     blob2 = json.dumps(after, sort_keys=True)
     assert blob1 == blob2

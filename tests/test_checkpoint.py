@@ -1,13 +1,19 @@
 """Binary checkpoint round trips and corruption handling."""
+import functools
 import hashlib
 import struct
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from passageqa.checkpoint import (CHECKPOINT_MAGIC, CheckpointFormatError,
                                   load_checkpoint, save_checkpoint)
-from passageqa.model import Hyperparams, init_weights, named_arrays
+from passageqa.model import Hyperparams, init_weights, named_arrays, weights_from_named
+
+from fuzzing import draw_damaged
 
 
 @pytest.fixture()
@@ -125,3 +131,26 @@ def test_load_requires_embed_dim_in_settings(tmp_path):
         fh.write(struct.pack("<I", 0))
     with pytest.raises(CheckpointFormatError, match="embed_dim"):
         load_checkpoint(path)
+
+
+@functools.cache
+def fuzz_checkpoint_bytes() -> bytes:
+    weights = init_weights(np.random.default_rng(4), embed_dim=2, hidden=1, attn_dim=1)
+    with tempfile.TemporaryDirectory() as tmp:
+        save_checkpoint(f"{tmp}/fuzz.ckpt", Hyperparams(hidden=1, attn_dim=1), weights,
+                        named_arrays(weights))
+        return Path(f"{tmp}/fuzz.ckpt").read_bytes()
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_damaged_checkpoint_is_rejected_or_loadable(data):
+    """Truncated, bit-flipped or spliced files fail with CheckpointFormatError or
+    load into weights and EMA shadows that weights_from_named accepts."""
+    with tempfile.TemporaryDirectory() as tmp:
+        Path(f"{tmp}/damaged.ckpt").write_bytes(draw_damaged(data, fuzz_checkpoint_bytes()))
+        try:
+            hp, weights, ema = load_checkpoint(f"{tmp}/damaged.ckpt")
+        except CheckpointFormatError:
+            return
+    weights_from_named(weights.embed_dim, hp.hidden, hp.attn_dim, ema)

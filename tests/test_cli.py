@@ -3,6 +3,7 @@
 Every test drives cli.main(argv) in process and checks exit codes, printed
 summaries, and produced artifacts.
 """
+import argparse
 import io
 import json
 import math
@@ -212,6 +213,30 @@ def test_missing_input_file_exits_3(ws, tmp_path):
     code, _ = run(["build-index", "--corpus", str(tmp_path),
                    "--index", str(tmp_path / "i.idx")])
     assert code == 3  # corpus dir lacks passages.jsonl
+    code, _ = run(["build-index", "--config", str(tmp_path)])
+    assert code == 3  # a directory is not a config file
+
+
+def test_each_subcommand_takes_its_flags():
+    common = {"-h", "--help", "--config", "--seed"}
+    evaluate = {"--corpus", "--vectors", "--index", "--checkpoint", "--chain", "--k",
+                "--tau"}
+    expected = {
+        "ingest": {"--dataset", "--corpus"},
+        "build-index": {"--corpus", "--index", "--buckets"},
+        "train": {"--corpus", "--vectors", "--index", "--checkpoint", "--mode",
+                  "--epochs"},
+        "eval-ir": evaluate | {"--report"},
+        "eval-rc": evaluate | {"--report"},
+        "eval-mrs": evaluate | {"--report"},
+        "ask": evaluate | {"--question"},
+    }
+    [subcommands] = [action for action in cli.build_parser()._actions
+                     if isinstance(action, argparse._SubParsersAction)]
+    assert set(subcommands.choices) == set(expected)
+    for name, parser in subcommands.choices.items():
+        flags = {opt for action in parser._actions for opt in action.option_strings}
+        assert flags == common | expected[name], name
 
 
 def test_missing_required_setting_exits_2(tmp_path):
@@ -232,17 +257,28 @@ def test_bad_config_exits_2(ws, tmp_path, capsys):
     unknown_key.write_text(json.dumps({"bogus": 1}))
     assert run(["build-index", "--config", str(unknown_key)])[0] == 2
 
+    not_utf8 = tmp_path / "latin1.json"
+    not_utf8.write_bytes(b'{"report": "caf\xe9"}')
+    assert run(["build-index", "--config", str(not_utf8)])[0] == 2
+
     train_args = ["--corpus", ws.corpus_dir, "--vectors", ws.vectors,
                   "--index", ws.index_path, "--checkpoint", str(tmp_path / "out")]
     cases = [{"hyperparams": block} for block in (
         {"bogus": 3}, {"vote_temperature": "x"}, {"epochs": "3"}, {"hidden": True},
         {"vote_temperature": 0}, {"seed": -1}, {"epochs": 0})]
     cases += [{"tau": "x"}, {"epochs": "x"}, {"epochs": -2}, {"seed": "abc"}, {"seed": -1},
-              {"hyperparams": [1, 2]}]
-    for config in cases:
+              {"hyperparams": [1, 2]}, {"hyperparams": []}]
+    argvs = [["train"] + train_args] * len(cases)
+    # Every config value is type-checked, also where a flag overrides it or
+    # the command does not use it.
+    wrong_types = [{"k": "x"}, {"chain": 5}, {"report": 7}, {"corpus": 1}, {"mode": 3},
+                   {"buckets": "x"}]
+    cases += wrong_types
+    argvs += [eval_args(ws, ["eval-mrs"])] * len(wrong_types)
+    for config, argv in zip(cases, argvs):
         bad = tmp_path / "bad_settings.json"
         bad.write_text(json.dumps(config))
-        code, _ = run(["train", "--config", str(bad)] + train_args)
+        code, _ = run(argv + ["--config", str(bad)])
         err = capsys.readouterr().err
         assert code == 2, config
         assert "error:" in err and "Traceback" not in err, (config, err)
@@ -250,6 +286,9 @@ def test_bad_config_exits_2(ws, tmp_path, capsys):
     flag_cases = [["train", "--seed", "-1"] + train_args,
                   ["train", "--epochs", "0"] + train_args]
     flag_cases += [eval_args(ws, ["eval-mrs", "--tau", tau]) for tau in ("0", "-1", "nan")]
+    flag_cases += [eval_args(ws, command + ["--chain", "tfidf:5,neural:2", "--k", k])
+                   for command in (["eval-mrs"], ["ask", "--question", "who ?"])
+                   for k in ("0", "-3", "7")]
     flag_cases += [["build-index", "--corpus", ws.corpus_dir, "--index",
                     str(tmp_path / "i.idx"), "--buckets", "0"]]
     for buckets in ("x", 1.5, 0, True):
@@ -354,6 +393,12 @@ def test_corrupt_checkpoint_exits_4(ws, tmp_path, capsys):
         # 2**64 items: an int64 product of these dims wraps to zero
         "dims overflow": (real[:first_rank] + struct.pack("<B4I", 4, *[2 ** 16] * 4)
                           + real[first_rank + 1:]),
+        # no items, so the size check passes; numpy cannot shape them
+        "rank 70 of zero dims": (real[:first_rank] + struct.pack("<B70I", 70, *[0] * 70)
+                                 + real[first_rank + 1:]),
+        "zero dim times 2**93": (real[:first_rank]
+                                 + struct.pack("<B4I", 4, 0, *[2 ** 31] * 3)
+                                 + real[first_rank + 1:]),
     }
     for what, data in cases.items():
         bad = tmp_path / "bad.ckpt"

@@ -283,8 +283,8 @@ def test_answer_question_reads_final_k(task, task_index, scorer):
     assert len(kept.entries) <= 3
     assert len(vote.candidates) == len(kept.entries)
     assert vote.answer is not None
-    vote1, kept1 = answer_question(question, chain, task_index, task.corpus,
-                                   scorer, k=1)
+    vote1, kept1 = answer_question(question, parse_chain("tfidf:6,neural:3", final_k=1),
+                                   task_index, task.corpus, scorer)
     assert len(kept1.entries) == 1 and len(vote1.candidates) == 1
 
 
@@ -363,8 +363,8 @@ def test_evaluate_rc_report_shape(task, scorer):
 
 def test_evaluate_mrs_report_shape(task, task_index, scorer):
     examples = task.examples[:4]
-    report = evaluate_mrs(examples, parse_chain("tfidf:5,neural:2"), task_index,
-                          task.corpus, scorer, k=1)
+    report = evaluate_mrs(examples, parse_chain("tfidf:5,neural:2", final_k=1), task_index,
+                          task.corpus, scorer)
     agg = report["aggregate"]
     assert set(agg) == AGGREGATE_KEYS
     assert all(agg[m] is not None for m in AGGREGATE_KEYS)

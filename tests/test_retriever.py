@@ -17,6 +17,7 @@ from passageqa.retriever import (BIGRAM_SEP, DEFAULT_BUCKETS, Corpus, CorpusErro
                                  query_weights, save_index, similar_passages, top_k)
 
 import oracles
+from fuzzing import draw_damaged
 
 
 def corpus_of(texts):
@@ -199,11 +200,12 @@ def test_corpus_rejects_duplicate_ids_and_empty_text():
     ('{"passage_id": 1, "article_id": 1.5, "text": "a"}', "article id must be an integer"),
     ('[1, "a"]', "expected a JSON object"),
     ('{nope', "invalid JSON"),
+    (b'{"passage_id": 1, "article_id": 0, "text": "\xff"}', "invalid JSON"),
 ])
 def test_load_jsonl_names_line_of_bad_row(tmp_path, line, message):
     path = tmp_path / "passages.jsonl"
-    path.write_text('{"passage_id": 0, "article_id": 0, "text": "fine"}\n' + line + "\n",
-                    encoding="utf-8")
+    bad = line if isinstance(line, bytes) else line.encode("utf-8")
+    path.write_bytes(b'{"passage_id": 0, "article_id": 0, "text": "fine"}\n' + bad + b"\n")
     with pytest.raises(CorpusError, match=rf"passages\.jsonl:2: .*{re.escape(message)}"):
         Corpus.load_jsonl(str(path))
 
@@ -370,19 +372,8 @@ def fuzz_index_bytes() -> bytes:
 def test_damaged_index_is_rejected_or_usable(data):
     """Truncated, bit-flipped or spliced files fail with IndexFormatError or load
     into an index that can serve queries."""
-    raw = fuzz_index_bytes()
-    damage = data.draw(st.sampled_from(["truncate", "flip", "splice"]))
-    if damage == "truncate":
-        damaged = raw[:data.draw(st.integers(0, len(raw) - 1))]
-    elif damage == "flip":
-        bit = data.draw(st.integers(0, 8 * len(raw) - 1))
-        damaged = bytearray(raw)
-        damaged[bit // 8] ^= 1 << bit % 8
-    else:
-        cut, start, stop, resume = (data.draw(st.integers(0, len(raw))) for _ in range(4))
-        damaged = raw[:cut] + raw[start:stop] + raw[resume:]
     with tempfile.TemporaryDirectory() as tmp:
-        Path(f"{tmp}/damaged.idx").write_bytes(damaged)
+        Path(f"{tmp}/damaged.idx").write_bytes(draw_damaged(data, fuzz_index_bytes()))
         try:
             index = load_index(f"{tmp}/damaged.idx")
         except IndexFormatError:

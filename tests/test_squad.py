@@ -97,6 +97,8 @@ def test_ingest_integer_qids_become_strings(tmp_path):
     ({"data": [{"paragraphs": [{"context": "x", "qas": [
         qa("a", "q?", [{"text": "x"}])]}]}]}, "answer_start"),
     ({"data": [{"paragraphs": [{"context": "  ", "qas": []}]}]}, "empty passage"),
+    ({"data": [{"paragraphs": [{"context": "x", "qas": [{"question": "q?"}]}]}]},
+     r"qas\[0\]\.id: expected str or int"),
 ])
 def test_ingest_reports_path_of_bad_field(tmp_path, doc, where):
     with pytest.raises(DatasetFormatError, match=where):
@@ -106,6 +108,9 @@ def test_ingest_reports_path_of_bad_field(tmp_path, doc, where):
 def test_ingest_rejects_invalid_json(tmp_path):
     path = tmp_path / "data.json"
     path.write_text("{not json", encoding="utf-8")
+    with pytest.raises(DatasetFormatError, match="invalid JSON"):
+        ingest_dataset(str(path))
+    path.write_bytes(b'{"data": "caf\xe9"}')
     with pytest.raises(DatasetFormatError, match="invalid JSON"):
         ingest_dataset(str(path))
 
@@ -147,10 +152,12 @@ GOOD_ROW = {"qid": "q1", "question": "who ?", "passage_id": 0, "relevance": 1,
     (dict(GOOD_ROW, qid=7), ".qid: expected str"),
     ([GOOD_ROW], "expected dict"),
     (dict(GOOD_ROW, question=" \t "), ".question: no tokens"),
+    (b'{"qid": "caf\xe9"}', "invalid JSON"),
 ])
 def test_load_examples_names_line_of_bad_row(tmp_path, row, message):
     path = tmp_path / "examples.jsonl"
-    path.write_text(json.dumps(GOOD_ROW) + "\n" + json.dumps(row) + "\n", encoding="utf-8")
+    bad = row if isinstance(row, bytes) else json.dumps(row).encode("utf-8")
+    path.write_bytes(json.dumps(GOOD_ROW).encode("utf-8") + b"\n" + bad + b"\n")
     with pytest.raises(DatasetFormatError, match=r"examples\.jsonl:2"):
         load_examples(str(path))
     with pytest.raises(DatasetFormatError, match=re.escape(message)):

@@ -126,6 +126,10 @@ def test_bad_row_reports_its_line_number(tmp_path):
     path = write(tmp_path, "1 2\nword 1.0 oops\n")
     with pytest.raises(VectorFileError, match="non-numeric"):
         load_vectors(path)
+    path = tmp_path / "latin1.txt"
+    path.write_bytes(b"2 1\ngood 1\ncaf\xe9 2\n")
+    with pytest.raises(VectorFileError, match=r"latin1\.txt: line 3: not UTF-8"):
+        load_vectors(str(path))
 
 
 def test_embed_stacks_columns():
