@@ -515,73 +515,94 @@ def masked_logsumexp(logits: Node, mask: np.ndarray | None = None) -> Node:
 # recurrence
 
 
-def lstm_scan(proj, w_rec, mask: np.ndarray, reverse: bool) -> Node:
-    """One LSTM direction over a whole batch: (B, T, 4h) -> (B, h, T).
+def _scan_stack(fwd: np.ndarray, bwd: np.ndarray) -> np.ndarray:
+    """(T, ...) pair -> (T, 2, ...), `bwd` time-reversed: step s holds time s
+    forward and time T-1-s backward."""
+    return np.stack([fwd, bwd[::-1]], axis=1)
 
-    `proj` holds the input projections x_t @ w_in + bias for every step, with
-    gate columns in [input, forget, cell, output] blocks; `w_rec` is
-    (h, 4h).  Each step computes gates = proj[:, t] + h @ w_rec, one sigmoid
-    over all four blocks with tanh on the cell block, c = f*c + i*g and
-    h = o*tanh(c), from zero initial states; `reverse` runs from T-1 to 0.
-    `mask` (B, T) is 1.0 at real tokens and 0.0 at padding: with k its
-    column, the carried state becomes k*new + (1-k)*old and the output
-    k*h, so padding never reaches the state and its outputs are zero.
 
-    Backward runs backprop through time and returns the gradients of `proj`
-    (B, T, 4h) and `w_rec`; `mask` is never differentiated.
+def _scan_unstack(stacked: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Inverse of `_scan_stack`: both halves in time order (views)."""
+    return stacked[:, 0], stacked[::-1, 1]
+
+
+def bilstm_scan(proj, w_rec, mask: np.ndarray) -> Node:
+    """Both directions of a bi-LSTM in one time loop: 2 x (B, T, 4h) -> (B, 2h, T).
+
+    `proj` is the (forward, backward) pair of input projections x_t @ w_in +
+    bias, gate columns in [input, forget, cell, output] blocks, and `w_rec`
+    the matching pair of (h, 4h) weights.  Each step computes gates =
+    proj[:, t] + h @ w_rec, one sigmoid over all four blocks with tanh on the
+    cell block, c = f*c + i*g and h = o*tanh(c), from zero initial states;
+    the forward direction runs from t = 0 into output rows :h, the backward
+    one from t = T-1 into rows h:.  `mask` (B, T) is 1.0 at real tokens and
+    0.0 at padding: with k its column, the carried state becomes
+    k*new + (1-k)*old and the output k*h, so padding never reaches the state
+    and its outputs are zero.
+
+    Each step is one (2, B, h) @ (2, h, 4h) matmul over both directions.
+    Backward runs backprop through time and returns the gradients of both
+    projections and both `w_rec`; `mask` is never differentiated.
     """
-    proj, w_rec = as_node(proj), as_node(w_rec)
-    x, w = proj.value, w_rec.value
+    proj_f, proj_b = (as_node(p) for p in proj)
+    w_f, w_b = (as_node(w) for w in w_rec)
+    x, w, mask = proj_f.value, w_f.value, np.asarray(mask)
     hidden = w.shape[0]
-    mask = np.asarray(mask)
     if (x.ndim != 3 or w.shape != (hidden, 4 * hidden) or x.shape[2] != 4 * hidden
-            or mask.shape != x.shape[:2]):
-        raise ShapeMismatchError("lstm_scan", x.shape, w.shape, mask.shape)
+            or mask.shape != x.shape[:2] or (proj_b.shape, w_b.shape) != (x.shape, w.shape)):
+        raise ShapeMismatchError("bilstm_scan", *(n.shape for n in (proj_f, proj_b, w_f, w_b)),
+                                 mask.shape)
     batch, steps, _ = x.shape
     dtype = x.dtype
     # Time-major so every per-step slice below is contiguous.
-    keep = mask.T.astype(dtype)[:, :, None]
-    drop = (1.0 - mask.T).astype(dtype)[:, :, None]
-    acts = np.empty((steps, batch, 4 * hidden), dtype)
-    h_prev = np.empty((steps, batch, hidden), dtype)
-    c_prev = np.empty((steps, batch, hidden), dtype)
-    tanh_c = np.empty((steps, batch, hidden), dtype)
-    value = np.empty((batch, hidden, steps), dtype)
+    xs = _scan_stack(x.transpose(1, 0, 2), proj_b.value.transpose(1, 0, 2))
+    w = np.stack([w, w_b.value])
+    keep = _scan_stack(mask.T, mask.T).astype(dtype)[..., None]
+    drop = 1.0 - keep
+    acts = np.empty((steps, 2, batch, 4 * hidden), dtype)
+    h_prev, c_prev, tanh_c, states = (np.empty((steps, 2, batch, hidden), dtype)
+                                      for _ in range(4))
     blocks = [slice(k * hidden, (k + 1) * hidden) for k in range(4)]  # i, f, g, o
-    h = np.zeros((batch, hidden), dtype)
-    c = np.zeros((batch, hidden), dtype)
-    order = range(steps - 1, -1, -1) if reverse else range(steps)
-    for t in order:
+    h = np.zeros((2, batch, hidden), dtype)
+    c = np.zeros((2, batch, hidden), dtype)
+    for t in range(steps):
         h_prev[t], c_prev[t] = h, c
-        gates = x[:, t] + h @ w
+        gates = xs[t] + h @ w
         acts[t] = _sigmoid_values(gates)
-        acts[t, :, blocks[2]] = np.tanh(gates[:, blocks[2]])
-        i, f, cand, o = (acts[t, :, b] for b in blocks)
+        acts[t, ..., blocks[2]] = np.tanh(gates[..., blocks[2]])
+        i, f, cand, o = (acts[t, ..., b] for b in blocks)
         c_new = f * c + i * cand
         h_new = o * np.tanh(c_new, out=tanh_c[t])
         h = keep[t] * h_new + drop[t] * h
         c = keep[t] * c_new + drop[t] * c
-        value[:, :, t] = keep[t] * h
+        states[t] = keep[t] * h
+    # C order, not concatenate's time-major one: downstream matmuls round by layout.
+    value = np.empty((batch, 2 * hidden, steps), dtype)
+    value[:, :hidden], value[:, hidden:] = (s.transpose(1, 2, 0) for s in _scan_unstack(states))
 
     def back(g):
+        gs = _scan_stack(g[:, :hidden].transpose(2, 0, 1), g[:, hidden:].transpose(2, 0, 1))
         d_gates = np.empty_like(acts)
-        dh = np.zeros((batch, hidden), dtype)
-        dc = np.zeros((batch, hidden), dtype)
-        for t in reversed(order):
-            i, f, cand, o = (acts[t, :, b] for b in blocks)
-            dh = dh + keep[t] * g[:, :, t]
+        dh = np.zeros((2, batch, hidden), dtype)
+        dc = np.zeros((2, batch, hidden), dtype)
+        for t in range(steps - 1, -1, -1):
+            i, f, cand, o = (acts[t, ..., b] for b in blocks)
+            dh = dh + keep[t] * gs[t]
             dh_new, dc_new = keep[t] * dh, keep[t] * dc
             dc_new += dh_new * o * (1.0 - tanh_c[t] * tanh_c[t])
             d_gates[t] = np.concatenate([dc_new * cand * i * (1.0 - i),
                                          dc_new * c_prev[t] * f * (1.0 - f),
                                          dc_new * i * (1.0 - cand * cand),
-                                         dh_new * tanh_c[t] * o * (1.0 - o)], axis=1)
-            dh = drop[t] * dh + d_gates[t] @ w.T
+                                         dh_new * tanh_c[t] * o * (1.0 - o)], axis=-1)
+            dh = drop[t] * dh + d_gates[t] @ w.swapaxes(1, 2)
             dc = drop[t] * dc + dc_new * f
-        _accumulate(proj, d_gates.transpose(1, 0, 2))
-        _accumulate(w_rec, h_prev.reshape(-1, hidden).T @ d_gates.reshape(-1, 4 * hidden))
+        # In actual time order again, each w_rec sum runs as for one direction.
+        for node, w_node, d_k, h_k in zip((proj_f, proj_b), (w_f, w_b),
+                                          _scan_unstack(d_gates), _scan_unstack(h_prev)):
+            _accumulate(node, d_k.transpose(1, 0, 2))
+            _accumulate(w_node, h_k.reshape(-1, hidden).T @ d_k.reshape(-1, 4 * hidden))
 
-    return _make("lstm_scan", value, (proj, w_rec), back)
+    return _make("bilstm_scan", value, (proj_f, proj_b, w_f, w_b), back)
 
 
 # ---------------------------------------------------------------------------

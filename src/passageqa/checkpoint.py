@@ -6,7 +6,8 @@ Layout (integers little-endian, tensor data IEEE-754 binary32 LE):
     u32 tensor_count
     per tensor: u16 name_len | name utf-8 | u8 rank (1 or 2) | rank * u32 dims (>= 1) | data
 
-The file ends after the last tensor; trailing bytes are rejected.
+The file ends after the last tensor; trailing bytes are rejected, and so is
+a tensor holding NaN or inf.
 
 Raw weights are stored under their own names, in `named_arrays` order, and
 are checked on load against `model.param_shapes`; the exponential moving
@@ -97,7 +98,7 @@ def load_checkpoint(path: str) -> tuple[Hyperparams, ModelWeights, dict[str, np.
     (settings_len,) = take("<I")
     try:
         settings = json.loads(data[pos:pos + settings_len].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except ValueError as exc:   # also an integer beyond int()'s digit limit
         raise CheckpointFormatError(f"{path}: bad settings block: {exc}") from None
     pos += settings_len
     if not isinstance(settings, dict):
@@ -132,6 +133,8 @@ def load_checkpoint(path: str) -> tuple[Hyperparams, ModelWeights, dict[str, np.
         pos += size
         if name in tensors:
             raise CheckpointFormatError(f"{path}: duplicate tensor {name!r}")
+        if not np.isfinite(array).all():
+            raise CheckpointFormatError(f"{path}: tensor {name!r} holds NaN or inf")
         tensors[name] = array.reshape(dims).astype(np.float32)
     if pos != len(data):
         raise CheckpointFormatError(f"{path}: {len(data) - pos} trailing bytes after the last tensor")

@@ -83,7 +83,7 @@ def load_config(path: str | None) -> dict:
     try:
         with open(_require_file(path, "config file"), encoding="utf-8") as fh:
             raw = json.load(fh)
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+    except ValueError as exc:   # also an integer beyond int()'s digit limit
         raise ConfigError(f"{path}: invalid JSON: {exc}") from None
     if not isinstance(raw, dict):
         raise ConfigError(f"{path}: config must be a JSON object")
@@ -310,19 +310,20 @@ def cmd_ask(s) -> int:
 # ---------------------------------------------------------------------------
 # argument wiring
 
-EVAL_FLAGS = ("corpus", "vectors", "index", "checkpoint", "chain", "k", "tau", "report")
-
 # name -> (handler, help, flags besides --config and --seed); a flag is a
-# setting's name, except --question.
+# setting's name, except --question.  A command takes only the flags it reads.
 COMMANDS = {
     "ingest": (cmd_ingest, "dataset JSON -> passage store + examples", ("dataset", "corpus")),
     "build-index": (cmd_build_index, "passage store -> TF-IDF index",
                     ("corpus", "index", "buckets")),
     "train": (cmd_train, "train the neural reader/ranker",
               ("corpus", "vectors", "index", "checkpoint", "mode", "epochs")),
-    "eval-ir": (cmd_eval_ir, "retrieval metrics over a chain", EVAL_FLAGS),
-    "eval-rc": (cmd_eval_rc, "reading metrics on gold passages", EVAL_FLAGS),
-    "eval-mrs": (cmd_eval_mrs, "end-to-end retrieve-and-read metrics", EVAL_FLAGS),
+    "eval-ir": (cmd_eval_ir, "retrieval metrics over a chain",
+                ("corpus", "vectors", "index", "checkpoint", "chain", "report")),
+    "eval-rc": (cmd_eval_rc, "reading metrics on gold passages",
+                ("corpus", "vectors", "checkpoint", "report")),
+    "eval-mrs": (cmd_eval_mrs, "end-to-end retrieve-and-read metrics",
+                 ("corpus", "vectors", "index", "checkpoint", "chain", "k", "tau", "report")),
     "ask": (cmd_ask, "answer one question",
             ("corpus", "vectors", "index", "checkpoint", "chain", "k", "tau", "question")),
 }
@@ -360,7 +361,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_MISSING
     except (DatasetFormatError, VectorFileError, IndexFormatError,
-            CheckpointFormatError, CorpusError, json.JSONDecodeError) as exc:
+            CheckpointFormatError, CorpusError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
 

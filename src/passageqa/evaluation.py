@@ -25,6 +25,7 @@ from .text import TokenSeq, VectorTable
 from .training import QuestionExample
 
 VALID_STAGE_KINDS = ("tfidf", "neural")
+SCORE_BATCH = 32            # passages per forward pass when scoring or reading
 
 
 class ChainSpecError(ValueError):
@@ -100,16 +101,14 @@ class NeuralScorer:
     Use the EMA weights here; raw weights are for resuming training.
     """
 
-    def __init__(self, weights: ModelWeights, hp: Hyperparams, table: VectorTable,
-                 batch_size: int = 32):
+    def __init__(self, weights: ModelWeights, hp: Hyperparams, table: VectorTable):
         self.weights = weights
         self.hp = hp
         self.table = table
-        self.batch_size = batch_size
 
     def _chunks(self, records: list[PassageRecord]):
-        for i in range(0, len(records), self.batch_size):
-            yield records[i:i + self.batch_size]
+        for i in range(0, len(records), SCORE_BATCH):
+            yield records[i:i + SCORE_BATCH]
 
     def relevance_scores(self, question: TokenSeq,
                          records: list[PassageRecord]) -> list[float]:

@@ -8,24 +8,28 @@ bidirectional attention and a fusion bi-LSTM, then splits into two heads:
   - relevance head: probability that the passage answers the question,
     helped by a binary exact-match input channel
 
-All sequence tensors are (batch, features, time).  Masks are plain float
-arrays (batch, time); every softmax over positions receives one.
+All sequence tensors are (batch, features, time).  Masks are constant float
+arrays (batch, time), 1.0 at real tokens and 0.0 at padding; every softmax
+over positions receives one.
 
 The weights are one ordered name -> array table.  `param_shapes` is the only
 listing of the parameters: initialisation, checkpoint validation and the
-forward pass all work from its names and shapes.
+forward pass all work from its names and shapes.  Layer functions take
+weights as arrays (inference) or graph leaves (training).  An LSTM direction
+is a (w_in, w_rec, bias) triple, gate columns in [input, forget, cell,
+output] blocks: w_in (in_dim, 4*hidden), w_rec (hidden, 4*hidden), bias
+(4*hidden,).
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Any
+from typing import Any, Sequence
 
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import MASK_OFFSET, Node
-from .layers import bilstm_encode, highway_forward, linear_seq, xavier_uniform
 from .text import TokenSeq, VectorTable, embed
 
 
@@ -139,6 +143,12 @@ class ModelWeights:
 def named_arrays(weights: ModelWeights) -> dict[str, np.ndarray]:
     """A new name -> array dict over the same arrays, in checkpoint order."""
     return dict(weights.arrays)
+
+
+def xavier_uniform(rng: np.random.Generator, shape: tuple[int, ...],
+                   fan_in: int, fan_out: int, dtype) -> np.ndarray:
+    limit = float(np.sqrt(6.0 / (fan_in + fan_out)))
+    return rng.uniform(-limit, limit, size=shape).astype(dtype)
 
 
 def init_weights(rng: np.random.Generator, embed_dim: int, hidden: int,
@@ -255,6 +265,38 @@ def encode_batch(questions: list[TokenSeq], passages: list[TokenSeq],
 # forward pass
 
 
+def bilstm_encode(fwd: tuple, bwd: tuple, seq: Node, mask: np.ndarray) -> Node:
+    """(batch, in_dim, time) -> (batch, 2*hidden, time) by the `fwd` and `bwd`
+    LSTMs; rows :hidden are forward, padded columns exactly zero."""
+    if seq.value.shape[2] == 0:
+        raise ValueError("cannot encode an empty sequence")
+    seq_rows = ad.transpose(seq, (0, 2, 1))
+    proj = [ad.add(ad.matmul(seq_rows, w_in), bias) for w_in, _, bias in (fwd, bwd)]
+    return ad.bilstm_scan(proj, (fwd[1], bwd[1]), mask)
+
+
+def linear_seq(weight, bias, seq: Node) -> Node:
+    """Apply (out, in) weight + (out, 1) bias along the feature axis of (B, in, T)."""
+    return ad.add(ad.matmul(weight, seq), bias)
+
+
+def highway_forward(layers: Sequence[tuple], seq: Node, dropout_rate: float = 0.0,
+                    rng: np.random.Generator | None = None,
+                    train: bool = False) -> Node:
+    """Highway network over (B, dim, T); gate mixes transform with identity.
+
+    Each layer is (transform weight, transform bias, gate weight, gate bias).
+    """
+    out = seq
+    for transform_w, transform_b, gate_w, gate_b in layers:
+        out = ad.dropout(out, dropout_rate, rng, train)
+        transformed = ad.relu(linear_seq(transform_w, transform_b, out))
+        gate = ad.sigmoid(linear_seq(gate_w, gate_b, out))
+        carry = ad.sub(1.0, gate)
+        out = ad.add(ad.mul(gate, transformed), ad.mul(carry, out))
+    return out
+
+
 @dataclass
 class ForwardState:
     """Nodes produced by one forward pass; head fields are None if skipped."""
@@ -341,11 +383,10 @@ def forward_batch(weights: ModelWeights, hp: Hyperparams, batch: EncodedBatch,
     def drop(node: Node) -> Node:
         return ad.dropout(node, hp.dropout, rng, train)
 
-    def lstm(name: str) -> tuple[Node, Node, Node]:
-        return w[f"{name}.w_in"], w[f"{name}.w_rec"], w[f"{name}.bias"]
-
     def bilstm(name: str, seq: Node, mask: np.ndarray) -> Node:
-        return bilstm_encode(lstm(f"{name}_fwd"), lstm(f"{name}_bwd"), seq, mask)
+        fwd, bwd = ((w[f"{name}_{d}.w_in"], w[f"{name}_{d}.w_rec"], w[f"{name}_{d}.bias"])
+                    for d in ("fwd", "bwd"))
+        return bilstm_encode(fwd, bwd, seq, mask)
 
     highway = [(w[f"highway.{i}.transform.weight"], w[f"highway.{i}.transform.bias"],
                 w[f"highway.{i}.gate.weight"], w[f"highway.{i}.gate.bias"])

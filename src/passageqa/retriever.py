@@ -137,12 +137,13 @@ class Corpus:
                     if not line.strip():
                         continue
                     row = json.loads(line)
+                except ValueError as exc:   # also an integer beyond int()'s digit limit
+                    raise CorpusError(f"{path}:{line_no}: invalid JSON: {exc}") from None
+                try:
                     if not isinstance(row, dict):
                         raise CorpusError("expected a JSON object")
                     corpus._add(PassageRecord(row["passage_id"], row["article_id"],
                                               row["text"]))
-                except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-                    raise CorpusError(f"{path}:{line_no}: invalid JSON: {exc}") from None
                 except KeyError as exc:
                     raise CorpusError(f"{path}:{line_no}: missing field {exc}") from None
                 except CorpusError as exc:

@@ -68,7 +68,7 @@ def ingest_dataset(path: str) -> tuple[Corpus, list[QuestionExample], IngestStat
     with open(path, encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
-        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        except ValueError as exc:   # also an integer beyond int()'s digit limit
             raise DatasetFormatError(f"{path}: invalid JSON: {exc}") from None
 
     _expect(doc, dict, "$")
@@ -163,7 +163,7 @@ def load_examples(path: str) -> list[QuestionExample]:
                 if not line.strip():
                     continue
                 row = json.loads(line)
-            except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+            except ValueError as exc:   # also an integer beyond int()'s digit limit
                 raise DatasetFormatError(f"{where}: invalid JSON: {exc}") from None
             _expect(row, dict, where)
             missing = {"qid", "question", "passage_id", "relevance", "span", "answers"} - set(row)

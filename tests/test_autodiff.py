@@ -160,18 +160,47 @@ def test_fd_shape_ops_composite():
     fd(arrays, build_loss)
 
 
+def test_fd_bilstm_scan():
+    """BPTT through both directions, each with its own projection and w_rec;
+    row 1 is padded at its end, row 2 has a gap that the carried state must
+    cross."""
+    rng = np.random.default_rng(9)
+    mask = np.array([[1, 1, 1, 1], [1, 1, 0, 0], [1, 0, 1, 1]], dtype=np.float64)
+    arrays, weights = {}, []
+    for direction in ("fwd", "bwd"):
+        weights.append(rng.standard_normal((3, 3, 4)))
+        arrays[f"proj_{direction}"] = rng.standard_normal((3, 4, 12))
+        arrays[f"w_rec_{direction}"] = rng.standard_normal((3, 12)) * 0.5
+    weights = np.concatenate(weights, axis=1)
+
+    def build_loss(p):
+        out = ad.bilstm_scan((p["proj_fwd"], p["proj_bwd"]), (p["w_rec_fwd"], p["w_rec_bwd"]),
+                             mask)
+        return ad.reduce_sum(ad.mul(out, constant(weights)))
+
+    fd(arrays, build_loss)
+
+
 @pytest.mark.parametrize("reverse", [False, True])
 def test_fd_lstm_scan(reverse):
-    """BPTT through one direction; row 1 is padded at its end, row 2 has a gap
-    that the carried state must cross."""
+    """BPTT through one direction of bilstm_scan, the other held constant;
+    row 1 is padded at its end, row 2 has a gap that the carried state must
+    cross."""
     rng = np.random.default_rng(9)
     mask = np.array([[1, 1, 1, 1], [1, 1, 0, 0], [1, 0, 1, 1]], dtype=np.float64)
     weights = rng.standard_normal((3, 3, 4))
     arrays = {"proj": rng.standard_normal((3, 4, 12)),
               "w_rec": rng.standard_normal((3, 12)) * 0.5}
+    other_proj = constant(rng.standard_normal((3, 4, 12)))
+    other_w_rec = constant(rng.standard_normal((3, 12)) * 0.5)
+    rows = slice(3, 6) if reverse else slice(0, 3)
 
     def build_loss(p):
-        out = ad.lstm_scan(p["proj"], p["w_rec"], mask, reverse)
+        if reverse:
+            proj, w_rec = (other_proj, p["proj"]), (other_w_rec, p["w_rec"])
+        else:
+            proj, w_rec = (p["proj"], other_proj), (p["w_rec"], other_w_rec)
+        out = ad.slice_axis(ad.bilstm_scan(proj, w_rec, mask), 1, rows.start, rows.stop)
         return ad.reduce_sum(ad.mul(out, constant(weights)))
 
     fd(arrays, build_loss)
@@ -340,9 +369,11 @@ def test_shape_errors_name_the_op():
         ad.matmul(constant(np.ones((2, 3))), constant(np.ones((4, 2))))
     with pytest.raises(ShapeMismatchError, match="concat"):
         ad.concat([constant(np.ones((2, 3))), constant(np.ones((3, 3)))], axis=1)
-    with pytest.raises(ShapeMismatchError, match="lstm_scan"):
-        ad.lstm_scan(constant(np.ones((2, 3, 8))), constant(np.ones((2, 8))),
-                     np.ones((2, 4)), False)
+    proj, w_rec = constant(np.ones((2, 3, 8))), constant(np.ones((2, 8)))
+    with pytest.raises(ShapeMismatchError, match="bilstm_scan"):
+        ad.bilstm_scan((proj, proj), (w_rec, w_rec), np.ones((2, 4)))
+    with pytest.raises(ShapeMismatchError, match="bilstm_scan"):
+        ad.bilstm_scan((proj, constant(np.ones((2, 4, 8)))), (w_rec, w_rec), np.ones((2, 3)))
     with pytest.raises(ShapeMismatchError, match="broadcast"):
         ad.broadcast_to(constant(np.ones(3)), (2, 4))
     with pytest.raises(ShapeMismatchError, match="masked_softmax"):

@@ -119,6 +119,15 @@ def test_load_rejects_truncated_file(saved, tmp_path):
             load_checkpoint(bad)
 
 
+def test_load_names_non_finite_tensor(saved, tmp_path):
+    path, hp, weights, ema = saved
+    bad = str(tmp_path / "nan.ckpt")
+    save_checkpoint(bad, hp, weights, dict(ema, rel_weight=np.full_like(ema["rel_weight"],
+                                                                      np.nan)))
+    with pytest.raises(CheckpointFormatError, match="ema/rel_weight"):
+        load_checkpoint(bad)
+
+
 def test_load_requires_embed_dim_in_settings(tmp_path):
     # hand-build a file whose settings block lacks embed_dim
     blob = b'{"hidden": 2}'

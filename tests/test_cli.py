@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 from passageqa import cli
+from passageqa.checkpoint import load_checkpoint
 from passageqa.retriever import load_index
 from synthtask import SynthTask, build_task, write_files
 
@@ -79,8 +80,10 @@ def ws(tmp_path_factory):
 
 
 def eval_args(ws, extra):
+    """`extra` plus the workspace's inputs; eval-rc reads no index."""
+    index = [] if extra[0] == "eval-rc" else ["--index", ws.index_path]
     return extra + ["--corpus", ws.corpus_dir, "--vectors", ws.vectors,
-                    "--index", ws.index_path, "--checkpoint", ws.ckpt_dir]
+                    "--checkpoint", ws.ckpt_dir] + index
 
 
 # ---------------------------------------------------------------------------
@@ -219,17 +222,17 @@ def test_missing_input_file_exits_3(ws, tmp_path):
 
 def test_each_subcommand_takes_its_flags():
     common = {"-h", "--help", "--config", "--seed"}
-    evaluate = {"--corpus", "--vectors", "--index", "--checkpoint", "--chain", "--k",
-                "--tau"}
+    scorer = {"--corpus", "--vectors", "--checkpoint"}
+    retrieve = scorer | {"--index", "--chain"}
     expected = {
         "ingest": {"--dataset", "--corpus"},
         "build-index": {"--corpus", "--index", "--buckets"},
         "train": {"--corpus", "--vectors", "--index", "--checkpoint", "--mode",
                   "--epochs"},
-        "eval-ir": evaluate | {"--report"},
-        "eval-rc": evaluate | {"--report"},
-        "eval-mrs": evaluate | {"--report"},
-        "ask": evaluate | {"--question"},
+        "eval-ir": retrieve | {"--report"},
+        "eval-rc": scorer | {"--report"},
+        "eval-mrs": retrieve | {"--k", "--tau", "--report"},
+        "ask": retrieve | {"--k", "--tau", "--question"},
     }
     [subcommands] = [action for action in cli.build_parser()._actions
                      if isinstance(action, argparse._SubParsersAction)]
@@ -237,6 +240,12 @@ def test_each_subcommand_takes_its_flags():
     for name, parser in subcommands.choices.items():
         flags = {opt for action in parser._actions for opt in action.option_strings}
         assert flags == common | expected[name], name
+    # a flag the command would not read is a usage error, not a silent no-op
+    for argv in (["eval-ir", "--k", "0"], ["eval-rc", "--index", "i.idx"],
+                 ["eval-rc", "--chain", "bogus"], ["eval-rc", "--k", "0"]):
+        with pytest.raises(SystemExit) as info:
+            cli.main(argv)
+        assert info.value.code == 2, argv
 
 
 def test_missing_required_setting_exits_2(tmp_path):
@@ -260,6 +269,11 @@ def test_bad_config_exits_2(ws, tmp_path, capsys):
     not_utf8 = tmp_path / "latin1.json"
     not_utf8.write_bytes(b'{"report": "caf\xe9"}')
     assert run(["build-index", "--config", str(not_utf8)])[0] == 2
+
+    # past the 4,300 digits int() converts, json raises a plain ValueError
+    huge_int = tmp_path / "huge.json"
+    huge_int.write_text('{"k": ' + "1" * 5000 + "}")
+    assert run(["build-index", "--config", str(huge_int)])[0] == 2
 
     train_args = ["--corpus", ws.corpus_dir, "--vectors", ws.vectors,
                   "--index", ws.index_path, "--checkpoint", str(tmp_path / "out")]
@@ -375,6 +389,12 @@ def test_corrupt_checkpoint_exits_4(ws, tmp_path, capsys):
     first_name = 12 + length + 4 + 2       # tensor count, then u16 name length
     (name_len,) = struct.unpack_from("<H", real, first_name - 2)
     first_rank = first_name + name_len
+    _, weights, ema = load_checkpoint(str(ws.root / "ckpt" / "final.ckpt"))
+    nan_weight = weights.arrays["rel_weight"].copy()
+    nan_weight[0] = np.nan
+    inf_shadow = ema["sim_weight"].copy()
+    inf_shadow[-1] = np.inf
+    huge_seed = real[12:11 + length] + b', "seed": ' + b"1" * 5000 + b"}"
     cases = {
         "bad magic": b"XXXX" + real[4:],
         "non-UTF-8 tensor name": (real[:first_name] + b"\xff"
@@ -388,6 +408,10 @@ def test_corrupt_checkpoint_exits_4(ws, tmp_path, capsys):
         "bool hidden": with_settings(real, hidden=True),
         "zero vote_temperature": with_settings(real, vote_temperature=0),
         "wrong-shaped EMA shadow": with_tensor(real, "ema/sim_weight", np.zeros(7)),
+        "NaN raw weight": with_tensor(real, "rel_weight", nan_weight),
+        "inf EMA shadow": with_tensor(real, "ema/sim_weight", inf_shadow),
+        "settings integer of 5,000 digits": (real[:8] + struct.pack("<I", len(huge_seed))
+                                              + huge_seed + real[12 + length:]),
         "settings not an object": (real[:8] + struct.pack("<I", 2) + b"[]"
                                    + real[12 + length:]),
         # 2**64 items: an int64 product of these dims wraps to zero

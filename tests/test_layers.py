@@ -4,7 +4,7 @@ import pytest
 
 import passageqa.autodiff as ad
 from passageqa.autodiff import constant, gradient_check, leaf
-from passageqa.layers import bilstm_encode, highway_forward, linear_seq, xavier_uniform
+from passageqa.model import bilstm_encode, highway_forward, linear_seq, xavier_uniform
 
 import oracles
 
@@ -16,8 +16,13 @@ def random_lstm(rng, in_dim, hidden):
     return w_in, w_rec, np.zeros(4 * hidden)
 
 
+def unmasked(seq):
+    """The all-real (B, T) mask of a (B, features, T) batch."""
+    return np.ones((seq.shape[0], seq.shape[2]))
+
+
 # ---------------------------------------------------------------------------
-# one direction, step by step
+# both directions, step by step
 
 
 def gate_row(hidden, input_, forget, cell, output):
@@ -25,19 +30,32 @@ def gate_row(hidden, input_, forget, cell, output):
     return np.repeat(np.array([input_, forget, cell, output], dtype=np.float64), hidden)
 
 
-def test_lstm_scan_matches_scalar_steps():
+def scan_mirrored(proj):
+    """bilstm_scan with zero w_rec and the backward projection time-reversed,
+    so both halves of the output should show the same states, mirrored."""
+    hidden = proj.shape[2] // 4
+    zeros = constant(np.zeros((hidden, 4 * hidden)))
+    out = ad.bilstm_scan((constant(proj), constant(proj[:, ::-1].copy())), (zeros, zeros),
+                         np.ones(proj.shape[:2])).value
+    np.testing.assert_array_equal(out[:, hidden:, ::-1], out[:, :hidden])
+    return out[:, :hidden]
+
+
+def test_bilstm_scan_matches_scalar_steps():
     rng = np.random.default_rng(10)
-    w_in, w_rec, _ = random_lstm(rng, 4, 3)
-    bias = rng.standard_normal(12)
+    fwd = random_lstm(rng, 4, 3)[:2] + (rng.standard_normal(12),)
+    bwd = random_lstm(rng, 4, 3)[:2] + (rng.standard_normal(12),)
     x = rng.standard_normal((2, 3, 4))
-    for reverse, order in ((False, [0, 1, 2]), (True, [2, 1, 0])):
-        out = ad.lstm_scan(constant(x @ w_in + bias), constant(w_rec),
-                           np.ones((2, 3)), reverse).value
-        for row in range(2):
-            h, c = [0.0] * 3, [0.0] * 3
-            for t in order:
-                h, c = oracles.lstm_step(w_in, w_rec, bias, list(x[row, t]), h, c)
-                np.testing.assert_allclose(out[row, :, t], h, rtol=1e-12)
+    out = ad.bilstm_scan([constant(x @ w_in + bias) for w_in, _, bias in (fwd, bwd)],
+                         (constant(fwd[1]), constant(bwd[1])), np.ones((2, 3))).value
+    # C order like every other op's output, so downstream matmuls round alike
+    assert out.flags.c_contiguous
+    for row in range(2):
+        columns = [list(x[row, t]) for t in range(3)]
+        for half, lstm, reverse in ((slice(0, 3), fwd, False), (slice(3, 6), bwd, True)):
+            ref = oracles.lstm_unroll(*lstm, columns, 3, reverse=reverse)
+            for t in range(3):
+                np.testing.assert_allclose(out[row, half, t], ref[t], rtol=1e-12)
 
 
 def test_saturated_forget_gate_copies_cell_state():
@@ -48,8 +66,7 @@ def test_saturated_forget_gate_copies_cell_state():
     proj = np.stack([gate_row(hidden, 50.0, -50.0, 0.0, 50.0),
                      gate_row(hidden, -50.0, 50.0, 0.0, 50.0)])[None]
     proj[0, 0, 2 * hidden:3 * hidden] = [0.3, -1.2, 2.0]
-    out = ad.lstm_scan(constant(proj), constant(np.zeros((hidden, 4 * hidden))),
-                       np.ones((1, 2)), False).value
+    out = scan_mirrored(proj)
     np.testing.assert_allclose(out[0, :, 0], np.tanh(np.tanh([0.3, -1.2, 2.0])), rtol=1e-15)
     np.testing.assert_array_equal(out[0, :, 1], out[0, :, 0])
 
@@ -60,8 +77,7 @@ def test_saturated_input_gate_overwrites_cell_state():
     # input gate, so c becomes its candidate tanh(1) whatever it held.
     proj = np.stack([gate_row(hidden, 50.0, -50.0, 3.0, 50.0),
                      gate_row(hidden, 50.0, -50.0, 1.0, 50.0)])[None]
-    out = ad.lstm_scan(constant(proj), constant(np.zeros((hidden, 4 * hidden))),
-                       np.ones((1, 2)), False).value
+    out = scan_mirrored(proj)
     np.testing.assert_allclose(out[0, :, 1], np.tanh(np.tanh(1.0)), atol=1e-15)
 
 
@@ -74,7 +90,7 @@ def test_bilstm_matches_naive_unroll():
     fwd = random_lstm(rng, 3, 2)
     bwd = random_lstm(rng, 3, 2)
     seq = rng.standard_normal((1, 3, 4))
-    enc = bilstm_encode(fwd, bwd, constant(seq), None)
+    enc = bilstm_encode(fwd, bwd, constant(seq), unmasked(seq))
     assert enc.value.shape == (1, 4, 4)
     columns = [list(seq[0, :, t]) for t in range(4)]
     ref = oracles.bilstm(fwd, bwd, columns, 2)
@@ -87,8 +103,8 @@ def test_bilstm_direction_swap_mirrors_reversed_input():
     fwd = random_lstm(rng, 3, 2)
     bwd = random_lstm(rng, 3, 2)
     seq = rng.standard_normal((2, 3, 5))
-    enc = bilstm_encode(fwd, bwd, constant(seq), None).value
-    flipped = bilstm_encode(bwd, fwd, constant(seq[:, :, ::-1].copy()), None).value
+    enc = bilstm_encode(fwd, bwd, constant(seq), unmasked(seq)).value
+    flipped = bilstm_encode(bwd, fwd, constant(seq[:, :, ::-1].copy()), unmasked(seq)).value
     np.testing.assert_allclose(flipped[:, 2:, ::-1], enc[:, :2, :], atol=1e-12)
     np.testing.assert_allclose(flipped[:, :2, ::-1], enc[:, 2:, :], atol=1e-12)
 
@@ -97,7 +113,8 @@ def test_bilstm_single_step_sequence():
     rng = np.random.default_rng(13)
     fwd = random_lstm(rng, 2, 2)
     bwd = random_lstm(rng, 2, 2)
-    enc = bilstm_encode(fwd, bwd, constant(rng.standard_normal((1, 2, 1))), None)
+    seq = rng.standard_normal((1, 2, 1))
+    enc = bilstm_encode(fwd, bwd, constant(seq), unmasked(seq))
     assert enc.value.shape == (1, 4, 1)
 
 
@@ -105,7 +122,7 @@ def test_bilstm_rejects_empty_sequence():
     rng = np.random.default_rng(14)
     p = random_lstm(rng, 2, 2)
     with pytest.raises(ValueError, match="empty"):
-        bilstm_encode(p, p, constant(np.zeros((1, 2, 0))), None)
+        bilstm_encode(p, p, constant(np.zeros((1, 2, 0))), np.ones((1, 0)))
 
 
 def test_padded_batch_equals_individual_encoding():
@@ -124,8 +141,8 @@ def test_padded_batch_equals_individual_encoding():
     mask = np.array([[1, 1, 1, 1, 1], [1, 1, 1, 0, 0]], dtype=np.float64)
 
     joint = bilstm_encode(fwd, bwd, constant(padded), mask).value
-    solo_long = bilstm_encode(fwd, bwd, constant(long_seq[None]), None).value
-    solo_short = bilstm_encode(fwd, bwd, constant(short_seq[None]), None).value
+    solo_long = bilstm_encode(fwd, bwd, constant(long_seq[None]), np.ones((1, 5))).value
+    solo_short = bilstm_encode(fwd, bwd, constant(short_seq[None]), np.ones((1, 3))).value
 
     np.testing.assert_allclose(joint[0], solo_long[0], atol=1e-12)
     np.testing.assert_allclose(joint[1, :, :3], solo_short[0], atol=1e-12)

@@ -201,6 +201,8 @@ def test_corpus_rejects_duplicate_ids_and_empty_text():
     ('[1, "a"]', "expected a JSON object"),
     ('{nope', "invalid JSON"),
     (b'{"passage_id": 1, "article_id": 0, "text": "\xff"}', "invalid JSON"),
+    pytest.param('{"passage_id": ' + "1" * 5000 + ', "article_id": 0, "text": "a"}',
+                 "invalid JSON", id="5000-digit-integer"),
 ])
 def test_load_jsonl_names_line_of_bad_row(tmp_path, line, message):
     path = tmp_path / "passages.jsonl"

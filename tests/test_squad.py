@@ -113,6 +113,9 @@ def test_ingest_rejects_invalid_json(tmp_path):
     path.write_bytes(b'{"data": "caf\xe9"}')
     with pytest.raises(DatasetFormatError, match="invalid JSON"):
         ingest_dataset(str(path))
+    path.write_text('{"version": ' + "1" * 5000 + "}", encoding="utf-8")
+    with pytest.raises(DatasetFormatError, match="invalid JSON"):
+        ingest_dataset(str(path))
 
 
 def test_examples_file_round_trip(tmp_path):
@@ -153,6 +156,8 @@ GOOD_ROW = {"qid": "q1", "question": "who ?", "passage_id": 0, "relevance": 1,
     ([GOOD_ROW], "expected dict"),
     (dict(GOOD_ROW, question=" \t "), ".question: no tokens"),
     (b'{"qid": "caf\xe9"}', "invalid JSON"),
+    pytest.param(b'{"passage_id": ' + b"1" * 5000 + b"}", "invalid JSON",
+                 id="5000-digit-integer"),
 ])
 def test_load_examples_names_line_of_bad_row(tmp_path, row, message):
     path = tmp_path / "examples.jsonl"
