@@ -48,8 +48,9 @@ def save_checkpoint(path: str, hp: Hyperparams, weights: ModelWeights,
                     ema: dict[str, np.ndarray]) -> None:
     """Write weights plus their EMA shadows; settings travel along.
 
-    `ema` must hold exactly one shadow per weight, shaped like it; anything
-    else raises ValueError before the file is opened.
+    `ema` must hold exactly one shadow per weight, shaped like it, and every
+    value must be finite, as `load_checkpoint` requires; anything else
+    raises ValueError before the file is opened.
     """
     named = named_arrays(weights)
     for name, array in named.items():
@@ -58,6 +59,9 @@ def save_checkpoint(path: str, hp: Hyperparams, weights: ModelWeights,
         if np.shape(ema[name]) != array.shape:
             raise ValueError(f"EMA shadow for {name} has shape {np.shape(ema[name])}, "
                              f"weight has {array.shape}")
+        for what, values in (("weight", array), ("EMA shadow for", ema[name])):
+            if not np.isfinite(values).all():
+                raise ValueError(f"{what} {name} holds NaN or inf")
     extra = set(ema) - set(named)
     if extra:
         raise ValueError(f"EMA shadows for unknown weights: {sorted(extra)}")

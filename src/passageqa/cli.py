@@ -21,8 +21,9 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .checkpoint import CheckpointFormatError, load_checkpoint, save_checkpoint
-from .evaluation import (ChainSpecError, NeuralScorer, answer_question,
-                         evaluate_ir, evaluate_mrs, evaluate_rc, parse_chain)
+from .evaluation import (ChainSpecError, EvaluationError, NeuralScorer,
+                         answer_question, evaluate_ir, evaluate_mrs, evaluate_rc,
+                         parse_chain)
 from .model import Hyperparams, weights_from_named
 from .retriever import (DEFAULT_BUCKETS, Corpus, CorpusError, IndexFormatError,
                         build_index, load_index, save_index)
@@ -361,7 +362,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_MISSING
     except (DatasetFormatError, VectorFileError, IndexFormatError,
-            CheckpointFormatError, CorpusError) as exc:
+            CheckpointFormatError, CorpusError, EvaluationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
 

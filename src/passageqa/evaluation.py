@@ -6,30 +6,44 @@ final survivors are read by the span head, and their answers vote with
 weight exp(relevance / temperature); votes for the same raw answer string
 pool together.  Vote weights are kept in log space so tiny temperatures
 cannot overflow.
+
+`NeuralScorer` scores passages in chunks of SCORE_BATCH, sorted by length
+so little of each chunk is padding.  A call encodes its question once, and
+the contextual encoding of every passage it sees stays in an LRU keyed by
+passage text (so one scorer serves any corpus), bounded at
+ENCODING_CACHE_BYTES; a later question re-runs only the attention, fusion
+and heads on a cached passage.  An encoding made inside one chunk may
+differ by an ulp from one made inside another, so a score can depend on
+which chunk first encoded its passage.
 """
 from __future__ import annotations
 
 import math
 import re
 import string
-from collections import Counter
+from collections import Counter, OrderedDict
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import autodiff as ad
-from .model import (Hyperparams, ModelWeights, encode_batch, extract_answer,
-                    forward_batch, select_span)
+from .model import (EncodedBatch, Hyperparams, ModelWeights, encode_batch,
+                    encode_sequences, extract_answer, read, select_span)
 from .retriever import Corpus, PassageRecord, RankedList, TfIdfIndex, top_k
 from .text import TokenSeq, VectorTable
 from .training import QuestionExample
 
 VALID_STAGE_KINDS = ("tfidf", "neural")
 SCORE_BATCH = 32            # passages per forward pass when scoring or reading
+ENCODING_CACHE_BYTES = 32 << 20   # bound on a scorer's cached passage encodings
 
 
 class ChainSpecError(ValueError):
     """Raised for malformed or non-telescoping ranker chains."""
+
+
+class EvaluationError(ValueError):
+    """Raised when an evaluation is given nothing to evaluate."""
 
 
 @dataclass(frozen=True)
@@ -98,50 +112,91 @@ class AnswerCandidate:
 class NeuralScorer:
     """Runs the trained network in eval mode for ranking and reading.
 
-    Use the EMA weights here; raw weights are for resuming training.
+    Use the EMA weights here; raw weights are for resuming training.  The
+    passage encoding cache belongs to these weights and this vector table;
+    build a new scorer to change either.
     """
 
     def __init__(self, weights: ModelWeights, hp: Hyperparams, table: VectorTable):
         self.weights = weights
         self.hp = hp
         self.table = table
+        self._encodings: OrderedDict[str, np.ndarray] = OrderedDict()  # text -> (2d, len)
+        self._encoded_bytes = 0
 
-    def _chunks(self, records: list[PassageRecord]):
-        for i in range(0, len(records), SCORE_BATCH):
-            yield records[i:i + SCORE_BATCH]
+    def _passage_states(self, chunk: list[PassageRecord],
+                        batch: EncodedBatch) -> np.ndarray:
+        """(B, 2d, T) contextual passage states; only uncached rows are encoded."""
+        cache = self._encodings
+        found = [cache.get(rec.text) for rec in chunk]
+        for rec, encoding in zip(chunk, found):
+            if encoding is not None:
+                cache.move_to_end(rec.text)
+        missing = [i for i, encoding in enumerate(found) if encoding is None]
+        if missing:
+            [states] = encode_sequences(self.weights, self.hp, [
+                (batch.passage_emb[missing], batch.passage_mask[missing])])
+            for i, row in zip(missing, states.value):
+                found[i] = row[:, :batch.passage_lengths[i]].copy()
+                if chunk[i].text not in cache:      # a text may repeat in a chunk
+                    cache[chunk[i].text] = found[i]
+                    self._encoded_bytes += found[i].nbytes
+            while self._encoded_bytes > ENCODING_CACHE_BYTES:
+                self._encoded_bytes -= cache.popitem(last=False)[1].nbytes
+        out = np.zeros((batch.size, 2 * self.weights.hidden, batch.passage_emb.shape[2]),
+                       dtype=found[0].dtype)
+        for i, encoding in enumerate(found):
+            out[i, :, :encoding.shape[1]] = encoding
+        return out
+
+    def _read_chunks(self, question: TokenSeq, records: list[PassageRecord],
+                     heads: tuple[str, ...]):
+        """Yield (input positions, batch, state) per chunk of length-sorted records."""
+        order = sorted(range(len(records)), key=lambda i: len(records[i].tokens))
+        ctx_question = None
+        for start in range(0, len(order), SCORE_BATCH):
+            rows = order[start:start + SCORE_BATCH]
+            chunk = [records[i] for i in rows]
+            with ad.no_grad():
+                batch = encode_batch([question] * len(chunk),
+                                     [rec.tokens for rec in chunk], self.table)
+                if ctx_question is None:
+                    [encoded] = encode_sequences(self.weights, self.hp, [
+                        (batch.question_emb[:1], batch.question_mask[:1])])
+                    ctx_question = encoded.value
+                questions = np.ascontiguousarray(
+                    np.broadcast_to(ctx_question, (batch.size,) + ctx_question.shape[1:]))
+                passages = self._passage_states(chunk, batch)
+                state = read(self.weights, self.hp, ad.constant(passages),
+                             ad.constant(questions), batch, heads=heads)
+            yield rows, batch, state
 
     def relevance_scores(self, question: TokenSeq,
                          records: list[PassageRecord]) -> list[float]:
-        scores: list[float] = []
-        with ad.no_grad():
-            for chunk in self._chunks(records):
-                batch = encode_batch([question] * len(chunk),
-                                     [rec.tokens for rec in chunk], self.table)
-                state = forward_batch(self.weights, self.hp, batch,
-                                      heads=("relevance",))
-                scores.extend(float(x) for x in state.relevance.value)
+        """Relevance of each record to the question, in input order."""
+        scores = [0.0] * len(records)
+        for rows, _, state in self._read_chunks(question, records, ("relevance",)):
+            for i, value in zip(rows, state.relevance.value):
+                scores[i] = float(value)
         return scores
 
     def read_candidates(self, question: TokenSeq,
                         records: list[PassageRecord]) -> list[AnswerCandidate]:
-        """Span + relevance for each passage; spans respect passage length."""
-        out: list[AnswerCandidate] = []
-        with ad.no_grad():
-            for chunk in self._chunks(records):
-                batch = encode_batch([question] * len(chunk),
-                                     [rec.tokens for rec in chunk], self.table)
-                state = forward_batch(self.weights, self.hp, batch)
-                starts = state.start_probs.value
-                ends = state.end_probs.value
-                rels = state.relevance.value
-                for i, rec in enumerate(chunk):
-                    n = batch.passage_lengths[i]
-                    t1, t2, score = select_span(starts[i, :n], ends[i, :n])
-                    out.append(AnswerCandidate(
-                        passage_id=rec.passage_id,
-                        answer=extract_answer(rec.tokens, (t1, t2)),
-                        span=(t1, t2), span_score=score,
-                        relevance=float(rels[i])))
+        """Span + relevance for each passage, in input order; spans stay in the passage."""
+        out: list[AnswerCandidate | None] = [None] * len(records)
+        for rows, batch, state in self._read_chunks(question, records,
+                                                    ("span", "relevance")):
+            starts = state.start_probs.value
+            ends = state.end_probs.value
+            rels = state.relevance.value
+            for j, i in enumerate(rows):
+                rec = records[i]
+                n = batch.passage_lengths[j]
+                t1, t2, score = select_span(starts[j, :n], ends[j, :n])
+                out[i] = AnswerCandidate(
+                    passage_id=rec.passage_id,
+                    answer=extract_answer(rec.tokens, (t1, t2)),
+                    span=(t1, t2), span_score=score, relevance=float(rels[j]))
         return out
 
 
@@ -369,6 +424,8 @@ def evaluate_ir(examples: list[QuestionExample], chain: RankerChain,
                 scorer: NeuralScorer | None) -> dict:
     """Retrieval-only report: per-query rankings plus S@1/S@5/MRR@5."""
     cases = group_questions(examples)
+    if not cases:
+        raise EvaluationError("no questions to evaluate")
     queries = []
     rankings, relevant = [], []
     for case in cases:
@@ -400,7 +457,7 @@ def evaluate_rc(examples: list[QuestionExample], corpus: Corpus,
                         "retrieved": [ex.passage_id], "answer": cand.answer,
                         "em": em, "f1": f1})
     if not queries:
-        raise ValueError("no positive examples to evaluate")
+        raise EvaluationError("no positive examples to evaluate")
     aggregate = {"success_at_1": None, "success_at_5": None, "mrr_at_5": None,
                  "em": float(np.mean(ems)), "f1": float(np.mean(f1s)),
                  "n_queries": len(queries)}
@@ -411,6 +468,8 @@ def evaluate_mrs(examples: list[QuestionExample], chain: RankerChain,
                  index: TfIdfIndex, corpus: Corpus, scorer: NeuralScorer) -> dict:
     """End-to-end report: retrieve, read, vote; IR and answer metrics."""
     cases = group_questions(examples)
+    if not cases:
+        raise EvaluationError("no questions to evaluate")
     queries = []
     rankings, relevant, ems, f1s = [], [], [], []
     for case in cases:
@@ -425,8 +484,6 @@ def evaluate_mrs(examples: list[QuestionExample], chain: RankerChain,
         queries.append({"qid": case.qid, "question": case.question.text,
                         "retrieved": ids, "answer": vote.answer,
                         "em": em, "f1": f1})
-    if not cases:
-        raise ValueError("no questions to evaluate")
     aggregate = dict(_aggregate_ir(rankings, relevant),
                      em=float(np.mean(ems)), f1=float(np.mean(f1s)),
                      n_queries=len(cases))

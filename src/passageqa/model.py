@@ -8,6 +8,10 @@ bidirectional attention and a fusion bi-LSTM, then splits into two heads:
   - relevance head: probability that the passage answers the question,
     helped by a binary exact-match input channel
 
+`forward_batch` is two stages: `encode_sequences` (highway + contextual
+bi-LSTM, which sees one sequence only) and `read` (everything after), so
+inference can encode a question once and reuse passage encodings.
+
 All sequence tensors are (batch, features, time).  Masks are constant float
 arrays (batch, time), 1.0 at real tokens and 0.0 at padding; every softmax
 over positions receives one.
@@ -360,20 +364,53 @@ def attention_flow(ctx_passage: Node, ctx_question: Node, sim_weight: Node,
     return similarity, attended
 
 
-def forward_batch(weights: ModelWeights, hp: Hyperparams, batch: EncodedBatch,
-                  train: bool = False, rng: np.random.Generator | None = None,
-                  heads: tuple[str, ...] = ("span", "relevance")) -> ForwardState:
-    """Run the network on an encoded batch.
+def _graph_weights(weights: ModelWeights) -> ModelWeights:
+    """`weights` with graph leaves; arrays are wrapped as constant leaves."""
+    if isinstance(weights.arrays["sim_weight"], Node):
+        return weights
+    return as_param_nodes(weights, requires_grad=False)[0]
 
-    `weights` may hold arrays (inference) or graph leaves (training).  With
-    train=True, inverted dropout is applied to highway layers, LSTM inputs,
-    and the inputs of the three output transforms, consuming `rng`.
+
+def _bilstm(w: dict, name: str, seq: Node, mask: np.ndarray) -> Node:
+    fwd, bwd = ((w[f"{name}_{d}.w_in"], w[f"{name}_{d}.w_rec"], w[f"{name}_{d}.bias"])
+                for d in ("fwd", "bwd"))
+    return bilstm_encode(fwd, bwd, seq, mask)
+
+
+def encode_sequences(weights: ModelWeights, hp: Hyperparams,
+                     sequences: Sequence[tuple[np.ndarray, np.ndarray]],
+                     train: bool = False, rng: np.random.Generator | None = None
+                     ) -> list[Node]:
+    """Highway + contextual bi-LSTM of each (embeddings (B, dim, T), mask (B, T)).
+
+    Returns one (B, 2d, T) node per sequence.  Each depends on its own
+    sequence only, never on the one it will be read against.  With
+    train=True, dropout draws from `rng` in this order: every highway
+    network, then the ctx input of each sequence in turn.
     """
-    if not isinstance(weights.arrays["sim_weight"], Node):
-        weights, _ = as_param_nodes(weights, requires_grad=False)
+    w = _graph_weights(weights).arrays
+    highway = [(w[f"highway.{i}.transform.weight"], w[f"highway.{i}.transform.bias"],
+                w[f"highway.{i}.gate.weight"], w[f"highway.{i}.gate.bias"])
+               for i in range(2)]
+    highways = [highway_forward(highway, ad.constant(emb), hp.dropout, rng, train)
+                for emb, _ in sequences]
+    return [_bilstm(w, "ctx", ad.dropout(seq, hp.dropout, rng, train), mask)
+            for seq, (_, mask) in zip(highways, sequences)]
+
+
+def read(weights: ModelWeights, hp: Hyperparams, ctx_passage: Node,
+         ctx_question: Node, batch: EncodedBatch, train: bool = False,
+         rng: np.random.Generator | None = None,
+         heads: tuple[str, ...] = ("span", "relevance")) -> ForwardState:
+    """Attention flow, fusion and the requested heads over encoded states.
+
+    `ctx_passage` (B, 2d, T) and `ctx_question` (B, 2d, J) come from
+    `encode_sequences`; `batch` supplies the masks and the match channel.
+    """
     unknown = set(heads) - {"span", "relevance"}
     if unknown:
         raise ValueError(f"unknown heads: {sorted(unknown)}")
+    weights = _graph_weights(weights)
     w = weights.arrays
     d = weights.hidden
     n = batch.size
@@ -383,28 +420,14 @@ def forward_batch(weights: ModelWeights, hp: Hyperparams, batch: EncodedBatch,
     def drop(node: Node) -> Node:
         return ad.dropout(node, hp.dropout, rng, train)
 
-    def bilstm(name: str, seq: Node, mask: np.ndarray) -> Node:
-        fwd, bwd = ((w[f"{name}_{d}.w_in"], w[f"{name}_{d}.w_rec"], w[f"{name}_{d}.bias"])
-                    for d in ("fwd", "bwd"))
-        return bilstm_encode(fwd, bwd, seq, mask)
-
-    highway = [(w[f"highway.{i}.transform.weight"], w[f"highway.{i}.transform.bias"],
-                w[f"highway.{i}.gate.weight"], w[f"highway.{i}.gate.bias"])
-               for i in range(2)]
-    passage_in = highway_forward(highway, ad.constant(batch.passage_emb),
-                                 hp.dropout, rng, train)
-    question_in = highway_forward(highway, ad.constant(batch.question_emb),
-                                  hp.dropout, rng, train)
-    ctx_passage = bilstm("ctx", drop(passage_in), pmask)
-    ctx_question = bilstm("ctx", drop(question_in), qmask)
     similarity, attended = attention_flow(ctx_passage, ctx_question,
                                           w["sim_weight"], pmask, qmask)
-    fused = bilstm("fusion", drop(attended), pmask)
+    fused = _bilstm(w, "fusion", drop(attended), pmask)
     state = ForwardState(ctx_passage, ctx_question, similarity, attended, fused,
                          pmask, qmask)
 
     if "span" in heads:
-        start_states = bilstm("start", drop(fused), pmask)
+        start_states = _bilstm(w, "start", drop(fused), pmask)
         start_in = ad.concat([attended, start_states], axis=1)      # (B, 10d, T)
         w_start = ad.reshape(w["start_weight"], (1, 10 * d, 1))
         state.start_logits = ad.reduce_sum(ad.mul(drop(start_in), w_start), axis=1)
@@ -415,7 +438,7 @@ def forward_batch(weights: ModelWeights, hp: Hyperparams, batch: EncodedBatch,
         tiled = ad.broadcast_to(pooled, (n, 2 * d, t_len))
         end_seq_in = ad.concat([attended, start_states, tiled,
                                 ad.mul(start_states, tiled)], axis=1)     # (B, 14d, T)
-        end_states = bilstm("end", drop(end_seq_in), pmask)
+        end_states = _bilstm(w, "end", drop(end_seq_in), pmask)
         end_in = ad.concat([attended, end_states], axis=1)
         w_end = ad.reshape(w["end_weight"], (1, 10 * d, 1))
         state.end_logits = ad.reduce_sum(ad.mul(drop(end_in), w_end), axis=1)
@@ -423,7 +446,7 @@ def forward_batch(weights: ModelWeights, hp: Hyperparams, batch: EncodedBatch,
 
     if "relevance" in heads:
         rel_in = ad.concat([fused, ad.constant(batch.match_channel)], axis=1)
-        rel_states = bilstm("rel", drop(rel_in), pmask)
+        rel_states = _bilstm(w, "rel", drop(rel_in), pmask)
         proj = linear_seq(w["attn_proj.weight"], w["attn_proj.bias"],
                           rel_states)                                # (B, c, T)
         w_ctx = ad.reshape(w["attn_context"], (1, weights.attn_dim, 1))
@@ -437,6 +460,22 @@ def forward_batch(weights: ModelWeights, hp: Hyperparams, batch: EncodedBatch,
         state.relevance = ad.sigmoid(state.relevance_logit)
 
     return state
+
+
+def forward_batch(weights: ModelWeights, hp: Hyperparams, batch: EncodedBatch,
+                  train: bool = False, rng: np.random.Generator | None = None,
+                  heads: tuple[str, ...] = ("span", "relevance")) -> ForwardState:
+    """Run the network on an encoded batch: `encode_sequences`, then `read`.
+
+    `weights` may hold arrays (inference) or graph leaves (training).  With
+    train=True, inverted dropout is applied to highway layers, LSTM inputs,
+    and the inputs of the three output transforms, consuming `rng`.
+    """
+    weights = _graph_weights(weights)
+    ctx_passage, ctx_question = encode_sequences(
+        weights, hp, [(batch.passage_emb, batch.passage_mask),
+                      (batch.question_emb, batch.question_mask)], train, rng)
+    return read(weights, hp, ctx_passage, ctx_question, batch, train, rng, heads)
 
 
 # ---------------------------------------------------------------------------

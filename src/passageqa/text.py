@@ -8,6 +8,7 @@ original string so answer spans can be mapped back to text exactly.
 """
 from __future__ import annotations
 
+import math
 import re
 import unicodedata
 from dataclasses import dataclass, field
@@ -101,8 +102,9 @@ class VectorTable:
 def load_vectors(path: str, dtype=np.float32) -> VectorTable:
     """Read a text vector file: header "COUNT DIM", then "word v1 .. vDIM".
 
-    Duplicate words keep the first occurrence.  A malformed or non-UTF-8 row
-    raises VectorFileError with the path and its line number.
+    Duplicate words keep the first occurrence.  A malformed or non-UTF-8 row,
+    or one with a NaN, infinite or out-of-range component, raises
+    VectorFileError with the path and its line number.
     """
     def decoded(fh):
         for line_no, raw in enumerate(fh, start=1):
@@ -112,7 +114,8 @@ def load_vectors(path: str, dtype=np.float32) -> VectorTable:
                 raise VectorFileError(path, line_no, f"not UTF-8: {exc}") from None
 
     vectors: dict[str, np.ndarray] = {}
-    with open(path, "rb") as fh:
+    # over="raise": a value beyond the dtype's range raises FloatingPointError.
+    with open(path, "rb") as fh, np.errstate(over="raise"):
         lines = decoded(fh)
         _, header = next(lines, (1, ""))
         parts = header.split()
@@ -134,9 +137,14 @@ def load_vectors(path: str, dtype=np.float32) -> VectorTable:
                     path, line_no, f"expected 1 word + {dim} values, got {len(fields)} fields")
             word = fields[0]
             try:
-                vec = np.array([float(x) for x in fields[1:]], dtype=dtype)
+                values = list(map(float, fields[1:]))
+                vec = np.array(values, dtype=dtype)
             except ValueError:
                 raise VectorFileError(path, line_no, "non-numeric vector component") from None
+            except FloatingPointError:
+                raise VectorFileError(path, line_no, "vector component out of range") from None
+            if not math.isfinite(sum(values)):      # a nan or inf component
+                raise VectorFileError(path, line_no, "non-finite vector component")
             if word not in vectors:
                 vec.setflags(write=False)
                 vectors[word] = vec

@@ -119,13 +119,29 @@ def test_load_rejects_truncated_file(saved, tmp_path):
             load_checkpoint(bad)
 
 
+def test_save_refuses_non_finite_tensors(saved, tmp_path):
+    _, hp, weights, ema = saved
+    raw = dict(named_arrays(weights), sim_weight=np.full_like(ema["sim_weight"], np.inf))
+    cases = ((weights, dict(ema, rel_weight=np.full_like(ema["rel_weight"], np.nan)),
+              "EMA shadow for rel_weight"),
+             (weights_from_named(5, 3, 2, raw), ema, "weight sim_weight"))
+    for bad_weights, bad_ema, message in cases:
+        path = tmp_path / "bad.ckpt"
+        with pytest.raises(ValueError, match=message):
+            save_checkpoint(str(path), hp, bad_weights, bad_ema)
+        assert not path.exists()
+
+
 def test_load_names_non_finite_tensor(saved, tmp_path):
-    path, hp, weights, ema = saved
-    bad = str(tmp_path / "nan.ckpt")
-    save_checkpoint(bad, hp, weights, dict(ema, rel_weight=np.full_like(ema["rel_weight"],
-                                                                      np.nan)))
+    path, _, _, _ = saved
+    data = bytearray(Path(path).read_bytes())
+    name = b"ema/rel_weight"
+    at = data.index(name) + len(name) + 1 + 4      # past the rank byte and one dim
+    data[at:at + 4] = struct.pack("<f", np.nan)
+    bad = tmp_path / "nan.ckpt"
+    bad.write_bytes(bytes(data))
     with pytest.raises(CheckpointFormatError, match="ema/rel_weight"):
-        load_checkpoint(bad)
+        load_checkpoint(str(bad))
 
 
 def test_load_requires_embed_dim_in_settings(tmp_path):

@@ -10,6 +10,7 @@ import math
 import struct
 from contextlib import redirect_stdout
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -492,6 +493,41 @@ def test_vector_dimension_mismatch_exits_4(ws, tmp_path):
     code, _ = run(["eval-rc", "--corpus", ws.corpus_dir,
                    "--vectors", str(wrong), "--checkpoint", ws.ckpt_dir])
     assert code == 4
+
+
+def test_non_finite_vector_exits_4(ws, tmp_path, capsys):
+    lines = Path(ws.vectors).read_text(encoding="utf-8").splitlines()
+    fields = lines[1].split(" ")
+    lines[1] = " ".join([fields[0], "nan"] + fields[2:])
+    bad = tmp_path / "nan.txt"
+    bad.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    code, _ = run(["eval-rc", "--corpus", ws.corpus_dir,
+                   "--vectors", str(bad), "--checkpoint", ws.ckpt_dir])
+    err = capsys.readouterr().err
+    assert code == 4
+    assert "line 2: non-finite" in err and "Traceback" not in err, err
+
+
+@pytest.mark.parametrize("command", ["eval-ir", "eval-rc", "eval-mrs"])
+@pytest.mark.parametrize("keep", ["nothing", "negatives"])
+def test_nothing_to_evaluate_exits_4(ws, tmp_path, capsys, command, keep):
+    corpus_dir = tmp_path / "corpus"
+    corpus_dir.mkdir()
+    source = ws.root / "corpus"
+    (corpus_dir / "passages.jsonl").write_bytes((source / "passages.jsonl").read_bytes())
+    rows = []
+    if keep == "negatives":
+        for line in (source / "examples.jsonl").read_text(encoding="utf-8").splitlines():
+            rows.append(json.dumps(dict(json.loads(line), relevance=0, span=None,
+                                        answers=[])))
+    (corpus_dir / "examples.jsonl").write_text("".join(r + "\n" for r in rows),
+                                               encoding="utf-8")
+    argv = eval_args(ws, [command])
+    argv[argv.index("--corpus") + 1] = str(corpus_dir)
+    code, _ = run(argv)
+    err = capsys.readouterr().err
+    assert code == 4
+    assert "error:" in err and "to evaluate" in err and "Traceback" not in err, err
 
 
 def test_ask_without_question_exits_2(ws, monkeypatch):

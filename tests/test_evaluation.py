@@ -6,15 +6,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from passageqa.evaluation import (AnswerCandidate, ChainSpecError, ChainStage,
-                                  NeuralScorer, RankerChain, VoteEntry,
-                                  answer_question, evaluate_ir, evaluate_mrs,
-                                  evaluate_rc, exact_match, f1_score,
-                                  group_questions, mrr_at_k, normalize_answer,
-                                  parse_chain, success_at_k, telescope,
-                                  vote_answers)
-from passageqa.model import Hyperparams, init_weights
-from passageqa.retriever import top_k
+import passageqa.evaluation as evaluation
+from passageqa.evaluation import (SCORE_BATCH, AnswerCandidate, ChainSpecError,
+                                  ChainStage, EvaluationError, NeuralScorer,
+                                  RankerChain, VoteEntry, answer_question,
+                                  evaluate_ir, evaluate_mrs, evaluate_rc,
+                                  exact_match, f1_score, group_questions,
+                                  mrr_at_k, normalize_answer, parse_chain,
+                                  success_at_k, telescope, vote_answers)
+from passageqa.model import Hyperparams, encode_batch, forward_batch, init_weights
+from passageqa.retriever import PassageRecord, top_k
 from passageqa.text import tokenize
 from passageqa.training import QuestionExample
 
@@ -228,6 +229,109 @@ def scorer(task):
     return NeuralScorer(weights, hp, task.table)
 
 
+def varied_records(task, n=40, offset=0):
+    """n records of distinct lengths and texts cut from the fixture's passages."""
+    records = []
+    for i in range(n):
+        words = task.corpus.records[(i + offset) % len(task.corpus)].text.split()
+        records.append(PassageRecord(i, 0, " ".join(words[:6 + (7 * i) % 22])))
+    return records
+
+
+def float64_scorer(task):
+    hp = Hyperparams(hidden=4, attn_dim=4, dropout=0.0)
+    weights = init_weights(np.random.default_rng(3), task.table.dim, 4, 4,
+                           dtype=np.float64)
+    return NeuralScorer(weights, hp, task.table)
+
+
+def scores_alone(scorer, question, records):
+    out = []
+    for rec in records:
+        batch = encode_batch([question], [rec.tokens], scorer.table)
+        state = forward_batch(scorer.weights, scorer.hp, batch, heads=("relevance",))
+        out.append(float(state.relevance.value[0]))
+    return out
+
+
+def test_scorer_keeps_input_order_and_matches_single_passage_forward(task):
+    scorer = float64_scorer(task)
+    question = task.examples[0].question
+    records = varied_records(task)
+    assert len(records) > SCORE_BATCH
+    alone = scores_alone(scorer, question, records)
+    np.testing.assert_allclose(scorer.relevance_scores(question, records), alone,
+                               rtol=1e-9, atol=1e-12)
+    picked = records[::-7]
+    cands = scorer.read_candidates(question, picked)
+    assert [c.passage_id for c in cands] == [r.passage_id for r in picked]
+    for cand, rec in zip(cands, picked):
+        batch = encode_batch([question], [rec.tokens], scorer.table)
+        state = forward_batch(scorer.weights, scorer.hp, batch)
+        assert cand.relevance == pytest.approx(float(state.relevance.value[0]), rel=1e-9)
+        assert cand.span[1] < len(rec.tokens)
+
+
+def test_scorer_warm_call_reuses_encodings_bit_for_bit(task, monkeypatch):
+    hp = Hyperparams(hidden=4, attn_dim=4, dropout=0.0)
+    scorer = NeuralScorer(init_weights(np.random.default_rng(3), task.table.dim, 4, 4),
+                          hp, task.table)
+    question = task.examples[2].question
+    records = varied_records(task)
+    cold_cands = scorer.read_candidates(question, records[:7])
+    cold = scorer.relevance_scores(question, records)
+    encoded_rows = []
+    original = evaluation.encode_sequences
+
+    def counting(weights, hp, sequences, *args, **kwargs):
+        encoded_rows.extend(emb.shape[0] for emb, _ in sequences)
+        return original(weights, hp, sequences, *args, **kwargs)
+
+    monkeypatch.setattr(evaluation, "encode_sequences", counting)
+    assert scorer.relevance_scores(question, records) == cold
+    assert scorer.read_candidates(question, records[:7]) == cold_cands
+    assert encoded_rows == [1, 1]          # the question, once per call
+
+
+def test_scorer_cache_is_keyed_by_text_not_id(task):
+    scorer = float64_scorer(task)
+    question = task.examples[1].question
+    first = varied_records(task, n=10)
+    second = varied_records(task, n=10, offset=10)
+    assert [r.passage_id for r in first] == [r.passage_id for r in second]
+    assert not {r.text for r in first} & {r.text for r in second}
+    first_scores = scorer.relevance_scores(question, first)
+    second_scores = scorer.relevance_scores(question, second)
+    assert first_scores == float64_scorer(task).relevance_scores(question, first)
+    assert second_scores == float64_scorer(task).relevance_scores(question, second)
+    assert first_scores != second_scores
+
+
+def test_scorer_cache_stays_within_its_byte_bound(task, monkeypatch):
+    question = task.examples[3].question
+    records = varied_records(task)
+    unbounded = float64_scorer(task).relevance_scores(question, records)
+    bound = 5 * 8 * 8 * 20              # five 20-token float64 encodings at hidden 4
+    monkeypatch.setattr(evaluation, "ENCODING_CACHE_BYTES", bound)
+    scorer = float64_scorer(task)
+    for _ in range(2):
+        scores = scorer.relevance_scores(question, records)
+        cached = sum(enc.nbytes for enc in scorer._encodings.values())
+        assert 0 < cached <= bound
+        np.testing.assert_allclose(scores, unbounded, rtol=1e-9, atol=1e-12)
+
+
+def test_scorer_rejects_empty_question_or_passage(task, scorer):
+    records = varied_records(task, n=3)
+    with pytest.raises(ValueError, match="empty question"):
+        scorer.relevance_scores(tokenize(""), records)
+    with pytest.raises(ValueError, match="empty passage"):
+        scorer.relevance_scores(task.examples[0].question,
+                                records + [PassageRecord(99, 0, "  ")])
+    with pytest.raises(ValueError, match="empty passage"):
+        scorer.read_candidates(task.examples[0].question, [PassageRecord(99, 0, "")])
+
+
 def test_telescope_tfidf_only_matches_top_k(task, task_index):
     question = task.examples[0].question
     chain = parse_chain("tfidf:7")
@@ -356,9 +460,21 @@ def test_evaluate_rc_report_shape(task, scorer):
     for row, ex in zip(report["queries"], examples):
         assert row["retrieved"] == [ex.passage_id]
         assert isinstance(row["answer"], str)
-    with pytest.raises(ValueError, match="no positive"):
+    with pytest.raises(EvaluationError, match="no positive"):
         evaluate_rc([QuestionExample("q", tokenize("a"), 0, 0)], task.corpus,
                     scorer)
+
+
+def test_evaluations_of_nothing_raise_evaluation_error(task, task_index, scorer):
+    negatives = [QuestionExample("q", tokenize("a"), 0, 0)]
+    chain = parse_chain("tfidf:5,neural:2")
+    for examples in ([], negatives):
+        with pytest.raises(EvaluationError, match="no questions"):
+            evaluate_ir(examples, chain, task_index, task.corpus, scorer)
+        with pytest.raises(EvaluationError, match="no questions"):
+            evaluate_mrs(examples, chain, task_index, task.corpus, scorer)
+        with pytest.raises(EvaluationError, match="no positive"):
+            evaluate_rc(examples, task.corpus, scorer)
 
 
 def test_evaluate_mrs_report_shape(task, task_index, scorer):

@@ -132,6 +132,15 @@ def test_bad_row_reports_its_line_number(tmp_path):
         load_vectors(str(path))
 
 
+@pytest.mark.parametrize("value, message", [
+    ("nan", "non-finite"), ("inf", "non-finite"), ("-Infinity", "non-finite"),
+    ("1e40", "vector component out of range"), ("-1e400", "non-finite")])
+def test_non_finite_component_reports_its_line_number(tmp_path, value, message):
+    path = write(tmp_path, f"2 3\nbeta 0 1 0\nalpha {value} 0 0\n")
+    with pytest.raises(VectorFileError, match=f"line 3: {message}"):
+        load_vectors(path)
+
+
 def test_embed_stacks_columns():
     table = VectorTable(2, {"a": np.array([1.0, 2.0], dtype=np.float32)})
     seq = tokenize("a b a")

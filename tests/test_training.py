@@ -1,4 +1,5 @@
 """Loss identities, optimizer math, negative sampling, and the train loop."""
+import hashlib
 import math
 
 import numpy as np
@@ -322,6 +323,11 @@ def test_make_negative_returns_none_without_candidates():
 # the training loop
 
 
+# sha256 of two mtl steps with dropout 0.2 (losses, then raw weights by name),
+# taken before the trunk was split into encode_sequences and read.
+GOLDEN_MTL_STEPS = "0b4dc2691c0b81cf3b74b6181c27ed7a234d6a3c744e144287fe9dca530ad211"
+
+
 def small_hp(**over):
     base = dict(hidden=4, attn_dim=4, dropout=0.0, learning_rate=0.05,
                 lr_decay=0.9, epochs=2, batch_positives=6, batch_negatives=6,
@@ -352,6 +358,20 @@ def test_train_is_bit_reproducible(task, task_index):
         np.testing.assert_array_equal(arr, named_arrays(r2.weights)[name])
         np.testing.assert_array_equal(r1.ema[name], r2.ema[name])
     assert [h.mean_loss for h in r1.history] == [h.mean_loss for h in r2.history]
+
+
+def test_mtl_steps_are_golden(task, task_index):
+    """Two mtl steps with dropout: losses and final weights pin the RNG draw order."""
+    hp = small_hp(dropout=0.2)
+    result = train(task.examples[:6], task.corpus, task_index, task.table, hp)
+    assert [h.n_batches for h in result.history] == [1, 1]
+    digest = hashlib.sha256()
+    for stats in result.history:
+        digest.update(stats.mean_loss.hex().encode())
+    for name, arr in named_arrays(result.weights).items():
+        digest.update(name.encode())
+        digest.update(np.ascontiguousarray(arr).tobytes())
+    assert digest.hexdigest() == GOLDEN_MTL_STEPS
 
 
 def test_train_writes_per_epoch_checkpoints(task, task_index, tmp_path):
