@@ -225,16 +225,8 @@ def telescope(question: TokenSeq, chain: RankerChain, index: TfIdfIndex,
             survivors = RankedList(pairs[:stage.cut],
                                    survivors.warning if survivors else None)
         else:
-            if survivors is None:
-                ranked = top_k(index, question.tokens, stage.cut)
-            else:
-                # Re-rank the current survivors only: score the full corpus,
-                # then keep survivors in TF-IDF order up to the cut.
-                full = top_k(index, question.tokens, max(len(corpus), 1))
-                allowed = set(survivors.ids())
-                entries = [(pid, sc) for pid, sc in full.entries if pid in allowed]
-                ranked = RankedList(entries[:stage.cut], full.warning)
-            survivors = ranked
+            survivors = top_k(index, question.tokens, stage.cut,
+                              None if survivors is None else survivors.ids())
     return survivors if survivors is not None else RankedList([])
 
 

@@ -63,9 +63,8 @@ class Hyperparams:
         """Defaults overridden by `raw`, a mapping read from JSON.
 
         Each value must have its default's type (an int field takes an int,
-        a float field an int or a float; bool is neither) and be finite;
-        vote_temperature must be positive, seed non-negative and epochs at
-        least 1.  Raises ValueError otherwise.
+        a float field an int or a float; bool is neither), be finite and lie
+        in the range `RANGES` gives its field.  Raises ValueError otherwise.
         """
         fields = cls.__dataclass_fields__
         unknown = set(raw) - set(fields)
@@ -79,13 +78,24 @@ class Hyperparams:
             if isinstance(value, float) and not math.isfinite(value):
                 raise ValueError(f"hyperparameter {key} must be finite, got {value!r}")
         hp = cls(**raw)
-        if not hp.vote_temperature > 0:
-            raise ValueError(f"vote_temperature must be positive, got {hp.vote_temperature!r}")
-        if hp.seed < 0:
-            raise ValueError(f"seed must be non-negative, got {hp.seed}")
-        if hp.epochs < 1:
-            raise ValueError(f"epochs must be at least 1, got {hp.epochs}")
+        for key, (rule, holds) in RANGES.items():
+            if not holds(getattr(hp, key)):
+                raise ValueError(f"{key} must be {rule}, got {getattr(hp, key)!r}")
         return hp
+
+
+# Field -> (rule, test) for every hyperparameter a run breaks on outside its range.
+RANGES = {
+    "hidden": ("at least 1", lambda v: v >= 1),
+    "attn_dim": ("at least 1", lambda v: v >= 1),
+    "dropout": ("in [0, 1)", lambda v: 0 <= v < 1),
+    "vote_temperature": ("positive", lambda v: v > 0),
+    "epochs": ("at least 1", lambda v: v >= 1),
+    "ema_decay": ("in [0, 1]", lambda v: 0 <= v <= 1),
+    "batch_positives": ("at least 1", lambda v: v >= 1),
+    "batch_negatives": ("non-negative", lambda v: v >= 0),
+    "seed": ("non-negative", lambda v: v >= 0),
+}
 
 
 def param_shapes(embed_dim: int, hidden: int, attn_dim: int
@@ -219,22 +229,22 @@ class EncodedBatch:
         return self.passage_emb.shape[0]
 
 
-def exact_match_channel(question: TokenSeq, passage: TokenSeq,
-                        dtype=np.float32) -> np.ndarray:
-    """(1, T) indicator: passage token appears verbatim among question tokens.
+def exact_match_channel(question: TokenSeq, passage: TokenSeq) -> np.ndarray:
+    """(1, T) float32 indicator: passage token appears verbatim among question tokens.
 
     Case-sensitive surface comparison, the max-pool over question words of the
     full binary match matrix.
     """
     vocab = set(question.tokens)
     row = np.fromiter((1.0 if tok in vocab else 0.0 for tok in passage.tokens),
-                      dtype=dtype, count=len(passage))
+                      dtype=np.float32, count=len(passage))
     return row.reshape(1, -1)
 
 
 def encode_batch(questions: list[TokenSeq], passages: list[TokenSeq],
-                 table: VectorTable, dtype=np.float32) -> EncodedBatch:
-    """Embed and right-pad a batch of (question, passage) pairs."""
+                 table: VectorTable) -> EncodedBatch:
+    """Embed and right-pad a batch of (question, passage) pairs, C-ordered, in the
+    table's dtype."""
     if len(questions) != len(passages):
         raise ValueError("questions and passages must pair up")
     if not questions:
@@ -247,7 +257,7 @@ def encode_batch(questions: list[TokenSeq], passages: list[TokenSeq],
     n = len(questions)
     t_max = max(len(p) for p in passages)
     j_max = max(len(q) for q in questions)
-    dim = table.dim
+    dim, dtype = table.dim, table.matrix.dtype
     passage_emb = np.zeros((n, dim, t_max), dtype=dtype)
     question_emb = np.zeros((n, dim, j_max), dtype=dtype)
     passage_mask = np.zeros((n, t_max), dtype=dtype)
@@ -259,7 +269,7 @@ def encode_batch(questions: list[TokenSeq], passages: list[TokenSeq],
         question_emb[i, :, :len(q)] = embed(q, table)
         passage_mask[i, :len(p)] = 1.0
         question_mask[i, :len(q)] = 1.0
-        match[i, :, :len(p)] = exact_match_channel(q, p, dtype)
+        match[i, :, :len(p)] = exact_match_channel(q, p)
         lengths.append(len(p))
     return EncodedBatch(passage_emb, question_emb, passage_mask, question_mask,
                         match, lengths)

@@ -267,10 +267,11 @@ def _ranked(index: TfIdfIndex, rows: np.ndarray, scores: np.ndarray, k: int) -> 
     return RankedList(list(zip(index.pids[rows[best]].tolist(), scores[best].tolist())))
 
 
-def top_k(index: TfIdfIndex, tokens, k: int) -> RankedList:
+def top_k(index: TfIdfIndex, tokens, k: int, among: list[int] | None = None) -> RankedList:
     """Top passages by cosine similarity; zero-score passages are dropped.
 
-    An empty or all-out-of-corpus query gives an empty list with a warning.
+    With `among`, passage ids, only those passages are ranked.  An empty or
+    all-out-of-corpus query gives an empty list with a warning.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
@@ -280,6 +281,10 @@ def top_k(index: TfIdfIndex, tokens, k: int) -> RankedList:
     rows, scores = _cosine_scores(index, weights)
     if not len(rows):
         return RankedList([], warning="query shares no weighted features with the corpus")
+    if among is not None:
+        pos, hit = _find(index.pids, np.fromiter(among, np.uint64))
+        keep = np.isin(rows, pos[hit])
+        rows, scores = rows[keep], scores[keep]
     return _ranked(index, rows, scores, k)
 
 

@@ -5,13 +5,18 @@ whitespace, then peel leading and trailing punctuation characters off each
 chunk into their own tokens.  Punctuation inside a chunk (hyphens,
 apostrophes) stays attached.  Every token carries character offsets into the
 original string so answer spans can be mapped back to text exactly.
+
+Word vectors are one read-only matrix whose row 0 is all zeros: an
+out-of-vocabulary word is row 0, so embedding a sequence is one gather.  The
+table sets the dtype: everything embedded from it (embeddings, masks, the
+match channel) has its matrix's dtype, float32 when read from a file.
 """
 from __future__ import annotations
 
 import math
 import re
 import unicodedata
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -74,37 +79,35 @@ def tokenize(text: str) -> TokenSeq:
     return TokenSeq(text, tuple(tokens), tuple(offsets))
 
 
-@dataclass
 class VectorTable:
-    """Fixed word vectors; lookups are case-sensitive, misses give zeros."""
+    """Fixed word vectors: `rows` maps each (case-sensitive) word to its row of
+    the read-only `matrix` (len + 1, dim), whose row 0 of zeros is every miss."""
 
-    dim: int
-    _vectors: dict[str, np.ndarray] = field(default_factory=dict)
+    def __init__(self, dim: int, vectors: dict[str, np.ndarray] | None = None):
+        vectors = vectors or {}
+        self.dim = dim
+        self.rows = {word: row for row, word in enumerate(vectors, start=1)}
+        self.matrix = np.concatenate([np.zeros(dim, np.float32), *vectors.values()]
+                                     ).reshape(len(vectors) + 1, dim)
+        self.matrix.setflags(write=False)
 
     def __contains__(self, word: str) -> bool:
-        return word in self._vectors
+        return word in self.rows
 
     def __len__(self) -> int:
-        return len(self._vectors)
+        return len(self.rows)
 
     def get(self, word: str) -> np.ndarray:
-        vec = self._vectors.get(word)
-        if vec is None:
-            return np.zeros(self.dim, dtype=self._dtype())
-        return vec
-
-    def _dtype(self):
-        for vec in self._vectors.values():
-            return vec.dtype
-        return np.float32
+        return self.matrix[self.rows.get(word, 0)]
 
 
-def load_vectors(path: str, dtype=np.float32) -> VectorTable:
-    """Read a text vector file: header "COUNT DIM", then "word v1 .. vDIM".
+def load_vectors(path: str) -> VectorTable:
+    """Read a text vector file: header "COUNT DIM", then COUNT "word v1 .. vDIM" rows.
 
-    Duplicate words keep the first occurrence.  A malformed or non-UTF-8 row,
-    or one with a NaN, infinite or out-of-range component, raises
-    VectorFileError with the path and its line number.
+    Vectors are float32.  Duplicate words keep the first occurrence but count
+    as rows.  A malformed or non-UTF-8 row, or one with a NaN, infinite or
+    out-of-range component, raises VectorFileError with the path and its
+    line number; a row count other than COUNT raises it for line 1.
     """
     def decoded(fh):
         for line_no, raw in enumerate(fh, start=1):
@@ -114,7 +117,8 @@ def load_vectors(path: str, dtype=np.float32) -> VectorTable:
                 raise VectorFileError(path, line_no, f"not UTF-8: {exc}") from None
 
     vectors: dict[str, np.ndarray] = {}
-    # over="raise": a value beyond the dtype's range raises FloatingPointError.
+    n_rows = 0
+    # over="raise": a value beyond float32's range raises FloatingPointError.
     with open(path, "rb") as fh, np.errstate(over="raise"):
         lines = decoded(fh)
         _, header = next(lines, (1, ""))
@@ -122,12 +126,12 @@ def load_vectors(path: str, dtype=np.float32) -> VectorTable:
         if len(parts) != 2:
             raise VectorFileError(path, 1, f"expected 'COUNT DIM' header, got {header.strip()!r}")
         try:
-            _count, dim = int(parts[0]), int(parts[1])
+            count, dim = int(parts[0]), int(parts[1])
         except ValueError:
             raise VectorFileError(path, 1,
                                   f"non-integer header fields: {header.strip()!r}") from None
-        if dim <= 0:
-            raise VectorFileError(path, 1, f"dimension must be positive, got {dim}")
+        if count <= 0 or dim <= 0:
+            raise VectorFileError(path, 1, f"COUNT and DIM must be positive, got {count} {dim}")
         for line_no, line in lines:
             if not line.strip():
                 continue
@@ -138,16 +142,17 @@ def load_vectors(path: str, dtype=np.float32) -> VectorTable:
             word = fields[0]
             try:
                 values = list(map(float, fields[1:]))
-                vec = np.array(values, dtype=dtype)
+                vec = np.array(values, dtype=np.float32)
             except ValueError:
                 raise VectorFileError(path, line_no, "non-numeric vector component") from None
             except FloatingPointError:
                 raise VectorFileError(path, line_no, "vector component out of range") from None
             if not math.isfinite(sum(values)):      # a nan or inf component
                 raise VectorFileError(path, line_no, "non-finite vector component")
-            if word not in vectors:
-                vec.setflags(write=False)
-                vectors[word] = vec
+            n_rows += 1
+            vectors.setdefault(word, vec)
+    if n_rows != count:
+        raise VectorFileError(path, 1, f"header says {count} rows, file has {n_rows}")
     return VectorTable(dim, vectors)
 
 
@@ -155,14 +160,11 @@ def save_vectors(path: str, table: VectorTable) -> None:
     """Inverse of load_vectors, mainly for building test fixtures."""
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"{len(table)} {table.dim}\n")
-        for word, vec in table._vectors.items():
-            values = " ".join(repr(float(x)) for x in vec)
+        for word, row in table.rows.items():
+            values = " ".join(repr(float(x)) for x in table.matrix[row])
             fh.write(f"{word} {values}\n")
 
 
 def embed(seq: TokenSeq, table: VectorTable) -> np.ndarray:
-    """Embedding matrix (dim x len(seq)); out-of-vocabulary columns are zero."""
-    out = np.zeros((table.dim, len(seq)), dtype=table._dtype())
-    for i, tok in enumerate(seq.tokens):
-        out[:, i] = table.get(tok)
-    return out
+    """Embedding matrix (dim x len(seq)), one gather; out-of-vocabulary columns are zero."""
+    return table.matrix[[table.rows.get(tok, 0) for tok in seq.tokens]].T

@@ -72,18 +72,21 @@ class Batch:
         return sum(ex.relevance for ex in self.examples)
 
 
+# TF-IDF neighbours of the gold passage that a negative is drawn from.
+NEGATIVE_POOL = 15
+
+
 def make_negative(positive: QuestionExample, index: TfIdfIndex, corpus: Corpus,
                   rng: np.random.Generator,
-                  relevant_ids: set[int] | None = None,
-                  pool_size: int = 15) -> QuestionExample | None:
+                  relevant_ids: set[int] | None = None) -> QuestionExample | None:
     """Same question paired with a similar-but-irrelevant passage.
 
-    The passage is drawn uniformly from the top `pool_size` TF-IDF-similar
-    passages to the gold one, excluding anything relevant to the question.
-    Returns None (with a warning) when no candidate exists.
+    The passage is drawn uniformly from the top NEGATIVE_POOL TF-IDF-similar
+    passages to the gold one, excluding `relevant_ids` (default: the gold
+    passage alone).  Returns None (with a warning) when no candidate exists.
     """
     exclude = relevant_ids if relevant_ids is not None else {positive.passage_id}
-    ranked = similar_passages(index, corpus[positive.passage_id], pool_size)
+    ranked = similar_passages(index, corpus[positive.passage_id], NEGATIVE_POOL)
     pool = [pid for pid, _ in ranked.entries if pid not in exclude]
     if not pool:
         logger.warning("no negative candidate for question %s (passage %d)",
@@ -235,6 +238,11 @@ def train(positives: list[QuestionExample], corpus: Corpus, index: TfIdfIndex,
     rng_negative = np.random.default_rng(seeds[2])
     rng_dropout = np.random.default_rng(seeds[3])
 
+    # a question may have several gold passages; none of them is a negative
+    gold: dict[str, set[int]] = {}
+    for ex in positives:
+        gold.setdefault(ex.qid, set()).add(ex.passage_id)
+
     weights = init_weights(rng_init, table.dim, hp.hidden, hp.attn_dim)
     arrays = named_arrays(weights)
     ema = {name: arr.copy() for name, arr in arrays.items()}
@@ -255,7 +263,7 @@ def train(positives: list[QuestionExample], corpus: Corpus, index: TfIdfIndex,
             if want_negatives:
                 negatives = []
                 for pos_ex in examples[:hp.batch_negatives]:
-                    neg = make_negative(pos_ex, index, corpus, rng_negative)
+                    neg = make_negative(pos_ex, index, corpus, rng_negative, gold[pos_ex.qid])
                     if neg is not None:
                         negatives.append(neg)
                 examples = examples + negatives

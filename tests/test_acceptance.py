@@ -56,7 +56,7 @@ def test_full_model_gradients_match_finite_differences():
     passages = [tokenize("w1 w0 w4 w2 w7 w3"), tokenize("w5 w6 w2 w0 w1")]
     batch = Batch([QuestionExample("a", questions[0], 0, 1, (1, 3)),
                    QuestionExample("a", questions[1], 1, 0)])
-    encoded = encode_batch(questions, passages, table, dtype=np.float64)
+    encoded = encode_batch(questions, passages, table)
     targets = build_targets(batch, encoded.passage_emb.shape[2],
                             dtype=np.float64)
 

@@ -280,7 +280,9 @@ def test_bad_config_exits_2(ws, tmp_path, capsys):
                   "--index", ws.index_path, "--checkpoint", str(tmp_path / "out")]
     cases = [{"hyperparams": block} for block in (
         {"bogus": 3}, {"vote_temperature": "x"}, {"epochs": "3"}, {"hidden": True},
-        {"vote_temperature": 0}, {"seed": -1}, {"epochs": 0})]
+        {"vote_temperature": 0}, {"seed": -1}, {"epochs": 0}, {"hidden": 0}, {"hidden": -1},
+        {"attn_dim": 0}, {"batch_positives": 0}, {"batch_negatives": -1}, {"dropout": 1.0},
+        {"ema_decay": 2.0})]
     cases += [{"tau": "x"}, {"epochs": "x"}, {"epochs": -2}, {"seed": "abc"}, {"seed": -1},
               {"hyperparams": [1, 2]}, {"hyperparams": []}]
     argvs = [["train"] + train_args] * len(cases)
@@ -408,6 +410,9 @@ def test_corrupt_checkpoint_exits_4(ws, tmp_path, capsys):
         "string epochs": with_settings(real, epochs="3"),
         "bool hidden": with_settings(real, hidden=True),
         "zero vote_temperature": with_settings(real, vote_temperature=0),
+        "zero attn_dim": with_settings(real, attn_dim=0),
+        "dropout of 1": with_settings(real, dropout=1.0),
+        "ema_decay above 1": with_settings(real, ema_decay=2.0),
         "wrong-shaped EMA shadow": with_tensor(real, "ema/sim_weight", np.zeros(7)),
         "NaN raw weight": with_tensor(real, "rel_weight", nan_weight),
         "inf EMA shadow": with_tensor(real, "ema/sim_weight", inf_shadow),
@@ -506,6 +511,17 @@ def test_non_finite_vector_exits_4(ws, tmp_path, capsys):
     err = capsys.readouterr().err
     assert code == 4
     assert "line 2: non-finite" in err and "Traceback" not in err, err
+
+
+def test_vector_file_short_of_its_header_count_exits_4(ws, tmp_path, capsys):
+    lines = Path(ws.vectors).read_text(encoding="utf-8").splitlines()
+    cut = tmp_path / "cut.txt"
+    cut.write_text("\n".join(lines[:-1]) + "\n", encoding="utf-8")
+    code, _ = run(["eval-rc", "--corpus", ws.corpus_dir,
+                   "--vectors", str(cut), "--checkpoint", ws.ckpt_dir])
+    err = capsys.readouterr().err
+    assert code == 4
+    assert "line 1: header says" in err and "Traceback" not in err, err
 
 
 @pytest.mark.parametrize("command", ["eval-ir", "eval-rc", "eval-mrs"])

@@ -374,6 +374,24 @@ def test_telescope_tfidf_can_rerank_neural_survivors(task, task_index, scorer):
     assert final.ids() == kept
 
 
+@pytest.mark.parametrize("spec", ["neural:6,tfidf:2", "tfidf:12,neural:6,tfidf:3",
+                                  "tfidf:10,tfidf:4", "neural:20,tfidf:19"])
+def test_later_tfidf_stage_equals_filtering_the_full_ranking(task, task_index, scorer,
+                                                             spec):
+    """Ranking only the survivors gives the list that filtering the whole
+    corpus's TF-IDF ranking down to them gives, float scores included."""
+    chain = parse_chain(spec)
+    earlier = RankerChain(chain.stages[:-1], chain.stages[-2].cut)
+    for ex in task.examples[:8]:
+        survivors = telescope(ex.question, earlier, task_index, task.corpus, scorer)
+        full = top_k(task_index, ex.question.tokens, len(task.corpus))
+        allowed = set(survivors.ids())
+        entries = [(pid, sc) for pid, sc in full.entries if pid in allowed]
+        got = telescope(ex.question, chain, task_index, task.corpus, scorer)
+        assert got.entries == entries[:chain.stages[-1].cut]
+        assert got.warning == full.warning
+
+
 def test_telescope_neural_stage_needs_scorer(task, task_index):
     with pytest.raises(ValueError, match="scorer"):
         telescope(task.examples[0].question, parse_chain("neural:3"),

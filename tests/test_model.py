@@ -1,4 +1,6 @@
 """Network tests: shapes, attention identities, heads, span selection."""
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -57,10 +59,26 @@ def test_hyperparams_reject_unknown_fields():
     ({"vote_temperature": -0.5}, "vote_temperature must be positive"),
     ({"seed": -1}, "seed must be non-negative"),
     ({"epochs": 0}, "epochs must be at least 1"),
+    ({"hidden": 0}, "hidden must be at least 1"),
+    ({"hidden": -1}, "hidden must be at least 1"),
+    ({"attn_dim": 0}, "attn_dim must be at least 1"),
+    ({"batch_positives": 0}, "batch_positives must be at least 1"),
+    ({"batch_negatives": -1}, "batch_negatives must be non-negative"),
+    ({"dropout": 1.0}, r"dropout must be in \[0, 1\)"),
+    ({"dropout": -0.1}, r"dropout must be in \[0, 1\)"),
+    ({"ema_decay": 2.0}, r"ema_decay must be in \[0, 1\]"),
+    ({"ema_decay": -0.5}, r"ema_decay must be in \[0, 1\]"),
 ])
 def test_hyperparams_check_field_types(raw, message):
     with pytest.raises(ValueError, match=message):
         Hyperparams.from_dict(raw)
+
+
+def test_hyperparams_range_edges_are_accepted():
+    hp = Hyperparams.from_dict({"hidden": 1, "attn_dim": 1, "batch_positives": 1,
+                                "batch_negatives": 0, "dropout": 0, "ema_decay": 1})
+    assert (hp.hidden, hp.batch_negatives, hp.dropout, hp.ema_decay) == (1, 0, 0, 1)
+    assert Hyperparams.from_dict({"ema_decay": 0.0, "dropout": 0.999}).ema_decay == 0.0
 
 
 def test_hyperparams_float_fields_take_ints():
@@ -134,8 +152,7 @@ def test_expected_parameter_shapes():
 def test_encode_batch_padding_and_masks():
     rng = np.random.default_rng(31)
     table = make_table(rng, ["a", "b", "c", "q"], 4)
-    batch = encode_batch(seqs("q a", "q"), seqs("a b c", "b"), table,
-                         dtype=np.float64)
+    batch = encode_batch(seqs("q a", "q"), seqs("a b c", "b"), table)
     assert batch.passage_emb.shape == (2, 4, 3)
     assert batch.question_emb.shape == (2, 4, 2)
     np.testing.assert_array_equal(batch.passage_mask, [[1, 1, 1], [1, 0, 0]])
@@ -167,6 +184,31 @@ def test_exact_match_channel_is_case_sensitive():
         exact_match_channel(tokenize("a b"), tokenize("b a b")), [[1.0, 1.0, 1.0]])
 
 
+# sha256 of encode_batch's five arrays (dtype, then bytes) for the batch
+# below, taken before the vector table became one matrix.
+GOLDEN_EMBEDDINGS = {
+    np.float32: "1d72fc4a5ce8b0c142462ee5a0835a8d22b5b391f077a7a0547f1a8724113c8b",
+    np.float64: "32eb37ac12bc5d9bda440a0f41d05868f212df03572f3e082db901f4360df4c4",
+}
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_encode_batch_bytes_are_golden(dtype):
+    """Out-of-vocabulary words, padding and the match channel, byte for byte;
+    every array is C-ordered and has the table's dtype."""
+    rng = np.random.default_rng(44)
+    table = make_table(rng, [f"w{i}" for i in range(12)], 5, dtype)
+    batch = encode_batch(seqs("w1 w2 w3 ?", "w4 zz", "w0"),
+                         seqs("w5 w1 w6 w7 oov w2 .", "w8 w4", "w9 w10 w11 w0 w3"), table)
+    digest = hashlib.sha256()
+    for arr in (batch.passage_emb, batch.question_emb, batch.passage_mask,
+                batch.question_mask, batch.match_channel):
+        assert arr.flags.c_contiguous and arr.dtype == dtype
+        digest.update(arr.dtype.str.encode())
+        digest.update(arr.tobytes())
+    assert digest.hexdigest() == GOLDEN_EMBEDDINGS[dtype]
+
+
 # ---------------------------------------------------------------------------
 # forward pass shapes and identities
 
@@ -192,7 +234,7 @@ def test_forward_shapes_at_reference_dims():
 def test_zero_similarity_weight_gives_uniform_attention():
     _, table, weights, hp = tiny_setup()
     weights.arrays["sim_weight"] = np.zeros_like(weights.arrays["sim_weight"])
-    batch = encode_batch(seqs("w1 w2"), seqs("w3 w4 w5"), table, dtype=np.float64)
+    batch = encode_batch(seqs("w1 w2"), seqs("w3 w4 w5"), table)
     state = forward_batch(weights, hp, batch, heads=())
     d2 = 2 * hp.hidden
     np.testing.assert_array_equal(state.similarity.value, np.zeros((1, 3, 2)))
@@ -208,7 +250,7 @@ def test_zero_similarity_weight_gives_uniform_attention():
 
 def test_single_question_token_blend_is_that_token():
     _, table, weights, hp = tiny_setup(seed=34)
-    batch = encode_batch(seqs("w7"), seqs("w1 w2 w3 w4"), table, dtype=np.float64)
+    batch = encode_batch(seqs("w7"), seqs("w1 w2 w3 w4"), table)
     state = forward_batch(weights, hp, batch, heads=())
     d2 = 2 * hp.hidden
     blend = state.attended.value[:, d2:2 * d2, :]
@@ -219,7 +261,7 @@ def test_single_question_token_blend_is_that_token():
 def test_zero_relevance_weight_gives_half_probability():
     _, table, weights, hp = tiny_setup(seed=35)
     weights.arrays["rel_weight"] = np.zeros_like(weights.arrays["rel_weight"])
-    batch = encode_batch(seqs("w1"), seqs("w2 w3"), table, dtype=np.float64)
+    batch = encode_batch(seqs("w1"), seqs("w2 w3"), table)
     state = forward_batch(weights, hp, batch, heads=("relevance",))
     assert state.relevance.value[0] == 0.5
     assert state.start_probs is None  # span head skipped
@@ -228,8 +270,7 @@ def test_zero_relevance_weight_gives_half_probability():
 def test_zero_attention_context_gives_uniform_summary_weights():
     _, table, weights, hp = tiny_setup(seed=36)
     weights.arrays["attn_context"] = np.zeros_like(weights.arrays["attn_context"])
-    batch = encode_batch(seqs("w1", "w1"), seqs("w2 w3 w4", "w5 w6"), table,
-                         dtype=np.float64)
+    batch = encode_batch(seqs("w1", "w1"), seqs("w2 w3 w4", "w5 w6"), table)
     state = forward_batch(weights, hp, batch, heads=("relevance",))
     np.testing.assert_allclose(state.rel_attention.value[0], [1 / 3] * 3, atol=1e-12)
     np.testing.assert_allclose(state.rel_attention.value[1], [0.5, 0.5, 0.0],
@@ -238,8 +279,7 @@ def test_zero_attention_context_gives_uniform_summary_weights():
 
 def test_span_distributions_sum_to_one_and_respect_padding():
     _, table, weights, hp = tiny_setup(seed=37)
-    batch = encode_batch(seqs("w1 w2", "w3"), seqs("w4 w5 w6 w7", "w8 w9"), table,
-                         dtype=np.float64)
+    batch = encode_batch(seqs("w1 w2", "w3"), seqs("w4 w5 w6 w7", "w8 w9"), table)
     state = forward_batch(weights, hp, batch)
     for probs in (state.start_probs.value, state.end_probs.value):
         np.testing.assert_allclose(probs.sum(axis=1), [1.0, 1.0], atol=1e-12)
@@ -249,14 +289,14 @@ def test_span_distributions_sum_to_one_and_respect_padding():
 
 def test_forward_rejects_unknown_heads():
     _, table, weights, hp = tiny_setup(seed=38)
-    batch = encode_batch(seqs("w1"), seqs("w2"), table, dtype=np.float64)
+    batch = encode_batch(seqs("w1"), seqs("w2"), table)
     with pytest.raises(ValueError, match="unknown heads"):
         forward_batch(weights, hp, batch, heads=("span", "reading"))
 
 
 def test_forward_is_deterministic_in_eval():
     _, table, weights, hp = tiny_setup(seed=39)
-    batch = encode_batch(seqs("w1 w2"), seqs("w3 w4 w5"), table, dtype=np.float64)
+    batch = encode_batch(seqs("w1 w2"), seqs("w3 w4 w5"), table)
     a = forward_batch(weights, hp, batch)
     b = forward_batch(weights, hp, batch)
     np.testing.assert_array_equal(a.start_probs.value, b.start_probs.value)
@@ -267,7 +307,7 @@ def test_forward_is_deterministic_in_eval():
 def test_dropout_changes_training_forward_only():
     _, table, weights, _ = tiny_setup(seed=40)
     hp = Hyperparams(hidden=3, attn_dim=2, dropout=0.4)
-    batch = encode_batch(seqs("w1 w2"), seqs("w3 w4 w5"), table, dtype=np.float64)
+    batch = encode_batch(seqs("w1 w2"), seqs("w3 w4 w5"), table)
     eval_state = forward_batch(weights, hp, batch, train=False)
     train_state = forward_batch(weights, hp, batch, train=True,
                                 rng=np.random.default_rng(5))
@@ -280,7 +320,7 @@ def test_full_forward_matches_scalar_reference():
     _, table, weights, hp = tiny_setup(seed=41)
     question = tokenize("w1 w2 w7")
     passage = tokenize("w3 w1 w4 w5 w6")
-    batch = encode_batch([question], [passage], table, dtype=np.float64)
+    batch = encode_batch([question], [passage], table)
     state = forward_batch(weights, hp, batch)
     ref = oracles.full_forward(weights, list(question.tokens),
                                list(passage.tokens), table)

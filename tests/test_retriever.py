@@ -389,6 +389,30 @@ def test_damaged_index_is_rejected_or_usable(data):
                 similar_passages(index, rec, 3)
 
 
+@functools.cache
+def fuzz_corpus_bytes() -> bytes:
+    with tempfile.TemporaryDirectory() as tmp:
+        corpus_of(["the cat sat", "café au lait", "a dog"]).save_jsonl(f"{tmp}/p.jsonl")
+        return Path(f"{tmp}/p.jsonl").read_bytes()
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_damaged_passages_jsonl_is_rejected_or_usable(data):
+    """Truncated, bit-flipped or spliced passage files fail with CorpusError or
+    load into a corpus that indexes and serves queries."""
+    with tempfile.TemporaryDirectory() as tmp:
+        Path(f"{tmp}/p.jsonl").write_bytes(draw_damaged(data, fuzz_corpus_bytes()))
+        try:
+            corpus = Corpus.load_jsonl(f"{tmp}/p.jsonl")
+        except CorpusError:
+            return
+    index = build_index(corpus, n_buckets=64)
+    for rec in corpus:
+        top_k(index, rec.tokens.tokens, 3)
+        similar_passages(index, rec, 3)
+
+
 def test_query_weights_uses_corpus_frequencies():
     index = build_index(corpus_of(["alpha beta", "gamma delta", "epsilon zeta"]))
     weights = query_weights(index, ["alpha", "unseen"])

@@ -1,13 +1,18 @@
 """Dataset ingestion: span alignment, stats, and the examples file."""
+import functools
 import json
 import re
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from passageqa.squad import (DatasetFormatError, align_span, ingest_dataset,
                              load_examples, save_examples)
 from passageqa.text import tokenize
 from passageqa.training import QuestionExample
+from fuzzing import draw_damaged
 from synthtask import ingest_round_trip
 
 
@@ -180,3 +185,29 @@ def test_fixture_dataset_round_trips_through_ingest(task, tmp_path):
         assert (back.qid, back.passage_id, back.span) == \
                (orig.qid, orig.passage_id, orig.span)
         assert back.question.tokens == orig.question.tokens
+
+
+@functools.cache
+def fuzz_examples_bytes() -> bytes:
+    examples = [QuestionExample("q1", tokenize("Where is Alba ?"), 0, 1, (2, 2), ("Alba",)),
+                QuestionExample("q2", tokenize("Qui est là ?"), 3, 0, None, ("là", "ici"))]
+    with tempfile.TemporaryDirectory() as tmp:
+        save_examples(f"{tmp}/e.jsonl", examples)
+        return Path(f"{tmp}/e.jsonl").read_bytes()
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_damaged_examples_jsonl_is_rejected_or_usable(data):
+    """Truncated, bit-flipped or spliced examples files fail with
+    DatasetFormatError or load into well-formed examples."""
+    with tempfile.TemporaryDirectory() as tmp:
+        Path(f"{tmp}/e.jsonl").write_bytes(draw_damaged(data, fuzz_examples_bytes()))
+        try:
+            examples = load_examples(f"{tmp}/e.jsonl")
+        except DatasetFormatError:
+            return
+    for ex in examples:
+        assert isinstance(ex.qid, str) and len(ex.question) > 0
+        assert ex.relevance in (0, 1) and (ex.relevance == 0 or ex.span is not None)
+        assert all(isinstance(a, str) for a in ex.answer_texts)

@@ -1,10 +1,15 @@
 """Tokenizer and word-vector file tests."""
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from passageqa.text import (TokenSeq, VectorFileError, VectorTable, embed,
                             load_vectors, save_vectors, tokenize)
+
+from fuzzing import draw_damaged
 
 
 def test_trailing_question_mark_splits():
@@ -114,9 +119,10 @@ def test_bad_header_reports_line_one(tmp_path):
     path = write(tmp_path, "x 3\n")
     with pytest.raises(VectorFileError, match="line 1"):
         load_vectors(path)
-    path = write(tmp_path, "1 0\n")
-    with pytest.raises(VectorFileError, match="line 1"):
-        load_vectors(path)
+    for header in ("1 0", "0 2", "-1 2"):
+        path = write(tmp_path, header + "\n")
+        with pytest.raises(VectorFileError, match="line 1: COUNT and DIM must be positive"):
+            load_vectors(path)
 
 
 def test_bad_row_reports_its_line_number(tmp_path):
@@ -141,11 +147,60 @@ def test_non_finite_component_reports_its_line_number(tmp_path, value, message):
         load_vectors(path)
 
 
+def test_table_is_one_read_only_matrix_with_zero_row_0():
+    table = VectorTable(2, {"a": np.array([1.0, 2.0], dtype=np.float32),
+                            "b": np.array([3.0, 4.0], dtype=np.float32)})
+    assert table.rows == {"a": 1, "b": 2}
+    np.testing.assert_array_equal(table.matrix, [[0.0, 0.0], [1.0, 2.0], [3.0, 4.0]])
+    assert table.matrix.dtype == np.float32 and not table.matrix.flags.writeable
+    assert np.shares_memory(table.get("zzz"), table.matrix[0])
+
+
+def test_table_dtype_follows_its_vectors():
+    assert VectorTable(3).matrix.dtype == np.float32
+    assert VectorTable(3).matrix.shape == (1, 3)
+    table = VectorTable(2, {"a": np.array([0.1, 0.2])})
+    assert table.matrix.dtype == np.float64
+    assert table.get("a")[0] == 0.1 and embed(tokenize("a z"), table).dtype == np.float64
+
+
 def test_embed_stacks_columns():
     table = VectorTable(2, {"a": np.array([1.0, 2.0], dtype=np.float32)})
     seq = tokenize("a b a")
     out = embed(seq, table)
-    assert out.shape == (2, 3)
+    assert out.shape == (2, 3) and out.dtype == np.float32
     np.testing.assert_array_equal(out[:, 0], [1.0, 2.0])
     np.testing.assert_array_equal(out[:, 1], [0.0, 0.0])
     np.testing.assert_array_equal(out[:, 2], [1.0, 2.0])
+    assert embed(tokenize(""), table).shape == (2, 0)
+
+
+@pytest.mark.parametrize("content", [
+    "3 2\nhello 0.5 -0.5\n",                        # cut at a line boundary
+    "1 2\nhello 0.5 -0.5\nworld 1 1\n",              # a row past COUNT
+    "1 2\nword 1.0 1.0\n\nword 9.0 9.0\n"])          # a duplicate is a row too
+def test_row_count_must_match_header(tmp_path, content):
+    path = write(tmp_path, content)
+    with pytest.raises(VectorFileError, match="line 1: header says"):
+        load_vectors(path)
+
+
+FUZZ_VECTORS = "4 3\nthe 0.5 -0.25 1.0\ncat 1e-3 2.5 -7\nsat 0 0 0\nmat -1.5 3.25 0.125\n"
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_damaged_vector_file_is_rejected_or_usable(data):
+    """Truncated, bit-flipped or spliced files fail with VectorFileError or load
+    into a float32 table whose every vector is finite and embeddable."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = f"{tmp}/damaged.txt"
+        Path(path).write_bytes(draw_damaged(data, FUZZ_VECTORS.encode()))
+        try:
+            table = load_vectors(path)
+        except VectorFileError:
+            return
+    assert table.matrix.shape == (len(table) + 1, table.dim)
+    assert table.matrix.dtype == np.float32 and np.isfinite(table.matrix).all()
+    out = embed(TokenSeq("", tuple(table.rows) + ("unseen",), ()), table)
+    assert out.shape == (table.dim, len(table) + 1) and not out[:, -1].any()

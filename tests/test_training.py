@@ -319,6 +319,29 @@ def test_make_negative_returns_none_without_candidates():
     assert make_negative(ex, index, corpus, np.random.default_rng(0)) is None
 
 
+def test_train_never_draws_another_gold_passage_as_negative(monkeypatch):
+    """Passages 0-3 are each other's only TF-IDF neighbours; question q has gold
+    passages 0 and 1, so its negatives come from 2 and 3 alone."""
+    from passageqa import training
+    from passageqa.retriever import Corpus, PassageRecord, build_index
+    from passageqa.text import VectorTable
+    corpus = Corpus([PassageRecord(i, 0, f"red fox number{i}" if i < 4 else f"blue owl{i}")
+                     for i in range(10)])
+    drawn = []
+
+    def recording(*args, **kwargs):
+        neg = make_negative(*args, **kwargs)
+        drawn.append(neg.passage_id)
+        return neg
+
+    monkeypatch.setattr(training, "make_negative", recording)
+    table = VectorTable(4, {"red": np.ones(4, np.float32)})
+    train([positive("q", 0), positive("q", 1)], corpus, build_index(corpus), table,
+          small_hp(epochs=10, batch_positives=2, batch_negatives=2))
+    assert len(drawn) == 20
+    assert set(drawn) == {2, 3}
+
+
 # ---------------------------------------------------------------------------
 # the training loop
 
