@@ -9,7 +9,8 @@ whichever command it is.  One seed drives every source of randomness, so
 runs with the same inputs and seed produce byte-identical outputs.
 
 Exit codes: 0 success, 2 usage or configuration error, 3 missing input file,
-4 malformed data or artifact, 1 unexpected failure.
+4 malformed data or artifact (also a checkpoint whose outputs are not finite),
+1 unexpected failure.
 """
 from __future__ import annotations
 
@@ -29,7 +30,7 @@ from .retriever import (DEFAULT_BUCKETS, Corpus, CorpusError, IndexFormatError,
                         build_index, load_index, save_index)
 from .squad import (DatasetFormatError, check_examples, ingest_dataset, load_examples,
                     save_examples)
-from .text import VectorFileError, load_vectors, tokenize
+from .text import VectorFileError, load_vectors, tokenize, utf8_encodable
 from .training import TrainMode, train
 
 logger = logging.getLogger(__name__)
@@ -295,6 +296,8 @@ def cmd_ask(s) -> int:
         question_text = sys.stdin.readline().strip()
     if not question_text:
         raise ConfigError("no question given (use --question or pipe one line)")
+    if not utf8_encodable(question_text):
+        raise ConfigError("question text is not encodable as UTF-8")
     vote, ranked = answer_question(tokenize(question_text), chain, index, corpus, scorer)
     for pos, (pid, score) in enumerate(ranked.entries, start=1):
         snippet = corpus[pid].text

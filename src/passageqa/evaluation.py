@@ -43,7 +43,8 @@ class ChainSpecError(ValueError):
 
 
 class EvaluationError(ValueError):
-    """Raised when an evaluation is given nothing to evaluate."""
+    """Raised when an evaluation is given nothing to evaluate, or when the model
+    gives a non-finite relevance or span probability."""
 
 
 @dataclass(frozen=True)
@@ -169,6 +170,10 @@ class NeuralScorer:
                 passages = self._passage_states(chunk, batch)
                 state = read(self.weights, self.hp, ad.constant(passages),
                              ad.constant(questions), batch, heads=heads)
+            outputs = (state.relevance, state.start_probs, state.end_probs)
+            if not all(np.isfinite(node.value).all() for node in outputs if node is not None):
+                raise EvaluationError("the model gave a non-finite relevance or span "
+                                      "probability; its weights overflow")
             yield rows, batch, state
 
     def relevance_scores(self, question: TokenSeq,

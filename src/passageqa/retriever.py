@@ -4,6 +4,14 @@ Features are unigrams plus adjacent bigrams, hashed with 64-bit FNV-1a into a
 fixed number of buckets.  Term weights are ln(1 + tf) * idf with
 idf = max(0, ln((N - df + 0.5) / (df + 0.5))), and passages are ranked by
 cosine similarity against the query vector.
+
+Hashing is vectorised: `hash_keys` joins the keys' UTF-8 bytes into one
+buffer and runs FNV-1a one byte position at a time over every key that long,
+in uint64 arrays.  `build_index` hashes the whole corpus in one call and
+counts each (passage, bucket) pair with one sort.  Each passage's features
+keep the order of their first occurrence, as a per-passage Counter would:
+that order is the order in which a passage's norm is summed, so it fixes the
+bits of the norms written to disk.
 """
 from __future__ import annotations
 
@@ -15,15 +23,14 @@ from itertools import chain
 
 import numpy as np
 
-from .text import TokenSeq, tokenize
+from .text import TokenSeq, tokenize, utf8_encodable
 
 # Joins the two halves of a bigram key; cannot occur inside a token because
 # the tokenizer splits on whitespace and U+001F is whitespace-adjacent control.
 BIGRAM_SEP = "\x1f"
 
-_FNV_OFFSET = 0xCBF29CE484222325
-_FNV_PRIME = 0x100000001B3
-_MASK64 = 0xFFFFFFFFFFFFFFFF
+_FNV_OFFSET = np.uint64(0xCBF29CE484222325)
+_FNV_PRIME = np.uint64(0x100000001B3)
 
 DEFAULT_BUCKETS = 2 ** 24
 
@@ -39,13 +46,28 @@ class CorpusError(ValueError):
     """Raised for malformed corpora (bad or duplicate ids, empty passages, bad rows)."""
 
 
-def fnv1a_64(data: bytes) -> int:
-    """64-bit FNV-1a; the fixed feature hash used for bucket assignment."""
-    acc = _FNV_OFFSET
-    for byte in data:
-        acc ^= byte
-        acc = (acc * _FNV_PRIME) & _MASK64
-    return acc
+def hash_keys(keys: list[str]) -> np.ndarray:
+    """64-bit FNV-1a of each key's UTF-8 bytes, as a uint64 array.
+
+    Keys are hashed side by side, one byte position at a time, longest first,
+    so the keys still live at a position are a prefix of the accumulator.
+    In-place uint64 array arithmetic wraps mod 2**64, as FNV-1a needs.
+    """
+    data = np.frombuffer("".join(keys).encode("utf-8"), np.uint8)
+    lengths = np.fromiter(map(len, keys), np.int64, len(keys))
+    if len(data) != lengths.sum():      # not all ASCII: count bytes, not characters
+        lengths = np.fromiter(map(len, map(str.encode, keys)), np.int64, len(keys))
+    order = np.argsort(-lengths, kind="stable")
+    at = (np.cumsum(lengths) - lengths)[order]
+    live = np.cumsum(np.bincount(lengths)[::-1])[::-1]    # live[i]: keys of >= i bytes
+    acc = np.full(len(keys), _FNV_OFFSET)
+    for pos in range(int(lengths.max(initial=0))):
+        n = live[pos + 1]
+        acc[:n] ^= data[at[:n] + pos]
+        acc[:n] *= _FNV_PRIME
+    out = np.empty_like(acc)
+    out[order] = acc
+    return out
 
 
 def ngram_keys(tokens: tuple[str, ...] | list[str]) -> list[str]:
@@ -57,11 +79,9 @@ def ngram_keys(tokens: tuple[str, ...] | list[str]) -> list[str]:
 
 def ngram_features(tokens: tuple[str, ...] | list[str],
                    n_buckets: int = DEFAULT_BUCKETS) -> Counter[int]:
-    """Bucketed term-frequency counts for unigrams + adjacent bigrams."""
-    counts: Counter[int] = Counter()
-    for key in ngram_keys(tokens):
-        counts[fnv1a_64(key.encode("utf-8")) % n_buckets] += 1
-    return counts
+    """Bucketed term-frequency counts for unigrams + adjacent bigrams, keyed in
+    order of first occurrence."""
+    return Counter((hash_keys(ngram_keys(tokens)) % np.uint64(n_buckets)).tolist())
 
 
 @dataclass
@@ -101,6 +121,8 @@ class Corpus:
                               f"got {type(rec.text).__name__}")
         if not rec.text.strip():
             raise CorpusError(f"passage {rec.passage_id} has empty text")
+        if not utf8_encodable(rec.text):
+            raise CorpusError(f"passage {rec.passage_id} text is not encodable as UTF-8")
         self._by_id[rec.passage_id] = rec
         self.records.append(rec)
 
@@ -212,25 +234,44 @@ class TfIdfIndex:
         return _idf(self.n_docs, df)
 
 
+def passage_features(token_lists, n_buckets: int = DEFAULT_BUCKETS
+                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(owner, bucket, tf) arrays with one entry per (passage, bucket) pair: the
+    items of each token list's `ngram_features`, back to back, in their order."""
+    keys = [ngram_keys(tokens) for tokens in token_lists]
+    owner = np.repeat(np.arange(len(keys)), np.fromiter(map(len, keys), np.int64, len(keys)))
+    features = hash_keys(list(chain.from_iterable(keys))) % np.uint64(n_buckets)
+    # Runs of equal (passage, bucket) after a stable sort.  Each run's length,
+    # its tf, goes to the run's first occurrence, so reading the tfs in key
+    # order keeps each passage's buckets in first-occurrence order.
+    by_pair = np.lexsort((features, owner))
+    pair_owner, pair_feature = owner[by_pair], features[by_pair]
+    new_run = np.ones(len(by_pair), bool)
+    new_run[1:] = (pair_owner[1:] != pair_owner[:-1]) | (pair_feature[1:] != pair_feature[:-1])
+    starts = np.flatnonzero(new_run)
+    tf_at = np.zeros(len(by_pair), np.uint32)
+    tf_at[by_pair[starts]] = np.diff(starts, append=len(by_pair))
+    firsts = np.flatnonzero(tf_at)
+    return owner[firsts], features[firsts], tf_at[firsts]
+
+
 def build_index(corpus: Corpus, n_buckets: int = DEFAULT_BUCKETS) -> TfIdfIndex:
     """Index every passage in the corpus; ids must be unique (Corpus enforces)."""
     if n_buckets < 1:
         raise ValueError(f"bucket count must be positive, got {n_buckets}")
-    counts = [ngram_features(rec.tokens.tokens, n_buckets) for rec in corpus]
-    keys = np.fromiter(chain.from_iterable(counts), np.uint64)
-    tfs = np.fromiter(chain.from_iterable(c.values() for c in counts), np.uint32)
-    owner = np.repeat(np.arange(len(counts)), np.fromiter(map(len, counts), np.int64))
-    buckets, bucket_of, df = np.unique(keys, return_inverse=True, return_counts=True)
-    weights = np.log1p(tfs.astype(np.float64)) * _idf(len(counts), df)[bucket_of]
+    n_docs = len(corpus)
+    owner, features, tfs = passage_features([rec.tokens.tokens for rec in corpus], n_buckets)
+    buckets, bucket_of, df = np.unique(features, return_inverse=True, return_counts=True)
+    weights = np.log1p(tfs.astype(np.float64)) * _idf(n_docs, df)[bucket_of]
     # bincount sums each passage's squares in its feature order, as a loop
     # would.  Norms are stored as float32 on disk; round here so that scores
     # are bit-identical before and after a save/load round trip.
-    norms = np.sqrt(np.bincount(owner, weights=weights * weights, minlength=len(counts)))
-    ids = np.fromiter((rec.passage_id for rec in corpus), np.uint64, len(counts))
+    norms = np.sqrt(np.bincount(owner, weights=weights * weights, minlength=n_docs))
+    ids = np.fromiter((rec.passage_id for rec in corpus), np.uint64, n_docs)
     order = np.argsort(ids)
     docs = np.argsort(order)[owner]    # each passage's row in the sorted ids
     by_bucket = np.lexsort((docs, bucket_of))
-    return TfIdfIndex(n_buckets, len(counts), buckets, np.concatenate(([0], np.cumsum(df))),
+    return TfIdfIndex(n_buckets, n_docs, buckets, np.concatenate(([0], np.cumsum(df))),
                       docs[by_bucket], tfs[by_bucket], ids[order],
                       norms[order].astype(np.float32))
 

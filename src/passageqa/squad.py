@@ -13,7 +13,7 @@ import logging
 from dataclasses import dataclass, field
 
 from .retriever import Corpus, PassageRecord
-from .text import TokenSeq, tokenize
+from .text import TokenSeq, tokenize, utf8_encodable
 from .training import QuestionExample
 
 logger = logging.getLogger(__name__)
@@ -38,6 +38,13 @@ def _expect(value, kind, where: str):
     if not isinstance(value, kind):
         names = " or ".join(k.__name__ for k in (kind if isinstance(kind, tuple) else (kind,)))
         raise DatasetFormatError(f"{where}: expected {names}, got {type(value).__name__}")
+    return value
+
+
+def _expect_text(value, where: str) -> str:
+    """`value` if it is a string the retriever can hash (encodable as UTF-8)."""
+    if not utf8_encodable(_expect(value, str, where)):
+        raise DatasetFormatError(f"{where}: text is not encodable as UTF-8")
     return value
 
 
@@ -85,7 +92,7 @@ def ingest_dataset(path: str) -> tuple[Corpus, list[QuestionExample], IngestStat
         for p_i, para in enumerate(paragraphs):
             where_p = f"{where_a}.paragraphs[{p_i}]"
             _expect(para, dict, where_p)
-            context = _expect(para.get("context"), str, f"{where_p}.context")
+            context = _expect_text(para.get("context"), f"{where_p}.context")
             qas = _expect(para.get("qas"), list, f"{where_p}.qas")
             if not context.strip():
                 raise DatasetFormatError(f"{where_p}.context: empty passage text")
@@ -97,7 +104,7 @@ def ingest_dataset(path: str) -> tuple[Corpus, list[QuestionExample], IngestStat
                 where_q = f"{where_p}.qas[{q_i}]"
                 _expect(qa, dict, where_q)
                 qid = str(_expect(qa.get("id"), (str, int), f"{where_q}.id"))
-                question = _expect(qa.get("question"), str, f"{where_q}.question")
+                question = _expect_text(qa.get("question"), f"{where_q}.question")
                 answers = _expect(qa.get("answers"), list, f"{where_q}.answers")
                 stats.n_questions += 1
                 span = None
@@ -182,7 +189,7 @@ def load_examples(path: str) -> list[QuestionExample]:
             if passage_id < 0:
                 raise DatasetFormatError(f"{where}.passage_id: negative id {passage_id}")
             qid = _expect(row["qid"], str, f"{where}.qid")
-            question = tokenize(_expect(row["question"], str, f"{where}.question"))
+            question = tokenize(_expect_text(row["question"], f"{where}.question"))
             if len(question) == 0:
                 raise DatasetFormatError(f"{where}.question: no tokens")
             relevance = _expect_int(row["relevance"], f"{where}.relevance")

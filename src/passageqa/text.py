@@ -13,6 +13,7 @@ match channel) has its matrix's dtype, float32 when read from a file.
 """
 from __future__ import annotations
 
+import functools
 import math
 import re
 import unicodedata
@@ -29,11 +30,22 @@ class VectorFileError(ValueError):
         super().__init__(f"{path}: line {line_no}: {message}")
 
 
+@functools.cache
 def _is_punct(ch: str) -> bool:
     return unicodedata.category(ch).startswith("P")
 
 
 _CHUNK = re.compile(r"\S+")
+
+
+def utf8_encodable(text: str) -> bool:
+    """False for text holding a lone surrogate, which UTF-8 cannot encode; the
+    retriever hashes UTF-8 bytes, so loaders reject such text."""
+    try:
+        text.encode("utf-8")
+    except UnicodeEncodeError:
+        return False
+    return True
 
 
 @dataclass(frozen=True)
@@ -64,7 +76,10 @@ def tokenize(text: str) -> TokenSeq:
         offsets.append((start, end))
 
     for m in _CHUNK.finditer(text):
-        lo, hi = m.start(), m.end()
+        lo, hi = m.span()
+        if not (_is_punct(text[lo]) or _is_punct(text[hi - 1])):
+            emit(lo, hi)        # most chunks have nothing to peel
+            continue
         while lo < hi and _is_punct(text[lo]):
             emit(lo, lo + 1)
             lo += 1

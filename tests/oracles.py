@@ -9,11 +9,15 @@ worth knowing too).
 from __future__ import annotations
 
 import math
+import re
+import struct
+import unicodedata
 from collections import Counter
 
 import numpy as np
 
-from passageqa.retriever import BIGRAM_SEP, fnv1a_64
+from passageqa.retriever import BIGRAM_SEP
+from passageqa.text import TokenSeq
 
 
 # ---------------------------------------------------------------------------
@@ -268,13 +272,49 @@ def best_span_quadratic(start_p, end_p) -> tuple[int, int, float]:
 
 
 # ---------------------------------------------------------------------------
-# tf-idf over raw string keys (no hashing)
+# tokenizer, one character at a time
+
+
+def tokenize(text: str) -> TokenSeq:
+    """Whitespace split, then leading and trailing punctuation peeled off one
+    character at a time into their own tokens."""
+    tokens, offsets = [], []
+    for m in re.finditer(r"\S+", text):
+        lo, hi = m.start(), m.end()
+        while lo < hi and unicodedata.category(text[lo]).startswith("P"):
+            tokens.append(text[lo])
+            offsets.append((lo, lo + 1))
+            lo += 1
+        trailing = []
+        while hi > lo and unicodedata.category(text[hi - 1]).startswith("P"):
+            trailing.append(hi - 1)
+            hi -= 1
+        if lo < hi:
+            tokens.append(text[lo:hi])
+            offsets.append((lo, hi))
+        for pos in reversed(trailing):
+            tokens.append(text[pos])
+            offsets.append((pos, pos + 1))
+    return TokenSeq(text, tuple(tokens), tuple(offsets))
+
+
+# ---------------------------------------------------------------------------
+# tf-idf over raw string keys, or over their hash buckets one key at a time
 #
 # The arithmetic deliberately repeats the package's formulas step for step,
 # including the float32 rounding of stored norms and the accumulation order
 # (first occurrence of each key, then ascending passage id within a key).
 # When no two distinct keys of a fixture share a hash bucket, scores from
 # this class and from the hashed index are bit-identical.
+
+
+def fnv1a_64(data: bytes) -> int:
+    """64-bit FNV-1a, one byte at a time."""
+    acc = 0xCBF29CE484222325
+    for byte in data:
+        acc ^= byte
+        acc = (acc * 0x100000001B3) & 0xFFFFFFFFFFFFFFFF
+    return acc
 
 
 def string_keys(tokens) -> list[str]:
@@ -293,16 +333,19 @@ def bucket_collisions(token_lists, n_buckets: int) -> dict[int, set[str]]:
 
 
 class PlainTfIdf:
-    def __init__(self, docs: dict[int, list[str]]):
+    """Keys are the raw strings, or with `n_buckets` their FNV-1a buckets."""
+
+    def __init__(self, docs: dict[int, list[str]], n_buckets: int | None = None):
         self.n_docs = len(docs)
-        self.doc_counts: dict[int, Counter[str]] = {}
-        self.doc_freq: dict[str, int] = {}
+        self.n_buckets = n_buckets
+        self.doc_counts: dict[int, Counter] = {}
+        self.doc_freq: dict = {}
         for pid, tokens in docs.items():
-            counts = Counter(string_keys(tokens))
+            counts = Counter(self.keys(tokens))
             self.doc_counts[pid] = counts
             for key in counts:
                 self.doc_freq[key] = self.doc_freq.get(key, 0) + 1
-        self.postings: dict[str, list[tuple[int, int]]] = {}
+        self.postings: dict = {}    # key -> [(pid, tf)]
         self.norms: dict[int, float] = {}
         for pid, counts in self.doc_counts.items():
             sq = 0.0
@@ -313,6 +356,24 @@ class PlainTfIdf:
         for plist in self.postings.values():
             plist.sort()
 
+    def keys(self, tokens) -> list:
+        if self.n_buckets is None:
+            return string_keys(tokens)
+        return [fnv1a_64(key.encode("utf-8")) % self.n_buckets for key in string_keys(tokens)]
+
+    def to_bytes(self) -> bytes:
+        """The PQIX v1 file of a bucketed index, packed one record at a time."""
+        buckets = sorted(self.postings)
+        df = b"".join(struct.pack("<QI", b, len(self.postings[b])) for b in buckets)
+        rows = b"".join(struct.pack("<QI", b, len(self.postings[b]))
+                        + b"".join(struct.pack("<QI", pid, tf) for pid, tf in self.postings[b])
+                        for b in buckets)
+        norms = b"".join(struct.pack("<Qf", pid, self.norms[pid]) for pid in sorted(self.norms))
+        out = struct.pack("<4sIQQ", b"PQIX", 1, self.n_buckets, self.n_docs)
+        for count, records in ((len(buckets), df), (len(buckets), rows), (self.n_docs, norms)):
+            out += struct.pack("<QQ", 8 + len(records), count) + records
+        return out
+
     def idf(self, key: str) -> float:
         df = self.doc_freq.get(key, 0)
         return max(0.0, float(np.log((self.n_docs - df + 0.5) / (df + 0.5))))
@@ -321,7 +382,7 @@ class PlainTfIdf:
         return float(np.log1p(tf)) * self.idf(key)
 
     def top_k(self, tokens, k: int) -> list[tuple[int, float]]:
-        counts = Counter(string_keys(tokens))
+        counts = Counter(self.keys(tokens))
         weights = {key: self.weight(tf, key) for key, tf in counts.items()}
         qnorm = float(np.sqrt(sum(w * w for w in weights.values())))
         if qnorm == 0.0:

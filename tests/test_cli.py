@@ -16,7 +16,8 @@ import numpy as np
 import pytest
 
 from passageqa import cli
-from passageqa.checkpoint import load_checkpoint
+from passageqa.checkpoint import load_checkpoint, save_checkpoint
+from passageqa.model import ModelWeights
 from passageqa.retriever import load_index
 from synthtask import SynthTask, build_task, write_files
 
@@ -544,6 +545,44 @@ def test_nothing_to_evaluate_exits_4(ws, tmp_path, capsys, command, keep):
     err = capsys.readouterr().err
     assert code == 4
     assert "error:" in err and "to evaluate" in err and "Traceback" not in err, err
+
+
+def test_lone_surrogate_in_passage_text_exits_4(ws, tmp_path, capsys):
+    corpus_dir = tmp_path / "corpus"
+    corpus_dir.mkdir()
+    (corpus_dir / "passages.jsonl").write_text(
+        '{"passage_id": 0, "article_id": 0, "text": "a \\ud800 b"}\n', encoding="utf-8")
+    code, _ = run(["build-index", "--corpus", str(corpus_dir),
+                   "--index", str(tmp_path / "out.idx")])
+    err = capsys.readouterr().err
+    assert code == 4
+    assert "passages.jsonl:1: passage 0 text is not encodable as UTF-8" in err, err
+    assert "Traceback" not in err and not (tmp_path / "out.idx").exists()
+
+
+def test_lone_surrogate_in_question_exits_2(ws, capsys):
+    # a non-UTF-8 byte in argv decodes to a lone surrogate
+    code, _ = run(eval_args(ws, ["ask", "--question", "where is \udcff ?"]))
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "question text is not encodable as UTF-8" in err and "Traceback" not in err, err
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
+def test_ask_with_overflowing_weights_exits_4(ws, tmp_path, capsys):
+    """Every weight times 1e38 is finite in float32 but overflows the forward pass."""
+    hp, weights, ema = load_checkpoint(str(ws.root / "ckpt" / "final.ckpt"))
+    huge = {name: arr * np.float32(1e38) for name, arr in ema.items()}
+    path = str(tmp_path / "huge.ckpt")
+    save_checkpoint(path, hp, ModelWeights(weights.embed_dim, weights.hidden,
+                                           weights.attn_dim, huge), huge)
+    argv = eval_args(ws, ["ask", "--question", f"Which river runs by {ws.task.cities[0]} ?"])
+    argv[argv.index("--checkpoint") + 1] = path
+    code, out = run(argv)
+    err = capsys.readouterr().err
+    assert code == 4
+    assert "non-finite relevance or span probability" in err and "Traceback" not in err, err
+    assert "answer:" not in out
 
 
 def test_ask_without_question_exits_2(ws, monkeypatch):

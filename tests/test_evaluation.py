@@ -14,7 +14,8 @@ from passageqa.evaluation import (SCORE_BATCH, AnswerCandidate, ChainSpecError,
                                   exact_match, f1_score, group_questions,
                                   mrr_at_k, normalize_answer, parse_chain,
                                   success_at_k, telescope, vote_answers)
-from passageqa.model import Hyperparams, encode_batch, forward_batch, init_weights
+from passageqa.model import (Hyperparams, ModelWeights, encode_batch, forward_batch,
+                             init_weights)
 from passageqa.retriever import PassageRecord, top_k
 from passageqa.text import tokenize
 from passageqa.training import QuestionExample
@@ -330,6 +331,21 @@ def test_scorer_rejects_empty_question_or_passage(task, scorer):
                                 records + [PassageRecord(99, 0, "  ")])
     with pytest.raises(ValueError, match="empty passage"):
         scorer.read_candidates(task.examples[0].question, [PassageRecord(99, 0, "")])
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
+def test_scorer_raises_on_non_finite_output(task):
+    """Every weight times 1e38 is finite in float32 but overflows the forward pass."""
+    weights = init_weights(np.random.default_rng(3), task.table.dim, 4, 4)
+    huge = ModelWeights(weights.embed_dim, weights.hidden, weights.attn_dim,
+                        {name: arr * np.float32(1e38) for name, arr in weights.arrays.items()})
+    assert all(np.isfinite(arr).all() for arr in huge.arrays.values())
+    scorer = NeuralScorer(huge, Hyperparams(hidden=4, attn_dim=4, dropout=0.0), task.table)
+    question, records = task.examples[0].question, varied_records(task, n=5)
+    with pytest.raises(EvaluationError, match="non-finite relevance or span probability"):
+        scorer.relevance_scores(question, records)
+    with pytest.raises(EvaluationError, match="non-finite relevance or span probability"):
+        scorer.read_candidates(question, records)
 
 
 def test_telescope_tfidf_only_matches_top_k(task, task_index):

@@ -9,11 +9,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from passageqa.retriever import (BIGRAM_SEP, DEFAULT_BUCKETS, Corpus, CorpusError,
-                                 IndexFormatError, PassageRecord, build_index,
-                                 fnv1a_64, load_index, ngram_features, ngram_keys,
+                                 IndexFormatError, PassageRecord, build_index, hash_keys,
+                                 load_index, ngram_features, ngram_keys, passage_features,
                                  query_weights, save_index, similar_passages, top_k)
 
 import oracles
@@ -33,9 +33,30 @@ def idf_of(index, bucket):
 
 
 def test_fnv1a_64_known_vectors():
-    assert fnv1a_64(b"") == 0xCBF29CE484222325
-    assert fnv1a_64(b"a") == 0xAF63DC4C8601EC8C
-    assert fnv1a_64(b"foobar") == 0x85944171F73967E8
+    assert oracles.fnv1a_64(b"") == 0xCBF29CE484222325
+    assert oracles.fnv1a_64(b"a") == 0xAF63DC4C8601EC8C
+    assert oracles.fnv1a_64(b"foobar") == 0x85944171F73967E8
+    assert hash_keys(["", "a", "foobar"]).tolist() == [
+        0xCBF29CE484222325, 0xAF63DC4C8601EC8C, 0x85944171F73967E8]
+
+
+# Any code point but a lone surrogate, which has no UTF-8 encoding.
+KEYS = st.lists(st.text(st.characters(exclude_categories=("Cs",)), max_size=300),
+                max_size=30)
+
+
+@settings(max_examples=200, deadline=None)
+@given(KEYS)
+@example([])
+@example([""])
+@example(["a", "\x00", "\x7f", "z"])
+@example(["x" * 300, "é" * 200, "y"])
+@example(["é", "—", "日本", "😀", "aé—😀"])
+@example([BIGRAM_SEP, f"a{BIGRAM_SEP}b", f"日{BIGRAM_SEP}😀"])
+def test_hash_keys_equals_scalar_fnv1a(keys):
+    hashes = hash_keys(keys)
+    assert hashes.dtype == np.uint64
+    assert hashes.tolist() == [oracles.fnv1a_64(k.encode("utf-8")) for k in keys]
 
 
 def test_ngram_keys_order_and_separator():
@@ -58,7 +79,7 @@ def test_forced_collision_merges_document_frequencies():
     i = 0
     while pair is None:
         word = f"w{i}"
-        b = fnv1a_64(word.encode()) % n_buckets
+        b = oracles.fnv1a_64(word.encode()) % n_buckets
         if b in seen:
             pair = (seen[b], word, b)
         seen[b] = word
@@ -178,6 +199,35 @@ def test_scores_match_string_keyed_reference_exactly():
         assert got == want  # same ids, same floats, same order
 
 
+# Few words, so unigrams and bigrams repeat within and across passages.
+PASSAGES = st.lists(st.lists(st.sampled_from(["a", "b", "c", "dé", "e,"]), min_size=1,
+                             max_size=12).map(" ".join), min_size=1, max_size=8)
+
+
+@settings(max_examples=100, deadline=None)
+@given(PASSAGES, st.sampled_from([1, 2, 7, 64, DEFAULT_BUCKETS]))
+@example(["a b a b c a b", "c c b a", "b a b a"], 7)
+def test_features_and_index_match_counter_reference(tmp_path_factory, texts, n_buckets):
+    """Few buckets, so distinct keys share one (at 7, "a" and "b\x1fc" do); a
+    wrong tf merge or a feature order other than each passage's first
+    occurrences shows up here."""
+    corpus = corpus_of(texts)
+    token_lists = [rec.tokens.tokens for rec in corpus]
+    reference = oracles.PlainTfIdf(dict(enumerate(token_lists)), n_buckets)
+    owner, buckets, tfs = passage_features(token_lists, n_buckets)
+    assert list(zip(owner.tolist(), buckets.tolist(), tfs.tolist())) == [
+        (row, bucket, tf) for row, counts in enumerate(reference.doc_counts.values())
+        for bucket, tf in counts.items()]
+
+    index = build_index(corpus, n_buckets)
+    assert index.norms.tolist() == [reference.norms[pid] for pid in range(len(texts))]
+    assert index.tfs.tolist() == [tf for bucket in sorted(reference.postings)
+                                  for _, tf in reference.postings[bucket]]
+    path = tmp_path_factory.mktemp("collide") / "index.pqix"
+    save_index(str(path), index)
+    assert path.read_bytes() == reference.to_bytes()
+
+
 # ---------------------------------------------------------------------------
 # corpus container
 
@@ -203,6 +253,8 @@ def test_corpus_rejects_duplicate_ids_and_empty_text():
     (b'{"passage_id": 1, "article_id": 0, "text": "\xff"}', "invalid JSON"),
     pytest.param('{"passage_id": ' + "1" * 5000 + ', "article_id": 0, "text": "a"}',
                  "invalid JSON", id="5000-digit-integer"),
+    pytest.param('{"passage_id": 1, "article_id": 0, "text": "a \\ud800 b"}',
+                 "text is not encodable as UTF-8", id="lone-surrogate"),
 ])
 def test_load_jsonl_names_line_of_bad_row(tmp_path, line, message):
     path = tmp_path / "passages.jsonl"

@@ -104,6 +104,11 @@ def test_ingest_integer_qids_become_strings(tmp_path):
     ({"data": [{"paragraphs": [{"context": "  ", "qas": []}]}]}, "empty passage"),
     ({"data": [{"paragraphs": [{"context": "x", "qas": [{"question": "q?"}]}]}]},
      r"qas\[0\]\.id: expected str or int"),
+    ({"data": [{"paragraphs": [{"context": "a \ud800 b", "qas": []}]}]},
+     r"paragraphs\[0\]\.context: text is not encodable as UTF-8"),
+    ({"data": [{"paragraphs": [{"context": "x", "qas": [
+        qa("a", "why \udfff ?", [{"text": "x", "answer_start": 0}])]}]}]},
+     r"qas\[0\]\.question: text is not encodable as UTF-8"),
 ])
 def test_ingest_reports_path_of_bad_field(tmp_path, doc, where):
     with pytest.raises(DatasetFormatError, match=where):
@@ -163,6 +168,8 @@ GOOD_ROW = {"qid": "q1", "question": "who ?", "passage_id": 0, "relevance": 1,
     (b'{"qid": "caf\xe9"}', "invalid JSON"),
     pytest.param(b'{"passage_id": ' + b"1" * 5000 + b"}", "invalid JSON",
                  id="5000-digit-integer"),
+    pytest.param(dict(GOOD_ROW, question="who \ud800 ?"),
+                 ".question: text is not encodable as UTF-8", id="lone-surrogate"),
 ])
 def test_load_examples_names_line_of_bad_row(tmp_path, row, message):
     path = tmp_path / "examples.jsonl"

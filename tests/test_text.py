@@ -1,4 +1,5 @@
 """Tokenizer and word-vector file tests."""
+import string
 import tempfile
 from pathlib import Path
 
@@ -9,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 from passageqa.text import (TokenSeq, VectorFileError, VectorTable, embed,
                             load_vectors, save_vectors, tokenize)
 
+import oracles
 from fuzzing import draw_damaged
 
 
@@ -68,6 +70,21 @@ def test_tokens_cover_all_non_whitespace(text):
     seq = tokenize(text)
     covered = sum(hi - lo for lo, hi in seq.offsets)
     assert covered == sum(1 for ch in text if not ch.isspace())
+
+
+# Words, with apostrophes and hyphens inside some, punctuation and whitespace.
+TEXT_PIECES = st.one_of(
+    st.text(st.sampled_from(string.ascii_letters + string.digits), min_size=1, max_size=6),
+    st.sampled_from(["don't", "o'clock", "well-known", "x-ray", "rock-'n'-roll"]),
+    st.sampled_from(string.punctuation + "«»¿—「」…"),
+    st.sampled_from(["\t", "\n", " ", "\u3000"]),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(TEXT_PIECES, max_size=30).map("".join))
+def test_tokenize_matches_character_loop_reference(text):
+    assert tokenize(text) == oracles.tokenize(text)
 
 
 # ---------------------------------------------------------------------------
