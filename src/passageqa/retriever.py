@@ -51,14 +51,19 @@ def hash_keys(keys: list[str]) -> np.ndarray:
 
     Keys are hashed side by side, one byte position at a time, longest first,
     so the keys still live at a position are a prefix of the accumulator.
+    Each key's bytes are found from the lead bytes of the joined buffer, one
+    per character, so ASCII and multi-byte text take the same path.
     In-place uint64 array arithmetic wraps mod 2**64, as FNV-1a needs.
     """
-    data = np.frombuffer("".join(keys).encode("utf-8"), np.uint8)
-    lengths = np.fromiter(map(len, keys), np.int64, len(keys))
-    if len(data) != lengths.sum():      # not all ASCII: count bytes, not characters
-        lengths = np.fromiter(map(len, map(str.encode, keys)), np.int64, len(keys))
+    # A closing NUL is one more lead byte, so the end has an offset too.
+    data = np.frombuffer("".join(keys).encode("utf-8") + b"\0", np.uint8)
+    chars = np.fromiter(map(len, keys), np.int64, len(keys))
+    # Byte offset of each character (its UTF-8 lead byte), taken at key starts.
+    bounds = np.flatnonzero((data & 0xC0) != 0x80)[np.append(np.cumsum(chars) - chars,
+                                                             chars.sum())]
+    lengths = np.diff(bounds)
     order = np.argsort(-lengths, kind="stable")
-    at = (np.cumsum(lengths) - lengths)[order]
+    at = bounds[:-1][order]
     live = np.cumsum(np.bincount(lengths)[::-1])[::-1]    # live[i]: keys of >= i bytes
     acc = np.full(len(keys), _FNV_OFFSET)
     for pos in range(int(lengths.max(initial=0))):

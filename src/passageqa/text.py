@@ -76,10 +76,7 @@ def tokenize(text: str) -> TokenSeq:
         offsets.append((start, end))
 
     for m in _CHUNK.finditer(text):
-        lo, hi = m.span()
-        if not (_is_punct(text[lo]) or _is_punct(text[hi - 1])):
-            emit(lo, hi)        # most chunks have nothing to peel
-            continue
+        lo, hi = m.start(), m.end()
         while lo < hi and _is_punct(text[lo]):
             emit(lo, lo + 1)
             lo += 1
