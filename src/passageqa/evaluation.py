@@ -158,7 +158,8 @@ class NeuralScorer:
         for start in range(0, len(order), SCORE_BATCH):
             rows = order[start:start + SCORE_BATCH]
             chunk = [records[i] for i in rows]
-            with ad.no_grad():
+            # Overflow shows as a non-finite output, which the check below reports.
+            with ad.no_grad(), np.errstate(over="ignore", invalid="ignore"):
                 batch = encode_batch([question] * len(chunk),
                                      [rec.tokens for rec in chunk], self.table)
                 if ctx_question is None:

@@ -10,11 +10,13 @@ Word vectors are one read-only matrix whose row 0 is all zeros: an
 out-of-vocabulary word is row 0, so embedding a sequence is one gather.  The
 table sets the dtype: everything embedded from it (embeddings, masks, the
 match channel) has its matrix's dtype, float32 when read from a file.
+
+A vector file is read in blocks of whole lines, and np.loadtxt parses each
+block's numbers in one call, with the bits float() gives (see load_vectors).
 """
 from __future__ import annotations
 
 import functools
-import math
 import re
 import unicodedata
 from dataclasses import dataclass
@@ -103,6 +105,14 @@ class VectorTable:
                                      ).reshape(len(vectors) + 1, dim)
         self.matrix.setflags(write=False)
 
+    @classmethod
+    def from_matrix(cls, rows: dict[str, int], matrix: np.ndarray) -> VectorTable:
+        """A table over `matrix` as it is; its row 0 must be zeros."""
+        table = cls.__new__(cls)
+        table.dim, table.rows, table.matrix = matrix.shape[1], rows, matrix
+        matrix.setflags(write=False)
+        return table
+
     def __contains__(self, word: str) -> bool:
         return word in self.rows
 
@@ -113,6 +123,11 @@ class VectorTable:
         return self.matrix[self.rows.get(word, 0)]
 
 
+# load_vectors reads whole lines in blocks of about this many bytes, so its
+# memory stays bounded on a file of any size.
+_BLOCK_BYTES = 8 << 20
+
+
 def load_vectors(path: str) -> VectorTable:
     """Read a text vector file: header "COUNT DIM", then COUNT "word v1 .. vDIM" rows.
 
@@ -120,20 +135,21 @@ def load_vectors(path: str) -> VectorTable:
     as rows.  A malformed or non-UTF-8 row, or one with a NaN, infinite or
     out-of-range component, raises VectorFileError with the path and its
     line number; a row count other than COUNT raises it for line 1.
-    """
-    def decoded(fh):
-        for line_no, raw in enumerate(fh, start=1):
-            try:
-                yield line_no, raw.decode("utf-8")
-            except UnicodeDecodeError as exc:
-                raise VectorFileError(path, line_no, f"not UTF-8: {exc}") from None
 
-    vectors: dict[str, np.ndarray] = {}
+    The rows are read in blocks of whole lines.  np.loadtxt parses a block's
+    numbers to float64 in one call, which are then checked and cast to float32
+    at once: the same bits as float() then np.float32 per value.  A block with
+    a fault, or with a number only float() reads (such as "1_0"), is read
+    again one row at a time with float(), which names the first bad line.
+    """
+    rows: dict[str, int] = {}
+    blocks = []
     n_rows = 0
-    # over="raise": a value beyond float32's range raises FloatingPointError.
-    with open(path, "rb") as fh, np.errstate(over="raise"):
-        lines = decoded(fh)
-        _, header = next(lines, (1, ""))
+    with open(path, "rb") as fh:
+        try:
+            header = fh.readline().decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise VectorFileError(path, 1, f"not UTF-8: {exc}") from None
         parts = header.split()
         if len(parts) != 2:
             raise VectorFileError(path, 1, f"expected 'COUNT DIM' header, got {header.strip()!r}")
@@ -144,32 +160,108 @@ def load_vectors(path: str) -> VectorTable:
                                   f"non-integer header fields: {header.strip()!r}") from None
         if count <= 0 or dim <= 0:
             raise VectorFileError(path, 1, f"COUNT and DIM must be positive, got {count} {dim}")
-        for line_no, line in lines:
-            if not line.strip():
-                continue
-            fields = line.rstrip("\n").split(" ")
-            if len(fields) != dim + 1:
-                raise VectorFileError(
-                    path, line_no, f"expected 1 word + {dim} values, got {len(fields)} fields")
-            word = fields[0]
-            try:
-                values = list(map(float, fields[1:]))
-                vec = np.array(values, dtype=np.float32)
-            except ValueError:
-                raise VectorFileError(path, line_no, "non-numeric vector component") from None
-            except FloatingPointError:
-                raise VectorFileError(path, line_no, "vector component out of range") from None
-            if not math.isfinite(sum(values)):      # a nan or inf component
-                raise VectorFileError(path, line_no, "non-finite vector component")
-            n_rows += 1
-            vectors.setdefault(word, vec)
+        line_no = 2
+        while lines := fh.readlines(_BLOCK_BYTES):
+            words, vectors = _parse_block(lines, dim) or _parse_rows(path, lines, line_no, dim)
+            line_no += len(lines)
+            n_rows += len(words)
+            first = []
+            for i, word in enumerate(words):
+                if word not in rows:
+                    rows[word] = len(rows) + 1
+                    first.append(i)
+            blocks.append(vectors[first])
     if n_rows != count:
         raise VectorFileError(path, 1, f"header says {count} rows, file has {n_rows}")
-    return VectorTable(dim, vectors)
+    return VectorTable.from_matrix(rows, np.concatenate([np.zeros((1, dim), np.float32),
+                                                         *blocks]))
+
+
+def _to_float32(values: np.ndarray) -> tuple[np.ndarray, str | None]:
+    """float64 rows (n, dim) cast to float32, and the fault of the first row
+    with a NaN, infinite or out-of-range component (None if no row has one)."""
+    finite = np.isfinite(values)
+    with np.errstate(over="ignore"):
+        vectors = values.astype(np.float32)
+    overflow = (finite & np.isinf(vectors)).any(axis=1)
+    bad = np.flatnonzero(overflow | ~finite.all(axis=1))
+    if not bad.size:
+        return vectors, None
+    return vectors, ("vector component out of range" if overflow[bad[0]]
+                     else "non-finite vector component")
+
+
+# Bytes that float() reads in no number, but that np.loadtxt strips from
+# around a number as whitespace.
+_LOADTXT_ONLY = b"\x1c\x1d\x1e\x1f"
+
+
+def _parse_block(lines: list[bytes], dim: int) -> tuple[list[str], np.ndarray] | None:
+    """Words and float32 vectors of a block's rows through one np.loadtxt call,
+    or None when a row has a fault or a field np.loadtxt cannot read as float() does."""
+    if any(byte in raw for raw in lines for byte in _LOADTXT_ONLY):
+        return None
+    texts, words = [], []
+    try:
+        for raw in lines:
+            line = raw.decode("utf-8")
+            if line.strip():
+                if line.count(" ") != dim:
+                    return None
+                texts.append(line)
+                words.append(line[:line.index(" ")])
+        if not texts:
+            return words, np.empty((0, dim), np.float32)
+        values = np.loadtxt(texts, dtype=np.float64, delimiter=" ", comments=None,
+                            quotechar=None, usecols=range(1, dim + 1), ndmin=2)
+    except ValueError:      # UnicodeDecodeError too
+        return None
+    vectors, fault = _to_float32(values)
+    return None if fault else (words, vectors)
+
+
+def _parse_rows(path: str, lines: list[bytes], line_no: int,
+                dim: int) -> tuple[list[str], np.ndarray]:
+    """A block's rows one at a time with float(): raises VectorFileError for the
+    first bad line, or returns the words and vectors np.loadtxt could not read."""
+    words, vectors = [], [np.empty((0, dim), np.float32)]
+    for line_no, raw in enumerate(lines, start=line_no):
+        try:
+            line = raw.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise VectorFileError(path, line_no, f"not UTF-8: {exc}") from None
+        if not line.strip():
+            continue
+        fields = line.rstrip("\n").split(" ")
+        if len(fields) != dim + 1:
+            raise VectorFileError(
+                path, line_no, f"expected 1 word + {dim} values, got {len(fields)} fields")
+        try:
+            values = np.array([[float(x) for x in fields[1:]]])
+        except ValueError:
+            raise VectorFileError(path, line_no, "non-numeric vector component") from None
+        vector, fault = _to_float32(values)
+        if fault:
+            raise VectorFileError(path, line_no, fault)
+        words.append(fields[0])
+        vectors.append(vector)
+    return words, np.concatenate(vectors)
 
 
 def save_vectors(path: str, table: VectorTable) -> None:
-    """Inverse of load_vectors, mainly for building test fixtures."""
+    """Inverse of load_vectors, mainly for building test fixtures.
+
+    Raises ValueError, before opening the file, for a table load_vectors could
+    not read back: one with no words, an empty word or one holding whitespace,
+    or a NaN or infinite component.
+    """
+    if not table.rows:
+        raise ValueError("no word vectors to save")
+    for word, row in table.rows.items():
+        if word.split() != [word]:
+            raise ValueError(f"cannot save word {word!r}: it is empty or holds whitespace")
+        if not np.isfinite(table.matrix[row]).all():
+            raise ValueError(f"cannot save the vector of {word!r}: a component is not finite")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"{len(table)} {table.dim}\n")
         for word, row in table.rows.items():

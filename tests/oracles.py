@@ -17,7 +17,7 @@ from collections import Counter
 import numpy as np
 
 from passageqa.retriever import BIGRAM_SEP
-from passageqa.text import TokenSeq
+from passageqa.text import TokenSeq, VectorFileError, VectorTable
 
 
 # ---------------------------------------------------------------------------
@@ -296,6 +296,59 @@ def tokenize(text: str) -> TokenSeq:
             tokens.append(text[pos])
             offsets.append((pos, pos + 1))
     return TokenSeq(text, tuple(tokens), tuple(offsets))
+
+
+# ---------------------------------------------------------------------------
+# word-vector file, one row and one float() at a time
+
+
+def load_vectors(path: str) -> VectorTable:
+    """Header "COUNT DIM", then COUNT "word v1 .. vDIM" rows, each parsed with
+    float() and np.float32 on its own; the first bad line raises VectorFileError."""
+    def decoded(fh):
+        for line_no, raw in enumerate(fh, start=1):
+            try:
+                yield line_no, raw.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise VectorFileError(path, line_no, f"not UTF-8: {exc}") from None
+
+    vectors: dict[str, np.ndarray] = {}
+    n_rows = 0
+    # over="raise": a value beyond float32's range raises FloatingPointError.
+    with open(path, "rb") as fh, np.errstate(over="raise"):
+        lines = decoded(fh)
+        _, header = next(lines, (1, ""))
+        parts = header.split()
+        if len(parts) != 2:
+            raise VectorFileError(path, 1, f"expected 'COUNT DIM' header, got {header.strip()!r}")
+        try:
+            count, dim = int(parts[0]), int(parts[1])
+        except ValueError:
+            raise VectorFileError(path, 1,
+                                  f"non-integer header fields: {header.strip()!r}") from None
+        if count <= 0 or dim <= 0:
+            raise VectorFileError(path, 1, f"COUNT and DIM must be positive, got {count} {dim}")
+        for line_no, line in lines:
+            if not line.strip():
+                continue
+            fields = line.rstrip("\n").split(" ")
+            if len(fields) != dim + 1:
+                raise VectorFileError(
+                    path, line_no, f"expected 1 word + {dim} values, got {len(fields)} fields")
+            try:
+                values = list(map(float, fields[1:]))
+                vec = np.array(values, dtype=np.float32)
+            except ValueError:
+                raise VectorFileError(path, line_no, "non-numeric vector component") from None
+            except FloatingPointError:
+                raise VectorFileError(path, line_no, "vector component out of range") from None
+            if not math.isfinite(sum(values)):      # a nan or inf component
+                raise VectorFileError(path, line_no, "non-finite vector component")
+            n_rows += 1
+            vectors.setdefault(fields[0], vec)
+    if n_rows != count:
+        raise VectorFileError(path, 1, f"header says {count} rows, file has {n_rows}")
+    return VectorTable(dim, vectors)
 
 
 # ---------------------------------------------------------------------------

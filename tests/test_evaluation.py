@@ -333,7 +333,6 @@ def test_scorer_rejects_empty_question_or_passage(task, scorer):
         scorer.read_candidates(task.examples[0].question, [PassageRecord(99, 0, "")])
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
 def test_scorer_raises_on_non_finite_output(task):
     """Every weight times 1e38 is finite in float32 but overflows the forward pass."""
     weights = init_weights(np.random.default_rng(3), task.table.dim, 4, 4)

@@ -1,12 +1,15 @@
 """Tokenizer and word-vector file tests."""
+import re
 import string
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from passageqa import text
 from passageqa.text import (TokenSeq, VectorFileError, VectorTable, embed,
                             load_vectors, save_vectors, tokenize)
 
@@ -106,6 +109,21 @@ def test_load_vectors_round_trip(tmp_path):
     assert loaded.dim == 3 and len(loaded) == 2
     np.testing.assert_array_equal(loaded.get("cat"), table.get("cat"))
     np.testing.assert_array_equal(loaded.get("dog"), table.get("dog"))
+
+
+@pytest.mark.parametrize("vectors, message", [
+    ({"a b": [1.0, 2.0]}, "'a b': it is empty or holds whitespace"),
+    ({"ok": [1.0, 2.0], "x\ny": [1.0, 2.0]}, "'x\\ny': it is empty or holds whitespace"),
+    ({"": [1.0, 2.0]}, "'': it is empty or holds whitespace"),
+    ({"w": [np.nan, 2.0]}, "vector of 'w': a component is not finite"),
+    ({"w": [1.0, -np.inf]}, "vector of 'w': a component is not finite"),
+    ({}, "no word vectors")])
+def test_save_vectors_refuses_what_load_vectors_rejects(tmp_path, vectors, message):
+    path = tmp_path / "v.txt"
+    table = VectorTable(2, {w: np.array(v, np.float32) for w, v in vectors.items()})
+    with pytest.raises(ValueError, match=re.escape(message)):
+        save_vectors(str(path), table)
+    assert not path.exists()
 
 
 def test_out_of_vocabulary_is_zeros(tmp_path):
@@ -221,3 +239,85 @@ def test_damaged_vector_file_is_rejected_or_usable(data):
     assert table.matrix.dtype == np.float32 and np.isfinite(table.matrix).all()
     out = embed(TokenSeq("", tuple(table.rows) + ("unseen",), ()), table)
     assert out.shape == (table.dim, len(table) + 1) and not out[:, -1].any()
+
+
+# Number fields that float() and np.loadtxt read alike; then the odd ones:
+# what only float() reads ("1_0", non-ASCII digits), what neither reads, the
+# NaN, infinite and out-of-float32-range values load_vectors rejects, and
+# padding that float() strips or refuses.
+NUMBER = st.one_of(
+    st.floats(width=32, allow_nan=False, allow_infinity=False).map(repr),
+    st.floats(allow_nan=False, allow_infinity=False, min_value=-3.4e38, max_value=3.4e38)
+    .map(lambda x: "%.9g" % x),
+    st.sampled_from(["1e-3", "2E+5", "-7e-45", "+1", ".5", "5.", "-0", "0",
+                     "3.4028235e38", "3.40282356e38"]))
+ODD_NUMBER = st.tuples(
+    st.sampled_from(["", "", "\t", "\xa0", "\x1c"]),
+    st.sampled_from(["1_0", "1__0", "\u0661\u0662", "\uff11", "nan", "-inf", "Infinity", "1e40",
+                     "-1e400", "3.4028236e38", "", "x", "0x1", "1e"]) | NUMBER,
+    st.sampled_from(["", "", "\t", "\u2000", "\x1f"])).map("".join)
+WORD = st.one_of(st.sampled_from(["the", "cat", "\xdcn\xef", "", "a\rb", "x\x1cy", "\u0661"]),
+                 st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters=" \n"),
+                         min_size=1, max_size=4))
+
+
+@st.composite
+def vector_files(draw):
+    """A vector file as bytes, mostly sound rows with some blank lines, CRLF
+    line ends, odd number fields, rows with a wrong field count, a bad UTF-8
+    byte, and a header COUNT one off from the rows."""
+    dim = draw(st.integers(1, 4))
+    body = []
+    for _ in range(draw(st.integers(0, 8))):
+        kind = draw(st.sampled_from(["row"] * 8 + ["odd"] * 4
+                                    + ["blank", "blank", "short", "long", "latin1"]))
+        if kind == "blank":
+            line = draw(st.sampled_from(["", " ", "\t", "\xa0", "\r"])).encode()
+        else:
+            n_values = dim + {"short": -1, "long": 1}.get(kind, 0)
+            values = ODD_NUMBER if kind == "odd" else NUMBER
+            line = " ".join([draw(WORD)] + [draw(values) for _ in range(n_values)]).encode()
+            if kind == "latin1":
+                line = line + b"\xe9"
+        body.append(line + draw(st.sampled_from([b"\n", b"\n", b"\r\n"])))
+    n_rows = sum(1 for line in body if line.strip())
+    count = max(1, n_rows + draw(st.sampled_from([0, 0, 0, -1, 1])))
+    return f"{count} {dim}\n".encode() + b"".join(body)
+
+
+def _same_outcome(raw: bytes, block_bytes: int) -> None:
+    with tempfile.TemporaryDirectory() as tmp:
+        path = f"{tmp}/vectors.txt"
+        Path(path).write_bytes(raw)
+        try:
+            expected = oracles.load_vectors(path)
+        except VectorFileError as exc:
+            expected = str(exc)
+        with mock.patch.object(text, "_BLOCK_BYTES", block_bytes):
+            try:
+                table = load_vectors(path)
+            except VectorFileError as exc:
+                assert str(exc) == expected
+                return
+    assert not isinstance(expected, str), f"loaded a file the reference rejects: {expected}"
+    assert table.dim == expected.dim and table.rows == expected.rows
+    assert table.matrix.dtype == np.float32 and not table.matrix.flags.writeable
+    assert table.matrix.tobytes() == expected.matrix.tobytes()
+
+
+@settings(max_examples=400, deadline=None)
+@given(vector_files(), st.one_of(st.integers(1, 64), st.just(text._BLOCK_BYTES)))
+def test_load_vectors_matches_row_by_row_reference(raw, block_bytes):
+    """Same table bytes as float() per value, or the same first bad line and message."""
+    _same_outcome(raw, block_bytes)
+
+
+@pytest.mark.parametrize("raw", [
+    b"3 2\ngood 1 2\nshort 1\nx 1 2\ncaf\xe9 1 2\n",     # a short row before a bad byte
+    b"3 2\na 1 nan\nb 1e40 x\nc 1 2\n",                  # non-finite before non-numeric
+    b"1 2\nw 1e40 nan\n",                                # out of range wins in a row
+    b"4 2\r\na 1_0 2\r\n\r\nb \xd9\xa1\xd9\xa2 .5\r\na -0 5.\r\nc +1 2E-3\r\n",
+    "2 3\nw 1\x1c 2 3\n\nv 4 5 6\n".encode()])
+@pytest.mark.parametrize("block_bytes", [1, 12, 1 << 20])
+def test_load_vectors_matches_reference_on_known_cases(raw, block_bytes):
+    _same_outcome(raw, block_bytes)
