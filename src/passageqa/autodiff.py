@@ -389,16 +389,6 @@ def log_sigmoid(a) -> Node:
     return _make("log_sigmoid", value, (a,), back)
 
 
-def tanh(a) -> Node:
-    a = as_node(a)
-    value = np.tanh(a.value)
-
-    def back(g):
-        _accumulate(a, g * (1.0 - value * value))
-
-    return _make("tanh", value, (a,), back)
-
-
 def relu(a) -> Node:
     a = as_node(a)
     value = np.maximum(a.value, 0)
@@ -535,10 +525,11 @@ def bilstm_scan(proj, w_rec, mask: np.ndarray) -> Node:
     proj[:, t] + h @ w_rec, one sigmoid over all four blocks with tanh on the
     cell block, c = f*c + i*g and h = o*tanh(c), from zero initial states;
     the forward direction runs from t = 0 into output rows :h, the backward
-    one from t = T-1 into rows h:.  `mask` (B, T) is 1.0 at real tokens and
-    0.0 at padding: with k its column, the carried state becomes
-    k*new + (1-k)*old and the output k*h, so padding never reaches the state
-    and its outputs are zero.
+    one from t = T-1 into rows h:.  `mask` (B, T) is right-padded: 1.0 at the
+    real tokens, which come first in each row, and 0.0 at the padding after
+    them; anything else raises ValueError.  With k its column, a step keeps
+    k*c and k*h, so the state is zero at padding, which no real position of
+    either direction reads, and so are the outputs there.
 
     Each step is one (2, B, h) @ (2, h, 4h) matmul over both directions.
     Backward runs backprop through time and returns the gradients of both
@@ -553,32 +544,30 @@ def bilstm_scan(proj, w_rec, mask: np.ndarray) -> Node:
         raise ShapeMismatchError("bilstm_scan", *(n.shape for n in (proj_f, proj_b, w_f, w_b)),
                                  mask.shape)
     batch, steps, _ = x.shape
+    if not np.array_equal(mask, np.arange(steps) < mask.sum(axis=1, keepdims=True)):
+        raise ValueError("bilstm_scan: mask must be 1 at the real tokens and 0 at the "
+                         "padding after them")
     dtype = x.dtype
     # Time-major so every per-step slice below is contiguous.
     xs = _scan_stack(x.transpose(1, 0, 2), proj_b.value.transpose(1, 0, 2))
     w = np.stack([w, w_b.value])
     keep = _scan_stack(mask.T, mask.T).astype(dtype)[..., None]
-    drop = 1.0 - keep
     acts = np.empty((steps, 2, batch, 4 * hidden), dtype)
-    h_prev, c_prev, tanh_c, states = (np.empty((steps, 2, batch, hidden), dtype)
-                                      for _ in range(4))
+    tanh_c = np.empty((steps, 2, batch, hidden), dtype)
+    # Step t reads row t and writes row t + 1; row 0 is the zero initial state.
+    states, cells = (np.zeros((steps + 1, 2, batch, hidden), dtype) for _ in range(2))
     blocks = [slice(k * hidden, (k + 1) * hidden) for k in range(4)]  # i, f, g, o
-    h = np.zeros((2, batch, hidden), dtype)
-    c = np.zeros((2, batch, hidden), dtype)
     for t in range(steps):
-        h_prev[t], c_prev[t] = h, c
-        gates = xs[t] + h @ w
+        gates = xs[t] + states[t] @ w
         acts[t] = _sigmoid_values(gates)
         acts[t, ..., blocks[2]] = np.tanh(gates[..., blocks[2]])
         i, f, cand, o = (acts[t, ..., b] for b in blocks)
-        c_new = f * c + i * cand
-        h_new = o * np.tanh(c_new, out=tanh_c[t])
-        h = keep[t] * h_new + drop[t] * h
-        c = keep[t] * c_new + drop[t] * c
-        states[t] = keep[t] * h
+        np.multiply(keep[t], f * cells[t] + i * cand, out=cells[t + 1])
+        np.multiply(keep[t], o * np.tanh(cells[t + 1], out=tanh_c[t]), out=states[t + 1])
     # C order, not concatenate's time-major one: downstream matmuls round by layout.
     value = np.empty((batch, 2 * hidden, steps), dtype)
-    value[:, :hidden], value[:, hidden:] = (s.transpose(1, 2, 0) for s in _scan_unstack(states))
+    value[:, :hidden], value[:, hidden:] = (s.transpose(1, 2, 0)
+                                            for s in _scan_unstack(states[1:]))
 
     def back(g):
         gs = _scan_stack(g[:, :hidden].transpose(2, 0, 1), g[:, hidden:].transpose(2, 0, 1))
@@ -587,18 +576,17 @@ def bilstm_scan(proj, w_rec, mask: np.ndarray) -> Node:
         dc = np.zeros((2, batch, hidden), dtype)
         for t in range(steps - 1, -1, -1):
             i, f, cand, o = (acts[t, ..., b] for b in blocks)
-            dh = dh + keep[t] * gs[t]
-            dh_new, dc_new = keep[t] * dh, keep[t] * dc
+            dh_new, dc_new = keep[t] * (dh + gs[t]), keep[t] * dc
             dc_new += dh_new * o * (1.0 - tanh_c[t] * tanh_c[t])
             d_gates[t] = np.concatenate([dc_new * cand * i * (1.0 - i),
-                                         dc_new * c_prev[t] * f * (1.0 - f),
+                                         dc_new * cells[t] * f * (1.0 - f),
                                          dc_new * i * (1.0 - cand * cand),
                                          dh_new * tanh_c[t] * o * (1.0 - o)], axis=-1)
-            dh = drop[t] * dh + d_gates[t] @ w.swapaxes(1, 2)
-            dc = drop[t] * dc + dc_new * f
+            dh = d_gates[t] @ w.swapaxes(1, 2)
+            dc = dc_new * f
         # In actual time order again, each w_rec sum runs as for one direction.
         for node, w_node, d_k, h_k in zip((proj_f, proj_b), (w_f, w_b),
-                                          _scan_unstack(d_gates), _scan_unstack(h_prev)):
+                                          _scan_unstack(d_gates), _scan_unstack(states[:-1])):
             _accumulate(node, d_k.transpose(1, 0, 2))
             _accumulate(w_node, h_k.reshape(-1, hidden).T @ d_k.reshape(-1, 4 * hidden))
 

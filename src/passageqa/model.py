@@ -13,8 +13,9 @@ bi-LSTM, which sees one sequence only) and `read` (everything after), so
 inference can encode a question once and reuse passage encodings.
 
 All sequence tensors are (batch, features, time).  Masks are constant float
-arrays (batch, time), 1.0 at real tokens and 0.0 at padding; every softmax
-over positions receives one.
+arrays (batch, time) and right-padded: 1.0 at the real tokens, which come
+first in each row, and 0.0 at the padding after them.  Every softmax over
+positions receives one, and bi-LSTM states and outputs at padding are zero.
 
 The weights are one ordered name -> array table.  `param_shapes` is the only
 listing of the parameters: initialisation, checkpoint validation and the
@@ -281,7 +282,8 @@ def encode_batch(questions: list[TokenSeq], passages: list[TokenSeq],
 
 def bilstm_encode(fwd: tuple, bwd: tuple, seq: Node, mask: np.ndarray) -> Node:
     """(batch, in_dim, time) -> (batch, 2*hidden, time) by the `fwd` and `bwd`
-    LSTMs; rows :hidden are forward, padded columns exactly zero."""
+    LSTMs; rows :hidden are forward.  `mask` must be right-padded (real
+    tokens first); the states at padding are zero, and so are its columns."""
     if seq.value.shape[2] == 0:
         raise ValueError("cannot encode an empty sequence")
     seq_rows = ad.transpose(seq, (0, 2, 1))

@@ -206,7 +206,7 @@ def _parse_block(lines: list[bytes], dim: int) -> tuple[list[str], np.ndarray] |
         for raw in lines:
             line = raw.decode("utf-8")
             if line.strip():
-                if line.count(" ") != dim:
+                if line.count(" ") != dim or line.startswith(" "):
                     return None
                 texts.append(line)
                 words.append(line[:line.index(" ")])
@@ -236,6 +236,8 @@ def _parse_rows(path: str, lines: list[bytes], line_no: int,
         if len(fields) != dim + 1:
             raise VectorFileError(
                 path, line_no, f"expected 1 word + {dim} values, got {len(fields)} fields")
+        if not fields[0]:
+            raise VectorFileError(path, line_no, "empty word")
         try:
             values = np.array([[float(x) for x in fields[1:]]])
         except ValueError:

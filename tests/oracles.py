@@ -119,6 +119,80 @@ def highway(layers, col: list[float]) -> list[float]:
 
 
 # ---------------------------------------------------------------------------
+# the bi-LSTM scan with the state carried across masked positions
+#
+# Both LSTM directions in numpy, with the state at a masked position blended
+# as k*new + (1-k)*old, so a mask may have gaps.  At a real position every
+# array op is the one autodiff.bilstm_scan runs, in the same order, so on a
+# right-padded mask the package's scan can be held to its bytes.
+
+
+def _sigmoid_array(x: np.ndarray) -> np.ndarray:
+    ex = np.exp(-np.abs(x))
+    base = 1.0 / (1.0 + ex)
+    return np.where(x >= 0, base, ex * base)
+
+
+def bilstm_scan_blended(proj: tuple[np.ndarray, np.ndarray],
+                        w_rec: tuple[np.ndarray, np.ndarray], mask: np.ndarray,
+                        grad: np.ndarray):
+    """(B, 2h, T) output of both LSTM directions over (B, T, 4h) projections,
+    and the gradients of (proj_fwd, proj_bwd, w_rec_fwd, w_rec_bwd) for the
+    output gradient `grad`, each as accumulated into a fresh zero array."""
+    x, w = proj[0], w_rec[0]
+    batch, steps, _ = x.shape
+    hidden = w.shape[0]
+    dtype = x.dtype
+    xs = np.stack([x.transpose(1, 0, 2), proj[1].transpose(1, 0, 2)[::-1]], axis=1)
+    w = np.stack([w, w_rec[1]])
+    keep = np.stack([mask.T, mask.T[::-1]], axis=1).astype(dtype)[..., None]
+    drop = 1.0 - keep
+    acts = np.empty((steps, 2, batch, 4 * hidden), dtype)
+    h_prev, c_prev, tanh_c, states = (np.empty((steps, 2, batch, hidden), dtype)
+                                      for _ in range(4))
+    blocks = [slice(k * hidden, (k + 1) * hidden) for k in range(4)]
+    h = np.zeros((2, batch, hidden), dtype)
+    c = np.zeros((2, batch, hidden), dtype)
+    for t in range(steps):
+        h_prev[t], c_prev[t] = h, c
+        gates = xs[t] + h @ w
+        acts[t] = _sigmoid_array(gates)
+        acts[t, ..., blocks[2]] = np.tanh(gates[..., blocks[2]])
+        i, f, cand, o = (acts[t, ..., b] for b in blocks)
+        c_new = f * c + i * cand
+        h_new = o * np.tanh(c_new, out=tanh_c[t])
+        h = keep[t] * h_new + drop[t] * h
+        c = keep[t] * c_new + drop[t] * c
+        states[t] = keep[t] * h
+    value = np.empty((batch, 2 * hidden, steps), dtype)
+    value[:, :hidden] = states[:, 0].transpose(1, 2, 0)
+    value[:, hidden:] = states[::-1, 1].transpose(1, 2, 0)
+
+    gs = np.stack([grad[:, :hidden].transpose(2, 0, 1),
+                   grad[:, hidden:].transpose(2, 0, 1)[::-1]], axis=1)
+    d_gates = np.empty_like(acts)
+    dh = np.zeros((2, batch, hidden), dtype)
+    dc = np.zeros((2, batch, hidden), dtype)
+    for t in range(steps - 1, -1, -1):
+        i, f, cand, o = (acts[t, ..., b] for b in blocks)
+        dh = dh + keep[t] * gs[t]
+        dh_new, dc_new = keep[t] * dh, keep[t] * dc
+        dc_new += dh_new * o * (1.0 - tanh_c[t] * tanh_c[t])
+        d_gates[t] = np.concatenate([dc_new * cand * i * (1.0 - i),
+                                     dc_new * c_prev[t] * f * (1.0 - f),
+                                     dc_new * i * (1.0 - cand * cand),
+                                     dh_new * tanh_c[t] * o * (1.0 - o)], axis=-1)
+        dh = drop[t] * dh + d_gates[t] @ w.swapaxes(1, 2)
+        dc = drop[t] * dc + dc_new * f
+    d_proj, d_w = [], []
+    for d_k, h_k in ((d_gates[:, 0], h_prev[:, 0]), (d_gates[::-1, 1], h_prev[::-1, 1])):
+        d_proj.append(np.zeros_like(x) + d_k.transpose(1, 0, 2))
+        d_w.append(np.zeros_like(w[0])
+                   + h_k.reshape(-1, hidden).T @ d_k.reshape(-1, 4 * hidden))
+    return value, (*d_proj, *d_w)
+
+
+# ---------------------------------------------------------------------------
 # attention between two encoded sequences
 
 
@@ -335,6 +409,8 @@ def load_vectors(path: str) -> VectorTable:
             if len(fields) != dim + 1:
                 raise VectorFileError(
                     path, line_no, f"expected 1 word + {dim} values, got {len(fields)} fields")
+            if not fields[0]:
+                raise VectorFileError(path, line_no, "empty word")
             try:
                 values = list(map(float, fields[1:]))
                 vec = np.array(values, dtype=np.float32)

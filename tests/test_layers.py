@@ -1,6 +1,7 @@
 """LSTM / highway layer tests against hand-rolled scalar references."""
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import passageqa.autodiff as ad
 from passageqa.autodiff import constant, gradient_check, leaf
@@ -56,6 +57,51 @@ def test_bilstm_scan_matches_scalar_steps():
             ref = oracles.lstm_unroll(*lstm, columns, 3, reverse=reverse)
             for t in range(3):
                 np.testing.assert_allclose(out[row, half, t], ref[t], rtol=1e-12)
+
+
+@st.composite
+def right_padded_scans(draw):
+    """Shape, dtype, seed and a right-padded (B, T) mask: rows of full length
+    mixed with shorter ones, empty rows included."""
+    batch, steps = draw(st.integers(1, 6)), draw(st.integers(1, 12))
+    lengths = draw(st.lists(st.just(steps) | st.integers(0, steps - 1),
+                            min_size=batch, max_size=batch))
+    dtype = draw(st.sampled_from([np.float32, np.float64]))
+    mask = (np.arange(steps) < np.array(lengths)[:, None]).astype(dtype)
+    return draw(st.integers(1, 20)), dtype, draw(st.integers(0, 2**32 - 1)), mask
+
+
+@settings(max_examples=60, deadline=None)
+@given(right_padded_scans())
+def test_bilstm_scan_matches_blended_reference(case):
+    """Value and all four gradients equal the scan that carried its state
+    across masked positions, byte for byte; at padding both outputs are zero."""
+    hidden, dtype, seed, mask = case
+    rng = np.random.default_rng(seed)
+    batch, steps = mask.shape
+    proj = [rng.standard_normal((batch, steps, 4 * hidden)).astype(dtype) for _ in range(2)]
+    w_rec = [(rng.standard_normal((hidden, 4 * hidden)) * 0.5).astype(dtype) for _ in range(2)]
+    grad = rng.standard_normal((batch, 2 * hidden, steps)).astype(dtype)
+    leaves = [leaf(a, True) for a in proj + w_rec]
+    out = ad.bilstm_scan(leaves[:2], leaves[2:], mask)
+    ad.backward(ad.reduce_sum(ad.mul(out, constant(grad))))
+    value, grads = oracles.bilstm_scan_blended(proj, w_rec, mask, grad)
+    # The sign of a zero at padding differs between the two, so compare real
+    # positions by their bytes and padded ones by value.
+    real = np.broadcast_to(mask[:, None, :] == 1, value.shape)
+    assert out.value.dtype == dtype and out.value.flags.c_contiguous
+    assert out.value[real].tobytes() == value[real].tobytes()
+    assert not out.value[~real].any() and not value[~real].any()
+    for node, expected in zip(leaves, grads):
+        assert node.grad.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("mask", [[[1, 1, 0], [1, 0, 1]], [[1, 1, 1], [1, 0.5, 0]],
+                                  [[0, 1, 1], [1, 1, 1]], [[1, 1, 2], [1, 1, 1]]])
+def test_bilstm_scan_rejects_mask_not_right_padded(mask):
+    proj, w_rec = constant(np.ones((2, 3, 8))), constant(np.ones((2, 8)))
+    with pytest.raises(ValueError, match="bilstm_scan: mask"):
+        ad.bilstm_scan((proj, proj), (w_rec, w_rec), np.array(mask, dtype=np.float64))
 
 
 def test_saturated_forget_gate_copies_cell_state():

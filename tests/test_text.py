@@ -317,7 +317,8 @@ def test_load_vectors_matches_row_by_row_reference(raw, block_bytes):
     b"3 2\na 1 nan\nb 1e40 x\nc 1 2\n",                  # non-finite before non-numeric
     b"1 2\nw 1e40 nan\n",                                # out of range wins in a row
     b"4 2\r\na 1_0 2\r\n\r\nb \xd9\xa1\xd9\xa2 .5\r\na -0 5.\r\nc +1 2E-3\r\n",
-    "2 3\nw 1\x1c 2 3\n\nv 4 5 6\n".encode()])
+    "2 3\nw 1\x1c 2 3\n\nv 4 5 6\n".encode(),
+    b"1 2\n 0.5 0.5\n"])                                # an empty word
 @pytest.mark.parametrize("block_bytes", [1, 12, 1 << 20])
 def test_load_vectors_matches_reference_on_known_cases(raw, block_bytes):
     _same_outcome(raw, block_bytes)
