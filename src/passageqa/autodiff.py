@@ -114,12 +114,24 @@ def _make(op: str, value: np.ndarray, parents: tuple[Node, ...],
     return Node(value, op)
 
 
-def _accumulate(node: Node, grad: np.ndarray) -> None:
+def _accumulate(node: Node, grad: np.ndarray, fresh: bool = False) -> None:
+    """Add `grad` into `node.grad`.  The first gradient is stored as
+    zeros_like(value) + grad would be: in value's layout, and 0.0 where grad
+    holds -0.0.  A `fresh` grad is a new array that nothing else holds, and
+    the node keeps it after `+= 0` when it has that layout and dtype, or is
+    C-ordered and the node a transpose, whose backward only hands a view on
+    to an elementwise add, which gives the same bits in any layout."""
     if not node.needs_grad:
         return
-    if node.grad is None:
-        node.grad = np.zeros_like(node.value)
-    node.grad += grad
+    if node.grad is not None:
+        node.grad += grad
+    elif (fresh and isinstance(grad, np.ndarray) and grad.shape == node.value.shape
+          and grad.dtype == node.value.dtype and grad.flags.c_contiguous
+          and (node.value.flags.c_contiguous or node.op == "transpose")):
+        grad += 0
+        node.grad = grad
+    else:
+        node.grad = np.add(grad, 0, out=np.empty_like(node.value), casting="same_kind")
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -131,6 +143,19 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     if axes:
         grad = grad.sum(axis=axes, keepdims=True)
     return grad
+
+
+def _matmul_grad(x: np.ndarray, y: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+    """x @ y summed down to `shape`.  Into a 2-D `shape` from (B, ., .) stacks,
+    the slice products are added up one by one in stack order, as the sum of
+    the whole product stack over B runs, without forming that stack."""
+    if len(shape) == 2 and x.ndim == y.ndim == 3:
+        total = x[0] @ y[0]
+        part = np.empty_like(total)
+        for k in range(1, len(x)):
+            total += np.matmul(x[k], y[k], out=part)
+        return total
+    return _unbroadcast(x @ y, shape)
 
 
 def _toposort(root: Node) -> list[Node]:
@@ -191,7 +216,7 @@ def scale(a, factor: float) -> Node:
     a = as_node(a)
 
     def back(g):
-        _accumulate(a, g * factor)
+        _accumulate(a, g * factor, fresh=True)
 
     return _make("scale", a.value * factor, (a,), back)
 
@@ -208,8 +233,10 @@ def add(a, b) -> Node:
         raise ShapeMismatchError("add", a.shape, b.shape) from None
 
     def back(g):
-        _accumulate(a, _unbroadcast(g, a.shape))
-        _accumulate(b, _unbroadcast(g, b.shape))
+        if a.needs_grad:
+            _accumulate(a, _unbroadcast(g, a.shape))
+        if b.needs_grad:
+            _accumulate(b, _unbroadcast(g, b.shape))
 
     return _make("add", value, (a, b), back)
 
@@ -226,8 +253,10 @@ def sub(a, b) -> Node:
         raise ShapeMismatchError("sub", a.shape, b.shape) from None
 
     def back(g):
-        _accumulate(a, _unbroadcast(g, a.shape))
-        _accumulate(b, _unbroadcast(-g, b.shape))
+        if a.needs_grad:
+            _accumulate(a, _unbroadcast(g, a.shape))
+        if b.needs_grad:
+            _accumulate(b, _unbroadcast(-g, b.shape), fresh=True)
 
     return _make("sub", value, (a, b), back)
 
@@ -236,7 +265,7 @@ def neg(a) -> Node:
     a = as_node(a)
 
     def back(g):
-        _accumulate(a, -g)
+        _accumulate(a, -g, fresh=True)
 
     return _make("neg", -a.value, (a,), back)
 
@@ -254,8 +283,10 @@ def mul(a, b) -> Node:
         raise ShapeMismatchError("hadamard", a.shape, b.shape) from None
 
     def back(g):
-        _accumulate(a, _unbroadcast(g * b.value, a.shape))
-        _accumulate(b, _unbroadcast(g * a.value, b.shape))
+        if a.needs_grad:
+            _accumulate(a, _unbroadcast(g * b.value, a.shape), fresh=True)
+        if b.needs_grad:
+            _accumulate(b, _unbroadcast(g * a.value, b.shape), fresh=True)
 
     return _make("hadamard", value, (a, b), back)
 
@@ -271,8 +302,10 @@ def matmul(a, b) -> Node:
         raise ShapeMismatchError("matmul", a.shape, b.shape) from None
 
     def back(g):
-        _accumulate(a, _unbroadcast(g @ b.value.swapaxes(-1, -2), a.shape))
-        _accumulate(b, _unbroadcast(a.value.swapaxes(-1, -2) @ g, b.shape))
+        if a.needs_grad:
+            _accumulate(a, _matmul_grad(g, b.value.swapaxes(-1, -2), a.shape), fresh=True)
+        if b.needs_grad:
+            _accumulate(b, _matmul_grad(a.value.swapaxes(-1, -2), g, b.shape), fresh=True)
 
     return _make("matmul", value, (a, b), back)
 
@@ -369,7 +402,7 @@ def sigmoid(a) -> Node:
     value = _sigmoid_values(a.value)
 
     def back(g):
-        _accumulate(a, g * value * (1.0 - value))
+        _accumulate(a, g * value * (1.0 - value), fresh=True)
 
     return _make("sigmoid", value, (a,), back)
 
@@ -384,7 +417,7 @@ def log_sigmoid(a) -> Node:
     value = np.where(x >= 0, 0.0, x) - np.log1p(np.exp(-np.abs(x)))
 
     def back(g):
-        _accumulate(a, g * _sigmoid_values(-x))
+        _accumulate(a, g * _sigmoid_values(-x), fresh=True)
 
     return _make("log_sigmoid", value, (a,), back)
 
@@ -394,7 +427,7 @@ def relu(a) -> Node:
     value = np.maximum(a.value, 0)
 
     def back(g):
-        _accumulate(a, g * (a.value > 0))
+        _accumulate(a, g * (a.value > 0), fresh=True)
 
     return _make("relu", value, (a,), back)
 
@@ -404,7 +437,7 @@ def exp(a) -> Node:
     value = np.exp(a.value)
 
     def back(g):
-        _accumulate(a, g * value)
+        _accumulate(a, g * value, fresh=True)
 
     return _make("exp", value, (a,), back)
 
@@ -414,7 +447,7 @@ def log(a) -> Node:
     value = np.log(a.value)
 
     def back(g):
-        _accumulate(a, g / a.value)
+        _accumulate(a, g / a.value, fresh=True)
 
     return _make("log", value, (a,), back)
 
@@ -430,7 +463,7 @@ def reduce_sum(a, axis: int | None = None, keepdims: bool = False) -> Node:
     def back(g):
         if axis is not None and not keepdims:
             g = np.expand_dims(g, axis)
-        _accumulate(a, np.broadcast_to(g, a.value.shape).copy())
+        _accumulate(a, np.broadcast_to(g, a.value.shape).copy(), fresh=True)
 
     return _make("sum", value, (a,), back)
 
@@ -445,7 +478,7 @@ def reduce_max(a, axis: int, keepdims: bool = False) -> Node:
         hit = (a.value == expanded).astype(a.value.dtype)
         hit /= hit.sum(axis=axis, keepdims=True)
         gg = g if keepdims else np.expand_dims(g, axis)
-        _accumulate(a, hit * gg)
+        _accumulate(a, hit * gg, fresh=True)
 
     return _make("max", value, (a,), back)
 
@@ -482,7 +515,7 @@ def masked_softmax(logits, mask: np.ndarray | None = None) -> Node:
 
     def back(g):
         inner = (g * value).sum(axis=-1, keepdims=True)
-        _accumulate(a, value * (g - inner))
+        _accumulate(a, value * (g - inner), fresh=True)
 
     return _make("masked_softmax", value, (a,), back)
 
@@ -588,7 +621,8 @@ def bilstm_scan(proj, w_rec, mask: np.ndarray) -> Node:
         for node, w_node, d_k, h_k in zip((proj_f, proj_b), (w_f, w_b),
                                           _scan_unstack(d_gates), _scan_unstack(states[:-1])):
             _accumulate(node, d_k.transpose(1, 0, 2))
-            _accumulate(w_node, h_k.reshape(-1, hidden).T @ d_k.reshape(-1, 4 * hidden))
+            _accumulate(w_node, h_k.reshape(-1, hidden).T @ d_k.reshape(-1, 4 * hidden),
+                        fresh=True)
 
     return _make("bilstm_scan", value, (proj_f, proj_b, w_f, w_b), back)
 
@@ -612,7 +646,7 @@ def dropout(a: Node, rate: float, rng: np.random.Generator | None,
     value = a.value * keep
 
     def back(g):
-        _accumulate(a, g * keep)
+        _accumulate(a, g * keep, fresh=True)
 
     return _make("dropout", value, (a,), back)
 

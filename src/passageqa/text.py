@@ -132,9 +132,10 @@ def load_vectors(path: str) -> VectorTable:
     """Read a text vector file: header "COUNT DIM", then COUNT "word v1 .. vDIM" rows.
 
     Vectors are float32.  Duplicate words keep the first occurrence but count
-    as rows.  A malformed or non-UTF-8 row, or one with a NaN, infinite or
-    out-of-range component, raises VectorFileError with the path and its
-    line number; a row count other than COUNT raises it for line 1.
+    as rows.  A malformed or non-UTF-8 row, one whose word is empty or holds
+    whitespace, or one with a NaN, infinite or out-of-range component, raises
+    VectorFileError with the path and its line number; a row count other than
+    COUNT raises it for line 1.
 
     The rows are read in blocks of whole lines.  np.loadtxt parses a block's
     numbers to float64 in one call, which are then checked and cast to float32
@@ -206,10 +207,11 @@ def _parse_block(lines: list[bytes], dim: int) -> tuple[list[str], np.ndarray] |
         for raw in lines:
             line = raw.decode("utf-8")
             if line.strip():
-                if line.count(" ") != dim or line.startswith(" "):
+                word = line[:line.find(" ")]
+                if line.count(" ") != dim or word.split() != [word]:
                     return None
                 texts.append(line)
-                words.append(line[:line.index(" ")])
+                words.append(word)
         if not texts:
             return words, np.empty((0, dim), np.float32)
         values = np.loadtxt(texts, dtype=np.float64, delimiter=" ", comments=None,
@@ -238,6 +240,8 @@ def _parse_rows(path: str, lines: list[bytes], line_no: int,
                 path, line_no, f"expected 1 word + {dim} values, got {len(fields)} fields")
         if not fields[0]:
             raise VectorFileError(path, line_no, "empty word")
+        if fields[0].split() != [fields[0]]:
+            raise VectorFileError(path, line_no, "word holds whitespace")
         try:
             values = np.array([[float(x) for x in fields[1:]]])
         except ValueError:

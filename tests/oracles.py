@@ -193,6 +193,113 @@ def bilstm_scan_blended(proj: tuple[np.ndarray, np.ndarray],
 
 
 # ---------------------------------------------------------------------------
+# reverse mode the plain way
+#
+# A few graph ops with the gradient bookkeeping autodiff had before its
+# backward pass was trimmed: every first gradient is zeros_like(value) plus
+# the incoming one, both operand gradients are formed whether or not they are
+# needed, and an operand broadcast over a stack gets the whole product stack
+# summed.  The graph walk is autodiff's, so gradients meet in the same order
+# and the package can be held to these bytes.
+
+
+class RefNode:
+    def __init__(self, value, parents=(), back=None, needs_grad=False):
+        self.value, self.parents, self.back = value, parents, back
+        self.needs_grad, self.grad = needs_grad, None
+
+
+def ref_leaf(value: np.ndarray, requires_grad: bool = False) -> RefNode:
+    return RefNode(np.asarray(value), needs_grad=requires_grad)
+
+
+def _ref_make(value, parents, back) -> RefNode:
+    if any(p.needs_grad for p in parents):
+        return RefNode(value, parents, back, needs_grad=True)
+    return RefNode(value)
+
+
+def _ref_accumulate(node: RefNode, grad: np.ndarray) -> None:
+    if not node.needs_grad:
+        return
+    if node.grad is None:
+        node.grad = np.zeros_like(node.value)
+    node.grad += grad
+
+
+def _ref_unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+    extra = grad.ndim - len(shape)
+    if extra > 0:
+        grad = grad.sum(axis=tuple(range(extra)))
+    axes = tuple(i for i, n in enumerate(shape) if n == 1 and grad.shape[i] != 1)
+    if axes:
+        grad = grad.sum(axis=axes, keepdims=True)
+    return grad
+
+
+def ref_add(a: RefNode, b: RefNode) -> RefNode:
+    def back(g):
+        _ref_accumulate(a, _ref_unbroadcast(g, a.value.shape))
+        _ref_accumulate(b, _ref_unbroadcast(g, b.value.shape))
+    return _ref_make(a.value + b.value, (a, b), back)
+
+
+def ref_sub(a: RefNode, b: RefNode) -> RefNode:
+    def back(g):
+        _ref_accumulate(a, _ref_unbroadcast(g, a.value.shape))
+        _ref_accumulate(b, _ref_unbroadcast(-g, b.value.shape))
+    return _ref_make(a.value - b.value, (a, b), back)
+
+
+def ref_mul(a: RefNode, b: RefNode) -> RefNode:
+    def back(g):
+        _ref_accumulate(a, _ref_unbroadcast(g * b.value, a.value.shape))
+        _ref_accumulate(b, _ref_unbroadcast(g * a.value, b.value.shape))
+    return _ref_make(a.value * b.value, (a, b), back)
+
+
+def ref_matmul(a: RefNode, b: RefNode) -> RefNode:
+    def back(g):
+        _ref_accumulate(a, _ref_unbroadcast(g @ b.value.swapaxes(-1, -2), a.value.shape))
+        _ref_accumulate(b, _ref_unbroadcast(a.value.swapaxes(-1, -2) @ g, b.value.shape))
+    return _ref_make(a.value @ b.value, (a, b), back)
+
+
+def ref_transpose(a: RefNode, axes: tuple[int, ...]) -> RefNode:
+    inverse = tuple(np.argsort(axes))
+
+    def back(g):
+        _ref_accumulate(a, g.transpose(inverse))
+    return _ref_make(a.value.transpose(axes), (a,), back)
+
+
+def ref_sum(a: RefNode) -> RefNode:
+    def back(g):
+        _ref_accumulate(a, np.broadcast_to(g, a.value.shape).copy())
+    return _ref_make(a.value.sum(), (a,), back)
+
+
+def ref_backward(loss: RefNode) -> None:
+    """Fill `.grad` on every grad-requiring node, in autodiff.backward's order."""
+    order, seen = [], {id(loss)}
+    stack = [(loss, iter(loss.parents))]
+    while stack:
+        node, parents = stack[-1]
+        for p in parents:
+            if p.needs_grad and id(p) not in seen:
+                seen.add(id(p))
+                stack.append((p, iter(p.parents)))
+                break
+        else:
+            order.append(node)
+            stack.pop()
+    loss.grad = np.ones_like(loss.value)
+    for node in reversed(order):
+        if node.back is not None:
+            node.back(node.grad)
+
+
+# ---------------------------------------------------------------------------
 # attention between two encoded sequences
 
 
@@ -411,6 +518,8 @@ def load_vectors(path: str) -> VectorTable:
                     path, line_no, f"expected 1 word + {dim} values, got {len(fields)} fields")
             if not fields[0]:
                 raise VectorFileError(path, line_no, "empty word")
+            if fields[0].split() != [fields[0]]:
+                raise VectorFileError(path, line_no, "word holds whitespace")
             try:
                 values = list(map(float, fields[1:]))
                 vec = np.array(values, dtype=np.float32)

@@ -1,5 +1,6 @@
 """Graph engine tests: frozen values, gradient checks, masking, errors."""
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -334,6 +335,135 @@ def test_dropout_scales_survivors():
     survivors = out[out != 0.0]
     assert 600 < survivors.size < 900
     np.testing.assert_allclose(survivors, 1.0 / 0.75, rtol=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# gradients byte for byte against the plain bookkeeping (oracles.ref_*)
+
+
+PACKAGE = SimpleNamespace(leaf=leaf, add=ad.add, sub=ad.sub, mul=ad.mul, matmul=ad.matmul,
+                          transpose=ad.transpose, total=ad.reduce_sum, backward=backward)
+REFERENCE = SimpleNamespace(leaf=oracles.ref_leaf, add=oracles.ref_add, sub=oracles.ref_sub,
+                            mul=oracles.ref_mul, matmul=oracles.ref_matmul,
+                            transpose=oracles.ref_transpose, total=oracles.ref_sum,
+                            backward=oracles.ref_backward)
+
+
+def assert_same_leaf_gradients(build, arrays, trainable):
+    """`build(ops, leaves)` -> scalar loss, run on the package and on the
+    reference; every trainable leaf's gradient must match in dtype, strides
+    and bytes."""
+    grads = []
+    for ops in (PACKAGE, REFERENCE):
+        leaves = {k: ops.leaf(v, k in trainable) for k, v in arrays.items()}
+        ops.backward(build(ops, leaves))
+        grads.append({k: leaves[k].grad for k in trainable})
+    for name in trainable:
+        got, want = grads[0][name], grads[1][name]
+        if want is None:
+            assert got is None, name
+            continue
+        assert (got.dtype, got.strides) == (want.dtype, want.strides), name
+        assert got.tobytes() == want.tobytes(), name
+
+
+def signed_zeros(data, rng, shape, dtype):
+    """Normal values with some entries replaced by 0.0 and some by -0.0."""
+    values = rng.standard_normal(shape).astype(dtype)
+    kind = data.draw(st.lists(st.sampled_from([0, 0, 0, 1, 2]), min_size=values.size,
+                              max_size=values.size))
+    flat = values.reshape(-1)
+    flat[np.array(kind) == 1] = 0.0
+    flat[np.array(kind) == 2] = -0.0
+    return values
+
+
+def shared_trunk(ops, v, swap, reuse_w):
+    """2-D @ 3-D, broadcast add and mul, a transpose node, 3-D @ 2-D with W
+    used a second time or V, a sub that reads X again, and a sum weighted by
+    C, whose signed zeros reach D and E as 0.0 and -0.0 gradients."""
+    def add(a, b):
+        return ops.add(b, a) if swap else ops.add(a, b)
+
+    def mul(a, b):
+        return ops.mul(b, a) if swap else ops.mul(a, b)
+
+    h = mul(add(ops.matmul(v["W"], v["X"]), v["bias"]), v["gate"])     # (B, m, n)
+    h = ops.matmul(ops.transpose(h, (0, 2, 1)), v["W"] if reuse_w else v["V"])  # (B, n, k)
+    diff = ops.sub(h, ops.transpose(v["X"], (0, 2, 1)))
+    return ops.total(mul(ops.sub(add(v["D"], diff), v["E"]), v["C"]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_backward_matches_plain_bookkeeping_bytes(data):
+    """Every leaf gradient equals the zeros_like + add, both-operands,
+    whole-stack bookkeeping byte for byte, in float32 and float64, with
+    constant operands, a leaf used twice, transposed views and -0.0 gradients."""
+    dtype = data.draw(st.sampled_from([np.float32, np.float64]))
+    batch, m, n = (data.draw(st.integers(1, 5)) for _ in range(3))
+    reuse_w = data.draw(st.booleans())
+    k = m if reuse_w else data.draw(st.integers(1, 5))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    arrays = {"X": signed_zeros(data, rng, (batch, k, n), dtype),
+              "W": signed_zeros(data, rng, (m, k), dtype),
+              "V": signed_zeros(data, rng, (m, k), dtype),
+              "bias": signed_zeros(data, rng, (m, 1), dtype),
+              "gate": signed_zeros(data, rng, (batch, 1, n), dtype),
+              "C": signed_zeros(data, rng, (batch, n, k), dtype),
+              "D": signed_zeros(data, rng, (batch, n, k), dtype),
+              "E": signed_zeros(data, rng, (batch, n, k), dtype)}
+    if data.draw(st.booleans()):       # W as a transposed view, F-ordered
+        arrays["W"] = np.ascontiguousarray(arrays["W"].T).T
+    trainable = data.draw(st.sets(st.sampled_from(["X", "W", "V", "bias", "gate", "D", "E"])))
+    swap = data.draw(st.booleans())
+    assert_same_leaf_gradients(lambda ops, v: shared_trunk(ops, v, swap, reuse_w),
+                               arrays, trainable)
+
+
+def test_first_gradient_holds_no_negative_zero():
+    """A first gradient of -0.0 is stored as 0.0, as zeros + grad gives, whether
+    it is copied (D, an F-ordered leaf) or kept (E)."""
+    arrays = {"D": np.ones((2, 3)).T, "E": np.ones((3, 2)),
+              "C": np.array([[0.0, -0.0], [1.5, -0.0], [-0.0, 2.0]])}
+    build = lambda ops, v: ops.total(ops.add(ops.mul(v["D"], v["C"]), ops.mul(v["E"], v["C"])))
+    assert_same_leaf_gradients(build, arrays, {"D", "E"})
+    d, e = leaf(arrays["D"], True), leaf(arrays["E"], True)
+    backward(build(PACKAGE, {"D": d, "E": e, "C": constant(arrays["C"])}))
+    assert not np.signbit(d.grad[d.grad == 0]).any() and not np.signbit(e.grad[e.grad == 0]).any()
+
+
+def _read_by_transpose_and_matmul(ops, v):
+    y = ops.matmul(v["p"], v["q"])
+    return ops.matmul(y, ops.transpose(y, (1, 0)))
+
+
+def _matmul_into_both_add_operands(ops, v):
+    y = ops.matmul(v["p"], v["q"])
+    return ops.add(y, y)
+
+
+ALIASING_GRAPHS = {
+    "add(x, x)": lambda ops, v: ops.add(v["a"], v["a"]),
+    "mul(a, a)": lambda ops, v: ops.mul(v["a"], v["a"]),
+    "matmul node into both operands of an add": _matmul_into_both_add_operands,
+    "node read by a transpose and a matmul": _read_by_transpose_and_matmul,
+    "node read by an add and by a mul into that add":
+        lambda ops, v: ops.add(v["a"], ops.mul(v["a"], v["k"])),
+}
+
+
+@pytest.mark.parametrize("name", ALIASING_GRAPHS)
+def test_adopted_gradients_are_not_aliased(name):
+    """A gradient array a node keeps as its own must not be one that another
+    node also holds or goes on reading."""
+    rng = np.random.default_rng(len(name))
+    arrays = {"a": rng.standard_normal((3, 3)), "k": rng.standard_normal((3, 3)),
+              "p": rng.standard_normal((3, 4)), "q": rng.standard_normal((4, 3)),
+              "C": rng.standard_normal((3, 3))}
+    graph = ALIASING_GRAPHS[name]
+    assert_same_leaf_gradients(lambda ops, v: ops.total(ops.mul(graph(ops, v), v["C"])),
+                               arrays, {"a", "k", "p", "q"})
 
 
 # ---------------------------------------------------------------------------

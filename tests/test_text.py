@@ -305,6 +305,29 @@ def _same_outcome(raw: bytes, block_bytes: int) -> None:
     assert table.matrix.tobytes() == expected.matrix.tobytes()
 
 
+@pytest.mark.parametrize("word", ["a\rb", "a\x0bb", "a\x1cb", "\xa0", "\ta", "b\u2028"])
+def test_word_holding_whitespace_reports_its_line_number(tmp_path, word):
+    path = write(tmp_path, f"2 2\nok 1 2\n{word} 0.5 0.5\n")
+    with pytest.raises(VectorFileError, match="line 3: word holds whitespace"):
+        load_vectors(path)
+
+
+@settings(max_examples=300, deadline=None)
+@given(vector_files())
+def test_every_loaded_table_saves_and_loads_back_equal(raw):
+    """What load_vectors returns, save_vectors accepts, and it reads back the same."""
+    with tempfile.TemporaryDirectory() as tmp:
+        Path(f"{tmp}/in.txt").write_bytes(raw)
+        try:
+            table = load_vectors(f"{tmp}/in.txt")
+        except VectorFileError:
+            return
+        save_vectors(f"{tmp}/out.txt", table)
+        again = load_vectors(f"{tmp}/out.txt")
+    assert again.rows == table.rows
+    assert again.matrix.tobytes() == table.matrix.tobytes()
+
+
 @settings(max_examples=400, deadline=None)
 @given(vector_files(), st.one_of(st.integers(1, 64), st.just(text._BLOCK_BYTES)))
 def test_load_vectors_matches_row_by_row_reference(raw, block_bytes):
@@ -318,7 +341,10 @@ def test_load_vectors_matches_row_by_row_reference(raw, block_bytes):
     b"1 2\nw 1e40 nan\n",                                # out of range wins in a row
     b"4 2\r\na 1_0 2\r\n\r\nb \xd9\xa1\xd9\xa2 .5\r\na -0 5.\r\nc +1 2E-3\r\n",
     "2 3\nw 1\x1c 2 3\n\nv 4 5 6\n".encode(),
-    b"1 2\n 0.5 0.5\n"])                                # an empty word
+    b"1 2\n 0.5 0.5\n",                                # an empty word
+    b"1 2\na\rb 0.5 0.5\n",                            # whitespace inside a word
+    b"2 2\nok 1 2\na\x0bb 0.5 0.5\n",
+    b"2 2\na\x1cb 0.5 0.5\nok 1 2\n"])
 @pytest.mark.parametrize("block_bytes", [1, 12, 1 << 20])
 def test_load_vectors_matches_reference_on_known_cases(raw, block_bytes):
     _same_outcome(raw, block_bytes)
