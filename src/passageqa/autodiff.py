@@ -391,10 +391,13 @@ def broadcast_to(a: Node, shape: tuple[int, ...]) -> Node:
 
 def _sigmoid_values(x: np.ndarray) -> np.ndarray:
     # exp(-|x|) never overflows; the negative branch ex/(1+ex) stays exact
-    # as ex * (1/(1+ex)) without any cancellation.
+    # as ex * (1/(1+ex)) without any cancellation.  No np.where: a select on
+    # a sign-random mask mispredicts about every other element.  ex <= 1, so
+    # the factor is exactly 1.0 where x >= 0 and ex elsewhere (NaN stays NaN);
+    # asarray keeps np.where's 0-d array where the product gives a scalar.
     ex = np.exp(-np.abs(x))
     base = 1.0 / (1.0 + ex)
-    return np.where(x >= 0, base, ex * base)
+    return np.asarray(base * np.maximum(ex, x >= 0))
 
 
 def sigmoid(a) -> Node:

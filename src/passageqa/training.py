@@ -78,16 +78,22 @@ NEGATIVE_POOL = 15
 
 def make_negative(positive: QuestionExample, index: TfIdfIndex, corpus: Corpus,
                   rng: np.random.Generator,
-                  relevant_ids: set[int] | None = None) -> QuestionExample | None:
+                  relevant_ids: set[int] | None = None,
+                  pools: dict[int, list[int]] | None = None) -> QuestionExample | None:
     """Same question paired with a similar-but-irrelevant passage.
 
     The passage is drawn uniformly from the top NEGATIVE_POOL TF-IDF-similar
     passages to the gold one, excluding `relevant_ids` (default: the gold
     passage alone).  Returns None (with a warning) when no candidate exists.
+    `pools` (gold passage id -> its similar passage ids) keeps each gold
+    passage's ranking across calls, so the index is queried once per passage.
     """
     exclude = relevant_ids if relevant_ids is not None else {positive.passage_id}
-    ranked = similar_passages(index, corpus[positive.passage_id], NEGATIVE_POOL)
-    pool = [pid for pid, _ in ranked.entries if pid not in exclude]
+    pools = {} if pools is None else pools
+    if positive.passage_id not in pools:
+        pools[positive.passage_id] = similar_passages(
+            index, corpus[positive.passage_id], NEGATIVE_POOL).ids()
+    pool = [pid for pid in pools[positive.passage_id] if pid not in exclude]
     if not pool:
         logger.warning("no negative candidate for question %s (passage %d)",
                        positive.qid, positive.passage_id)
@@ -252,6 +258,7 @@ def train(positives: list[QuestionExample], corpus: Corpus, index: TfIdfIndex,
              TrainMode.RETRIEVAL_ONLY: ("relevance",),
              TrainMode.READING_ONLY: ("span",)}[mode]
     want_negatives = mode != TrainMode.READING_ONLY
+    pools: dict[int, list[int]] = {}
 
     history: list[EpochStats] = []
     for epoch in range(1, hp.epochs + 1):
@@ -263,7 +270,8 @@ def train(positives: list[QuestionExample], corpus: Corpus, index: TfIdfIndex,
             if want_negatives:
                 negatives = []
                 for pos_ex in examples[:hp.batch_negatives]:
-                    neg = make_negative(pos_ex, index, corpus, rng_negative, gold[pos_ex.qid])
+                    neg = make_negative(pos_ex, index, corpus, rng_negative, gold[pos_ex.qid],
+                                        pools)
                     if neg is not None:
                         negatives.append(neg)
                 examples = examples + negatives

@@ -122,9 +122,11 @@ def highway(layers, col: list[float]) -> list[float]:
 # the bi-LSTM scan with the state carried across masked positions
 #
 # Both LSTM directions in numpy, with the state at a masked position blended
-# as k*new + (1-k)*old, so a mask may have gaps.  At a real position every
-# array op is the one autodiff.bilstm_scan runs, in the same order, so on a
-# right-padded mask the package's scan can be held to its bytes.
+# as k*new + (1-k)*old, so a mask may have gaps.  At a real position the
+# arithmetic is autodiff.bilstm_scan's, in the same order.  The sigmoid here is
+# the reference formula, np.where's select; the package's branch-free
+# _sigmoid_values must give its bytes.  So on a right-padded mask the
+# package's scan can be held to its bytes.
 
 
 def _sigmoid_array(x: np.ndarray) -> np.ndarray:

@@ -5,6 +5,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 import passageqa.autodiff as ad
 from passageqa.autodiff import (ShapeMismatchError, backward, constant,
@@ -37,6 +38,36 @@ def test_sigmoid_fixed_points():
     assert out[0] == 0.5
     assert out[1] == 1.0
     assert out[2] == 0.0
+
+
+_SIGMOID_SPECIALS = (0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324, 1e-45,
+                     -1e-45, 88.7, -88.7, 1e38, -1e38)
+
+
+@st.composite
+def _sigmoid_inputs(draw):
+    dtype = draw(st.sampled_from([np.float32, np.float64]))
+    width = np.finfo(dtype).bits
+    values = st.one_of(st.sampled_from(_SIGMOID_SPECIALS).map(dtype),
+                       st.floats(width=width, allow_subnormal=True))
+    x = draw(hnp.arrays(dtype, hnp.array_shapes(min_dims=0, max_dims=3, max_side=5),
+                        elements=values))
+    if x.ndim and draw(st.booleans()):
+        x = x[..., ::-2]
+    return x.T if draw(st.booleans()) else x
+
+
+@settings(max_examples=300, deadline=None)
+@given(_sigmoid_inputs())
+def test_sigmoid_values_match_the_reference_formula_bytes(x):
+    """The branch-free sigmoid gives np.where's bytes on every input."""
+    ref = oracles._sigmoid_array(x)
+    out = ad._sigmoid_values(x)
+    assert type(out) is np.ndarray and out.shape == x.shape
+    assert out.dtype == ref.dtype == x.dtype
+    nan = np.isnan(ref)
+    assert np.array_equal(np.isnan(out), nan)
+    assert out[~nan].tobytes() == ref[~nan].tobytes()
 
 
 def test_log_sigmoid_values():

@@ -342,6 +342,42 @@ def test_train_never_draws_another_gold_passage_as_negative(monkeypatch):
     assert set(drawn) == {2, 3}
 
 
+def test_train_ranks_each_gold_passage_once_across_epochs(monkeypatch):
+    """The TF-IDF pool of a gold passage is computed on its first negative and
+    reused in later epochs; every negative still comes from that pool minus
+    the question's gold passages."""
+    from passageqa import training
+    from passageqa.retriever import Corpus, PassageRecord, build_index, similar_passages
+    from passageqa.text import VectorTable
+    corpus = Corpus([PassageRecord(i, 0, ("red fox", "blue owl", "green cat")[i % 3]
+                                   + f" number{i}") for i in range(12)])
+    index = build_index(corpus)
+    positives = [positive("a", 0), positive("a", 3), positive("b", 1),
+                 positive("c", 2), positive("d", 4)]
+    gold = {"a": {0, 3}, "b": {1}, "c": {2}, "d": {4}}
+    ranked, drawn = [], []
+
+    def counting(index_, passage, k):
+        ranked.append(passage.passage_id)
+        return similar_passages(index_, passage, k)
+
+    def recording(*args, **kwargs):
+        neg = make_negative(*args, **kwargs)
+        drawn.append((args[0], neg.passage_id))
+        return neg
+
+    monkeypatch.setattr(training, "similar_passages", counting)
+    monkeypatch.setattr(training, "make_negative", recording)
+    table = VectorTable(4, {"red": np.ones(4, np.float32)})
+    train(positives, corpus, index, table,
+          small_hp(epochs=6, batch_positives=5, batch_negatives=5))
+    assert len(drawn) == 30
+    assert sorted(ranked) == [0, 1, 2, 3, 4]
+    for pos_ex, pid in drawn:
+        pool = set(similar_passages(index, corpus[pos_ex.passage_id], 15).ids())
+        assert pid in pool - gold[pos_ex.qid]
+
+
 # ---------------------------------------------------------------------------
 # the training loop
 
