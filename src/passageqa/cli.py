@@ -9,8 +9,8 @@ whichever command it is.  One seed drives every source of randomness, so
 runs with the same inputs and seed produce byte-identical outputs.
 
 Exit codes: 0 success, 2 usage or configuration error, 3 missing input file,
-4 malformed data or artifact (also a checkpoint whose outputs are not finite),
-1 unexpected failure.
+4 malformed data or artifact (also a checkpoint whose outputs are not finite,
+or an index built from another passage store), 1 unexpected failure.
 """
 from __future__ import annotations
 
@@ -27,7 +27,7 @@ from .evaluation import (ChainSpecError, EvaluationError, NeuralScorer,
                          parse_chain)
 from .model import Hyperparams, weights_from_named
 from .retriever import (DEFAULT_BUCKETS, Corpus, CorpusError, IndexFormatError,
-                        build_index, load_index, save_index)
+                        TfIdfIndex, build_index, load_index, save_index)
 from .squad import (DatasetFormatError, check_examples, ingest_dataset, load_examples,
                     save_examples)
 from .text import VectorFileError, load_vectors, tokenize, utf8_encodable
@@ -177,8 +177,14 @@ def _build_scorer(s: argparse.Namespace) -> NeuralScorer:
     return NeuralScorer(averaged, hp, table)
 
 
-def _load_index(s: argparse.Namespace):
-    return load_index(_require_file(_require(s.index, "index"), "index"))
+def _load_index(s: argparse.Namespace, corpus: Corpus) -> TfIdfIndex:
+    """The index file, which must index exactly the corpus's passages."""
+    path = _require_file(_require(s.index, "index"), "index")
+    index = load_index(path)
+    if index.pids.tolist() != sorted(rec.passage_id for rec in corpus):
+        raise IndexFormatError(f"{path}: indexes other passages than the passage store "
+                               f"holds; rebuild it with build-index")
+    return index
 
 
 def _write_report(report: dict, path: str | None) -> None:
@@ -226,14 +232,12 @@ def cmd_build_index(s) -> int:
 def cmd_train(s) -> int:
     corpus_dir = _require(s.corpus, "corpus")
     vectors_path = _require(s.vectors, "vectors")
-    index_path = _require(s.index, "index")
     out_dir = Path(_require(s.checkpoint, "checkpoint"))
     _require_file(vectors_path, "vector file")
-    _require_file(index_path, "index")
     corpus = _load_corpus_dir(corpus_dir)
+    index = _load_index(s, corpus)
     positives = [ex for ex in _load_examples(corpus_dir, corpus) if ex.relevance == 1]
     table = load_vectors(vectors_path)
-    index = load_index(index_path)
     hp = _hyperparams(s, s.hyperparams,
                       [name for name, setting in SETTINGS.items() if setting.hyperparam])
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -256,7 +260,7 @@ def _eval_common(s):
 
 def cmd_eval_ir(s) -> int:
     corpus, examples, scorer = _eval_common(s)
-    index = _load_index(s)
+    index = _load_index(s, corpus)
     report = evaluate_ir(examples, parse_chain(s.chain), index, corpus, scorer)
     agg = report["aggregate"]
     print(f"S@1 {agg['success_at_1']:.4f}  S@5 {agg['success_at_5']:.4f}  "
@@ -276,7 +280,7 @@ def cmd_eval_rc(s) -> int:
 
 def cmd_eval_mrs(s) -> int:
     corpus, examples, scorer = _eval_common(s)
-    index = _load_index(s)
+    index = _load_index(s, corpus)
     chain = parse_chain(s.chain, final_k=s.k)
     report = evaluate_mrs(examples, chain, index, corpus, scorer)
     agg = report["aggregate"]
@@ -288,7 +292,7 @@ def cmd_eval_mrs(s) -> int:
 
 def cmd_ask(s) -> int:
     corpus = _load_corpus_dir(_require(s.corpus, "corpus"))
-    index = _load_index(s)
+    index = _load_index(s, corpus)
     scorer = _build_scorer(s)
     chain = parse_chain(s.chain, final_k=s.k)
     question_text = s.question

@@ -8,13 +8,13 @@ pool together.  Vote weights are kept in log space so tiny temperatures
 cannot overflow.
 
 `NeuralScorer` scores passages in chunks of SCORE_BATCH, sorted by length
-so little of each chunk is padding.  A call encodes its question once, and
-the contextual encoding of every passage it sees stays in an LRU keyed by
-passage text (so one scorer serves any corpus), bounded at
-ENCODING_CACHE_BYTES; a later question re-runs only the attention, fusion
-and heads on a cached passage.  An encoding made inside one chunk may
-differ by an ulp from one made inside another, so a score can depend on
-which chunk first encoded its passage.
+so little of each chunk is padding.  The contextual encoding of every
+question and passage it sees stays in one LRU keyed by text (so one scorer
+serves any corpus), bounded at ENCODING_CACHE_BYTES: ranking and then
+reading for one question encode it once, and a later question re-runs only
+the attention, fusion and heads on a cached passage.  An encoding made
+inside one chunk may differ by an ulp from one made inside another, so a
+score can depend on which chunk first encoded its passage.
 """
 from __future__ import annotations
 
@@ -27,15 +27,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import autodiff as ad
-from .model import (EncodedBatch, Hyperparams, ModelWeights, encode_batch,
-                    encode_sequences, extract_answer, read, select_span)
+from .model import (Hyperparams, ModelWeights, encode_batch, encode_sequences,
+                    extract_answer, read, select_span)
 from .retriever import Corpus, PassageRecord, RankedList, TfIdfIndex, top_k
 from .text import TokenSeq, VectorTable
 from .training import QuestionExample
 
 VALID_STAGE_KINDS = ("tfidf", "neural")
 SCORE_BATCH = 32            # passages per forward pass when scoring or reading
-ENCODING_CACHE_BYTES = 32 << 20   # bound on a scorer's cached passage encodings
+ENCODING_CACHE_BYTES = 32 << 20   # bound on a scorer's cached question and passage encodings
 
 
 class ChainSpecError(ValueError):
@@ -114,8 +114,8 @@ class NeuralScorer:
     """Runs the trained network in eval mode for ranking and reading.
 
     Use the EMA weights here; raw weights are for resuming training.  The
-    passage encoding cache belongs to these weights and this vector table;
-    build a new scorer to change either.
+    encoding cache, questions and passages alike, belongs to these weights
+    and this vector table; build a new scorer to change either.
     """
 
     def __init__(self, weights: ModelWeights, hp: Hyperparams, table: VectorTable):
@@ -125,36 +125,38 @@ class NeuralScorer:
         self._encodings: OrderedDict[str, np.ndarray] = OrderedDict()  # text -> (2d, len)
         self._encoded_bytes = 0
 
-    def _passage_states(self, chunk: list[PassageRecord],
-                        batch: EncodedBatch) -> np.ndarray:
-        """(B, 2d, T) contextual passage states; only uncached rows are encoded."""
+    def _states(self, texts: list[str], emb: np.ndarray, mask: np.ndarray,
+                lengths: list[int]) -> np.ndarray:
+        """(B, 2d, T) contextual states of `texts`, one per row of `emb` (B, dim, T).
+
+        A text not in the cache is encoded once, from its first row.  The cache
+        is cut back to its bound only after every row is copied out, so an
+        eviction cannot drop an encoding this call still needs."""
         cache = self._encodings
-        found = [cache.get(rec.text) for rec in chunk]
-        for rec, encoding in zip(chunk, found):
-            if encoding is not None:
-                cache.move_to_end(rec.text)
-        missing = [i for i, encoding in enumerate(found) if encoding is None]
+        missing: dict[str, int] = {}        # uncached text -> its first row
+        for i, text in enumerate(texts):
+            if text in cache:
+                cache.move_to_end(text)
+            else:
+                missing.setdefault(text, i)
         if missing:
-            [states] = encode_sequences(self.weights, self.hp, [
-                (batch.passage_emb[missing], batch.passage_mask[missing])])
-            for i, row in zip(missing, states.value):
-                found[i] = row[:, :batch.passage_lengths[i]].copy()
-                if chunk[i].text not in cache:      # a text may repeat in a chunk
-                    cache[chunk[i].text] = found[i]
-                    self._encoded_bytes += found[i].nbytes
-            while self._encoded_bytes > ENCODING_CACHE_BYTES:
-                self._encoded_bytes -= cache.popitem(last=False)[1].nbytes
-        out = np.zeros((batch.size, 2 * self.weights.hidden, batch.passage_emb.shape[2]),
-                       dtype=found[0].dtype)
-        for i, encoding in enumerate(found):
-            out[i, :, :encoding.shape[1]] = encoding
+            rows = list(missing.values())
+            [states] = encode_sequences(self.weights, self.hp, [(emb[rows], mask[rows])])
+            for (text, i), row in zip(missing.items(), states.value):
+                cache[text] = row[:, :lengths[i]].copy()
+                self._encoded_bytes += cache[text].nbytes
+        out = np.zeros((len(texts), 2 * self.weights.hidden, emb.shape[2]),
+                       dtype=cache[texts[0]].dtype)
+        for i, text in enumerate(texts):
+            out[i, :, :lengths[i]] = cache[text]
+        while self._encoded_bytes > ENCODING_CACHE_BYTES:
+            self._encoded_bytes -= cache.popitem(last=False)[1].nbytes
         return out
 
     def _read_chunks(self, question: TokenSeq, records: list[PassageRecord],
                      heads: tuple[str, ...]):
         """Yield (input positions, batch, state) per chunk of length-sorted records."""
         order = sorted(range(len(records)), key=lambda i: len(records[i].tokens))
-        ctx_question = None
         for start in range(0, len(order), SCORE_BATCH):
             rows = order[start:start + SCORE_BATCH]
             chunk = [records[i] for i in rows]
@@ -162,13 +164,10 @@ class NeuralScorer:
             with ad.no_grad(), np.errstate(over="ignore", invalid="ignore"):
                 batch = encode_batch([question] * len(chunk),
                                      [rec.tokens for rec in chunk], self.table)
-                if ctx_question is None:
-                    [encoded] = encode_sequences(self.weights, self.hp, [
-                        (batch.question_emb[:1], batch.question_mask[:1])])
-                    ctx_question = encoded.value
-                questions = np.ascontiguousarray(
-                    np.broadcast_to(ctx_question, (batch.size,) + ctx_question.shape[1:]))
-                passages = self._passage_states(chunk, batch)
+                questions = self._states([question.text] * batch.size, batch.question_emb,
+                                         batch.question_mask, [len(question)] * batch.size)
+                passages = self._states([rec.text for rec in chunk], batch.passage_emb,
+                                        batch.passage_mask, batch.passage_lengths)
                 state = read(self.weights, self.hp, ad.constant(passages),
                              ad.constant(questions), batch, heads=heads)
             outputs = (state.relevance, state.start_probs, state.end_probs)

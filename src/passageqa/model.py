@@ -203,10 +203,9 @@ def weights_from_named(embed_dim: int, hidden: int, attn_dim: int,
     return ModelWeights(embed_dim, hidden, attn_dim, arrays)
 
 
-def as_param_nodes(weights: ModelWeights, requires_grad: bool = True
-                   ) -> tuple[ModelWeights, dict[str, Node]]:
-    """Wrap every weight array as a graph leaf; returns the copy and its leaves."""
-    nodes = {name: ad.leaf(arr, requires_grad) for name, arr in weights.arrays.items()}
+def as_param_nodes(weights: ModelWeights) -> tuple[ModelWeights, dict[str, Node]]:
+    """Wrap every weight array as a trainable graph leaf; returns the copy and its leaves."""
+    nodes = {name: ad.leaf(arr, requires_grad=True) for name, arr in weights.arrays.items()}
     return replace(weights, arrays=nodes), nodes
 
 
@@ -376,13 +375,6 @@ def attention_flow(ctx_passage: Node, ctx_question: Node, sim_weight: Node,
     return similarity, attended
 
 
-def _graph_weights(weights: ModelWeights) -> ModelWeights:
-    """`weights` with graph leaves; arrays are wrapped as constant leaves."""
-    if isinstance(weights.arrays["sim_weight"], Node):
-        return weights
-    return as_param_nodes(weights, requires_grad=False)[0]
-
-
 def _bilstm(w: dict, name: str, seq: Node, mask: np.ndarray) -> Node:
     fwd, bwd = ((w[f"{name}_{d}.w_in"], w[f"{name}_{d}.w_rec"], w[f"{name}_{d}.bias"])
                 for d in ("fwd", "bwd"))
@@ -400,7 +392,7 @@ def encode_sequences(weights: ModelWeights, hp: Hyperparams,
     train=True, dropout draws from `rng` in this order: every highway
     network, then the ctx input of each sequence in turn.
     """
-    w = _graph_weights(weights).arrays
+    w = weights.arrays
     highway = [(w[f"highway.{i}.transform.weight"], w[f"highway.{i}.transform.bias"],
                 w[f"highway.{i}.gate.weight"], w[f"highway.{i}.gate.bias"])
                for i in range(2)]
@@ -422,7 +414,6 @@ def read(weights: ModelWeights, hp: Hyperparams, ctx_passage: Node,
     unknown = set(heads) - {"span", "relevance"}
     if unknown:
         raise ValueError(f"unknown heads: {sorted(unknown)}")
-    weights = _graph_weights(weights)
     w = weights.arrays
     d = weights.hidden
     n = batch.size
@@ -483,7 +474,6 @@ def forward_batch(weights: ModelWeights, hp: Hyperparams, batch: EncodedBatch,
     train=True, inverted dropout is applied to highway layers, LSTM inputs,
     and the inputs of the three output transforms, consuming `rng`.
     """
-    weights = _graph_weights(weights)
     ctx_passage, ctx_question = encode_sequences(
         weights, hp, [(batch.passage_emb, batch.passage_mask),
                       (batch.question_emb, batch.question_mask)], train, rng)

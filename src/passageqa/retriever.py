@@ -8,16 +8,16 @@ cosine similarity against the query vector.
 Hashing is vectorised: `hash_keys` joins the keys' UTF-8 bytes into one
 buffer and runs FNV-1a one byte position at a time over every key that long,
 in uint64 arrays.  `build_index` hashes the whole corpus in one call and
-counts each (passage, bucket) pair with one sort.  Each passage's features
-keep the order of their first occurrence, as a per-passage Counter would:
-that order is the order in which a passage's norm is summed, so it fixes the
-bits of the norms written to disk.
+counts each (passage, bucket) pair with one sort; a query is featurised the
+same way, as a one-passage list.  Each passage's features keep the order of
+their first occurrence, as a per-passage Counter would: that order is the
+order in which a passage's norm and a query's dot products are summed, so it
+fixes the bits of the norms written to disk and of every score.
 """
 from __future__ import annotations
 
 import json
 import struct
-from collections import Counter
 from dataclasses import dataclass, field
 from itertools import chain
 
@@ -80,13 +80,6 @@ def ngram_keys(tokens: tuple[str, ...] | list[str]) -> list[str]:
     keys = list(tokens)
     keys.extend(tokens[i] + BIGRAM_SEP + tokens[i + 1] for i in range(len(tokens) - 1))
     return keys
-
-
-def ngram_features(tokens: tuple[str, ...] | list[str],
-                   n_buckets: int = DEFAULT_BUCKETS) -> Counter[int]:
-    """Bucketed term-frequency counts for unigrams + adjacent bigrams, keyed in
-    order of first occurrence."""
-    return Counter((hash_keys(ngram_keys(tokens)) % np.uint64(n_buckets)).tolist())
 
 
 @dataclass
@@ -241,8 +234,8 @@ class TfIdfIndex:
 
 def passage_features(token_lists, n_buckets: int = DEFAULT_BUCKETS
                      ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(owner, bucket, tf) arrays with one entry per (passage, bucket) pair: the
-    items of each token list's `ngram_features`, back to back, in their order."""
+    """(owner, bucket, tf) arrays with one entry per (passage, bucket) pair of
+    the hashed `ngram_keys`, each passage's buckets in first-occurrence order."""
     keys = [ngram_keys(tokens) for tokens in token_lists]
     owner = np.repeat(np.arange(len(keys)), np.fromiter(map(len, keys), np.int64, len(keys)))
     features = hash_keys(list(chain.from_iterable(keys))) % np.uint64(n_buckets)
@@ -281,27 +274,28 @@ def build_index(corpus: Corpus, n_buckets: int = DEFAULT_BUCKETS) -> TfIdfIndex:
                       norms[order].astype(np.float32))
 
 
-def query_weights(index: TfIdfIndex, tokens) -> dict[int, float]:
-    """Bucket -> tf-idf weight for a query, using corpus document frequencies."""
-    counts = ngram_features(tokens, index.n_buckets)
-    tfs = np.fromiter(counts.values(), np.float64, len(counts))
-    idf = index.idf(np.fromiter(counts, np.uint64, len(counts)))
-    return dict(zip(counts, (np.log1p(tfs) * idf).tolist()))
+def query_weights(index: TfIdfIndex, tokens) -> tuple[np.ndarray, np.ndarray]:
+    """A query's (buckets, tf-idf weights) arrays, featurised as a passage is, in
+    first-occurrence order, using corpus document frequencies."""
+    _, buckets, tfs = passage_features([tokens], index.n_buckets)
+    return buckets, np.log1p(tfs.astype(np.float64)) * index.idf(buckets)
 
 
-def _cosine_scores(index: TfIdfIndex, weights: dict[int, float]
+def _cosine_scores(index: TfIdfIndex, buckets: np.ndarray, weights: np.ndarray
                    ) -> tuple[np.ndarray, np.ndarray]:
     """Ascending rows of index.pids with a nonzero cosine to the query, and the cosines."""
-    qnorm = float(np.sqrt(sum(w * w for w in weights.values())))
-    qw = np.fromiter(weights.values(), np.float64, len(weights))
-    pos, hit = _find(index.buckets, np.fromiter(weights, np.uint64, len(weights)))
-    hit &= qw != 0.0
+    # A sequential sum in feature order, as a loop adds the squares; numpy's
+    # pairwise sum would round differently.
+    qnorm = float(np.sqrt(sum(w * w for w in weights.tolist())))
+    pos, hit = _find(index.buckets, buckets)
+    hit &= weights != 0.0
     starts = index.ptr[pos[hit]]
     lengths = index.ptr[pos[hit] + 1] - starts
     # The query buckets' postings back to back, in query-feature order, so
     # bincount sums each passage's dot product in the order a loop would.
     at = np.repeat(starts + lengths - np.cumsum(lengths), lengths) + np.arange(lengths.sum())
-    dots = np.bincount(index.docs[at], weights=np.repeat(qw[hit], lengths) * index.weights[at])
+    dots = np.bincount(index.docs[at],
+                       weights=np.repeat(weights[hit], lengths) * index.weights[at])
     norms = index.norms[:len(dots)].astype(np.float64)
     rows = np.flatnonzero((dots != 0.0) & (norms > 0.0))
     return rows, dots[rows] / (qnorm * norms[rows])
@@ -321,10 +315,10 @@ def top_k(index: TfIdfIndex, tokens, k: int, among: list[int] | None = None) -> 
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    weights = query_weights(index, tokens)
-    if not weights:
+    buckets, weights = query_weights(index, tokens)
+    if not len(buckets):
         return RankedList([], warning="query produced no features")
-    rows, scores = _cosine_scores(index, weights)
+    rows, scores = _cosine_scores(index, buckets, weights)
     if not len(rows):
         return RankedList([], warning="query shares no weighted features with the corpus")
     if among is not None:
@@ -340,7 +334,7 @@ def similar_passages(index: TfIdfIndex, passage: PassageRecord, m: int = 15) -> 
     pos, hit = _find(index.pids, np.array([pid] if 0 <= pid < 2 ** 64 else [], np.uint64))
     if not hit.any():
         raise KeyError(f"passage {pid} is not in the index")
-    rows, scores = _cosine_scores(index, query_weights(index, passage.tokens.tokens))
+    rows, scores = _cosine_scores(index, *query_weights(index, passage.tokens.tokens))
     keep = rows != pos[0]
     return _ranked(index, rows[keep], scores[keep], m)
 

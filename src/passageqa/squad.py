@@ -34,8 +34,9 @@ class IngestStats:
 
 
 def _expect(value, kind, where: str):
-    """`value` if it is an instance of `kind`, a type or a tuple of types."""
-    if not isinstance(value, kind):
+    """`value` if it is an instance of `kind`, a type or a tuple of types; JSON
+    true and false are not ints here."""
+    if isinstance(value, bool) or not isinstance(value, kind):
         names = " or ".join(k.__name__ for k in (kind if isinstance(kind, tuple) else (kind,)))
         raise DatasetFormatError(f"{where}: expected {names}, got {type(value).__name__}")
     return value

@@ -280,7 +280,7 @@ def train(positives: list[QuestionExample], corpus: Corpus, index: TfIdfIndex,
                                    [corpus[ex.passage_id].tokens for ex in batch.examples],
                                    table)
             targets = build_targets(batch, encoded.passage_emb.shape[2])
-            node_weights, leaves = as_param_nodes(weights, requires_grad=True)
+            node_weights, leaves = as_param_nodes(weights)
             state = forward_batch(node_weights, hp, encoded, train=True,
                                   rng=rng_dropout, heads=heads)
             loss = graph_loss(state, targets, hp.ir_weight, mode)

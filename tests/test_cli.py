@@ -357,6 +357,30 @@ def test_corrupt_index_exits_4(ws, tmp_path, capsys):
         assert "error:" in err and "Traceback" not in err, (what, err)
 
 
+@pytest.mark.parametrize("command", ["train", "eval-ir", "eval-mrs", "ask"])
+def test_index_of_another_corpus_exits_4(ws, tmp_path, capsys, command):
+    """The workspace's index against a store whose passage ids are all moved by 100."""
+    corpus_dir = tmp_path / "moved"
+    corpus_dir.mkdir()
+    for name in ("passages.jsonl", "examples.jsonl"):
+        rows = [json.loads(line) for line in
+                (ws.root / "corpus" / name).read_text(encoding="utf-8").splitlines()]
+        (corpus_dir / name).write_text(
+            "".join(json.dumps(dict(row, passage_id=row["passage_id"] + 100)) + "\n"
+                    for row in rows), encoding="utf-8")
+    if command == "train":
+        argv = ["train", "--config", ws.train_config, "--checkpoint", str(tmp_path / "out")]
+    else:
+        argv = [command, "--vectors", ws.vectors, "--index", ws.index_path,
+                "--checkpoint", ws.ckpt_dir]
+        argv += ["--question", "what is it ?"] if command == "ask" else []
+    code, _ = run(argv + ["--corpus", str(corpus_dir)])
+    err = capsys.readouterr().err
+    assert code == 4
+    assert "error:" in err and ws.index_path in err and "Traceback" not in err, err
+    assert not (tmp_path / "out").exists()
+
+
 def with_settings(real: bytes, **changes) -> bytes:
     """Checkpoint bytes with keys of the JSON settings block replaced."""
     (length,) = struct.unpack_from("<I", real, 8)

@@ -291,7 +291,29 @@ def test_scorer_warm_call_reuses_encodings_bit_for_bit(task, monkeypatch):
     monkeypatch.setattr(evaluation, "encode_sequences", counting)
     assert scorer.relevance_scores(question, records) == cold
     assert scorer.read_candidates(question, records[:7]) == cold_cands
-    assert encoded_rows == [1, 1]          # the question, once per call
+    # The question's encoding is cached with the passages', so nothing is encoded.
+    assert encoded_rows == []
+
+
+def test_scorer_encodes_a_question_once_to_rank_and_read(task, monkeypatch):
+    scorer = float64_scorer(task)
+    question = task.examples[4].question
+    records = varied_records(task)
+    assert len(records) > SCORE_BATCH
+    encoded_rows = []
+    original = evaluation.encode_sequences
+
+    def counting(weights, hp, sequences, *args, **kwargs):
+        encoded_rows.extend(emb.shape[0] for emb, _ in sequences)
+        return original(weights, hp, sequences, *args, **kwargs)
+
+    monkeypatch.setattr(evaluation, "encode_sequences", counting)
+    scores = scorer.relevance_scores(question, records)
+    best = sorted(range(len(records)), key=lambda i: -scores[i])[:5]
+    scorer.read_candidates(question, [records[i] for i in best])
+    # One row for the question in the first chunk, then each chunk's passages;
+    # reading finds the question and its passages cached.
+    assert encoded_rows == [1, SCORE_BATCH, len(records) - SCORE_BATCH]
 
 
 def test_scorer_cache_is_keyed_by_text_not_id(task):

@@ -13,8 +13,8 @@ from hypothesis import example, given, settings, strategies as st
 
 from passageqa.retriever import (BIGRAM_SEP, DEFAULT_BUCKETS, Corpus, CorpusError,
                                  IndexFormatError, PassageRecord, build_index, hash_keys,
-                                 load_index, ngram_features, ngram_keys, passage_features,
-                                 query_weights, save_index, similar_passages, top_k)
+                                 load_index, ngram_keys, passage_features, query_weights,
+                                 save_index, similar_passages, top_k)
 
 import oracles
 from fuzzing import draw_damaged
@@ -26,6 +26,17 @@ def corpus_of(texts):
 
 def idf_of(index, bucket):
     return float(index.idf(np.array([bucket], np.uint64))[0])
+
+
+def bucket_of(word):
+    return oracles.fnv1a_64(word.encode("utf-8")) % DEFAULT_BUCKETS
+
+
+def query_weight_map(index, tokens):
+    """query_weights as a bucket -> weight dict, after checking its arrays."""
+    buckets, weights = query_weights(index, tokens)
+    assert buckets.dtype == np.uint64 and weights.dtype == np.float64
+    return dict(zip(buckets.tolist(), weights.tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -67,8 +78,8 @@ def test_ngram_keys_order_and_separator():
 
 
 def test_single_bucket_collapses_all_features():
-    counts = ngram_features(["x", "y"], n_buckets=1)
-    assert counts == {0: 3}  # two unigrams + one bigram
+    _, buckets, tfs = passage_features([["x", "y"]], n_buckets=1)
+    assert dict(zip(buckets.tolist(), tfs.tolist())) == {0: 3}  # two unigrams + one bigram
 
 
 def test_forced_collision_merges_document_frequencies():
@@ -97,25 +108,25 @@ def test_forced_collision_merges_document_frequencies():
 def test_idf_frozen_value():
     texts = ["zebra"] + [f"filler{i}" for i in range(9)]
     index = build_index(corpus_of(texts))
-    bucket = next(iter(ngram_features(["zebra"])))
+    bucket = bucket_of("zebra")
     assert math.isclose(idf_of(index, bucket), math.log(9.5 / 1.5), rel_tol=1e-12)
 
 
 def test_idf_clamps_common_terms_to_zero():
     index = build_index(corpus_of(["shared apple", "shared banana"]))
-    shared_bucket = next(iter(ngram_features(["shared"])))
+    shared_bucket = bucket_of("shared")
     assert idf_of(index, shared_bucket) == 0.0      # df == N: raw idf negative
-    apple_bucket = next(iter(ngram_features(["apple"])))
+    apple_bucket = bucket_of("apple")
     assert idf_of(index, apple_bucket) == 0.0       # df=1, N=2: ln(1.5/1.5)
 
 
 def test_term_weight_log_scales_frequency():
     index = build_index(corpus_of(["rare word here"] + [f"f{i}" for i in range(7)]))
-    bucket = next(iter(ngram_features(["rare"])))
+    bucket = bucket_of("rare")
     idf = idf_of(index, bucket)
-    assert math.isclose(query_weights(index, ["rare"])[bucket], math.log(2.0) * idf,
+    assert math.isclose(query_weight_map(index, ["rare"])[bucket], math.log(2.0) * idf,
                         rel_tol=1e-12)
-    assert math.isclose(query_weights(index, ["rare"] * 3)[bucket], math.log(4.0) * idf,
+    assert math.isclose(query_weight_map(index, ["rare"] * 3)[bucket], math.log(4.0) * idf,
                         rel_tol=1e-12)
 
 
@@ -467,9 +478,9 @@ def test_damaged_passages_jsonl_is_rejected_or_usable(data):
 
 def test_query_weights_uses_corpus_frequencies():
     index = build_index(corpus_of(["alpha beta", "gamma delta", "epsilon zeta"]))
-    weights = query_weights(index, ["alpha", "unseen"])
-    alpha_bucket = next(iter(ngram_features(["alpha"])))
-    unseen_bucket = next(iter(ngram_features(["unseen"])))
+    weights = query_weight_map(index, ["alpha", "unseen"])
+    alpha_bucket = bucket_of("alpha")
+    unseen_bucket = bucket_of("unseen")
     assert weights[alpha_bucket] == pytest.approx(
         math.log(2.0) * math.log(2.5 / 1.5), rel=1e-12)
     # df=0 terms still get a (large) idf; they just match no postings

@@ -109,6 +109,12 @@ def test_ingest_integer_qids_become_strings(tmp_path):
     ({"data": [{"paragraphs": [{"context": "x", "qas": [
         qa("a", "why \udfff ?", [{"text": "x", "answer_start": 0}])]}]}]},
      r"qas\[0\]\.question: text is not encodable as UTF-8"),
+    ({"data": [{"paragraphs": [{"context": "x", "qas": [
+        qa(True, "q?", [{"text": "x", "answer_start": 0}])]}]}]},
+     r"qas\[0\]\.id: expected str or int, got bool"),
+    ({"data": [{"paragraphs": [{"context": "x", "qas": [
+        qa("a", "q?", [{"text": "x", "answer_start": False}])]}]}]},
+     r"answers\[0\]\.answer_start: expected int, got bool"),
 ])
 def test_ingest_reports_path_of_bad_field(tmp_path, doc, where):
     with pytest.raises(DatasetFormatError, match=where):
