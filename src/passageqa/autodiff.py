@@ -541,93 +541,172 @@ def masked_logsumexp(logits: Node, mask: np.ndarray | None = None) -> Node:
 # recurrence
 
 
-def _scan_stack(fwd: np.ndarray, bwd: np.ndarray) -> np.ndarray:
-    """(T, ...) pair -> (T, 2, ...), `bwd` time-reversed: step s holds time s
-    forward and time T-1-s backward."""
-    return np.stack([fwd, bwd[::-1]], axis=1)
-
-
 def _scan_unstack(stacked: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Inverse of `_scan_stack`: both halves in time order (views)."""
+    """(T, 2, ...) scan steps -> both directions in time order (views): step s
+    holds time s forward and time T-1-s backward."""
     return stacked[:, 0], stacked[::-1, 1]
 
 
-def bilstm_scan(proj, w_rec, mask: np.ndarray) -> Node:
-    """Both directions of a bi-LSTM in one time loop: 2 x (B, T, 4h) -> (B, 2h, T).
+def bilstm_scan(groups, w_rec) -> list[Node]:
+    """Both directions of a bi-LSTM over groups of rows, in one time loop.
 
-    `proj` is the (forward, backward) pair of input projections x_t @ w_in +
-    bias, gate columns in [input, forget, cell, output] blocks, and `w_rec`
-    the matching pair of (h, 4h) weights.  Each step computes gates =
-    proj[:, t] + h @ w_rec, one sigmoid over all four blocks with tanh on the
-    cell block, c = f*c + i*g and h = o*tanh(c), from zero initial states;
-    the forward direction runs from t = 0 into output rows :h, the backward
-    one from t = T-1 into rows h:.  `mask` (B, T) is right-padded: 1.0 at the
-    real tokens, which come first in each row, and 0.0 at the padding after
-    them; anything else raises ValueError.  With k its column, a step keeps
-    k*c and k*h, so the state is zero at padding, which no real position of
-    either direction reads, and so are the outputs there.
+    `groups` holds one (proj, mask) pair per group: `proj` is the (forward,
+    backward) pair of (B_g, T_g, 4h) input projections x_t @ w_in + bias,
+    gate columns in [input, forget, cell, output] blocks, and `mask` (B_g,
+    T_g) is right-padded: 1.0 at the real tokens, which come first in each
+    row, and 0.0 at the padding after them; anything else raises ValueError.
+    `w_rec` is the (forward, backward) pair of (h, 4h) weights all groups
+    share.  Returns one C-ordered (B_g, 2h, T_g) node per group, forward
+    states in rows :h and backward ones in rows h:.
 
-    Each step is one (2, B, h) @ (2, h, 4h) matmul over both directions.
-    Backward runs backprop through time and returns the gradients of both
-    projections and both `w_rec`; `mask` is never differentiated.
+    Each step computes gates = proj[:, t] + h @ w_rec, one sigmoid over all
+    four blocks with tanh on the cell block, c = f*c + i*g and h =
+    o*tanh(c), from zero initial states; a group's forward direction runs
+    from t = 0 and its backward one from its own t = T_g-1.  With k its mask
+    column, a step keeps k*c and k*h, so the state is zero at padding, which
+    no real position of either direction reads, and so are the outputs there.
+
+    The groups share one time-major buffer in decreasing T_g order, so the
+    groups still running at step s are a row prefix, and each step is one
+    (2, rows, h) @ (2, h, 4h) matmul over that prefix.  Every group gets the
+    bits of a call of its own.  The bit rule: a row's result from that
+    product does not depend on the number of rows, except that OpenBLAS
+    takes its gemv path for a single row, so a one-row group that shares
+    steps with another group may move by an ulp.  The product with w_rec
+    transposed in backprop through time does depend on the row count, so
+    backward takes it group by group.  Backward runs on the same layout and
+    forms each group's projection gradients and `w_rec` products from that
+    group's slice in time order.  Under `no_grad` no activations are kept,
+    and projections the caller does not hold are freed once copied in.
+    `mask` is never differentiated.
     """
-    proj_f, proj_b = (as_node(p) for p in proj)
     w_f, w_b = (as_node(w) for w in w_rec)
-    x, w, mask = proj_f.value, w_f.value, np.asarray(mask)
+    w = w_f.value
     hidden = w.shape[0]
-    if (x.ndim != 3 or w.shape != (hidden, 4 * hidden) or x.shape[2] != 4 * hidden
-            or mask.shape != x.shape[:2] or (proj_b.shape, w_b.shape) != (x.shape, w.shape)):
-        raise ShapeMismatchError("bilstm_scan", *(n.shape for n in (proj_f, proj_b, w_f, w_b)),
-                                 mask.shape)
-    batch, steps, _ = x.shape
-    if not np.array_equal(mask, np.arange(steps) < mask.sum(axis=1, keepdims=True)):
-        raise ValueError("bilstm_scan: mask must be 1 at the real tokens and 0 at the "
-                         "padding after them")
-    dtype = x.dtype
-    # Time-major so every per-step slice below is contiguous.
-    xs = _scan_stack(x.transpose(1, 0, 2), proj_b.value.transpose(1, 0, 2))
+    if not groups:
+        raise ValueError("bilstm_scan: no groups")
+    projs, masks = [], []
+    for proj, mask in groups:
+        proj_f, proj_b = (as_node(p) for p in proj)
+        x, mask = proj_f.value, np.asarray(mask)
+        if (x.ndim != 3 or w.shape != (hidden, 4 * hidden) or x.shape[2] != 4 * hidden
+                or mask.shape != x.shape[:2] or (proj_b.shape, w_b.shape) != (x.shape, w.shape)):
+            raise ShapeMismatchError("bilstm_scan", *(n.shape for n in (proj_f, proj_b, w_f, w_b)),
+                                     mask.shape)
+        if not np.array_equal(mask, np.arange(x.shape[1]) < mask.sum(axis=1, keepdims=True)):
+            raise ValueError("bilstm_scan: mask must be 1 at the real tokens and 0 at the "
+                             "padding after them")
+        projs.append((proj_f, proj_b))
+        masks.append(mask)
+    dtype = projs[0][0].dtype
+    if any(p.dtype != dtype for pair in projs for p in pair):
+        raise ValueError("bilstm_scan: every projection must have one dtype")
+    # Rows of the groups in decreasing length order.  Steps lo..hi-1 of a
+    # segment (lo, hi, n) run the first n rows; the last steps come first.
+    rows, segments, start = [None] * len(groups), [], 0
+    order = sorted(range(len(groups)), key=lambda g: -masks[g].shape[1])
+    for g, after in zip(order, order[1:] + [None]):
+        rows[g] = slice(start, start + len(masks[g]))
+        start += len(masks[g])
+        lo = 0 if after is None else masks[after].shape[1]
+        if lo < masks[g].shape[1]:
+            segments.append((lo, masks[g].shape[1], start))
+    batch, steps = start, max(m.shape[1] for m in masks)
+    xs = np.empty((steps, 2, batch, 4 * hidden), dtype)
+    keep = np.empty((steps, 2, batch, 1), dtype)
+    for (proj_f, proj_b), mask, r in zip(projs, masks, rows):
+        length = mask.shape[1]
+        # Time-major, the backward half time-reversed, so every step slice is contiguous.
+        xs[:length, 0, r] = proj_f.value.transpose(1, 0, 2)
+        xs[:length, 1, r] = proj_b.value[:, ::-1].transpose(1, 0, 2)
+        keep[:length, 0, r, 0] = mask.T
+        keep[:length, 1, r, 0] = mask.T[::-1]
     w = np.stack([w, w_b.value])
-    keep = _scan_stack(mask.T, mask.T).astype(dtype)[..., None]
-    acts = np.empty((steps, 2, batch, 4 * hidden), dtype)
-    tanh_c = np.empty((steps, 2, batch, hidden), dtype)
-    # Step t reads row t and writes row t + 1; row 0 is the zero initial state.
-    states, cells = (np.zeros((steps + 1, 2, batch, hidden), dtype) for _ in range(2))
+    parents = tuple(p for pair in projs for p in pair) + (w_f, w_b)
+    # Step t reads state row t and writes row t + 1; row 0 is the zero initial
+    # state.  Without backward one slot of acts and two of cells are reused.
+    record = _grad_enabled and any(p.needs_grad for p in parents)
+    kept = steps if record else 1
+    if not record:              # no backward: the projections can go now
+        groups = projs = parents = ()
+    acts = np.empty((kept, 2, batch, 4 * hidden), dtype)
+    tanh_c = np.empty((kept, 2, batch, hidden), dtype)
+    cells = np.empty((kept + 1, 2, batch, hidden), dtype)
+    states = np.empty((steps + 1, 2, batch, hidden), dtype)
+    cells[0] = states[0] = 0
     blocks = [slice(k * hidden, (k + 1) * hidden) for k in range(4)]  # i, f, g, o
-    for t in range(steps):
-        gates = xs[t] + states[t] @ w
-        acts[t] = _sigmoid_values(gates)
-        acts[t, ..., blocks[2]] = np.tanh(gates[..., blocks[2]])
-        i, f, cand, o = (acts[t, ..., b] for b in blocks)
-        np.multiply(keep[t], f * cells[t] + i * cand, out=cells[t + 1])
-        np.multiply(keep[t], o * np.tanh(cells[t + 1], out=tanh_c[t]), out=states[t + 1])
-    # C order, not concatenate's time-major one: downstream matmuls round by layout.
-    value = np.empty((batch, 2 * hidden, steps), dtype)
-    value[:, :hidden], value[:, hidden:] = (s.transpose(1, 2, 0)
-                                            for s in _scan_unstack(states[1:]))
+    for lo, hi, n in reversed(segments):
+        xs_n, keep_n, acts_n, tanh_n, cells_n, states_n = (
+            buf[:, :, :n] for buf in (xs, keep, acts, tanh_c, cells, states))
+        for t in range(lo, hi):
+            gates = xs_n[t] + states_n[t] @ w
+            a = acts_n[t % kept]
+            a[...] = _sigmoid_values(gates)
+            a[..., blocks[2]] = np.tanh(gates[..., blocks[2]])
+            i, f, cand, o = (a[..., b] for b in blocks)
+            c = cells_n[(t + 1) % (kept + 1)]
+            np.multiply(keep_n[t], f * cells_n[t % (kept + 1)] + i * cand, out=c)
+            np.multiply(keep_n[t], o * np.tanh(c, out=tanh_n[t % kept]), out=states_n[t + 1])
+    xs = xs_n = None            # free the inputs before the outputs are copied out
+    grads: list = [None] * len(rows)
 
-    def back(g):
-        gs = _scan_stack(g[:, :hidden].transpose(2, 0, 1), g[:, hidden:].transpose(2, 0, 1))
+    def back(_):
+        gs = np.zeros((steps, 2, batch, hidden), dtype)
+        for g, r in zip(grads, rows):
+            if g is not None:
+                gs[:g.shape[2], 0, r] = g[:, :hidden].transpose(2, 0, 1)
+                gs[:g.shape[2], 1, r] = g[:, hidden:, ::-1].transpose(2, 0, 1)
         d_gates = np.empty_like(acts)
-        dh = np.zeros((2, batch, hidden), dtype)
-        dc = np.zeros((2, batch, hidden), dtype)
-        for t in range(steps - 1, -1, -1):
-            i, f, cand, o = (acts[t, ..., b] for b in blocks)
-            dh_new, dc_new = keep[t] * (dh + gs[t]), keep[t] * dc
-            dc_new += dh_new * o * (1.0 - tanh_c[t] * tanh_c[t])
-            d_gates[t] = np.concatenate([dc_new * cand * i * (1.0 - i),
-                                         dc_new * cells[t] * f * (1.0 - f),
-                                         dc_new * i * (1.0 - cand * cand),
-                                         dh_new * tanh_c[t] * o * (1.0 - o)], axis=-1)
-            dh = d_gates[t] @ w.swapaxes(1, 2)
-            dc = dc_new * f
-        # In actual time order again, each w_rec sum runs as for one direction.
-        for node, w_node, d_k, h_k in zip((proj_f, proj_b), (w_f, w_b),
-                                          _scan_unstack(d_gates), _scan_unstack(states[:-1])):
-            _accumulate(node, d_k.transpose(1, 0, 2))
-            _accumulate(w_node, h_k.reshape(-1, hidden).T @ d_k.reshape(-1, 4 * hidden),
-                        fresh=True)
+        w_t = w.swapaxes(1, 2)
+        dh = dc = np.zeros((2, 0, hidden), dtype)
+        for lo, hi, n in segments:
+            acts_n, keep_n, tanh_n, cells_n, gs_n, d_gates_n = (
+                buf[:, :, :n] for buf in (acts, keep, tanh_c, cells, gs, d_gates))
+            # Rows whose last step is hi - 1 start from zero gradients.
+            more = np.zeros((2, n - dh.shape[1], hidden), dtype)
+            dh, dc = np.concatenate([dh, more], axis=1), np.concatenate([dc, more], axis=1)
+            # The product with w transposed depends on the row count (see the
+            # bit rule), so each running group writes its own rows of dh.
+            products = [(d_gates_n[:, :, rows[g]], dh[:, rows[g]])
+                        for g in order if rows[g].start < n]
+            for t in range(hi - 1, lo - 1, -1):
+                i, f, cand, o = (acts_n[t, ..., b] for b in blocks)
+                k, tc = keep_n[t], tanh_n[t]
+                dh_new, dc_new = k * (dh + gs_n[t]), k * dc
+                dc_new += dh_new * o * (1.0 - tc * tc)
+                d_gates_n[t] = np.concatenate([dc_new * cand * i * (1.0 - i),
+                                               dc_new * cells_n[t] * f * (1.0 - f),
+                                               dc_new * i * (1.0 - cand * cand),
+                                               dh_new * tc * o * (1.0 - o)], axis=-1)
+                dc = dc_new * f
+                for d_gates_g, dh_g in products:
+                    np.matmul(d_gates_g[t], w_t, out=dh_g)
+        # Per group and in actual time order, as a call of its own sums them.
+        for g, pair, r in zip(grads, projs, rows):
+            if g is None:
+                continue
+            length = g.shape[2]
+            for node, w_node, d_k, h_k in zip(pair, (w_f, w_b),
+                                              _scan_unstack(d_gates[:length, :, r]),
+                                              _scan_unstack(states[:length, :, r])):
+                _accumulate(node, d_k.transpose(1, 0, 2))
+                _accumulate(w_node, h_k.reshape(-1, hidden).T @ d_k.reshape(-1, 4 * hidden),
+                            fresh=True)
 
-    return _make("bilstm_scan", value, (proj_f, proj_b, w_f, w_b), back)
+    hub = _make("bilstm_scan", states, parents, back)
+    outs = []
+    for g, r in enumerate(rows):
+        length = masks[g].shape[1]
+        value = np.empty((r.stop - r.start, 2 * hidden, length), dtype)
+        # C order, not the time-major one: downstream matmuls round by layout.
+        value[:, :hidden], value[:, hidden:] = (s.transpose(1, 2, 0) for s in
+                                                _scan_unstack(states[1:length + 1, :, r]))
+
+        def route(grad, g=g):
+            grads[g] = grad
+
+        outs.append(_make("bilstm_scan_out", value, (hub,), route))
+    return outs
 
 
 # ---------------------------------------------------------------------------

@@ -298,11 +298,12 @@ def cmd_ask(s) -> int:
     question_text = s.question
     if question_text is None:
         question_text = sys.stdin.readline().strip()
-    if not question_text:
-        raise ConfigError("no question given (use --question or pipe one line)")
     if not utf8_encodable(question_text):
         raise ConfigError("question text is not encodable as UTF-8")
-    vote, ranked = answer_question(tokenize(question_text), chain, index, corpus, scorer)
+    question = tokenize(question_text)
+    if len(question) == 0:
+        raise ConfigError("no question given (use --question or pipe one line with a word in it)")
+    vote, ranked = answer_question(question, chain, index, corpus, scorer)
     for pos, (pid, score) in enumerate(ranked.entries, start=1):
         snippet = corpus[pid].text
         if len(snippet) > 70:

@@ -15,6 +15,13 @@ reading for one question encode it once, and a later question re-runs only
 the attention, fusion and heads on a cached passage.  An encoding made
 inside one chunk may differ by an ulp from one made inside another, so a
 score can depend on which chunk first encoded its passage.
+
+Consecutive chunks are read in waves: one `read` call, so one time loop per
+bi-LSTM layer, for as many chunks as keep their (rows, 8d, T) attention
+output within WAVE_BYTES.  The `tfidf:200` survivors at the benchmark's
+width are one wave, and a neural stage over a whole corpus never holds more
+than a wave.  Each chunk keeps the bits it gets when read alone, except a
+one-row chunk, which may move by an ulp (see `autodiff.bilstm_scan`).
 """
 from __future__ import annotations
 
@@ -36,6 +43,7 @@ from .training import QuestionExample
 VALID_STAGE_KINDS = ("tfidf", "neural")
 SCORE_BATCH = 32            # passages per forward pass when scoring or reading
 ENCODING_CACHE_BYTES = 32 << 20   # bound on a scorer's cached question and passage encodings
+WAVE_BYTES = 32 << 20             # bound on the attention output of the chunks read together
 
 
 class ChainSpecError(ValueError):
@@ -155,26 +163,42 @@ class NeuralScorer:
 
     def _read_chunks(self, question: TokenSeq, records: list[PassageRecord],
                      heads: tuple[str, ...]):
-        """Yield (input positions, batch, state) per chunk of length-sorted records."""
+        """Yield (input positions, batch, state) per chunk of length-sorted records.
+
+        Consecutive chunks are read in waves, one `read` call per wave, each
+        as large as keeps its (rows, 8d, T) attention output within WAVE_BYTES."""
         order = sorted(range(len(records)), key=lambda i: len(records[i].tokens))
+        position_bytes = 8 * self.weights.hidden * self.table.matrix.dtype.itemsize
+        waves: list[list[list[int]]] = []
         for start in range(0, len(order), SCORE_BATCH):
             rows = order[start:start + SCORE_BATCH]
-            chunk = [records[i] for i in rows]
+            size = len(rows) * len(records[rows[-1]].tokens) * position_bytes
+            if not waves or wave_bytes + size > WAVE_BYTES:
+                waves.append([])
+                wave_bytes = 0
+            waves[-1].append(rows)
+            wave_bytes += size
+        for wave in waves:
+            chunks = []
             # Overflow shows as a non-finite output, which the check below reports.
             with ad.no_grad(), np.errstate(over="ignore", invalid="ignore"):
-                batch = encode_batch([question] * len(chunk),
-                                     [rec.tokens for rec in chunk], self.table)
-                questions = self._states([question.text] * batch.size, batch.question_emb,
-                                         batch.question_mask, [len(question)] * batch.size)
-                passages = self._states([rec.text for rec in chunk], batch.passage_emb,
-                                        batch.passage_mask, batch.passage_lengths)
-                state = read(self.weights, self.hp, ad.constant(passages),
-                             ad.constant(questions), batch, heads=heads)
-            outputs = (state.relevance, state.start_probs, state.end_probs)
-            if not all(np.isfinite(node.value).all() for node in outputs if node is not None):
-                raise EvaluationError("the model gave a non-finite relevance or span "
-                                      "probability; its weights overflow")
-            yield rows, batch, state
+                for rows in wave:
+                    chunk = [records[i] for i in rows]
+                    batch = encode_batch([question] * len(chunk),
+                                         [rec.tokens for rec in chunk], self.table)
+                    questions = self._states([question.text] * batch.size, batch.question_emb,
+                                             batch.question_mask, [len(question)] * batch.size)
+                    passages = self._states([rec.text for rec in chunk], batch.passage_emb,
+                                            batch.passage_mask, batch.passage_lengths)
+                    chunks.append((ad.constant(passages), ad.constant(questions), batch))
+                states = read(self.weights, self.hp, chunks, heads=heads)
+            for rows, (_, _, batch), state in zip(wave, chunks, states):
+                outputs = (state.relevance, state.start_probs, state.end_probs)
+                if not all(np.isfinite(node.value).all() for node in outputs
+                           if node is not None):
+                    raise EvaluationError("the model gave a non-finite relevance or span "
+                                          "probability; its weights overflow")
+                yield rows, batch, state
 
     def relevance_scores(self, question: TokenSeq,
                          records: list[PassageRecord]) -> list[float]:

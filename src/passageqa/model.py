@@ -10,7 +10,11 @@ bidirectional attention and a fusion bi-LSTM, then splits into two heads:
 
 `forward_batch` is two stages: `encode_sequences` (highway + contextual
 bi-LSTM, which sees one sequence only) and `read` (everything after), so
-inference can encode a question once and reuse passage encodings.
+inference can encode a question once and reuse passage encodings.  `read`
+takes a list of chunks and runs each later bi-LSTM once over all of them
+(`ad.bilstm_scan` groups), while attention and the heads stay per chunk.
+Each chunk keeps the bits it gets alone, except a one-row chunk sharing
+steps with others, which may move by an ulp.
 
 All sequence tensors are (batch, features, time).  Masks are constant float
 arrays (batch, time) and right-padded: 1.0 at the real tokens, which come
@@ -279,15 +283,22 @@ def encode_batch(questions: list[TokenSeq], passages: list[TokenSeq],
 # forward pass
 
 
-def bilstm_encode(fwd: tuple, bwd: tuple, seq: Node, mask: np.ndarray) -> Node:
-    """(batch, in_dim, time) -> (batch, 2*hidden, time) by the `fwd` and `bwd`
-    LSTMs; rows :hidden are forward.  `mask` must be right-padded (real
-    tokens first); the states at padding are zero, and so are its columns."""
-    if seq.value.shape[2] == 0:
+def bilstm_encode(fwd: tuple, bwd: tuple, seqs: Sequence[Node],
+                  masks: Sequence[np.ndarray]) -> list[Node]:
+    """Each (batch, in_dim, time) sequence -> (batch, 2*hidden, time) by the
+    `fwd` and `bwd` LSTMs, all in one time loop; rows :hidden are forward.
+    Each mask must be right-padded (real tokens first); the states at padding
+    are zero, and so are its columns."""
+    if any(seq.value.shape[2] == 0 for seq in seqs):
         raise ValueError("cannot encode an empty sequence")
-    seq_rows = ad.transpose(seq, (0, 2, 1))
-    proj = [ad.add(ad.matmul(seq_rows, w_in), bias) for w_in, _, bias in (fwd, bwd)]
-    return ad.bilstm_scan(proj, (fwd[1], bwd[1]), mask)
+
+    def projections(seq: Node) -> list[Node]:
+        seq_rows = ad.transpose(seq, (0, 2, 1))
+        return [ad.add(ad.matmul(seq_rows, w_in), bias) for w_in, _, bias in (fwd, bwd)]
+
+    # The list is the scan's alone, so without backward it can free the projections.
+    return ad.bilstm_scan([(projections(seq), mask) for seq, mask in zip(seqs, masks)],
+                          (fwd[1], bwd[1]))
 
 
 def linear_seq(weight, bias, seq: Node) -> Node:
@@ -375,10 +386,11 @@ def attention_flow(ctx_passage: Node, ctx_question: Node, sim_weight: Node,
     return similarity, attended
 
 
-def _bilstm(w: dict, name: str, seq: Node, mask: np.ndarray) -> Node:
+def _bilstm(w: dict, name: str, seqs: Sequence[Node],
+            masks: Sequence[np.ndarray]) -> list[Node]:
     fwd, bwd = ((w[f"{name}_{d}.w_in"], w[f"{name}_{d}.w_rec"], w[f"{name}_{d}.bias"])
                 for d in ("fwd", "bwd"))
-    return bilstm_encode(fwd, bwd, seq, mask)
+    return bilstm_encode(fwd, bwd, seqs, masks)
 
 
 def encode_sequences(weights: ModelWeights, hp: Hyperparams,
@@ -387,10 +399,11 @@ def encode_sequences(weights: ModelWeights, hp: Hyperparams,
                      ) -> list[Node]:
     """Highway + contextual bi-LSTM of each (embeddings (B, dim, T), mask (B, T)).
 
-    Returns one (B, 2d, T) node per sequence.  Each depends on its own
-    sequence only, never on the one it will be read against.  With
-    train=True, dropout draws from `rng` in this order: every highway
-    network, then the ctx input of each sequence in turn.
+    Returns one (B, 2d, T) node per sequence, each from a ctx time loop of
+    its own, so a one-row batch keeps the bits of a one-row scan (see
+    `ad.bilstm_scan`).  Each depends on its own sequence only, never on the
+    one it will be read against.  With train=True, dropout draws from `rng` in this order: every
+    highway network, then the ctx input of each sequence in turn.
     """
     w = weights.arrays
     highway = [(w[f"highway.{i}.transform.weight"], w[f"highway.{i}.transform.bias"],
@@ -398,71 +411,86 @@ def encode_sequences(weights: ModelWeights, hp: Hyperparams,
                for i in range(2)]
     highways = [highway_forward(highway, ad.constant(emb), hp.dropout, rng, train)
                 for emb, _ in sequences]
-    return [_bilstm(w, "ctx", ad.dropout(seq, hp.dropout, rng, train), mask)
+    return [_bilstm(w, "ctx", [ad.dropout(seq, hp.dropout, rng, train)], [mask])[0]
             for seq, (_, mask) in zip(highways, sequences)]
 
 
-def read(weights: ModelWeights, hp: Hyperparams, ctx_passage: Node,
-         ctx_question: Node, batch: EncodedBatch, train: bool = False,
+def read(weights: ModelWeights, hp: Hyperparams,
+         chunks: Sequence[tuple[Node, Node, EncodedBatch]], train: bool = False,
          rng: np.random.Generator | None = None,
-         heads: tuple[str, ...] = ("span", "relevance")) -> ForwardState:
+         heads: tuple[str, ...] = ("span", "relevance")) -> list[ForwardState]:
     """Attention flow, fusion and the requested heads over encoded states.
 
-    `ctx_passage` (B, 2d, T) and `ctx_question` (B, 2d, J) come from
-    `encode_sequences`; `batch` supplies the masks and the match channel.
+    Each chunk is (ctx_passage (B, 2d, T), ctx_question (B, 2d, J), batch):
+    the states come from `encode_sequences`, and `batch` supplies the masks
+    and the match channel.  Returns one state per chunk.  Attention and the
+    heads' arithmetic run chunk by chunk; each of the fusion, start, end and
+    rel bi-LSTMs runs one time loop over all chunks, which gives every chunk
+    the bits it gets alone, except for a one-row chunk (see
+    `ad.bilstm_scan`).  With train=True, dropout draws from `rng` stage by
+    stage, chunk by chunk within a stage.
     """
     unknown = set(heads) - {"span", "relevance"}
     if unknown:
         raise ValueError(f"unknown heads: {sorted(unknown)}")
     w = weights.arrays
     d = weights.hidden
-    n = batch.size
-    t_len = batch.passage_emb.shape[2]
-    pmask, qmask = batch.passage_mask, batch.question_mask
 
     def drop(node: Node) -> Node:
         return ad.dropout(node, hp.dropout, rng, train)
 
-    similarity, attended = attention_flow(ctx_passage, ctx_question,
-                                          w["sim_weight"], pmask, qmask)
-    fused = _bilstm(w, "fusion", drop(attended), pmask)
-    state = ForwardState(ctx_passage, ctx_question, similarity, attended, fused,
-                         pmask, qmask)
+    states = []
+    for ctx_passage, ctx_question, batch in chunks:
+        pmask, qmask = batch.passage_mask, batch.question_mask
+        similarity, attended = attention_flow(ctx_passage, ctx_question,
+                                              w["sim_weight"], pmask, qmask)
+        states.append(ForwardState(ctx_passage, ctx_question, similarity, attended, None,
+                                   pmask, qmask))
+    pmasks = [state.passage_mask for state in states]
+    for state, fused in zip(states, _bilstm(w, "fusion", [drop(s.attended) for s in states],
+                                            pmasks)):
+        state.fused = fused
 
     if "span" in heads:
-        start_states = _bilstm(w, "start", drop(fused), pmask)
-        start_in = ad.concat([attended, start_states], axis=1)      # (B, 10d, T)
         w_start = ad.reshape(w["start_weight"], (1, 10 * d, 1))
-        state.start_logits = ad.reduce_sum(ad.mul(drop(start_in), w_start), axis=1)
-        state.start_probs = ad.masked_softmax(state.start_logits, pmask)
-
-        pooled = ad.matmul(start_states,
-                           ad.reshape(state.start_probs, (n, t_len, 1)))  # (B, 2d, 1)
-        tiled = ad.broadcast_to(pooled, (n, 2 * d, t_len))
-        end_seq_in = ad.concat([attended, start_states, tiled,
-                                ad.mul(start_states, tiled)], axis=1)     # (B, 14d, T)
-        end_states = _bilstm(w, "end", drop(end_seq_in), pmask)
-        end_in = ad.concat([attended, end_states], axis=1)
         w_end = ad.reshape(w["end_weight"], (1, 10 * d, 1))
-        state.end_logits = ad.reduce_sum(ad.mul(drop(end_in), w_end), axis=1)
-        state.end_probs = ad.masked_softmax(state.end_logits, pmask)
+        start_all = _bilstm(w, "start", [drop(s.fused) for s in states], pmasks)
+        end_inputs = []
+        for state, start_states in zip(states, start_all):
+            n, _, t_len = start_states.shape
+            start_in = ad.concat([state.attended, start_states], axis=1)  # (B, 10d, T)
+            state.start_logits = ad.reduce_sum(ad.mul(drop(start_in), w_start), axis=1)
+            state.start_probs = ad.masked_softmax(state.start_logits, state.passage_mask)
+
+            pooled = ad.matmul(start_states,
+                               ad.reshape(state.start_probs, (n, t_len, 1)))  # (B, 2d, 1)
+            tiled = ad.broadcast_to(pooled, (n, 2 * d, t_len))
+            end_seq_in = ad.concat([state.attended, start_states, tiled,
+                                    ad.mul(start_states, tiled)], axis=1)     # (B, 14d, T)
+            end_inputs.append(drop(end_seq_in))
+        for state, end_states in zip(states, _bilstm(w, "end", end_inputs, pmasks)):
+            end_in = ad.concat([state.attended, end_states], axis=1)
+            state.end_logits = ad.reduce_sum(ad.mul(drop(end_in), w_end), axis=1)
+            state.end_probs = ad.masked_softmax(state.end_logits, state.passage_mask)
 
     if "relevance" in heads:
-        rel_in = ad.concat([fused, ad.constant(batch.match_channel)], axis=1)
-        rel_states = _bilstm(w, "rel", drop(rel_in), pmask)
-        proj = linear_seq(w["attn_proj.weight"], w["attn_proj.bias"],
-                          rel_states)                                # (B, c, T)
         w_ctx = ad.reshape(w["attn_context"], (1, weights.attn_dim, 1))
-        att_logits = ad.reduce_sum(ad.mul(proj, w_ctx), axis=1)     # (B, T)
-        state.rel_attention = ad.masked_softmax(att_logits, pmask)
-        summary = ad.reshape(
-            ad.matmul(rel_states, ad.reshape(state.rel_attention, (n, t_len, 1))),
-            (n, 2 * d))
         w_rel = ad.reshape(w["rel_weight"], (1, 2 * d))
-        state.relevance_logit = ad.reduce_sum(ad.mul(drop(summary), w_rel), axis=1)
-        state.relevance = ad.sigmoid(state.relevance_logit)
+        rel_inputs = [drop(ad.concat([state.fused, ad.constant(batch.match_channel)], axis=1))
+                      for state, (_, _, batch) in zip(states, chunks)]
+        for state, rel_states in zip(states, _bilstm(w, "rel", rel_inputs, pmasks)):
+            n, _, t_len = rel_states.shape
+            proj = linear_seq(w["attn_proj.weight"], w["attn_proj.bias"],
+                              rel_states)                                # (B, c, T)
+            att_logits = ad.reduce_sum(ad.mul(proj, w_ctx), axis=1)     # (B, T)
+            state.rel_attention = ad.masked_softmax(att_logits, state.passage_mask)
+            summary = ad.reshape(
+                ad.matmul(rel_states, ad.reshape(state.rel_attention, (n, t_len, 1))),
+                (n, 2 * d))
+            state.relevance_logit = ad.reduce_sum(ad.mul(drop(summary), w_rel), axis=1)
+            state.relevance = ad.sigmoid(state.relevance_logit)
 
-    return state
+    return states
 
 
 def forward_batch(weights: ModelWeights, hp: Hyperparams, batch: EncodedBatch,
@@ -477,7 +505,8 @@ def forward_batch(weights: ModelWeights, hp: Hyperparams, batch: EncodedBatch,
     ctx_passage, ctx_question = encode_sequences(
         weights, hp, [(batch.passage_emb, batch.passage_mask),
                       (batch.question_emb, batch.question_mask)], train, rng)
-    return read(weights, hp, ctx_passage, ctx_question, batch, train, rng, heads)
+    [state] = read(weights, hp, [(ctx_passage, ctx_question, batch)], train, rng, heads)
+    return state
 
 
 # ---------------------------------------------------------------------------

@@ -194,21 +194,29 @@ def test_fd_shape_ops_composite():
 
 def test_fd_bilstm_scan():
     """BPTT through both directions, each with its own projection and w_rec;
-    row 1 is padded after two tokens, row 2 after three."""
+    row 1 is padded after two tokens, row 2 after three.  Then again with a
+    second group of two shorter rows, one padded after one token, sharing
+    the time loop."""
     rng = np.random.default_rng(9)
-    mask = np.array([[1, 1, 1, 1], [1, 1, 0, 0], [1, 1, 1, 0]], dtype=np.float64)
+    masks = [np.array([[1, 1, 1, 1], [1, 1, 0, 0], [1, 1, 1, 0]], dtype=np.float64),
+             np.array([[1, 1], [1, 0]], dtype=np.float64)]
     arrays, weights = {}, []
     for direction in ("fwd", "bwd"):
         weights.append(rng.standard_normal((3, 3, 4)))
         arrays[f"proj_{direction}"] = rng.standard_normal((3, 4, 12))
         arrays[f"w_rec_{direction}"] = rng.standard_normal((3, 12)) * 0.5
-    weights = np.concatenate(weights, axis=1)
+    weights = [np.concatenate(weights, axis=1), rng.standard_normal((2, 6, 2))]
 
     def build_loss(p):
-        out = ad.bilstm_scan((p["proj_fwd"], p["proj_bwd"]), (p["w_rec_fwd"], p["w_rec_bwd"]),
-                             mask)
-        return ad.reduce_sum(ad.mul(out, constant(weights)))
+        pairs = [(p[f"{name}_fwd"], p[f"{name}_bwd"]) for name in ("proj", "proj2")
+                 if f"{name}_fwd" in p]
+        outs = ad.bilstm_scan(list(zip(pairs, masks)), (p["w_rec_fwd"], p["w_rec_bwd"]))
+        terms = [ad.reduce_sum(ad.mul(out, constant(w))) for out, w in zip(outs, weights)]
+        return terms[0] if len(terms) == 1 else ad.add(*terms)
 
+    fd(arrays, build_loss)
+    for direction in ("fwd", "bwd"):
+        arrays[f"proj2_{direction}"] = rng.standard_normal((2, 2, 12))
     fd(arrays, build_loss)
 
 
@@ -230,7 +238,7 @@ def test_fd_lstm_scan(reverse):
             proj, w_rec = (other_proj, p["proj"]), (other_w_rec, p["w_rec"])
         else:
             proj, w_rec = (p["proj"], other_proj), (p["w_rec"], other_w_rec)
-        out = ad.slice_axis(ad.bilstm_scan(proj, w_rec, mask), 1, rows.start, rows.stop)
+        out = ad.slice_axis(ad.bilstm_scan([(proj, mask)], w_rec)[0], 1, rows.start, rows.stop)
         return ad.reduce_sum(ad.mul(out, constant(weights)))
 
     fd(arrays, build_loss)
@@ -530,9 +538,13 @@ def test_shape_errors_name_the_op():
         ad.concat([constant(np.ones((2, 3))), constant(np.ones((3, 3)))], axis=1)
     proj, w_rec = constant(np.ones((2, 3, 8))), constant(np.ones((2, 8)))
     with pytest.raises(ShapeMismatchError, match="bilstm_scan"):
-        ad.bilstm_scan((proj, proj), (w_rec, w_rec), np.ones((2, 4)))
+        ad.bilstm_scan([((proj, proj), np.ones((2, 4)))], (w_rec, w_rec))
     with pytest.raises(ShapeMismatchError, match="bilstm_scan"):
-        ad.bilstm_scan((proj, constant(np.ones((2, 4, 8)))), (w_rec, w_rec), np.ones((2, 3)))
+        ad.bilstm_scan([((proj, constant(np.ones((2, 4, 8)))), np.ones((2, 3)))], (w_rec, w_rec))
+    with pytest.raises(ValueError, match="bilstm_scan: every projection must have one dtype"):
+        ad.bilstm_scan([((proj, proj), np.ones((2, 3))),
+                        ((proj, constant(np.ones((2, 3, 8), np.float32))), np.ones((2, 3)))],
+                       (w_rec, w_rec))
     with pytest.raises(ShapeMismatchError, match="broadcast"):
         ad.broadcast_to(constant(np.ones(3)), (2, 4))
     with pytest.raises(ShapeMismatchError, match="masked_softmax"):

@@ -612,3 +612,14 @@ def test_ask_without_question_exits_2(ws, monkeypatch):
     monkeypatch.setattr("sys.stdin", io.StringIO("\n"))
     code, _ = run(eval_args(ws, ["ask"]))
     assert code == 2
+
+
+@pytest.mark.parametrize("chain", [None, "neural:3"])
+@pytest.mark.parametrize("question", [" ", "\t"])
+def test_ask_with_a_question_of_no_tokens_exits_2(ws, capsys, question, chain):
+    argv = ["ask", "--question", question] + (["--chain", chain] if chain else [])
+    code, out = run(eval_args(ws, argv))
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "error: no question given" in err and "Traceback" not in err, err
+    assert "answer" not in out

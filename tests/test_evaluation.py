@@ -1,4 +1,5 @@
 """Chain parsing, telescoped retrieval, answer voting, and metrics."""
+import hashlib
 import math
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import passageqa.autodiff as ad
 import passageqa.evaluation as evaluation
 from passageqa.evaluation import (SCORE_BATCH, AnswerCandidate, ChainSpecError,
                                   ChainStage, EvaluationError, NeuralScorer,
@@ -14,8 +16,8 @@ from passageqa.evaluation import (SCORE_BATCH, AnswerCandidate, ChainSpecError,
                                   exact_match, f1_score, group_questions,
                                   mrr_at_k, normalize_answer, parse_chain,
                                   success_at_k, telescope, vote_answers)
-from passageqa.model import (Hyperparams, ModelWeights, encode_batch, forward_batch,
-                             init_weights)
+from passageqa.model import (Hyperparams, ModelWeights, encode_batch, encode_sequences,
+                             forward_batch, init_weights, read, select_span)
 from passageqa.retriever import PassageRecord, top_k
 from passageqa.text import tokenize
 from passageqa.training import QuestionExample
@@ -367,6 +369,101 @@ def test_scorer_raises_on_non_finite_output(task):
         scorer.relevance_scores(question, records)
     with pytest.raises(EvaluationError, match="non-finite relevance or span probability"):
         scorer.read_candidates(question, records)
+
+
+def hidden16_scorer(task):
+    """A float32 scorer at the benchmark's hidden width."""
+    hp = Hyperparams(hidden=16, attn_dim=16, dropout=0.0)
+    weights = init_weights(np.random.default_rng(11), task.table.dim, 16, 16)
+    return NeuralScorer(weights, hp, task.table)
+
+
+def scorer_outputs(scorer, question, records):
+    """Relevance scores, then each candidate's span, span score and relevance."""
+    scores = scorer.relevance_scores(question, records)
+    cands = scorer.read_candidates(question, records)
+    return scores, [(c.span, c.span_score, c.relevance) for c in cands]
+
+
+# sha256 of repr(scorer_outputs) for hidden16_scorer, task.examples[5] and
+# varied_records(task, n=70): three chunks of 32, 32 and 6 rows.
+GOLDEN_SCORER_SHA256 = "5672e6c265f5ea2d852b90190bff082aea943f4eb3b8bd4c391b09a281f0928f"
+
+
+def test_scorer_outputs_keep_their_golden_bits(task):
+    outputs = scorer_outputs(hidden16_scorer(task), task.examples[5].question,
+                             varied_records(task, n=70))
+    assert hashlib.sha256(repr(outputs).encode()).hexdigest() == GOLDEN_SCORER_SHA256
+
+
+def test_scorer_equals_read_chunk_by_chunk(task):
+    """One read over all chunks gives each chunk the bits of a read of its own."""
+    scorer = hidden16_scorer(task)
+    weights, hp = scorer.weights, scorer.hp
+    question, records = task.examples[6].question, varied_records(task, n=70)
+    order = sorted(range(len(records)), key=lambda i: len(records[i].tokens))
+    scores, cands = [None] * len(records), [None] * len(records)
+    for start in range(0, len(order), SCORE_BATCH):
+        rows = order[start:start + SCORE_BATCH]
+        batch = encode_batch([question] * len(rows), [records[i].tokens for i in rows],
+                             scorer.table)
+        if start == 0:
+            [ctx_question] = encode_sequences(
+                weights, hp, [(batch.question_emb[:1], batch.question_mask[:1])])
+        [encoded] = encode_sequences(weights, hp, [(batch.passage_emb, batch.passage_mask)])
+        # The scorer pads cached encodings with +0.0.
+        passages = np.zeros_like(encoded.value)
+        for j, length in enumerate(batch.passage_lengths):
+            passages[j, :, :length] = encoded.value[j, :, :length]
+        questions = np.repeat(ctx_question.value, len(rows), axis=0)
+        [state] = read(weights, hp, [(ad.constant(passages), ad.constant(questions), batch)])
+        for j, i in enumerate(rows):
+            length = batch.passage_lengths[j]
+            t1, t2, score = select_span(state.start_probs.value[j, :length],
+                                        state.end_probs.value[j, :length])
+            scores[i] = float(state.relevance.value[j])
+            cands[i] = ((t1, t2), score, scores[i])
+    assert len(order) > 2 * SCORE_BATCH
+    assert scorer_outputs(scorer, question, records) == (scores, cands)
+
+
+def test_scorer_runs_one_loop_per_bilstm_layer_for_all_chunks(task, monkeypatch):
+    scorer = hidden16_scorer(task)
+    question, records = task.examples[5].question, varied_records(task, n=70)
+    groups_per_call = []
+    original = ad.bilstm_scan
+
+    def counting(groups, w_rec):
+        groups_per_call.append(len(groups))
+        return original(groups, w_rec)
+
+    monkeypatch.setattr(ad, "bilstm_scan", counting)
+    scorer.relevance_scores(question, records)
+    # ctx: the question, then each chunk's passages; then fusion and rel once.
+    assert groups_per_call == [1, 1, 1, 1, 3, 3]
+    groups_per_call.clear()
+    scorer.relevance_scores(question, records)
+    assert groups_per_call == [3, 3]
+
+
+@pytest.mark.parametrize("waves", [[1, 1, 1], [2, 1]])
+def test_scorer_reads_the_same_bytes_in_smaller_waves(task, monkeypatch, waves):
+    question, records = task.examples[5].question, varied_records(task, n=70)
+    whole = scorer_outputs(hidden16_scorer(task), question, records)
+    lengths = sorted(len(rec.tokens) for rec in records)
+    chunk_bytes = [SCORE_BATCH * lengths[k * SCORE_BATCH + SCORE_BATCH - 1] * 8 * 16 * 4
+                   for k in range(2)]
+    monkeypatch.setattr(evaluation, "WAVE_BYTES", 1 if waves[0] == 1 else sum(chunk_bytes))
+    chunks_per_read = []
+    original = evaluation.read
+
+    def counting(weights, hp, chunks, *args, **kwargs):
+        chunks_per_read.append(len(chunks))
+        return original(weights, hp, chunks, *args, **kwargs)
+
+    monkeypatch.setattr(evaluation, "read", counting)
+    assert scorer_outputs(hidden16_scorer(task), question, records) == whole
+    assert chunks_per_read == waves * 2
 
 
 def test_telescope_tfidf_only_matches_top_k(task, task_index):

@@ -1,4 +1,6 @@
 """LSTM / highway layer tests against hand-rolled scalar references."""
+import functools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -36,8 +38,8 @@ def scan_mirrored(proj):
     so both halves of the output should show the same states, mirrored."""
     hidden = proj.shape[2] // 4
     zeros = constant(np.zeros((hidden, 4 * hidden)))
-    out = ad.bilstm_scan((constant(proj), constant(proj[:, ::-1].copy())), (zeros, zeros),
-                         np.ones(proj.shape[:2])).value
+    out = ad.bilstm_scan([((constant(proj), constant(proj[:, ::-1].copy())),
+                           np.ones(proj.shape[:2]))], (zeros, zeros))[0].value
     np.testing.assert_array_equal(out[:, hidden:, ::-1], out[:, :hidden])
     return out[:, :hidden]
 
@@ -47,8 +49,8 @@ def test_bilstm_scan_matches_scalar_steps():
     fwd = random_lstm(rng, 4, 3)[:2] + (rng.standard_normal(12),)
     bwd = random_lstm(rng, 4, 3)[:2] + (rng.standard_normal(12),)
     x = rng.standard_normal((2, 3, 4))
-    out = ad.bilstm_scan([constant(x @ w_in + bias) for w_in, _, bias in (fwd, bwd)],
-                         (constant(fwd[1]), constant(bwd[1])), np.ones((2, 3))).value
+    out = ad.bilstm_scan([([constant(x @ w_in + bias) for w_in, _, bias in (fwd, bwd)],
+                           np.ones((2, 3)))], (constant(fwd[1]), constant(bwd[1])))[0].value
     # C order like every other op's output, so downstream matmuls round alike
     assert out.flags.c_contiguous
     for row in range(2):
@@ -83,7 +85,7 @@ def test_bilstm_scan_matches_blended_reference(case):
     w_rec = [(rng.standard_normal((hidden, 4 * hidden)) * 0.5).astype(dtype) for _ in range(2)]
     grad = rng.standard_normal((batch, 2 * hidden, steps)).astype(dtype)
     leaves = [leaf(a, True) for a in proj + w_rec]
-    out = ad.bilstm_scan(leaves[:2], leaves[2:], mask)
+    out = ad.bilstm_scan([(leaves[:2], mask)], leaves[2:])[0]
     ad.backward(ad.reduce_sum(ad.mul(out, constant(grad))))
     value, grads = oracles.bilstm_scan_blended(proj, w_rec, mask, grad)
     # The sign of a zero at padding differs between the two, so compare real
@@ -96,12 +98,72 @@ def test_bilstm_scan_matches_blended_reference(case):
         assert node.grad.tobytes() == expected.tobytes()
 
 
+@st.composite
+def scan_groups(draw):
+    """Hidden size, dtype, seed and one right-padded (B_g, T_g) mask per group."""
+    dtype = draw(st.sampled_from([np.float32, np.float64]))
+    masks = []
+    for _ in range(draw(st.integers(1, 4))):
+        batch, steps = draw(st.integers(1, 6)), draw(st.integers(1, 12))
+        lengths = draw(st.lists(st.just(steps) | st.integers(0, steps - 1),
+                                min_size=batch, max_size=batch))
+        masks.append((np.arange(steps) < np.array(lengths)[:, None]).astype(dtype))
+    return draw(st.integers(1, 20)), dtype, draw(st.integers(0, 2**32 - 1)), masks
+
+
+def scan_with_grads(groups, w_rec, grads):
+    """bilstm_scan over `groups` of (proj pair, mask), backpropagating `grads`
+    (one per group); returns the outputs, each group's projection gradients
+    and the two w_rec gradients."""
+    proj_leaves = [[leaf(p, True) for p in proj] for proj, _ in groups]
+    w_leaves = [leaf(w, True) for w in w_rec]
+    outs = ad.bilstm_scan([(pair, mask) for pair, (_, mask) in zip(proj_leaves, groups)],
+                          w_leaves)
+    loss = None
+    for out, grad in zip(outs, grads):
+        term = ad.reduce_sum(ad.mul(out, constant(grad)))
+        loss = term if loss is None else ad.add(loss, term)
+    ad.backward(loss)
+    return ([out.value for out in outs], [[n.grad for n in pair] for pair in proj_leaves],
+            [n.grad for n in w_leaves])
+
+
+@settings(max_examples=60, deadline=None)
+@given(scan_groups())
+def test_grouped_bilstm_scan_equals_one_call_per_group(case):
+    """Values and all four gradients equal those of one call per group, byte for
+    byte; each w_rec gradient is the per-call ones summed in group order.  A
+    one-row group sharing steps with others may move by an ulp (single-row
+    products take another BLAS path), so then only closeness is checked."""
+    hidden, dtype, seed, masks = case
+    rng = np.random.default_rng(seed)
+    groups = [([rng.standard_normal(m.shape + (4 * hidden,)).astype(dtype) for _ in range(2)], m)
+              for m in masks]
+    w_rec = [(rng.standard_normal((hidden, 4 * hidden)) * 0.5).astype(dtype) for _ in range(2)]
+    grads = [rng.standard_normal((len(m), 2 * hidden, m.shape[1])).astype(dtype) for m in masks]
+    values, proj_grads, w_grads = scan_with_grads(groups, w_rec, grads)
+    alone = [scan_with_grads([group], w_rec, [grad]) for group, grad in zip(groups, grads)]
+    want_values = [a[0][0] for a in alone]
+    want_proj = [a[1][0] for a in alone]
+    want_w = [functools.reduce(np.add, (a[2][k] for a in alone)) for k in range(2)]
+    got = values + [g for pair in proj_grads for g in pair] + w_grads
+    want = want_values + [g for pair in want_proj for g in pair] + want_w
+    assert all(v.flags.c_contiguous and v.dtype == dtype for v in values)
+    if len(masks) > 1 and any(len(m) == 1 for m in masks):
+        for a, b in zip(got, want):
+            np.testing.assert_allclose(a, b, rtol=1e-4 if dtype == np.float32 else 1e-10,
+                                       atol=1e-5 if dtype == np.float32 else 1e-12)
+    else:
+        for a, b in zip(got, want):
+            assert a.tobytes() == b.tobytes()
+
+
 @pytest.mark.parametrize("mask", [[[1, 1, 0], [1, 0, 1]], [[1, 1, 1], [1, 0.5, 0]],
                                   [[0, 1, 1], [1, 1, 1]], [[1, 1, 2], [1, 1, 1]]])
 def test_bilstm_scan_rejects_mask_not_right_padded(mask):
     proj, w_rec = constant(np.ones((2, 3, 8))), constant(np.ones((2, 8)))
     with pytest.raises(ValueError, match="bilstm_scan: mask"):
-        ad.bilstm_scan((proj, proj), (w_rec, w_rec), np.array(mask, dtype=np.float64))
+        ad.bilstm_scan([((proj, proj), np.array(mask, dtype=np.float64))], (w_rec, w_rec))
 
 
 def test_saturated_forget_gate_copies_cell_state():
@@ -136,7 +198,7 @@ def test_bilstm_matches_naive_unroll():
     fwd = random_lstm(rng, 3, 2)
     bwd = random_lstm(rng, 3, 2)
     seq = rng.standard_normal((1, 3, 4))
-    enc = bilstm_encode(fwd, bwd, constant(seq), unmasked(seq))
+    enc = bilstm_encode(fwd, bwd, [constant(seq)], [unmasked(seq)])[0]
     assert enc.value.shape == (1, 4, 4)
     columns = [list(seq[0, :, t]) for t in range(4)]
     ref = oracles.bilstm(fwd, bwd, columns, 2)
@@ -149,8 +211,8 @@ def test_bilstm_direction_swap_mirrors_reversed_input():
     fwd = random_lstm(rng, 3, 2)
     bwd = random_lstm(rng, 3, 2)
     seq = rng.standard_normal((2, 3, 5))
-    enc = bilstm_encode(fwd, bwd, constant(seq), unmasked(seq)).value
-    flipped = bilstm_encode(bwd, fwd, constant(seq[:, :, ::-1].copy()), unmasked(seq)).value
+    enc = bilstm_encode(fwd, bwd, [constant(seq)], [unmasked(seq)])[0].value
+    flipped = bilstm_encode(bwd, fwd, [constant(seq[:, :, ::-1].copy())], [unmasked(seq)])[0].value
     np.testing.assert_allclose(flipped[:, 2:, ::-1], enc[:, :2, :], atol=1e-12)
     np.testing.assert_allclose(flipped[:, :2, ::-1], enc[:, 2:, :], atol=1e-12)
 
@@ -160,7 +222,7 @@ def test_bilstm_single_step_sequence():
     fwd = random_lstm(rng, 2, 2)
     bwd = random_lstm(rng, 2, 2)
     seq = rng.standard_normal((1, 2, 1))
-    enc = bilstm_encode(fwd, bwd, constant(seq), unmasked(seq))
+    enc = bilstm_encode(fwd, bwd, [constant(seq)], [unmasked(seq)])[0]
     assert enc.value.shape == (1, 4, 1)
 
 
@@ -168,7 +230,7 @@ def test_bilstm_rejects_empty_sequence():
     rng = np.random.default_rng(14)
     p = random_lstm(rng, 2, 2)
     with pytest.raises(ValueError, match="empty"):
-        bilstm_encode(p, p, constant(np.zeros((1, 2, 0))), np.ones((1, 0)))
+        bilstm_encode(p, p, [constant(np.zeros((1, 2, 0)))], [np.ones((1, 0))])[0]
 
 
 def test_padded_batch_equals_individual_encoding():
@@ -186,9 +248,9 @@ def test_padded_batch_equals_individual_encoding():
     padded[1, :, 3:] = 1e6
     mask = np.array([[1, 1, 1, 1, 1], [1, 1, 1, 0, 0]], dtype=np.float64)
 
-    joint = bilstm_encode(fwd, bwd, constant(padded), mask).value
-    solo_long = bilstm_encode(fwd, bwd, constant(long_seq[None]), np.ones((1, 5))).value
-    solo_short = bilstm_encode(fwd, bwd, constant(short_seq[None]), np.ones((1, 3))).value
+    joint = bilstm_encode(fwd, bwd, [constant(padded)], [mask])[0].value
+    solo_long = bilstm_encode(fwd, bwd, [constant(long_seq[None])], [np.ones((1, 5))])[0].value
+    solo_short = bilstm_encode(fwd, bwd, [constant(short_seq[None])], [np.ones((1, 3))])[0].value
 
     np.testing.assert_allclose(joint[0], solo_long[0], atol=1e-12)
     np.testing.assert_allclose(joint[1, :, :3], solo_short[0], atol=1e-12)
@@ -205,7 +267,7 @@ def test_bilstm_gradients_with_ragged_mask():
     def build():
         leaves = {k: leaf(v, True) for k, v in arrays.items()}
         lp = (leaves["w_in"], leaves["w_rec"], leaves["bias"])
-        out = bilstm_encode(lp, lp, constant(xs), mask)
+        out = bilstm_encode(lp, lp, [constant(xs)], [mask])[0]
         return ad.reduce_sum(ad.mul(out, out)), leaves
 
     assert gradient_check(build, arrays) < 1e-6

@@ -419,18 +419,38 @@ def test_train_is_bit_reproducible(task, task_index):
     assert [h.mean_loss for h in r1.history] == [h.mean_loss for h in r2.history]
 
 
-def test_mtl_steps_are_golden(task, task_index):
-    """Two mtl steps with dropout: losses and final weights pin the RNG draw order."""
-    hp = small_hp(dropout=0.2)
-    result = train(task.examples[:6], task.corpus, task_index, task.table, hp)
-    assert [h.n_batches for h in result.history] == [1, 1]
+def result_digest(result) -> str:
     digest = hashlib.sha256()
     for stats in result.history:
         digest.update(stats.mean_loss.hex().encode())
     for name, arr in named_arrays(result.weights).items():
         digest.update(name.encode())
         digest.update(np.ascontiguousarray(arr).tobytes())
-    assert digest.hexdigest() == GOLDEN_MTL_STEPS
+    return digest.hexdigest()
+
+
+def test_mtl_steps_are_golden(task, task_index):
+    """Two mtl steps with dropout: losses and final weights pin the RNG draw order."""
+    hp = small_hp(dropout=0.2)
+    result = train(task.examples[:6], task.corpus, task_index, task.table, hp)
+    assert [h.n_batches for h in result.history] == [1, 1]
+    assert result_digest(result) == GOLDEN_MTL_STEPS
+
+
+# sha256 of one stl-rc step on one example at hidden 100, float32, digested
+# as above, taken before the scan took groups of rows.
+GOLDEN_ONE_ROW_STEP = "4346ae1ac9b232a402fd376d5d309893649dbceb55fad9b38a6c1b8457a3015e"
+
+
+def test_one_row_step_at_paper_width_is_golden(task, task_index):
+    """A one-row batch scans each sequence alone: at hidden >= 64 a row's
+    float32 product takes other bits when it shares a step with another."""
+    hp = small_hp(hidden=100, attn_dim=100, dropout=0.2, epochs=1,
+                  batch_positives=1, batch_negatives=0)
+    result = train(task.examples[:1], task.corpus, task_index, task.table, hp,
+                   mode=TrainMode.READING_ONLY)
+    assert [h.n_batches for h in result.history] == [1]
+    assert result_digest(result) == GOLDEN_ONE_ROW_STEP
 
 
 def test_train_writes_per_epoch_checkpoints(task, task_index, tmp_path):
