@@ -129,6 +129,14 @@ def _require_file(path: str, what: str) -> str:
     return path
 
 
+def _check_output(path: str | Path | None, setting: str, directory: bool) -> None:
+    """Refuse an output setting that names a directory where the command writes
+    a file, or a file where it writes a directory, before any work is done."""
+    if path is not None and Path(path).exists() and Path(path).is_dir() != directory:
+        want, found = ("a directory", "a file") if directory else ("a file", "a directory")
+        raise ConfigError(f"{setting} must name {want}, but {path} is {found}")
+
+
 def _load_corpus_dir(corpus_dir: str) -> Corpus:
     path = Path(corpus_dir) / PASSAGES_FILE
     _require_file(str(path), "passage store")
@@ -203,6 +211,7 @@ def _write_report(report: dict, path: str | None) -> None:
 def cmd_ingest(s) -> int:
     dataset = _require_file(_require(s.dataset, "dataset"), "dataset")
     corpus_dir = Path(_require(s.corpus, "corpus"))
+    _check_output(corpus_dir, "corpus", directory=True)
     corpus_dir.mkdir(parents=True, exist_ok=True)
     corpus, examples, stats = ingest_dataset(dataset)
     corpus.save_jsonl(str(corpus_dir / PASSAGES_FILE))
@@ -219,6 +228,7 @@ def cmd_ingest(s) -> int:
 def cmd_build_index(s) -> int:
     corpus_dir = _require(s.corpus, "corpus")
     index_path = _require(s.index, "index")
+    _check_output(index_path, "index", directory=False)
     if not 1 <= s.buckets < 2 ** 64:
         raise ConfigError(f"buckets must be an integer in [1, 2**64), got {s.buckets!r}")
     corpus = _load_corpus_dir(corpus_dir)
@@ -233,6 +243,7 @@ def cmd_train(s) -> int:
     corpus_dir = _require(s.corpus, "corpus")
     vectors_path = _require(s.vectors, "vectors")
     out_dir = Path(_require(s.checkpoint, "checkpoint"))
+    _check_output(out_dir, "checkpoint", directory=True)
     _require_file(vectors_path, "vector file")
     corpus = _load_corpus_dir(corpus_dir)
     index = _load_index(s, corpus)
@@ -252,6 +263,7 @@ def cmd_train(s) -> int:
 
 
 def _eval_common(s):
+    _check_output(s.report, "report", directory=False)
     corpus_dir = _require(s.corpus, "corpus")
     corpus = _load_corpus_dir(corpus_dir)
     examples = _load_examples(corpus_dir, corpus)

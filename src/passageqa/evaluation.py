@@ -133,37 +133,37 @@ class NeuralScorer:
         self._encodings: OrderedDict[str, np.ndarray] = OrderedDict()  # text -> (2d, len)
         self._encoded_bytes = 0
 
-    def _states(self, texts: list[str], emb: np.ndarray, mask: np.ndarray,
-                lengths: list[int]) -> np.ndarray:
-        """(B, 2d, T) contextual states of `texts`, one per row of `emb` (B, dim, T).
+    def _states(self, seqs: list[TokenSeq], emb: np.ndarray, mask: np.ndarray) -> np.ndarray:
+        """(B, 2d, T) contextual states of `seqs`, one per row of `emb` (B, dim, T).
 
-        A text not in the cache is encoded once, from its first row.  The cache
-        is cut back to its bound only after every row is copied out, so an
-        eviction cannot drop an encoding this call still needs."""
+        The cache is keyed by each sequence's text.  A text not in it is
+        encoded once, from its first row.  The cache is cut back to its bound
+        only after every row is copied out, so an eviction cannot drop an
+        encoding this call still needs."""
         cache = self._encodings
         missing: dict[str, int] = {}        # uncached text -> its first row
-        for i, text in enumerate(texts):
-            if text in cache:
-                cache.move_to_end(text)
+        for i, seq in enumerate(seqs):
+            if seq.text in cache:
+                cache.move_to_end(seq.text)
             else:
-                missing.setdefault(text, i)
+                missing.setdefault(seq.text, i)
         if missing:
             rows = list(missing.values())
             [states] = encode_sequences(self.weights, self.hp, [(emb[rows], mask[rows])])
             for (text, i), row in zip(missing.items(), states.value):
-                cache[text] = row[:, :lengths[i]].copy()
+                cache[text] = row[:, :len(seqs[i])].copy()
                 self._encoded_bytes += cache[text].nbytes
-        out = np.zeros((len(texts), 2 * self.weights.hidden, emb.shape[2]),
-                       dtype=cache[texts[0]].dtype)
-        for i, text in enumerate(texts):
-            out[i, :, :lengths[i]] = cache[text]
+        out = np.zeros((len(seqs), 2 * self.weights.hidden, emb.shape[2]),
+                       dtype=cache[seqs[0].text].dtype)
+        for i, seq in enumerate(seqs):
+            out[i, :, :len(seq)] = cache[seq.text]
         while self._encoded_bytes > ENCODING_CACHE_BYTES:
             self._encoded_bytes -= cache.popitem(last=False)[1].nbytes
         return out
 
     def _read_chunks(self, question: TokenSeq, records: list[PassageRecord],
                      heads: tuple[str, ...]):
-        """Yield (input positions, batch, state) per chunk of length-sorted records.
+        """Yield (input positions, state) per chunk of length-sorted records.
 
         Consecutive chunks are read in waves, one `read` call per wave, each
         as large as keeps its (rows, 8d, T) attention output within WAVE_BYTES."""
@@ -183,28 +183,26 @@ class NeuralScorer:
             # Overflow shows as a non-finite output, which the check below reports.
             with ad.no_grad(), np.errstate(over="ignore", invalid="ignore"):
                 for rows in wave:
-                    chunk = [records[i] for i in rows]
-                    batch = encode_batch([question] * len(chunk),
-                                         [rec.tokens for rec in chunk], self.table)
-                    questions = self._states([question.text] * batch.size, batch.question_emb,
-                                             batch.question_mask, [len(question)] * batch.size)
-                    passages = self._states([rec.text for rec in chunk], batch.passage_emb,
-                                            batch.passage_mask, batch.passage_lengths)
+                    asked = [question] * len(rows)
+                    seqs = [records[i].tokens for i in rows]
+                    batch = encode_batch(asked, seqs, self.table)
+                    questions = self._states(asked, batch.question_emb, batch.question_mask)
+                    passages = self._states(seqs, batch.passage_emb, batch.passage_mask)
                     chunks.append((ad.constant(passages), ad.constant(questions), batch))
                 states = read(self.weights, self.hp, chunks, heads=heads)
-            for rows, (_, _, batch), state in zip(wave, chunks, states):
+            for rows, state in zip(wave, states):
                 outputs = (state.relevance, state.start_probs, state.end_probs)
                 if not all(np.isfinite(node.value).all() for node in outputs
                            if node is not None):
                     raise EvaluationError("the model gave a non-finite relevance or span "
                                           "probability; its weights overflow")
-                yield rows, batch, state
+                yield rows, state
 
     def relevance_scores(self, question: TokenSeq,
                          records: list[PassageRecord]) -> list[float]:
         """Relevance of each record to the question, in input order."""
         scores = [0.0] * len(records)
-        for rows, _, state in self._read_chunks(question, records, ("relevance",)):
+        for rows, state in self._read_chunks(question, records, ("relevance",)):
             for i, value in zip(rows, state.relevance.value):
                 scores[i] = float(value)
         return scores
@@ -213,14 +211,13 @@ class NeuralScorer:
                         records: list[PassageRecord]) -> list[AnswerCandidate]:
         """Span + relevance for each passage, in input order; spans stay in the passage."""
         out: list[AnswerCandidate | None] = [None] * len(records)
-        for rows, batch, state in self._read_chunks(question, records,
-                                                    ("span", "relevance")):
+        for rows, state in self._read_chunks(question, records, ("span", "relevance")):
             starts = state.start_probs.value
             ends = state.end_probs.value
             rels = state.relevance.value
             for j, i in enumerate(rows):
                 rec = records[i]
-                n = batch.passage_lengths[j]
+                n = len(rec.tokens)
                 t1, t2, score = select_span(starts[j, :n], ends[j, :n])
                 out[i] = AnswerCandidate(
                     passage_id=rec.passage_id,

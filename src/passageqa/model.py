@@ -8,6 +8,10 @@ bidirectional attention and a fusion bi-LSTM, then splits into two heads:
   - relevance head: probability that the passage answers the question,
     helped by a binary exact-match input channel
 
+`encode_batch` is the one place token sequences become a padded batch:
+each side is one gather from the vector table, and the exact-match channel
+is one assignment over the real passage positions.
+
 `forward_batch` is two stages: `encode_sequences` (highway + contextual
 bi-LSTM, which sees one sequence only) and `read` (everything after), so
 inference can encode a question once and reuse passage encodings.  `read`
@@ -32,14 +36,14 @@ output] blocks: w_in (in_dim, 4*hidden), w_rec (hidden, 4*hidden), bias
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Any, Sequence
 
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import MASK_OFFSET, Node
-from .text import TokenSeq, VectorTable, embed
+from .text import TokenSeq, VectorTable
 
 
 @dataclass
@@ -219,36 +223,25 @@ def as_param_nodes(weights: ModelWeights) -> tuple[ModelWeights, dict[str, Node]
 
 @dataclass
 class EncodedBatch:
-    """Padded embeddings, masks, and the exact-match channel for a batch."""
+    """Right-padded embeddings and masks of both sides, and the exact-match
+    channel, all C-ordered arrays in the vector table's dtype."""
 
     passage_emb: np.ndarray    # (B, embed_dim, T)
     question_emb: np.ndarray   # (B, embed_dim, J)
     passage_mask: np.ndarray   # (B, T)
     question_mask: np.ndarray  # (B, J)
     match_channel: np.ndarray  # (B, 1, T)
-    passage_lengths: list[int] = field(default_factory=list)
-
-    @property
-    def size(self) -> int:
-        return self.passage_emb.shape[0]
-
-
-def exact_match_channel(question: TokenSeq, passage: TokenSeq) -> np.ndarray:
-    """(1, T) float32 indicator: passage token appears verbatim among question tokens.
-
-    Case-sensitive surface comparison, the max-pool over question words of the
-    full binary match matrix.
-    """
-    vocab = set(question.tokens)
-    row = np.fromiter((1.0 if tok in vocab else 0.0 for tok in passage.tokens),
-                      dtype=np.float32, count=len(passage))
-    return row.reshape(1, -1)
 
 
 def encode_batch(questions: list[TokenSeq], passages: list[TokenSeq],
                  table: VectorTable) -> EncodedBatch:
-    """Embed and right-pad a batch of (question, passage) pairs, C-ordered, in the
-    table's dtype."""
+    """Embed and right-pad a batch of (question, passage) pairs.
+
+    Each side is one gather from the table: an out-of-vocabulary word and
+    every padding position take its zero row 0.  The match channel is 1.0
+    where a passage token occurs verbatim (case-sensitive) among its own
+    row's question tokens, and 0.0 elsewhere, padding included.
+    """
     if len(questions) != len(passages):
         raise ValueError("questions and passages must pair up")
     if not questions:
@@ -258,25 +251,23 @@ def encode_batch(questions: list[TokenSeq], passages: list[TokenSeq],
             raise ValueError(f"empty question: {q.text!r}")
         if len(p) == 0:
             raise ValueError(f"empty passage: {p.text!r}")
-    n = len(questions)
-    t_max = max(len(p) for p in passages)
-    j_max = max(len(q) for q in questions)
-    dim, dtype = table.dim, table.matrix.dtype
-    passage_emb = np.zeros((n, dim, t_max), dtype=dtype)
-    question_emb = np.zeros((n, dim, j_max), dtype=dtype)
-    passage_mask = np.zeros((n, t_max), dtype=dtype)
-    question_mask = np.zeros((n, j_max), dtype=dtype)
-    match = np.zeros((n, 1, t_max), dtype=dtype)
-    lengths = []
-    for i, (q, p) in enumerate(zip(questions, passages)):
-        passage_emb[i, :, :len(p)] = embed(p, table)
-        question_emb[i, :, :len(q)] = embed(q, table)
-        passage_mask[i, :len(p)] = 1.0
-        question_mask[i, :len(q)] = 1.0
-        match[i, :, :len(p)] = exact_match_channel(q, p)
-        lengths.append(len(p))
-    return EncodedBatch(passage_emb, question_emb, passage_mask, question_mask,
-                        match, lengths)
+    dtype = table.matrix.dtype
+
+    def pad(seqs: list[TokenSeq]) -> tuple[np.ndarray, np.ndarray]:
+        lengths = np.array([len(seq) for seq in seqs])
+        real = np.arange(lengths.max()) < lengths[:, None]          # (B, T)
+        ids = np.zeros(real.shape, dtype=np.intp)
+        # Right-padded: the True positions, row by row, are the tokens in order.
+        ids[real] = [table.rows.get(tok, 0) for seq in seqs for tok in seq.tokens]
+        return np.ascontiguousarray(table.matrix[ids].transpose(0, 2, 1)), real
+
+    passage_emb, real = pad(passages)
+    question_emb, question_real = pad(questions)
+    match = np.zeros((len(passages), 1, real.shape[1]), dtype=dtype)
+    vocabs = [set(q.tokens) for q in questions]
+    match[:, 0][real] = [tok in vocab for vocab, p in zip(vocabs, passages) for tok in p.tokens]
+    return EncodedBatch(passage_emb, question_emb, real.astype(dtype),
+                        question_real.astype(dtype), match)
 
 
 # ---------------------------------------------------------------------------

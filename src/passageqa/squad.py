@@ -154,12 +154,6 @@ def save_examples(path: str, examples: list[QuestionExample]) -> None:
             fh.write(json.dumps(row, ensure_ascii=False, sort_keys=True) + "\n")
 
 
-def _expect_int(value, where: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise DatasetFormatError(f"{where}: expected int, got {type(value).__name__}")
-    return value
-
-
 def load_examples(path: str) -> list[QuestionExample]:
     """Read `save_examples` output; a malformed row raises DatasetFormatError naming its line."""
     examples = []
@@ -182,18 +176,18 @@ def load_examples(path: str) -> list[QuestionExample]:
                 _expect(span, list, f"{where}.span")
                 if len(span) != 2:
                     raise DatasetFormatError(f"{where}.span: expected 2 items, got {len(span)}")
-                span = tuple(_expect_int(v, f"{where}.span") for v in span)
+                span = tuple(_expect(v, int, f"{where}.span") for v in span)
             answers = _expect(row["answers"], list, f"{where}.answers")
             for answer in answers:
                 _expect(answer, str, f"{where}.answers")
-            passage_id = _expect_int(row["passage_id"], f"{where}.passage_id")
+            passage_id = _expect(row["passage_id"], int, f"{where}.passage_id")
             if passage_id < 0:
                 raise DatasetFormatError(f"{where}.passage_id: negative id {passage_id}")
             qid = _expect(row["qid"], str, f"{where}.qid")
             question = tokenize(_expect_text(row["question"], f"{where}.question"))
             if len(question) == 0:
                 raise DatasetFormatError(f"{where}.question: no tokens")
-            relevance = _expect_int(row["relevance"], f"{where}.relevance")
+            relevance = _expect(row["relevance"], int, f"{where}.relevance")
             try:
                 examples.append(QuestionExample(qid, question, passage_id, relevance, span,
                                                 tuple(answers)))

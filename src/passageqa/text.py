@@ -7,9 +7,10 @@ apostrophes) stays attached.  Every token carries character offsets into the
 original string so answer spans can be mapped back to text exactly.
 
 Word vectors are one read-only matrix whose row 0 is all zeros: an
-out-of-vocabulary word is row 0, so embedding a sequence is one gather.  The
-table sets the dtype: everything embedded from it (embeddings, masks, the
-match channel) has its matrix's dtype, float32 when read from a file.
+out-of-vocabulary word is row 0, so `model.encode_batch` embeds a whole
+batch with one gather.  The table sets the dtype: everything embedded from
+it (embeddings, masks, the match channel) has its matrix's dtype, float32
+when read from a file.
 
 A vector file is read in blocks of whole lines, and np.loadtxt parses each
 block's numbers in one call, with the bits float() gives (see load_vectors).
@@ -273,8 +274,3 @@ def save_vectors(path: str, table: VectorTable) -> None:
         for word, row in table.rows.items():
             values = " ".join(repr(float(x)) for x in table.matrix[row])
             fh.write(f"{word} {values}\n")
-
-
-def embed(seq: TokenSeq, table: VectorTable) -> np.ndarray:
-    """Embedding matrix (dim x len(seq)), one gather; out-of-vocabulary columns are zero."""
-    return table.matrix[[table.rows.get(tok, 0) for tok in seq.tokens]].T

@@ -302,6 +302,44 @@ def ref_backward(loss: RefNode) -> None:
 
 
 # ---------------------------------------------------------------------------
+# batch encoding, one row at a time
+#
+# model.encode_batch as it was before it gathered whole batches: each row's
+# embeddings and exact-match row are built alone, then copied into
+# zero-filled padded arrays.  The package must give these bytes.
+
+
+def encode_batch_rows(questions: list[TokenSeq], passages: list[TokenSeq],
+                      table: VectorTable) -> tuple[np.ndarray, ...]:
+    """(passage_emb, question_emb, passage_mask, question_mask, match_channel)."""
+    def embed(seq: TokenSeq) -> np.ndarray:
+        return table.matrix[[table.rows.get(tok, 0) for tok in seq.tokens]].T
+
+    def exact_match_channel(question: TokenSeq, passage: TokenSeq) -> np.ndarray:
+        vocab = set(question.tokens)
+        row = np.fromiter((1.0 if tok in vocab else 0.0 for tok in passage.tokens),
+                          dtype=np.float32, count=len(passage))
+        return row.reshape(1, -1)
+
+    n = len(questions)
+    t_max = max(len(p) for p in passages)
+    j_max = max(len(q) for q in questions)
+    dim, dtype = table.dim, table.matrix.dtype
+    passage_emb = np.zeros((n, dim, t_max), dtype=dtype)
+    question_emb = np.zeros((n, dim, j_max), dtype=dtype)
+    passage_mask = np.zeros((n, t_max), dtype=dtype)
+    question_mask = np.zeros((n, j_max), dtype=dtype)
+    match = np.zeros((n, 1, t_max), dtype=dtype)
+    for i, (q, p) in enumerate(zip(questions, passages)):
+        passage_emb[i, :, :len(p)] = embed(p)
+        question_emb[i, :, :len(q)] = embed(q)
+        passage_mask[i, :len(p)] = 1.0
+        question_mask[i, :len(q)] = 1.0
+        match[i, :, :len(p)] = exact_match_channel(q, p)
+    return passage_emb, question_emb, passage_mask, question_mask, match
+
+
+# ---------------------------------------------------------------------------
 # attention between two encoded sequences
 
 

@@ -250,6 +250,30 @@ def test_each_subcommand_takes_its_flags():
         assert info.value.code == 2, argv
 
 
+@pytest.mark.parametrize("command, setting, kind", [
+    ("eval-ir", "report", "directory"), ("eval-rc", "report", "directory"),
+    ("eval-mrs", "report", "directory"), ("build-index", "index", "directory"),
+    ("train", "checkpoint", "file"), ("ingest", "corpus", "file")])
+def test_output_setting_naming_the_wrong_kind_exits_2(ws, tmp_path, capsys, command,
+                                                      setting, kind):
+    """A file output that names a directory, or a directory output that names a
+    file, is refused before the command does any work."""
+    target = tmp_path / "out"
+    if kind == "directory":
+        target.mkdir()
+    else:
+        target.write_text("keep")
+    inputs = {"ingest": ["--dataset", ws.dataset], "build-index": ["--corpus", ws.corpus_dir],
+              "train": ["--config", ws.train_config]}
+    argv = ([command] + inputs[command] if command in inputs
+            else eval_args(ws, [command]))
+    code, out = run(argv + [f"--{setting}", str(target)])
+    err = capsys.readouterr().err
+    assert code == 2 and out == ""
+    assert f"error: {setting} must name" in err and str(target) in err, err
+    assert "Traceback" not in err
+
+
 def test_missing_required_setting_exits_2(tmp_path):
     code, _ = run(["build-index", "--index", str(tmp_path / "i.idx")])
     assert code == 2

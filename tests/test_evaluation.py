@@ -413,12 +413,13 @@ def test_scorer_equals_read_chunk_by_chunk(task):
         [encoded] = encode_sequences(weights, hp, [(batch.passage_emb, batch.passage_mask)])
         # The scorer pads cached encodings with +0.0.
         passages = np.zeros_like(encoded.value)
-        for j, length in enumerate(batch.passage_lengths):
+        for j, i in enumerate(rows):
+            length = len(records[i].tokens)
             passages[j, :, :length] = encoded.value[j, :, :length]
         questions = np.repeat(ctx_question.value, len(rows), axis=0)
         [state] = read(weights, hp, [(ad.constant(passages), ad.constant(questions), batch)])
         for j, i in enumerate(rows):
-            length = batch.passage_lengths[j]
+            length = len(records[i].tokens)
             t1, t2, score = select_span(state.start_probs.value[j, :length],
                                         state.end_probs.value[j, :length])
             scores[i] = float(state.relevance.value[j])

@@ -3,12 +3,12 @@ import hashlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from passageqa.model import (Hyperparams, encode_batch, exact_match_channel,
-                             extract_answer, forward_batch, init_weights,
-                             named_arrays, param_shapes, select_span,
-                             weights_from_named)
-from passageqa.text import VectorTable, tokenize
+from passageqa.model import (Hyperparams, encode_batch, extract_answer,
+                             forward_batch, init_weights, named_arrays,
+                             param_shapes, select_span, weights_from_named)
+from passageqa.text import TokenSeq, VectorTable, tokenize
 
 import oracles
 
@@ -157,7 +157,7 @@ def test_encode_batch_padding_and_masks():
     assert batch.question_emb.shape == (2, 4, 2)
     np.testing.assert_array_equal(batch.passage_mask, [[1, 1, 1], [1, 0, 0]])
     np.testing.assert_array_equal(batch.question_mask, [[1, 1], [1, 0]])
-    assert batch.passage_lengths == [3, 1]
+    assert batch.passage_mask.sum(axis=1).tolist() == [3, 1]
     # padding columns are zero
     np.testing.assert_array_equal(batch.passage_emb[1, :, 1:], np.zeros((4, 2)))
     np.testing.assert_array_equal(batch.match_channel[0, 0], [1.0, 0.0, 0.0])
@@ -175,13 +175,14 @@ def test_encode_batch_validates_inputs():
 
 
 def test_exact_match_channel_is_case_sensitive():
-    q = tokenize("cat")
-    np.testing.assert_array_equal(
-        exact_match_channel(q, tokenize("the cat")), [[0.0, 1.0]])
-    np.testing.assert_array_equal(
-        exact_match_channel(q, tokenize("the Cat")), [[0.0, 0.0]])
-    np.testing.assert_array_equal(
-        exact_match_channel(tokenize("a b"), tokenize("b a b")), [[1.0, 1.0, 1.0]])
+    table = VectorTable(2)
+
+    def channel(question, passage):
+        return encode_batch(seqs(question), seqs(passage), table).match_channel[0]
+
+    np.testing.assert_array_equal(channel("cat", "the cat"), [[0.0, 1.0]])
+    np.testing.assert_array_equal(channel("cat", "the Cat"), [[0.0, 0.0]])
+    np.testing.assert_array_equal(channel("a b", "b a b"), [[1.0, 1.0, 1.0]])
 
 
 # sha256 of encode_batch's five arrays (dtype, then bytes) for the batch
@@ -207,6 +208,36 @@ def test_encode_batch_bytes_are_golden(dtype):
         digest.update(arr.dtype.str.encode())
         digest.update(arr.tobytes())
     assert digest.hexdigest() == GOLDEN_EMBEDDINGS[dtype]
+
+
+# Case variants, punctuation tokens, non-ASCII words; the table holds a drawn
+# subset, so the rest are out of vocabulary.
+BATCH_WORDS = ["cat", "Cat", "CAT", "the", "sat", ".", "?", ",", "(", "naïve",
+               "Straße", "東京", "café", "x1", "oov"]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_encode_batch_equals_row_by_row_reference(data):
+    """Byte for byte, in all five arrays, the per-row builder's output."""
+    dtype = data.draw(st.sampled_from([np.float32, np.float64]))
+    known = data.draw(st.lists(st.sampled_from(BATCH_WORDS), unique=True))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+    table = make_table(rng, known, data.draw(st.integers(1, 5)), dtype)
+    tokens = st.lists(st.sampled_from(BATCH_WORDS), min_size=1, max_size=12)
+    # A small pool of sequences, so rows repeat questions and passages.
+    pool = [TokenSeq(" ".join(toks), tuple(toks), ())
+            for toks in data.draw(st.lists(tokens, min_size=1, max_size=4))]
+    rows = data.draw(st.lists(st.tuples(st.sampled_from(pool), st.sampled_from(pool)),
+                              min_size=1, max_size=6))
+    questions, passages = [q for q, _ in rows], [p for _, p in rows]
+    batch = encode_batch(questions, passages, table)
+    got = (batch.passage_emb, batch.question_emb, batch.passage_mask,
+           batch.question_mask, batch.match_channel)
+    for arr, ref in zip(got, oracles.encode_batch_rows(questions, passages, table)):
+        assert (arr.dtype, arr.shape) == (ref.dtype, ref.shape)
+        assert arr.flags.c_contiguous and ref.flags.c_contiguous
+        assert arr.tobytes() == ref.tobytes()
 
 
 # ---------------------------------------------------------------------------

@@ -10,8 +10,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from passageqa import text
-from passageqa.text import (TokenSeq, VectorFileError, VectorTable, embed,
-                            load_vectors, save_vectors, tokenize)
+from passageqa.model import encode_batch
+from passageqa.text import (TokenSeq, VectorFileError, VectorTable, load_vectors,
+                            save_vectors, tokenize)
 
 import oracles
 from fuzzing import draw_damaged
@@ -196,18 +197,21 @@ def test_table_dtype_follows_its_vectors():
     assert VectorTable(3).matrix.shape == (1, 3)
     table = VectorTable(2, {"a": np.array([0.1, 0.2])})
     assert table.matrix.dtype == np.float64
-    assert table.get("a")[0] == 0.1 and embed(tokenize("a z"), table).dtype == np.float64
+    seq = tokenize("a z")
+    assert table.get("a")[0] == 0.1
+    assert encode_batch([seq], [seq], table).passage_emb.dtype == np.float64
 
 
 def test_embed_stacks_columns():
     table = VectorTable(2, {"a": np.array([1.0, 2.0], dtype=np.float32)})
     seq = tokenize("a b a")
-    out = embed(seq, table)
+    [out] = encode_batch([seq], [seq], table).passage_emb
     assert out.shape == (2, 3) and out.dtype == np.float32
     np.testing.assert_array_equal(out[:, 0], [1.0, 2.0])
     np.testing.assert_array_equal(out[:, 1], [0.0, 0.0])
     np.testing.assert_array_equal(out[:, 2], [1.0, 2.0])
-    assert embed(tokenize(""), table).shape == (2, 0)
+    with pytest.raises(ValueError, match="empty passage"):
+        encode_batch([seq], [tokenize("")], table)
 
 
 @pytest.mark.parametrize("content", [
@@ -237,7 +241,8 @@ def test_damaged_vector_file_is_rejected_or_usable(data):
             return
     assert table.matrix.shape == (len(table) + 1, table.dim)
     assert table.matrix.dtype == np.float32 and np.isfinite(table.matrix).all()
-    out = embed(TokenSeq("", tuple(table.rows) + ("unseen",), ()), table)
+    seq = TokenSeq("", tuple(table.rows) + ("unseen",), ())
+    [out] = encode_batch([seq], [seq], table).passage_emb
     assert out.shape == (table.dim, len(table) + 1) and not out[:, -1].any()
 
 
