@@ -572,13 +572,11 @@ def bilstm_scan(groups, w_rec) -> list[Node]:
     bits of a call of its own.  The bit rule: a row's result from that
     product does not depend on the number of rows, except that OpenBLAS
     takes its gemv path for a single row, so a one-row group that shares
-    steps with another group may move by an ulp.  The product with w_rec
-    transposed in backprop through time does depend on the row count, so
-    backward takes it group by group.  Backward runs on the same layout and
-    forms each group's projection gradients and `w_rec` products from that
-    group's slice in time order.  Under `no_grad` no activations are kept,
-    and projections the caller does not hold are freed once copied in.
-    `mask` is never differentiated.
+    steps with another group may move by an ulp.  Gradients flow through
+    one group only: with more than one, an input that needs a gradient
+    raises ValueError.  Under `no_grad` no activations are kept, and
+    projections the caller does not hold are freed once copied in.  `mask`
+    is never differentiated.
     """
     w_f, w_b = (as_node(w) for w in w_rec)
     w = w_f.value
@@ -601,6 +599,10 @@ def bilstm_scan(groups, w_rec) -> list[Node]:
     dtype = projs[0][0].dtype
     if any(p.dtype != dtype for pair in projs for p in pair):
         raise ValueError("bilstm_scan: every projection must have one dtype")
+    parents = tuple(p for pair in projs for p in pair) + (w_f, w_b)
+    record = _grad_enabled and any(p.needs_grad for p in parents)
+    if record and len(groups) > 1:
+        raise ValueError(f"bilstm_scan: gradients flow through one group, got {len(groups)}")
     # Rows of the groups in decreasing length order.  Steps lo..hi-1 of a
     # segment (lo, hi, n) run the first n rows; the last steps come first.
     rows, segments, start = [None] * len(groups), [], 0
@@ -622,10 +624,8 @@ def bilstm_scan(groups, w_rec) -> list[Node]:
         keep[:length, 0, r, 0] = mask.T
         keep[:length, 1, r, 0] = mask.T[::-1]
     w = np.stack([w, w_b.value])
-    parents = tuple(p for pair in projs for p in pair) + (w_f, w_b)
     # Step t reads state row t and writes row t + 1; row 0 is the zero initial
     # state.  Without backward one slot of acts and two of cells are reused.
-    record = _grad_enabled and any(p.needs_grad for p in parents)
     kept = steps if record else 1
     if not record:              # no backward: the projections can go now
         groups = projs = parents = ()
@@ -648,64 +648,39 @@ def bilstm_scan(groups, w_rec) -> list[Node]:
             np.multiply(keep_n[t], f * cells_n[t % (kept + 1)] + i * cand, out=c)
             np.multiply(keep_n[t], o * np.tanh(c, out=tanh_n[t % kept]), out=states_n[t + 1])
     xs = xs_n = None            # free the inputs before the outputs are copied out
-    grads: list = [None] * len(rows)
 
-    def back(_):
-        gs = np.zeros((steps, 2, batch, hidden), dtype)
-        for g, r in zip(grads, rows):
-            if g is not None:
-                gs[:g.shape[2], 0, r] = g[:, :hidden].transpose(2, 0, 1)
-                gs[:g.shape[2], 1, r] = g[:, hidden:, ::-1].transpose(2, 0, 1)
+    def back(g):
+        gs = np.empty((steps, 2, batch, hidden), dtype)
+        gs[:, 0] = g[:, :hidden].transpose(2, 0, 1)
+        gs[:, 1] = g[:, hidden:, ::-1].transpose(2, 0, 1)
         d_gates = np.empty_like(acts)
         w_t = w.swapaxes(1, 2)
-        dh = dc = np.zeros((2, 0, hidden), dtype)
-        for lo, hi, n in segments:
-            acts_n, keep_n, tanh_n, cells_n, gs_n, d_gates_n = (
-                buf[:, :, :n] for buf in (acts, keep, tanh_c, cells, gs, d_gates))
-            # Rows whose last step is hi - 1 start from zero gradients.
-            more = np.zeros((2, n - dh.shape[1], hidden), dtype)
-            dh, dc = np.concatenate([dh, more], axis=1), np.concatenate([dc, more], axis=1)
-            # The product with w transposed depends on the row count (see the
-            # bit rule), so each running group writes its own rows of dh.
-            products = [(d_gates_n[:, :, rows[g]], dh[:, rows[g]])
-                        for g in order if rows[g].start < n]
-            for t in range(hi - 1, lo - 1, -1):
-                i, f, cand, o = (acts_n[t, ..., b] for b in blocks)
-                k, tc = keep_n[t], tanh_n[t]
-                dh_new, dc_new = k * (dh + gs_n[t]), k * dc
-                dc_new += dh_new * o * (1.0 - tc * tc)
-                d_gates_n[t] = np.concatenate([dc_new * cand * i * (1.0 - i),
-                                               dc_new * cells_n[t] * f * (1.0 - f),
-                                               dc_new * i * (1.0 - cand * cand),
-                                               dh_new * tc * o * (1.0 - o)], axis=-1)
-                dc = dc_new * f
-                for d_gates_g, dh_g in products:
-                    np.matmul(d_gates_g[t], w_t, out=dh_g)
-        # Per group and in actual time order, as a call of its own sums them.
-        for g, pair, r in zip(grads, projs, rows):
-            if g is None:
-                continue
-            length = g.shape[2]
-            for node, w_node, d_k, h_k in zip(pair, (w_f, w_b),
-                                              _scan_unstack(d_gates[:length, :, r]),
-                                              _scan_unstack(states[:length, :, r])):
-                _accumulate(node, d_k.transpose(1, 0, 2))
-                _accumulate(w_node, h_k.reshape(-1, hidden).T @ d_k.reshape(-1, 4 * hidden),
-                            fresh=True)
+        dh, dc = np.zeros((2, batch, hidden), dtype), np.zeros((2, batch, hidden), dtype)
+        for t in range(steps - 1, -1, -1):
+            i, f, cand, o = (acts[t, ..., b] for b in blocks)
+            k, tc = keep[t], tanh_c[t]
+            dh_new, dc_new = k * (dh + gs[t]), k * dc
+            dc_new += dh_new * o * (1.0 - tc * tc)
+            d_gates[t] = np.concatenate([dc_new * cand * i * (1.0 - i),
+                                         dc_new * cells[t] * f * (1.0 - f),
+                                         dc_new * i * (1.0 - cand * cand),
+                                         dh_new * tc * o * (1.0 - o)], axis=-1)
+            dc = dc_new * f
+            np.matmul(d_gates[t], w_t, out=dh)
+        for node, w_node, d_k, h_k in zip(projs[0], (w_f, w_b), _scan_unstack(d_gates),
+                                          _scan_unstack(states[:steps])):
+            _accumulate(node, d_k.transpose(1, 0, 2))
+            _accumulate(w_node, h_k.reshape(-1, hidden).T @ d_k.reshape(-1, 4 * hidden),
+                        fresh=True)
 
-    hub = _make("bilstm_scan", states, parents, back)
     outs = []
-    for g, r in enumerate(rows):
-        length = masks[g].shape[1]
+    for mask, r in zip(masks, rows):
+        length = mask.shape[1]
         value = np.empty((r.stop - r.start, 2 * hidden, length), dtype)
         # C order, not the time-major one: downstream matmuls round by layout.
         value[:, :hidden], value[:, hidden:] = (s.transpose(1, 2, 0) for s in
                                                 _scan_unstack(states[1:length + 1, :, r]))
-
-        def route(grad, g=g):
-            grads[g] = grad
-
-        outs.append(_make("bilstm_scan_out", value, (hub,), route))
+        outs.append(_make("bilstm_scan", value, parents, back))
     return outs
 
 

@@ -48,11 +48,14 @@ def save_checkpoint(path: str, hp: Hyperparams, weights: ModelWeights,
                     ema: dict[str, np.ndarray]) -> None:
     """Write weights plus their EMA shadows; settings travel along.
 
-    `ema` must hold exactly one shadow per weight, shaped like it, and every
-    value must be finite, as `load_checkpoint` requires; anything else
-    raises ValueError before the file is opened.
+    `hp` must pass `Hyperparams.from_dict`, the weights must have the shapes
+    `hp` gives them, `ema` must hold exactly one shadow per weight, shaped
+    like it, and every value must be finite in float32, as `load_checkpoint`
+    requires; anything else raises ValueError before the file is opened.
     """
+    Hyperparams.from_dict(hp.to_dict())
     named = named_arrays(weights)
+    weights_from_named(weights.embed_dim, hp.hidden, hp.attn_dim, named)
     for name, array in named.items():
         if name not in ema:
             raise ValueError(f"missing EMA shadow for {name}")
@@ -60,8 +63,10 @@ def save_checkpoint(path: str, hp: Hyperparams, weights: ModelWeights,
             raise ValueError(f"EMA shadow for {name} has shape {np.shape(ema[name])}, "
                              f"weight has {array.shape}")
         for what, values in (("weight", array), ("EMA shadow for", ema[name])):
-            if not np.isfinite(values).all():
-                raise ValueError(f"{what} {name} holds NaN or inf")
+            with np.errstate(over="ignore"):
+                stored = np.asarray(values, "<f4")
+            if not np.isfinite(stored).all():
+                raise ValueError(f"{what} {name} holds NaN or inf in float32")
     extra = set(ema) - set(named)
     if extra:
         raise ValueError(f"EMA shadows for unknown weights: {sorted(extra)}")

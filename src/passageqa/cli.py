@@ -131,10 +131,17 @@ def _require_file(path: str, what: str) -> str:
 
 def _check_output(path: str | Path | None, setting: str, directory: bool) -> None:
     """Refuse an output setting that names a directory where the command writes
-    a file, or a file where it writes a directory, before any work is done."""
-    if path is not None and Path(path).exists() and Path(path).is_dir() != directory:
+    a file, a file where it writes a directory, or a file in a directory that
+    does not exist, before any work is done."""
+    if path is None:
+        return
+    path = Path(path)
+    if path.exists() and path.is_dir() != directory:
         want, found = ("a directory", "a file") if directory else ("a file", "a directory")
         raise ConfigError(f"{setting} must name {want}, but {path} is {found}")
+    if not directory and not path.parent.is_dir():
+        raise ConfigError(f"{setting} must name a file in an existing directory, "
+                          f"but {path} is not in one")
 
 
 def _load_corpus_dir(corpus_dir: str) -> Corpus:
@@ -178,11 +185,8 @@ def _build_scorer(s: argparse.Namespace) -> NeuralScorer:
             f"{weights.embed_dim}")
     hp = _hyperparams(s, hp.to_dict(), ("tau",))
     # Inference uses the averaged weights.
-    try:
-        averaged = weights_from_named(weights.embed_dim, hp.hidden, hp.attn_dim, ema)
-    except ValueError as exc:
-        raise CheckpointFormatError(f"{ckpt_path}: {exc}") from None
-    return NeuralScorer(averaged, hp, table)
+    return NeuralScorer(weights_from_named(weights.embed_dim, hp.hidden, hp.attn_dim, ema),
+                        hp, table)
 
 
 def _load_index(s: argparse.Namespace, corpus: Corpus) -> TfIdfIndex:

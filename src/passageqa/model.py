@@ -18,7 +18,8 @@ inference can encode a question once and reuse passage encodings.  `read`
 takes a list of chunks and runs each later bi-LSTM once over all of them
 (`ad.bilstm_scan` groups), while attention and the heads stay per chunk.
 Each chunk keeps the bits it gets alone, except a one-row chunk sharing
-steps with others, which may move by an ulp.
+steps with others, which may move by an ulp.  Gradients flow through one
+chunk; several chunks run without them, as the scorer's waves do.
 
 All sequence tensors are (batch, features, time).  Masks are constant float
 arrays (batch, time) and right-padded: 1.0 at the real tokens, which come
@@ -418,8 +419,9 @@ def read(weights: ModelWeights, hp: Hyperparams,
     heads' arithmetic run chunk by chunk; each of the fusion, start, end and
     rel bi-LSTMs runs one time loop over all chunks, which gives every chunk
     the bits it gets alone, except for a one-row chunk (see
-    `ad.bilstm_scan`).  With train=True, dropout draws from `rng` stage by
-    stage, chunk by chunk within a stage.
+    `ad.bilstm_scan`).  Gradients flow through one chunk only: several
+    chunks run without them, as the scorer's waves do.  With train=True,
+    dropout draws from `rng` stage by stage, chunk by chunk within a stage.
     """
     unknown = set(heads) - {"span", "relevance"}
     if unknown:

@@ -104,7 +104,8 @@ def ingest_dataset(path: str) -> tuple[Corpus, list[QuestionExample], IngestStat
             for q_i, qa in enumerate(qas):
                 where_q = f"{where_p}.qas[{q_i}]"
                 _expect(qa, dict, where_q)
-                qid = str(_expect(qa.get("id"), (str, int), f"{where_q}.id"))
+                qid = _expect_text(str(_expect(qa.get("id"), (str, int), f"{where_q}.id")),
+                                   f"{where_q}.id")
                 question = _expect_text(qa.get("question"), f"{where_q}.question")
                 answers = _expect(qa.get("answers"), list, f"{where_q}.answers")
                 stats.n_questions += 1
@@ -113,7 +114,7 @@ def ingest_dataset(path: str) -> tuple[Corpus, list[QuestionExample], IngestStat
                 for an_i, answer in enumerate(answers):
                     where_an = f"{where_q}.answers[{an_i}]"
                     _expect(answer, dict, where_an)
-                    text = _expect(answer.get("text"), str, f"{where_an}.text")
+                    text = _expect_text(answer.get("text"), f"{where_an}.text")
                     start = _expect(answer.get("answer_start"), int,
                                     f"{where_an}.answer_start")
                     texts.append(text)
@@ -140,18 +141,55 @@ def ingest_dataset(path: str) -> tuple[Corpus, list[QuestionExample], IngestStat
 
 
 def save_examples(path: str, examples: list[QuestionExample]) -> None:
-    """One JSON object per line; token spans are recomputable but stored."""
+    """One JSON object per line; token spans are recomputable but stored.
+    Raises ValueError, before the file is opened, for an example that
+    `load_examples` would refuse."""
+    lines = []
+    for i, ex in enumerate(examples):
+        row = {
+            "qid": ex.qid,
+            "question": ex.question.text,
+            "passage_id": ex.passage_id,
+            "relevance": ex.relevance,
+            "span": None if ex.span is None else list(ex.span),
+            "answers": list(ex.answer_texts),
+        }
+        try:
+            _example_from_row(row, f"example {i}")
+        except DatasetFormatError as exc:
+            raise ValueError(f"cannot save {exc}") from None
+        lines.append(json.dumps(row, ensure_ascii=False, sort_keys=True) + "\n")
     with open(path, "w", encoding="utf-8") as fh:
-        for ex in examples:
-            row = {
-                "qid": ex.qid,
-                "question": ex.question.text,
-                "passage_id": ex.passage_id,
-                "relevance": ex.relevance,
-                "span": list(ex.span) if ex.span else None,
-                "answers": list(ex.answer_texts),
-            }
-            fh.write(json.dumps(row, ensure_ascii=False, sort_keys=True) + "\n")
+        fh.writelines(lines)
+
+
+def _example_from_row(row, where: str) -> QuestionExample:
+    """The example one parsed row holds; DatasetFormatError naming `where` otherwise."""
+    _expect(row, dict, where)
+    missing = {"qid", "question", "passage_id", "relevance", "span", "answers"} - set(row)
+    if missing:
+        raise DatasetFormatError(f"{where}: missing fields {sorted(missing)}")
+    span = row["span"]
+    if span is not None:
+        _expect(span, list, f"{where}.span")
+        if len(span) != 2:
+            raise DatasetFormatError(f"{where}.span: expected 2 items, got {len(span)}")
+        span = tuple(_expect(v, int, f"{where}.span") for v in span)
+    answers = _expect(row["answers"], list, f"{where}.answers")
+    for answer in answers:
+        _expect_text(answer, f"{where}.answers")
+    passage_id = _expect(row["passage_id"], int, f"{where}.passage_id")
+    if passage_id < 0:
+        raise DatasetFormatError(f"{where}.passage_id: negative id {passage_id}")
+    qid = _expect_text(row["qid"], f"{where}.qid")
+    question = tokenize(_expect_text(row["question"], f"{where}.question"))
+    if len(question) == 0:
+        raise DatasetFormatError(f"{where}.question: no tokens")
+    relevance = _expect(row["relevance"], int, f"{where}.relevance")
+    try:
+        return QuestionExample(qid, question, passage_id, relevance, span, tuple(answers))
+    except ValueError as exc:
+        raise DatasetFormatError(f"{where}: {exc}") from None
 
 
 def load_examples(path: str) -> list[QuestionExample]:
@@ -167,32 +205,7 @@ def load_examples(path: str) -> list[QuestionExample]:
                 row = json.loads(line)
             except ValueError as exc:   # also an integer beyond int()'s digit limit
                 raise DatasetFormatError(f"{where}: invalid JSON: {exc}") from None
-            _expect(row, dict, where)
-            missing = {"qid", "question", "passage_id", "relevance", "span", "answers"} - set(row)
-            if missing:
-                raise DatasetFormatError(f"{where}: missing fields {sorted(missing)}")
-            span = row["span"]
-            if span is not None:
-                _expect(span, list, f"{where}.span")
-                if len(span) != 2:
-                    raise DatasetFormatError(f"{where}.span: expected 2 items, got {len(span)}")
-                span = tuple(_expect(v, int, f"{where}.span") for v in span)
-            answers = _expect(row["answers"], list, f"{where}.answers")
-            for answer in answers:
-                _expect(answer, str, f"{where}.answers")
-            passage_id = _expect(row["passage_id"], int, f"{where}.passage_id")
-            if passage_id < 0:
-                raise DatasetFormatError(f"{where}.passage_id: negative id {passage_id}")
-            qid = _expect(row["qid"], str, f"{where}.qid")
-            question = tokenize(_expect_text(row["question"], f"{where}.question"))
-            if len(question) == 0:
-                raise DatasetFormatError(f"{where}.question: no tokens")
-            relevance = _expect(row["relevance"], int, f"{where}.relevance")
-            try:
-                examples.append(QuestionExample(qid, question, passage_id, relevance, span,
-                                                tuple(answers)))
-            except ValueError as exc:
-                raise DatasetFormatError(f"{where}: {exc}") from None
+            examples.append(_example_from_row(row, where))
     return examples
 
 

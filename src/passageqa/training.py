@@ -237,6 +237,10 @@ def train(positives: list[QuestionExample], corpus: Corpus, index: TfIdfIndex,
     for ex in positives:
         if ex.relevance != 1:
             raise ValueError(f"train() takes positive examples only, got {ex.qid}")
+        n_tokens = len(corpus[ex.passage_id].tokens)
+        if not 0 <= ex.span[0] <= ex.span[1] < n_tokens:
+            raise ValueError(f"question {ex.qid}: span {ex.span} outside passage "
+                             f"{ex.passage_id} of {n_tokens} tokens")
 
     seeds = np.random.SeedSequence(hp.seed).spawn(4)
     rng_init = np.random.default_rng(seeds[0])

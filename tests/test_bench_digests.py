@@ -1,0 +1,36 @@
+"""The tiny benchmark runs keep their output digests.
+
+Each workload of bench/run.py runs in a subprocess at its --tiny size, seed
+7.  The digest hashes the workload's outputs (ranked ids, scores, answers,
+losses), so a change that moves any bit of them fails here.  The digests
+were taken with one OpenBLAS thread (the bench's own setting) on the
+SkylakeX kernel; another kernel may give other bits (see conftest.py).
+"""
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+RUN = Path(__file__).resolve().parents[1] / "bench" / "run.py"
+
+TINY_SEED_7 = {
+    "ask_default": "1065a28fbbf6615cd31e71bdb8cc7c868d5d6b1cdf68c42935cbfdcfe2e32b64",
+    "train_mtl": "51564d0df0355c94cfd682f1eae549463d77328918c621a8094e49247b2f22d0",
+    "train_rc": "1e562d7abca5f0ff52ff790470b1f3f28dda0162ef70d4a4aec2ba5e6d83174f",
+}
+
+
+@pytest.mark.parametrize("workload", sorted(TINY_SEED_7))
+def test_tiny_bench_digest_is_golden(workload):
+    run = subprocess.run([sys.executable, str(RUN), "--workload", workload, "--seed", "7",
+                          "--seconds", "0.3", "--trace", "0", "--tiny"],
+                         capture_output=True, text=True, timeout=300)
+    assert run.returncode == 0, run.stderr
+    lines = run.stdout.splitlines()
+    [digest] = [line.split()[-1] for line in lines if line.startswith("#   digest ")]
+    [environment] = [line for line in lines if line.startswith("#   environment ")]
+    assert "correct=True" in lines[0], run.stdout
+    assert digest == f"sha256:{TINY_SEED_7[workload]}", (
+        f"{workload}: tiny seed-7 digest moved; the golden was taken with one OpenBLAS "
+        f"thread on the SkylakeX kernel, this run had{environment[len('#  '):]}")

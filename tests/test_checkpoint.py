@@ -179,3 +179,56 @@ def test_damaged_checkpoint_is_rejected_or_loadable(data):
         except CheckpointFormatError:
             return
     weights_from_named(weights.embed_dim, hp.hidden, hp.attn_dim, ema)
+
+
+HP_VALUES = {"hidden": st.integers(0, 3), "epochs": st.integers(0, 3) | st.floats(0, 3),
+             "vote_temperature": st.floats(-1, 1) | st.integers(-1, 1),
+             "dropout": st.floats(-0.5, 1.5), "seed": st.integers(-1, 2**40)}
+
+
+@st.composite
+def checkpoint_inputs(draw, broad: bool):
+    """(hp, weights, ema); `broad` ones may hold what the format cannot."""
+    embed_dim, hidden, attn_dim = (draw(st.integers(1, 3)) for _ in range(3))
+    over = draw(st.fixed_dictionaries({}, optional=HP_VALUES)) if broad else {}
+    hp = Hyperparams(**dict({"hidden": hidden, "attn_dim": attn_dim}, **over))
+    dtype = draw(st.sampled_from([np.float32, np.float64]))
+    weights = init_weights(np.random.default_rng(draw(st.integers(0, 9))), embed_dim,
+                           hidden, attn_dim, dtype=dtype)
+    ema = {name: arr * 0.5 for name, arr in named_arrays(weights).items()}
+    if broad and dtype == np.float64 and draw(st.booleans()):
+        ema["sim_weight"][0] = 1e39         # finite, but not in float32
+    return hp, weights, ema
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.booleans().flatmap(lambda broad: st.tuples(st.just(broad),
+                                                     checkpoint_inputs(broad))))
+def test_saved_checkpoint_loads_back_equal_or_is_refused(case):
+    """save_checkpoint writes what load_checkpoint reads back equal (weights as
+    float32), or raises ValueError and writes nothing; valid inputs are saved."""
+    broad, (hp, weights, ema) = case
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "m.ckpt"
+        try:
+            save_checkpoint(str(path), hp, weights, ema)
+        except ValueError:
+            assert broad and not path.exists()
+            return
+        hp2, weights2, ema2 = load_checkpoint(str(path))
+    assert hp2 == hp
+    for name, arr in named_arrays(weights).items():
+        assert named_arrays(weights2)[name].tobytes() == arr.astype("<f4").tobytes()
+        assert ema2[name].tobytes() == ema[name].astype("<f4").tobytes()
+
+
+@pytest.mark.parametrize("hp, message", [
+    (Hyperparams(hidden=3, attn_dim=2, vote_temperature=-1.0), "vote_temperature must be"),
+    (Hyperparams(hidden=3, attn_dim=2, epochs=2.5), "hyperparameter epochs must be int"),
+    (Hyperparams(hidden=2, attn_dim=2), "expected shape")])
+def test_save_refuses_what_load_refuses(saved, tmp_path, hp, message):
+    _, _, weights, ema = saved
+    path = tmp_path / "bad.ckpt"
+    with pytest.raises(ValueError, match=message):
+        save_checkpoint(str(path), hp, weights, ema)
+    assert not path.exists()

@@ -253,16 +253,21 @@ def test_each_subcommand_takes_its_flags():
 @pytest.mark.parametrize("command, setting, kind", [
     ("eval-ir", "report", "directory"), ("eval-rc", "report", "directory"),
     ("eval-mrs", "report", "directory"), ("build-index", "index", "directory"),
-    ("train", "checkpoint", "file"), ("ingest", "corpus", "file")])
+    ("train", "checkpoint", "file"), ("ingest", "corpus", "file"),
+    ("eval-ir", "report", "missing"), ("eval-rc", "report", "missing"),
+    ("eval-mrs", "report", "missing"), ("build-index", "index", "missing")])
 def test_output_setting_naming_the_wrong_kind_exits_2(ws, tmp_path, capsys, command,
                                                       setting, kind):
-    """A file output that names a directory, or a directory output that names a
-    file, is refused before the command does any work."""
+    """A file output that names a directory, a directory output that names a
+    file, or a file output in a missing directory, is refused before the
+    command does any work."""
     target = tmp_path / "out"
     if kind == "directory":
         target.mkdir()
-    else:
+    elif kind == "file":
         target.write_text("keep")
+    else:
+        target = tmp_path / "missing" / "out"
     inputs = {"ingest": ["--dataset", ws.dataset], "build-index": ["--corpus", ws.corpus_dir],
               "train": ["--config", ws.train_config]}
     argv = ([command] + inputs[command] if command in inputs

@@ -1,5 +1,4 @@
 """LSTM / highway layer tests against hand-rolled scalar references."""
-import functools
 
 import numpy as np
 import pytest
@@ -111,51 +110,42 @@ def scan_groups(draw):
     return draw(st.integers(1, 20)), dtype, draw(st.integers(0, 2**32 - 1)), masks
 
 
-def scan_with_grads(groups, w_rec, grads):
-    """bilstm_scan over `groups` of (proj pair, mask), backpropagating `grads`
-    (one per group); returns the outputs, each group's projection gradients
-    and the two w_rec gradients."""
-    proj_leaves = [[leaf(p, True) for p in proj] for proj, _ in groups]
-    w_leaves = [leaf(w, True) for w in w_rec]
-    outs = ad.bilstm_scan([(pair, mask) for pair, (_, mask) in zip(proj_leaves, groups)],
-                          w_leaves)
-    loss = None
-    for out, grad in zip(outs, grads):
-        term = ad.reduce_sum(ad.mul(out, constant(grad)))
-        loss = term if loss is None else ad.add(loss, term)
-    ad.backward(loss)
-    return ([out.value for out in outs], [[n.grad for n in pair] for pair in proj_leaves],
-            [n.grad for n in w_leaves])
-
-
 @settings(max_examples=60, deadline=None)
 @given(scan_groups())
 def test_grouped_bilstm_scan_equals_one_call_per_group(case):
-    """Values and all four gradients equal those of one call per group, byte for
-    byte; each w_rec gradient is the per-call ones summed in group order.  A
-    one-row group sharing steps with others may move by an ulp (single-row
-    products take another BLAS path), so then only closeness is checked."""
+    """Run without gradients, as the scorer's waves run, each group's states
+    equal those of a call of its own, byte for byte.  A one-row group sharing
+    steps with others may move by an ulp (single-row products take another
+    BLAS path), so then only closeness is checked."""
     hidden, dtype, seed, masks = case
     rng = np.random.default_rng(seed)
     groups = [([rng.standard_normal(m.shape + (4 * hidden,)).astype(dtype) for _ in range(2)], m)
               for m in masks]
     w_rec = [(rng.standard_normal((hidden, 4 * hidden)) * 0.5).astype(dtype) for _ in range(2)]
-    grads = [rng.standard_normal((len(m), 2 * hidden, m.shape[1])).astype(dtype) for m in masks]
-    values, proj_grads, w_grads = scan_with_grads(groups, w_rec, grads)
-    alone = [scan_with_grads([group], w_rec, [grad]) for group, grad in zip(groups, grads)]
-    want_values = [a[0][0] for a in alone]
-    want_proj = [a[1][0] for a in alone]
-    want_w = [functools.reduce(np.add, (a[2][k] for a in alone)) for k in range(2)]
-    got = values + [g for pair in proj_grads for g in pair] + w_grads
-    want = want_values + [g for pair in want_proj for g in pair] + want_w
+    values = [out.value for out in ad.bilstm_scan(groups, w_rec)]
+    want = [ad.bilstm_scan([group], w_rec)[0].value for group in groups]
     assert all(v.flags.c_contiguous and v.dtype == dtype for v in values)
     if len(masks) > 1 and any(len(m) == 1 for m in masks):
-        for a, b in zip(got, want):
+        for a, b in zip(values, want):
             np.testing.assert_allclose(a, b, rtol=1e-4 if dtype == np.float32 else 1e-10,
                                        atol=1e-5 if dtype == np.float32 else 1e-12)
     else:
-        for a, b in zip(got, want):
+        for a, b in zip(values, want):
             assert a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("learned", ["proj", "w_rec"])
+def test_grouped_bilstm_scan_refuses_gradients(learned):
+    """Gradients flow through one group: two groups with an input that needs
+    a gradient raise ValueError, and run under no_grad."""
+    proj = leaf(np.ones((2, 3, 8)), learned == "proj")
+    w_rec = leaf(np.ones((2, 8)), learned == "w_rec")
+    groups = [((proj, proj), np.ones((2, 3))), ((proj, proj), np.ones((2, 3)))]
+    with pytest.raises(ValueError, match="bilstm_scan: gradients flow through one group"):
+        ad.bilstm_scan(groups, (w_rec, w_rec))
+    assert len(ad.bilstm_scan(groups[:1], (w_rec, w_rec))) == 1
+    with ad.no_grad():
+        assert len(ad.bilstm_scan(groups, (w_rec, w_rec))) == 2
 
 
 @pytest.mark.parametrize("mask", [[[1, 1, 0], [1, 0, 1]], [[1, 1, 1], [1, 0.5, 0]],

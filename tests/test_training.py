@@ -495,6 +495,21 @@ def test_train_validates_inputs(task, task_index):
         train([neg], task.corpus, task_index, task.table, small_hp())
 
 
+def test_train_refuses_a_span_past_its_own_passage():
+    """A span inside the batch's padded length but past its own passage's
+    tokens is refused before any step, naming the question and the passage."""
+    from passageqa.retriever import Corpus, PassageRecord, build_index
+    from passageqa.text import VectorTable
+    corpus = Corpus([PassageRecord(0, 0, "one two three four"),
+                     PassageRecord(1, 0, " ".join(f"w{i}" for i in range(30)))])
+    table = VectorTable(4, {"one": np.ones(4, np.float32)})
+    examples = [positive("long", 1, (2, 3)), positive("short", 0, (20, 21))]
+    with pytest.raises(ValueError, match=r"question short: span \(20, 21\) outside "
+                                         r"passage 0 of 4 tokens"):
+        train(examples, corpus, build_index(corpus), table,
+              small_hp(epochs=1, batch_positives=2), mode=TrainMode.READING_ONLY)
+
+
 def test_train_mode_stl_rc_needs_no_negatives(task, task_index):
     hp = small_hp(epochs=1)
     result = train(task.examples[:4], task.corpus, task_index, task.table, hp,
