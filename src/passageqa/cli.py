@@ -130,12 +130,16 @@ def _require_file(path: str, what: str) -> str:
 
 
 def _check_output(path: str | Path | None, setting: str, directory: bool) -> None:
-    """Refuse an output setting that names a directory where the command writes
-    a file, a file where it writes a directory, or a file in a directory that
-    does not exist, before any work is done."""
+    """Refuse an output setting that names a path below a file, a directory
+    where the command writes a file, a file where it writes a directory, or a
+    file in a directory that does not exist, before any work is done."""
     if path is None:
         return
     path = Path(path)
+    for ancestor in path.parents:
+        if ancestor.exists() and not ancestor.is_dir():
+            raise ConfigError(f"{setting} must name a path below directories only, "
+                              f"but {path} lies below the file {ancestor}")
     if path.exists() and path.is_dir() != directory:
         want, found = ("a directory", "a file") if directory else ("a file", "a directory")
         raise ConfigError(f"{setting} must name {want}, but {path} is {found}")

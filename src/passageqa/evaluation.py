@@ -10,11 +10,23 @@ cannot overflow.
 `NeuralScorer` scores passages in chunks of SCORE_BATCH, sorted by length
 so little of each chunk is padding.  The contextual encoding of every
 question and passage it sees stays in one LRU keyed by text (so one scorer
-serves any corpus), bounded at ENCODING_CACHE_BYTES: ranking and then
-reading for one question encode it once, and a later question re-runs only
-the attention, fusion and heads on a cached passage.  An encoding made
-inside one chunk may differ by an ulp from one made inside another, so a
-score can depend on which chunk first encoded its passage.
+serves any corpus), bounded at ENCODING_CACHE_BYTES, together with the
+text's token numbers in the scorer's own vocabulary; both leave the LRU
+together.  A chunk of cached texts is batched from those numbers with no
+per-token Python, and only the texts the chunk must encode are embedded.
+Ranking and then reading for one question encode it once, and a later
+question re-runs only the attention, fusion and heads on a cached passage.
+An encoding made inside one chunk may differ by an ulp from one made inside
+another, so a score can depend on which chunk first encoded its passage.
+
+When a chain ends in a neural stage, `telescope` asks the scorer to keep
+the final_k finalists of that stage: copies of their attention output and
+fused states over their real tokens, and their relevance.  `read_candidates`
+then runs only the span heads on them, padded as a fresh read would pad
+them, so an ask runs attention, fusion and the rel head once per survivor,
+and each finalist has one relevance for ranking and voting.  Anything else
+(`eval-rc`, a chain ending in tfidf, another question or passage) is read
+afresh.
 
 Consecutive chunks are read in waves: one `read` call, so one time loop per
 bi-LSTM layer, for as many chunks as keep their (rows, 8d, T) attention
@@ -34,8 +46,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import autodiff as ad
-from .model import (Hyperparams, ModelWeights, encode_batch, encode_sequences,
-                    extract_answer, read, select_span)
+from .model import (ForwardState, Hyperparams, ModelWeights, Vocabulary, encode_batch,
+                    encode_sequences, extract_answer, read, select_span, span_head)
 from .retriever import Corpus, PassageRecord, RankedList, TfIdfIndex, top_k
 from .text import TokenSeq, VectorTable
 from .training import QuestionExample
@@ -118,6 +130,38 @@ class AnswerCandidate:
     relevance: float
 
 
+@dataclass
+class _Finalist:
+    """What a finalist keeps from the rank pass for `read_candidates`: its
+    passage text, copies of its attention output (8d, n) and fused states
+    (2d, n) over its n real tokens, and its relevance."""
+
+    text: str
+    attended: np.ndarray
+    fused: np.ndarray
+    relevance: float
+
+    @classmethod
+    def from_state(cls, rec: PassageRecord, state: ForwardState, row: int,
+                   relevance: float) -> _Finalist:
+        """Row `row` of a rank-pass state, copied so that no wave array stays alive."""
+        n = len(rec.tokens)
+        return cls(rec.text, state.attended.value[row, :, :n].copy(),
+                   state.fused.value[row, :, :n].copy(), relevance)
+
+
+class _ScorerVocabulary(Vocabulary):
+    """The scorer's vocabulary: a cached text's numbers come from the LRU."""
+
+    def __init__(self, table: VectorTable, cache: OrderedDict):
+        super().__init__(table)
+        self.cache = cache
+
+    def ids(self, seq: TokenSeq) -> np.ndarray:
+        entry = self.cache.get(seq.text)
+        return super().ids(seq) if entry is None else entry[0]
+
+
 class NeuralScorer:
     """Runs the trained network in eval mode for ranking and reading.
 
@@ -130,16 +174,22 @@ class NeuralScorer:
         self.weights = weights
         self.hp = hp
         self.table = table
-        self._encodings: OrderedDict[str, np.ndarray] = OrderedDict()  # text -> (2d, len)
+        # text -> (token numbers (len,), contextual states (2d, len))
+        self._encodings: OrderedDict[str, tuple[np.ndarray, np.ndarray]] = OrderedDict()
         self._encoded_bytes = 0
+        self.vocabulary = _ScorerVocabulary(table, self._encodings)
+        self._question = ""                 # the text the finalists were ranked for
+        self._finalists: dict[int, _Finalist] = {}
 
-    def _states(self, seqs: list[TokenSeq], emb: np.ndarray, mask: np.ndarray) -> np.ndarray:
-        """(B, 2d, T) contextual states of `seqs`, one per row of `emb` (B, dim, T).
+    def _states(self, seqs: list[TokenSeq], ids: np.ndarray, mask: np.ndarray) -> np.ndarray:
+        """(B, 2d, T) contextual states of `seqs`, whose padded token numbers
+        and mask are the rows of `ids` and `mask` (B, T).
 
         The cache is keyed by each sequence's text.  A text not in it is
-        encoded once, from its first row.  The cache is cut back to its bound
-        only after every row is copied out, so an eviction cannot drop an
-        encoding this call still needs."""
+        embedded and encoded once, from its first row, and cached with its
+        numbers.  The cache is cut back to its bound only after every row is
+        copied out, so an eviction cannot drop an encoding this call still
+        needs."""
         cache = self._encodings
         missing: dict[str, int] = {}        # uncached text -> its first row
         for i, seq in enumerate(seqs):
@@ -149,24 +199,21 @@ class NeuralScorer:
                 missing.setdefault(seq.text, i)
         if missing:
             rows = list(missing.values())
-            [states] = encode_sequences(self.weights, self.hp, [(emb[rows], mask[rows])])
+            emb = self.vocabulary.embed(ids[rows])
+            [states] = encode_sequences(self.weights, self.hp, [(emb, mask[rows])])
             for (text, i), row in zip(missing.items(), states.value):
-                cache[text] = row[:, :len(seqs[i])].copy()
-                self._encoded_bytes += cache[text].nbytes
-        out = np.zeros((len(seqs), 2 * self.weights.hidden, emb.shape[2]),
-                       dtype=cache[seqs[0].text].dtype)
-        for i, seq in enumerate(seqs):
-            out[i, :, :len(seq)] = cache[seq.text]
+                n = len(seqs[i])
+                cache[text] = (ids[i, :n].copy(), row[:, :n].copy())
+                self._encoded_bytes += sum(arr.nbytes for arr in cache[text])
+        out = _stack([cache[seq.text][1] for seq in seqs], ids.shape[1])
         while self._encoded_bytes > ENCODING_CACHE_BYTES:
-            self._encoded_bytes -= cache.popitem(last=False)[1].nbytes
+            self._encoded_bytes -= sum(arr.nbytes for arr in cache.popitem(last=False)[1])
         return out
 
-    def _read_chunks(self, question: TokenSeq, records: list[PassageRecord],
-                     heads: tuple[str, ...]):
-        """Yield (input positions, state) per chunk of length-sorted records.
-
-        Consecutive chunks are read in waves, one `read` call per wave, each
-        as large as keeps its (rows, 8d, T) attention output within WAVE_BYTES."""
+    def _waves(self, records: list[PassageRecord]) -> list[list[list[int]]]:
+        """Input positions of the length-sorted records, in chunks of up to
+        SCORE_BATCH, grouped into waves whose (rows, 8d, T) attention output
+        stays within WAVE_BYTES."""
         order = sorted(range(len(records)), key=lambda i: len(records[i].tokens))
         position_bytes = 8 * self.weights.hidden * self.table.matrix.dtype.itemsize
         waves: list[list[list[int]]] = []
@@ -178,43 +225,92 @@ class NeuralScorer:
                 wave_bytes = 0
             waves[-1].append(rows)
             wave_bytes += size
-        for wave in waves:
+        return waves
+
+    def _read_chunks(self, question: TokenSeq, records: list[PassageRecord],
+                     heads: tuple[str, ...]):
+        """Yield (input positions, state) per chunk of length-sorted records,
+        read one wave at a time."""
+        for wave in self._waves(records):
             chunks = []
-            # Overflow shows as a non-finite output, which the check below reports.
+            # Overflow shows as a non-finite output, which _checked reports.
             with ad.no_grad(), np.errstate(over="ignore", invalid="ignore"):
                 for rows in wave:
                     asked = [question] * len(rows)
                     seqs = [records[i].tokens for i in rows]
-                    batch = encode_batch(asked, seqs, self.table)
-                    questions = self._states(asked, batch.question_emb, batch.question_mask)
-                    passages = self._states(seqs, batch.passage_emb, batch.passage_mask)
+                    batch = encode_batch(asked, seqs, self.table, self.vocabulary)
+                    questions = self._states(asked, batch.question_ids, batch.question_mask)
+                    passages = self._states(seqs, batch.passage_ids, batch.passage_mask)
                     chunks.append((ad.constant(passages), ad.constant(questions), batch))
                 states = read(self.weights, self.hp, chunks, heads=heads)
             for rows, state in zip(wave, states):
-                outputs = (state.relevance, state.start_probs, state.end_probs)
-                if not all(np.isfinite(node.value).all() for node in outputs
-                           if node is not None):
-                    raise EvaluationError("the model gave a non-finite relevance or span "
-                                          "probability; its weights overflow")
+                _checked(state.relevance, state.start_probs, state.end_probs)
                 yield rows, state
 
-    def relevance_scores(self, question: TokenSeq,
-                         records: list[PassageRecord]) -> list[float]:
-        """Relevance of each record to the question, in input order."""
+    def _read_finalists(self, records: list[PassageRecord]):
+        """Yield (input positions, start probs, end probs, relevances) per
+        chunk of finalists, read from what they kept from the rank pass.  A
+        chunk is padded to its longest passage, as a fresh read pads it."""
+        for wave in self._waves(records):
+            chunks = []
+            for rows in wave:
+                kept = [self._finalists[records[i].passage_id] for i in rows]
+                lengths = np.array([len(records[i].tokens) for i in rows])
+                mask = np.arange(lengths[-1]) < lengths[:, None]
+                chunks.append((ad.constant(_stack([fin.attended for fin in kept], lengths[-1])),
+                               ad.constant(_stack([fin.fused for fin in kept], lengths[-1])),
+                               mask.astype(self.table.matrix.dtype)))
+            with ad.no_grad(), np.errstate(over="ignore", invalid="ignore"):
+                spans = span_head(self.weights, chunks)
+            for rows, (_, start_probs, _, end_probs) in zip(wave, spans):
+                _checked(start_probs, end_probs)
+                yield (rows, start_probs.value, end_probs.value,
+                       [self._finalists[records[i].passage_id].relevance for i in rows])
+
+    def relevance_scores(self, question: TokenSeq, records: list[PassageRecord],
+                         finalists: int = 0) -> list[float]:
+        """Relevance of each record to the question, in input order.
+
+        The top `finalists` records by (-relevance, passage id), the order
+        `telescope` ranks in, keep copies of their attention output, fused
+        states and relevance, so that `read_candidates` can read them without
+        running attention, fusion and the rel head again.  Every call drops
+        what an earlier one kept."""
         scores = [0.0] * len(records)
+        kept: dict[int, _Finalist] = {}
+        self._finalists = {}
         for rows, state in self._read_chunks(question, records, ("relevance",)):
             for i, value in zip(rows, state.relevance.value):
                 scores[i] = float(value)
+            # A running top `finalists`; j = -1 marks one kept from an earlier chunk.
+            entrants = [(-fin.relevance, pid, -1) for pid, fin in kept.items()]
+            entrants += [(-scores[i], records[i].passage_id, j) for j, i in enumerate(rows)]
+            kept = {pid: kept[pid] if j < 0 else
+                    _Finalist.from_state(records[rows[j]], state, j, scores[rows[j]])
+                    for _, pid, j in sorted(entrants)[:finalists]}
+        self._question, self._finalists = question.text, kept
         return scores
 
     def read_candidates(self, question: TokenSeq,
                         records: list[PassageRecord]) -> list[AnswerCandidate]:
-        """Span + relevance for each passage, in input order; spans stay in the passage."""
+        """Span + relevance for each passage, in input order; spans stay in the passage.
+
+        When the last `relevance_scores` call kept every record as a finalist
+        for this question's text, the records are read from what they kept,
+        and each candidate's relevance is its ranked score.  Otherwise they
+        are read afresh."""
+        held = (question.text == self._question and all(
+            rec.passage_id in self._finalists
+            and self._finalists[rec.passage_id].text == rec.text for rec in records))
         out: list[AnswerCandidate | None] = [None] * len(records)
-        for rows, state in self._read_chunks(question, records, ("span", "relevance")):
-            starts = state.start_probs.value
-            ends = state.end_probs.value
-            rels = state.relevance.value
+        if held:
+            chunks = self._read_finalists(records)
+        else:
+            chunks = ((rows, state.start_probs.value, state.end_probs.value,
+                       state.relevance.value)
+                      for rows, state in self._read_chunks(question, records,
+                                                           ("span", "relevance")))
+        for rows, starts, ends, rels in chunks:
             for j, i in enumerate(rows):
                 rec = records[i]
                 n = len(rec.tokens)
@@ -224,6 +320,21 @@ class NeuralScorer:
                     answer=extract_answer(rec.tokens, (t1, t2)),
                     span=(t1, t2), span_score=score, relevance=float(rels[j]))
         return out
+
+
+def _stack(arrays: list[np.ndarray], length: int) -> np.ndarray:
+    """(B, features, length) stack of (features, n) arrays, zero after each n."""
+    out = np.zeros((len(arrays), arrays[0].shape[0], length), dtype=arrays[0].dtype)
+    for j, arr in enumerate(arrays):
+        out[j, :, :arr.shape[1]] = arr
+    return out
+
+
+def _checked(*outputs: ad.Node | None) -> None:
+    """Raise EvaluationError if any given output holds a non-finite value."""
+    if not all(np.isfinite(node.value).all() for node in outputs if node is not None):
+        raise EvaluationError("the model gave a non-finite relevance or span "
+                              "probability; its weights overflow")
 
 
 # ---------------------------------------------------------------------------
@@ -245,7 +356,8 @@ def telescope(question: TokenSeq, chain: RankerChain, index: TfIdfIndex,
             if not records:
                 survivors = RankedList([], warning="nothing to re-rank")
                 continue
-            scores = scorer.relevance_scores(question, records)
+            finalists = chain.final_k if stage is chain.stages[-1] else 0
+            scores = scorer.relevance_scores(question, records, finalists)
             pairs = sorted(zip((r.passage_id for r in records), scores),
                            key=lambda item: (-item[1], item[0]))
             survivors = RankedList(pairs[:stage.cut],

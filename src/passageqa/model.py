@@ -8,15 +8,20 @@ bidirectional attention and a fusion bi-LSTM, then splits into two heads:
   - relevance head: probability that the passage answers the question,
     helped by a binary exact-match input channel
 
-`encode_batch` is the one place token sequences become a padded batch:
-each side is one gather from the vector table, and the exact-match channel
-is one assignment over the real passage positions.
+`encode_batch` is the one place token sequences become a padded batch.  A
+`Vocabulary` numbers surface tokens; the masks come from the padded
+numbers, the exact-match channel is one boolean lookup, and each side is
+embedded by one gather from the vector table when first read.  The scorer
+keeps one vocabulary and each text's numbers, so a batch of cached texts
+needs no per-token Python.
 
 `forward_batch` is two stages: `encode_sequences` (highway + contextual
 bi-LSTM, which sees one sequence only) and `read` (everything after), so
 inference can encode a question once and reuse passage encodings.  `read`
 takes a list of chunks and runs each later bi-LSTM once over all of them
 (`ad.bilstm_scan` groups), while attention and the heads stay per chunk.
+Its span head is `span_head`, which the scorer also runs alone on the
+attention output and fused states its finalists kept from ranking.
 Each chunk keeps the bits it gets alone, except a one-row chunk sharing
 steps with others, which may move by an ulp.  Gradients flow through one
 chunk; several chunks run without them, as the scorer's waves do.
@@ -36,9 +41,11 @@ output] blocks: w_in (in_dim, 4*hidden), w_rec (hidden, 4*hidden), bias
 """
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 from dataclasses import dataclass, replace
-from typing import Any, Sequence
+from typing import Any, Callable, Sequence
 
 import numpy as np
 
@@ -222,26 +229,73 @@ def as_param_nodes(weights: ModelWeights) -> tuple[ModelWeights, dict[str, Node]
 # batch preparation
 
 
+class Vocabulary:
+    """Surface tokens numbered from 1 in order of first sight; 0 is padding.
+
+    Numbers are case-sensitive, like the vector table and the match channel.
+    Each number keeps its word's table row (0 for a word without a vector),
+    so padded numbers embed with one gather.  `encode_batch` numbers each
+    batch afresh unless it is given a vocabulary to grow.
+    """
+
+    def __init__(self, table: VectorTable):
+        self.table = table
+        self.numbers: dict[str, int] = {}
+        self.rows = np.zeros(1, dtype=np.intp)    # number -> table row
+
+    def __len__(self) -> int:
+        return len(self.numbers)
+
+    def ids(self, seq: TokenSeq) -> np.ndarray:
+        """The numbers of `seq`'s tokens, numbering the words not seen before."""
+        numbers = self.numbers
+        known = len(numbers)
+        ids = np.array([numbers.setdefault(tok, len(numbers) + 1) for tok in seq.tokens],
+                       dtype=np.intp)
+        if len(numbers) > known:
+            new = itertools.islice(reversed(numbers), len(numbers) - known)
+            rows = [self.table.rows.get(word, 0) for word in new][::-1]
+            self.rows = np.concatenate([self.rows, rows])
+        return ids
+
+    def embed(self, ids: np.ndarray) -> np.ndarray:
+        """(B, dim, T) C-ordered embeddings of (B, T) padded numbers."""
+        return np.ascontiguousarray(self.table.matrix[self.rows[ids]].transpose(0, 2, 1))
+
+
 @dataclass
 class EncodedBatch:
-    """Right-padded embeddings and masks of both sides, and the exact-match
-    channel, all C-ordered arrays in the vector table's dtype."""
+    """Right-padded token numbers and masks of both sides, and the exact-match
+    channel.  Masks and channel are C-ordered arrays in the vector table's
+    dtype.  `passage_emb` and `question_emb` are gathered when first read,
+    so the scorer, which holds the encodings of cached texts, skips them."""
 
-    passage_emb: np.ndarray    # (B, embed_dim, T)
-    question_emb: np.ndarray   # (B, embed_dim, J)
+    vocabulary: Vocabulary
+    passage_ids: np.ndarray    # (B, T), 0 at padding
+    question_ids: np.ndarray   # (B, J)
     passage_mask: np.ndarray   # (B, T)
     question_mask: np.ndarray  # (B, J)
     match_channel: np.ndarray  # (B, 1, T)
 
+    @functools.cached_property
+    def passage_emb(self) -> np.ndarray:      # (B, embed_dim, T)
+        return self.vocabulary.embed(self.passage_ids)
 
-def encode_batch(questions: list[TokenSeq], passages: list[TokenSeq],
-                 table: VectorTable) -> EncodedBatch:
-    """Embed and right-pad a batch of (question, passage) pairs.
+    @functools.cached_property
+    def question_emb(self) -> np.ndarray:     # (B, embed_dim, J)
+        return self.vocabulary.embed(self.question_ids)
 
-    Each side is one gather from the table: an out-of-vocabulary word and
-    every padding position take its zero row 0.  The match channel is 1.0
-    where a passage token occurs verbatim (case-sensitive) among its own
-    row's question tokens, and 0.0 elsewhere, padding included.
+
+def encode_batch(questions: list[TokenSeq], passages: list[TokenSeq], table: VectorTable,
+                 vocabulary: Vocabulary | None = None) -> EncodedBatch:
+    """Number and right-pad a batch of (question, passage) pairs.
+
+    Tokens are numbered by `vocabulary`, or by a new one over `table`.  An
+    out-of-vocabulary word and every padding position embed as the table's
+    zero row 0.  The match channel is 1.0 where a passage token occurs
+    verbatim (case-sensitive) among its own row's question tokens, and 0.0
+    elsewhere, padding included: one boolean lookup in a table with a row
+    per distinct question text.
     """
     if len(questions) != len(passages):
         raise ValueError("questions and passages must pair up")
@@ -252,22 +306,27 @@ def encode_batch(questions: list[TokenSeq], passages: list[TokenSeq],
             raise ValueError(f"empty question: {q.text!r}")
         if len(p) == 0:
             raise ValueError(f"empty passage: {p.text!r}")
+    if vocabulary is None:
+        vocabulary = Vocabulary(table)
     dtype = table.matrix.dtype
 
     def pad(seqs: list[TokenSeq]) -> tuple[np.ndarray, np.ndarray]:
-        lengths = np.array([len(seq) for seq in seqs])
+        ids = [vocabulary.ids(seq) for seq in seqs]
+        lengths = np.array([len(row) for row in ids])
         real = np.arange(lengths.max()) < lengths[:, None]          # (B, T)
-        ids = np.zeros(real.shape, dtype=np.intp)
+        padded = np.zeros(real.shape, dtype=np.intp)
         # Right-padded: the True positions, row by row, are the tokens in order.
-        ids[real] = [table.rows.get(tok, 0) for seq in seqs for tok in seq.tokens]
-        return np.ascontiguousarray(table.matrix[ids].transpose(0, 2, 1)), real
+        padded[real] = np.concatenate(ids)
+        return padded, real
 
-    passage_emb, real = pad(passages)
-    question_emb, question_real = pad(questions)
-    match = np.zeros((len(passages), 1, real.shape[1]), dtype=dtype)
-    vocabs = [set(q.tokens) for q in questions]
-    match[:, 0][real] = [tok in vocab for vocab, p in zip(vocabs, passages) for tok in p.tokens]
-    return EncodedBatch(passage_emb, question_emb, real.astype(dtype),
+    passage_ids, real = pad(passages)
+    question_ids, question_real = pad(questions)
+    slots: dict[str, int] = {}
+    slot = np.array([slots.setdefault(q.text, len(slots)) for q in questions])[:, None]
+    lookup = np.zeros((len(slots), len(vocabulary) + 1), dtype=bool)
+    lookup[slot, question_ids] = question_real      # number 0, padding, stays False
+    match = lookup[slot, passage_ids].astype(dtype).reshape(len(passages), 1, -1)
+    return EncodedBatch(vocabulary, passage_ids, question_ids, real.astype(dtype),
                         question_real.astype(dtype), match)
 
 
@@ -407,6 +466,46 @@ def encode_sequences(weights: ModelWeights, hp: Hyperparams,
             for seq, (_, mask) in zip(highways, sequences)]
 
 
+def span_head(weights: ModelWeights, chunks: Sequence[tuple[Node, Node, np.ndarray]],
+              drop: Callable[[Node], Node] = lambda node: node
+              ) -> list[tuple[Node, Node, Node, Node]]:
+    """Start and end logits and probabilities of each chunk.
+
+    Each chunk is (attention output (B, 8d, T), fused states (B, 2d, T),
+    passage mask (B, T)).  The start and end bi-LSTMs each run one time loop
+    over all chunks.  `drop` is applied to each LSTM and output-transform
+    input, stage by stage and chunk by chunk within a stage.  `read` calls
+    this on the states it has just fused; the scorer calls it on the states
+    its finalists kept from ranking.
+    """
+    w = weights.arrays
+    d = weights.hidden
+    w_start = ad.reshape(w["start_weight"], (1, 10 * d, 1))
+    w_end = ad.reshape(w["end_weight"], (1, 10 * d, 1))
+    masks = [mask for _, _, mask in chunks]
+    start_all = _bilstm(w, "start", [drop(fused) for _, fused, _ in chunks], masks)
+    starts, end_inputs = [], []
+    for (attended, _, mask), start_states in zip(chunks, start_all):
+        n, _, t_len = start_states.shape
+        start_in = ad.concat([attended, start_states], axis=1)        # (B, 10d, T)
+        start_logits = ad.reduce_sum(ad.mul(drop(start_in), w_start), axis=1)
+        start_probs = ad.masked_softmax(start_logits, mask)
+        starts.append((start_logits, start_probs))
+
+        pooled = ad.matmul(start_states, ad.reshape(start_probs, (n, t_len, 1)))  # (B, 2d, 1)
+        tiled = ad.broadcast_to(pooled, (n, 2 * d, t_len))
+        end_seq_in = ad.concat([attended, start_states, tiled,
+                                ad.mul(start_states, tiled)], axis=1)       # (B, 14d, T)
+        end_inputs.append(drop(end_seq_in))
+    out = []
+    for (attended, _, mask), start, end_states in zip(
+            chunks, starts, _bilstm(w, "end", end_inputs, masks)):
+        end_in = ad.concat([attended, end_states], axis=1)
+        end_logits = ad.reduce_sum(ad.mul(drop(end_in), w_end), axis=1)
+        out.append((*start, end_logits, ad.masked_softmax(end_logits, mask)))
+    return out
+
+
 def read(weights: ModelWeights, hp: Hyperparams,
          chunks: Sequence[tuple[Node, Node, EncodedBatch]], train: bool = False,
          rng: np.random.Generator | None = None,
@@ -445,26 +544,9 @@ def read(weights: ModelWeights, hp: Hyperparams,
         state.fused = fused
 
     if "span" in heads:
-        w_start = ad.reshape(w["start_weight"], (1, 10 * d, 1))
-        w_end = ad.reshape(w["end_weight"], (1, 10 * d, 1))
-        start_all = _bilstm(w, "start", [drop(s.fused) for s in states], pmasks)
-        end_inputs = []
-        for state, start_states in zip(states, start_all):
-            n, _, t_len = start_states.shape
-            start_in = ad.concat([state.attended, start_states], axis=1)  # (B, 10d, T)
-            state.start_logits = ad.reduce_sum(ad.mul(drop(start_in), w_start), axis=1)
-            state.start_probs = ad.masked_softmax(state.start_logits, state.passage_mask)
-
-            pooled = ad.matmul(start_states,
-                               ad.reshape(state.start_probs, (n, t_len, 1)))  # (B, 2d, 1)
-            tiled = ad.broadcast_to(pooled, (n, 2 * d, t_len))
-            end_seq_in = ad.concat([state.attended, start_states, tiled,
-                                    ad.mul(start_states, tiled)], axis=1)     # (B, 14d, T)
-            end_inputs.append(drop(end_seq_in))
-        for state, end_states in zip(states, _bilstm(w, "end", end_inputs, pmasks)):
-            end_in = ad.concat([state.attended, end_states], axis=1)
-            state.end_logits = ad.reduce_sum(ad.mul(drop(end_in), w_end), axis=1)
-            state.end_probs = ad.masked_softmax(state.end_logits, state.passage_mask)
+        spans = span_head(weights, [(s.attended, s.fused, s.passage_mask) for s in states], drop)
+        for state, outputs in zip(states, spans):
+            state.start_logits, state.start_probs, state.end_logits, state.end_probs = outputs
 
     if "relevance" in heads:
         w_ctx = ad.reshape(w["attn_context"], (1, weights.attn_dim, 1))

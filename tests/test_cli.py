@@ -255,19 +255,24 @@ def test_each_subcommand_takes_its_flags():
     ("eval-mrs", "report", "directory"), ("build-index", "index", "directory"),
     ("train", "checkpoint", "file"), ("ingest", "corpus", "file"),
     ("eval-ir", "report", "missing"), ("eval-rc", "report", "missing"),
-    ("eval-mrs", "report", "missing"), ("build-index", "index", "missing")])
+    ("eval-mrs", "report", "missing"), ("build-index", "index", "missing"),
+    ("ingest", "corpus", "below a file"), ("train", "checkpoint", "below a file"),
+    ("eval-mrs", "report", "below a file"), ("build-index", "index", "below a file")])
 def test_output_setting_naming_the_wrong_kind_exits_2(ws, tmp_path, capsys, command,
                                                       setting, kind):
     """A file output that names a directory, a directory output that names a
-    file, or a file output in a missing directory, is refused before the
-    command does any work."""
+    file, a file output in a missing directory, or any output below a file,
+    is refused before the command does any work."""
     target = tmp_path / "out"
     if kind == "directory":
         target.mkdir()
     elif kind == "file":
         target.write_text("keep")
-    else:
+    elif kind == "missing":
         target = tmp_path / "missing" / "out"
+    else:
+        target.write_text("keep")
+        target = target / "sub" / "out"
     inputs = {"ingest": ["--dataset", ws.dataset], "build-index": ["--corpus", ws.corpus_dir],
               "train": ["--config", ws.train_config]}
     argv = ([command] + inputs[command] if command in inputs

@@ -341,7 +341,7 @@ def test_scorer_cache_stays_within_its_byte_bound(task, monkeypatch):
     scorer = float64_scorer(task)
     for _ in range(2):
         scores = scorer.relevance_scores(question, records)
-        cached = sum(enc.nbytes for enc in scorer._encodings.values())
+        cached = sum(arr.nbytes for entry in scorer._encodings.values() for arr in entry)
         assert 0 < cached <= bound
         np.testing.assert_allclose(scores, unbounded, rtol=1e-9, atol=1e-12)
 
@@ -465,6 +465,153 @@ def test_scorer_reads_the_same_bytes_in_smaller_waves(task, monkeypatch, waves):
     monkeypatch.setattr(evaluation, "read", counting)
     assert scorer_outputs(hidden16_scorer(task), question, records) == whole
     assert chunks_per_read == waves * 2
+
+
+def counting_reads(monkeypatch) -> list[int]:
+    """Patch evaluation.read to record the chunk count of each call."""
+    calls = []
+    original = evaluation.read
+
+    def counting(weights, hp, chunks, *args, **kwargs):
+        calls.append(len(chunks))
+        return original(weights, hp, chunks, *args, **kwargs)
+
+    monkeypatch.setattr(evaluation, "read", counting)
+    return calls
+
+
+@pytest.mark.parametrize("spec", ["tfidf:20,neural:5", "neural:5",
+                                  "tfidf:20,neural:12,neural:5"])
+def test_telescoped_ask_reads_its_finalists_from_the_rank_pass(task, task_index,
+                                                               monkeypatch, spec):
+    """Each candidate's relevance is its ranked score, bit for bit, and the
+    read runs no attention, fusion or rel head: `read` runs only to rank."""
+    chain = parse_chain(spec)
+    for ex in task.examples[:4]:
+        scorer = hidden16_scorer(task)
+        ranked = telescope(ex.question, chain, task_index, task.corpus, scorer)
+        records = [task.corpus[pid] for pid in ranked.ids()]
+        with monkeypatch.context() as patch:
+            reads = counting_reads(patch)
+            vote, kept = answer_question(ex.question, chain, task_index, task.corpus, scorer)
+        assert len(reads) == sum(stage.kind == "neural" for stage in chain.stages)
+        assert kept.entries == ranked.entries
+        assert [c.relevance for c in vote.candidates] == [score for _, score in kept.entries]
+        # A fresh read of the same records agrees but for an ulp or so.
+        fresh = hidden16_scorer(task).read_candidates(ex.question, records)
+        assert [c.span for c in vote.candidates] == [c.span for c in fresh]
+        np.testing.assert_allclose([c.span_score for c in vote.candidates],
+                                   [c.span_score for c in fresh], rtol=1e-5)
+        np.testing.assert_allclose([c.relevance for c in vote.candidates],
+                                   [c.relevance for c in fresh], rtol=1e-5)
+
+
+def test_finalists_are_a_running_top_k_over_waves(task, monkeypatch):
+    """With WAVE_BYTES at 1 each of the three chunks is a wave of its own;
+    the finalists kept across them read as they do from one wave."""
+    question, records = task.examples[5].question, varied_records(task, n=70)
+
+    def held_read(k):
+        scorer = hidden16_scorer(task)
+        scores = scorer.relevance_scores(question, records, k)
+        best = sorted(range(len(records)), key=lambda i: (-scores[i], records[i].passage_id))
+        with monkeypatch.context() as patch:
+            reads = counting_reads(patch)
+            cands = scorer.read_candidates(question, [records[i] for i in best[:k]])
+        assert reads == []
+        assert [c.relevance for c in cands] == [scores[i] for i in best[:k]]
+        return cands
+
+    whole = held_read(5), held_read(40)
+    monkeypatch.setattr(evaluation, "WAVE_BYTES", 1)
+    assert (held_read(5), held_read(40)) == whole
+
+
+def test_read_falls_back_to_a_fresh_read(task, monkeypatch):
+    """A finalist's kept states serve only its own question and passage text;
+    anything else is read afresh, with the bits of a scorer that kept nothing."""
+    question, other = task.examples[5].question, task.examples[6].question
+    records = varied_records(task, n=40)
+    scorer = hidden16_scorer(task)
+    scores = scorer.relevance_scores(question, records, 3)
+    best = sorted(range(len(records)), key=lambda i: (-scores[i], i))
+    finalists = [records[i] for i in best[:3]]
+    renamed = [PassageRecord(finalists[0].passage_id, 0, finalists[1].text)]
+    cases = [(other, finalists), (question, finalists + [records[best[3]]]), (question, renamed)]
+    for asked, chosen in cases:
+        with monkeypatch.context() as patch:
+            reads = counting_reads(patch)
+            got = scorer.read_candidates(asked, chosen)
+        assert reads == [1]
+        assert got == hidden16_scorer(task).read_candidates(asked, chosen)
+    # Scoring without finalists, as a chain ending in tfidf does, keeps none.
+    scorer.relevance_scores(question, records, 3)
+    scorer.relevance_scores(question, records)
+    reads = counting_reads(monkeypatch)
+    scorer.read_candidates(question, finalists)
+    assert reads == [1]
+
+
+def test_held_read_raises_on_non_finite_span_probability(task, monkeypatch):
+    """An infinite start weight makes the span heads' output non-finite but
+    leaves ranking finite, so the held read meets it."""
+    weights = init_weights(np.random.default_rng(3), task.table.dim, 4, 4)
+    arrays = dict(weights.arrays, start_weight=np.full_like(weights.arrays["start_weight"],
+                                                            np.inf))
+    scorer = NeuralScorer(ModelWeights(weights.embed_dim, 4, 4, arrays),
+                          Hyperparams(hidden=4, attn_dim=4, dropout=0.0), task.table)
+    question, records = task.examples[0].question, varied_records(task, n=5)
+    scores = scorer.relevance_scores(question, records, 2)
+    assert all(math.isfinite(score) for score in scores)
+    best = sorted(range(len(records)), key=lambda i: (-scores[i], i))[:2]
+    reads = counting_reads(monkeypatch)
+    with pytest.raises(EvaluationError, match="non-finite relevance or span probability"):
+        scorer.read_candidates(question, [records[i] for i in best])
+    assert reads == []
+
+
+def test_token_numbers_leave_the_cache_with_their_encoding(task, monkeypatch):
+    """A text's numbers live in its encoding's cache entry: once evicted, the
+    text is numbered again, to the same numbers, and the vocabulary does not
+    grow."""
+    question, records = task.examples[3].question, varied_records(task)
+    monkeypatch.setattr(evaluation, "ENCODING_CACHE_BYTES", 5 * (8 * 4 + 8) * 20)
+    scorer = float64_scorer(task)
+    scorer.relevance_scores(question, records)
+    cache = scorer._encodings
+    assert scorer._encoded_bytes == sum(arr.nbytes for entry in cache.values() for arr in entry)
+    for text, (ids, states) in cache.items():
+        assert len(ids) == states.shape[1] == len(tokenize(text))
+    evicted = [rec for rec in records if rec.text not in cache]
+    kept = [rec for rec in records if rec.text in cache and rec.text != question.text]
+    assert evicted and kept
+    before = {rec.text: scorer.vocabulary.ids(rec.tokens) for rec in (evicted[0], kept[0])}
+    size = len(scorer.vocabulary)
+    numbered = []
+    original = evaluation.Vocabulary.ids
+
+    def spying(self, seq):
+        numbered.append(seq.text)
+        return original(self, seq)
+
+    monkeypatch.setattr(evaluation.Vocabulary, "ids", spying)
+    assert (scorer.vocabulary.ids(evicted[0].tokens) == before[evicted[0].text]).all()
+    assert (scorer.vocabulary.ids(kept[0].tokens) == before[kept[0].text]).all()
+    assert numbered == [evicted[0].text]
+    assert len(scorer.vocabulary) == size
+
+
+def test_vocabulary_grows_only_with_distinct_surface_tokens(task):
+    scorer = hidden16_scorer(task)
+    question, records = task.examples[2].question, varied_records(task)
+    scorer.relevance_scores(question, records)
+    words = {tok for seq in [question] + [rec.tokens for rec in records] for tok in seq.tokens}
+    assert set(scorer.vocabulary.numbers) == words
+    assert sorted(scorer.vocabulary.numbers.values()) == list(range(1, len(words) + 1))
+    upper = [PassageRecord(99, 0, records[0].text.upper())]
+    scorer.relevance_scores(question, records + upper)
+    grown = words | set(upper[0].tokens.tokens)
+    assert len(scorer.vocabulary) == len(grown) > len(words)
 
 
 def test_telescope_tfidf_only_matches_top_k(task, task_index):

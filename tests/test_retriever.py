@@ -1,6 +1,7 @@
 """TF-IDF index tests: hashing, weighting, ranking, serialization."""
 import functools
 import hashlib
+import json
 import math
 import re
 import struct
@@ -474,6 +475,65 @@ def test_damaged_passages_jsonl_is_rejected_or_usable(data):
     for rec in corpus:
         top_k(index, rec.tokens.tokens, 3)
         similar_passages(index, rec, 3)
+
+
+def corpora():
+    """Valid corpora: unique u64 passage ids, u64 article ids, texts that are
+    not blank and hold no lone surrogate."""
+    ids = st.integers(0, 2 ** 64 - 1)
+    texts = st.text(st.characters(blacklist_categories=("Cs",)), min_size=1,
+                    max_size=30).filter(str.strip)
+    rows = st.lists(st.tuples(ids, ids, texts), max_size=6, unique_by=lambda row: row[0])
+    return rows.map(lambda rows: Corpus([PassageRecord(*row) for row in rows]))
+
+
+def passage_rows():
+    """One JSON line of a passages file, often valid, sometimes not: ids of
+    other types or out of range, odd texts, extra fields."""
+    value = st.one_of(st.integers(-1, 2 ** 64), st.booleans(), st.floats(), st.none(),
+                      st.text(max_size=3))
+    ids = st.one_of(st.integers(0, 2 ** 64 - 1), value)
+    texts = st.one_of(st.text(max_size=20), st.sampled_from(["a\nb", " x ", "\u2028",
+                                                            "\ud800", "caf\u00e9"]), value)
+    row = st.fixed_dictionaries({"passage_id": ids, "article_id": ids, "text": texts},
+                                optional={"extra": value})
+    return st.builds(lambda row, ascii: json.dumps(row, ensure_ascii=ascii),
+                     row, st.booleans())
+
+
+@settings(max_examples=200, deadline=None)
+@given(corpora())
+def test_saved_corpus_loads_back_equal(corpus):
+    with tempfile.TemporaryDirectory() as tmp:
+        corpus.save_jsonl(f"{tmp}/p.jsonl")
+        loaded = Corpus.load_jsonl(f"{tmp}/p.jsonl")
+    assert loaded.records == corpus.records
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_every_loaded_corpus_saves_and_loads_back_equal(data):
+    """Any passages file that loads, generated or damaged, is saved by
+    save_jsonl and reads back as the same records."""
+    if data.draw(st.booleans()):
+        with tempfile.TemporaryDirectory() as tmp:
+            data.draw(corpora()).save_jsonl(f"{tmp}/p.jsonl")
+            raw = Path(f"{tmp}/p.jsonl").read_bytes()
+    else:
+        lines = data.draw(st.lists(st.one_of(passage_rows(), st.just("")), max_size=5))
+        newline = data.draw(st.sampled_from(["\n", "\r\n"]))
+        raw = newline.join(lines).encode("utf-8", "surrogatepass")   # a surrogate: bad UTF-8
+    if raw and data.draw(st.booleans()):
+        raw = draw_damaged(data, raw)
+    with tempfile.TemporaryDirectory() as tmp:
+        Path(f"{tmp}/in.jsonl").write_bytes(raw)
+        try:
+            corpus = Corpus.load_jsonl(f"{tmp}/in.jsonl")
+        except CorpusError:
+            return
+        corpus.save_jsonl(f"{tmp}/out.jsonl")
+        again = Corpus.load_jsonl(f"{tmp}/out.jsonl")
+    assert again.records == corpus.records
 
 
 def test_query_weights_uses_corpus_frequencies():
