@@ -8,6 +8,11 @@ the leaves.
 
 Training code runs in float32 by default.  Gradient checks should build the
 graph from float64 arrays; the ops never change the dtype they are given.
+
+The one recurrent op, `bilstm_scan`, takes a bi-LSTM from its input
+sequences to its states as one node: the input projections, both
+directions' time loop, and a backward pass that forms the input and input
+weight gradients from the real tokens only.
 """
 from __future__ import annotations
 
@@ -547,24 +552,39 @@ def _scan_unstack(stacked: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return stacked[:, 0], stacked[::-1, 1]
 
 
-def bilstm_scan(groups, w_rec) -> list[Node]:
-    """Both directions of a bi-LSTM over groups of rows, in one time loop.
+def _row_products_sum(seq: np.ndarray, grads: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """Sum over rows k, in stack order, of seq[k, :, :L_k] @ (row k's L_k rows
+    of `grads`): the weight gradient of a (B, in, T) input over real tokens."""
+    ends = np.cumsum(lengths)
+    total = seq[0, :, :lengths[0]] @ grads[:ends[0]]
+    part = np.empty_like(total)
+    for k in range(1, len(lengths)):
+        total += np.matmul(seq[k, :, :lengths[k]], grads[ends[k - 1]:ends[k]], out=part)
+    return total
 
-    `groups` holds one (proj, mask) pair per group: `proj` is the (forward,
-    backward) pair of (B_g, T_g, 4h) input projections x_t @ w_in + bias,
-    gate columns in [input, forget, cell, output] blocks, and `mask` (B_g,
-    T_g) is right-padded: 1.0 at the real tokens, which come first in each
-    row, and 0.0 at the padding after them; anything else raises ValueError.
-    `w_rec` is the (forward, backward) pair of (h, 4h) weights all groups
-    share.  Returns one C-ordered (B_g, 2h, T_g) node per group, forward
-    states in rows :h and backward ones in rows h:.
 
-    Each step computes gates = proj[:, t] + h @ w_rec, one sigmoid over all
-    four blocks with tanh on the cell block, c = f*c + i*g and h =
-    o*tanh(c), from zero initial states; a group's forward direction runs
-    from t = 0 and its backward one from its own t = T_g-1.  With k its mask
-    column, a step keeps k*c and k*h, so the state is zero at padding, which
-    no real position of either direction reads, and so are the outputs there.
+def bilstm_scan(groups, w_in, bias, w_rec) -> list[Node]:
+    """Both directions of a bi-LSTM over groups of rows, from each group's
+    input sequence to its states in one op and one time loop.
+
+    `groups` holds one (seq, mask) pair per group: `seq` is a (B_g, in, T_g)
+    node and `mask` (B_g, T_g) is right-padded: 1.0 at the real tokens,
+    which come first in each row, and 0.0 at the padding after them;
+    anything else raises ValueError.  `w_in` (in, 4h), `bias` (4h,) and
+    `w_rec` (h, 4h) are each the (forward, backward) pair all groups share,
+    gate columns in [input, forget, cell, output] blocks.  Returns one
+    C-ordered (B_g, 2h, T_g) node per group, forward states in rows :h and
+    backward ones in rows h:.
+
+    A direction's input projections x_t @ w_in + bias are one product per
+    group over its (B_g, T_g, in) view, padding included, with the bias added
+    in place, then copied into the scan's time-major buffer.  Each step
+    computes gates = proj_t + h @ w_rec, one sigmoid over all four blocks
+    with tanh on the cell block, c = f*c + i*g and h = o*tanh(c), from zero
+    initial states; a group's forward direction runs from t = 0 and its
+    backward one from its own t = T_g-1.  With k its mask column, a step
+    keeps k*c and k*h, so the state is zero at padding, which no real
+    position of either direction reads, and so are the outputs there.
 
     The groups share one time-major buffer in decreasing T_g order, so the
     groups still running at step s are a row prefix, and each step is one
@@ -572,34 +592,47 @@ def bilstm_scan(groups, w_rec) -> list[Node]:
     bits of a call of its own.  The bit rule: a row's result from that
     product does not depend on the number of rows, except that OpenBLAS
     takes its gemv path for a single row, so a one-row group that shares
-    steps with another group may move by an ulp.  Gradients flow through
-    one group only: with more than one, an input that needs a gradient
-    raises ValueError.  Under `no_grad` no activations are kept, and
-    projections the caller does not hold are freed once copied in.  `mask`
-    is never differentiated.
+    steps with another group may move by an ulp.
+
+    Gradients flow through one group only: with more than one, an input that
+    needs a gradient raises ValueError.  Backward gathers each direction's
+    gate gradients at the real tokens once, (N, 4h) in (row, time) order,
+    and forms from them alone the bias gradient (their row sum), the `w_in`
+    one (seq[k, :, :L_k] @ row k's rows, summed over k in stack order) and
+    the input one (rows @ w_in.T, both directions added, in a zeroed
+    C-ordered (B, in, T) array).  The bias and `w_in` ones have the bits of
+    the same sums over the padded rows, where the gradients are zero (for
+    in > 1: one input feature makes the product a gemv).  So does the input
+    one at the model's paper widths, but OpenBLAS picks its kernel by a
+    product's shape, so at small widths N rows in one product may round
+    otherwise than T rows per batch row, by an ulp.  Under `no_grad` no
+    activations are kept.  `mask` is never differentiated.
     """
-    w_f, w_b = (as_node(w) for w in w_rec)
-    w = w_f.value
-    hidden = w.shape[0]
+    w_in, bias, w_rec = ([as_node(w) for w in pair] for pair in (w_in, bias, w_rec))
+    weights = (*w_in, *bias, *w_rec)
+    in_dim, hidden = w_in[0].shape[0], w_rec[0].shape[0]
+    shapes = [(in_dim, 4 * hidden)] * 2 + [(4 * hidden,)] * 2 + [(hidden, 4 * hidden)] * 2
     if not groups:
         raise ValueError("bilstm_scan: no groups")
-    projs, masks = [], []
-    for proj, mask in groups:
-        proj_f, proj_b = (as_node(p) for p in proj)
-        x, mask = proj_f.value, np.asarray(mask)
-        if (x.ndim != 3 or w.shape != (hidden, 4 * hidden) or x.shape[2] != 4 * hidden
-                or mask.shape != x.shape[:2] or (proj_b.shape, w_b.shape) != (x.shape, w.shape)):
-            raise ShapeMismatchError("bilstm_scan", *(n.shape for n in (proj_f, proj_b, w_f, w_b)),
-                                     mask.shape)
-        if not np.array_equal(mask, np.arange(x.shape[1]) < mask.sum(axis=1, keepdims=True)):
+    seqs, masks = [], []
+    for seq, mask in groups:
+        seq, mask = as_node(seq), np.asarray(mask)
+        if (seq.value.ndim != 3 or seq.shape[1] != in_dim
+                or mask.shape != (seq.shape[0], seq.shape[2])
+                or [w.shape for w in weights] != shapes):
+            raise ShapeMismatchError("bilstm_scan", seq.shape, mask.shape,
+                                     *(w.shape for w in weights))
+        if not np.array_equal(mask, np.arange(mask.shape[1]) < mask.sum(axis=1, keepdims=True)):
             raise ValueError("bilstm_scan: mask must be 1 at the real tokens and 0 at the "
                              "padding after them")
-        projs.append((proj_f, proj_b))
+        seqs.append(seq)
         masks.append(mask)
-    dtype = projs[0][0].dtype
-    if any(p.dtype != dtype for pair in projs for p in pair):
+    dtypes = {np.result_type(seq.value, w.value, b.value) for seq in seqs
+              for w, b in zip(w_in, bias)}
+    if len(dtypes) > 1:
         raise ValueError("bilstm_scan: every projection must have one dtype")
-    parents = tuple(p for pair in projs for p in pair) + (w_f, w_b)
+    [dtype] = dtypes
+    parents = (*seqs, *weights)
     record = _grad_enabled and any(p.needs_grad for p in parents)
     if record and len(groups) > 1:
         raise ValueError(f"bilstm_scan: gradients flow through one group, got {len(groups)}")
@@ -616,19 +649,20 @@ def bilstm_scan(groups, w_rec) -> list[Node]:
     batch, steps = start, max(m.shape[1] for m in masks)
     xs = np.empty((steps, 2, batch, 4 * hidden), dtype)
     keep = np.empty((steps, 2, batch, 1), dtype)
-    for (proj_f, proj_b), mask, r in zip(projs, masks, rows):
+    for seq, mask, r in zip(seqs, masks, rows):
         length = mask.shape[1]
-        # Time-major, the backward half time-reversed, so every step slice is contiguous.
-        xs[:length, 0, r] = proj_f.value.transpose(1, 0, 2)
-        xs[:length, 1, r] = proj_b.value[:, ::-1].transpose(1, 0, 2)
-        keep[:length, 0, r, 0] = mask.T
-        keep[:length, 1, r, 0] = mask.T[::-1]
-    w = np.stack([w, w_b.value])
+        # Time-major, the backward half time-reversed, so every step slice is
+        # contiguous; the views below are each direction's in time order.
+        for xs_k, keep_k, w, b in zip(_scan_unstack(xs[:length, :, r]),
+                                      _scan_unstack(keep[:length, :, r, 0]), w_in, bias):
+            proj = (seq.value.transpose(0, 2, 1) @ w.value).astype(dtype, copy=False)
+            proj += b.value
+            xs_k[...] = proj.transpose(1, 0, 2)
+            keep_k[...] = mask.T
+    w = np.stack([w.value for w in w_rec])
     # Step t reads state row t and writes row t + 1; row 0 is the zero initial
     # state.  Without backward one slot of acts and two of cells are reused.
     kept = steps if record else 1
-    if not record:              # no backward: the projections can go now
-        groups = projs = parents = ()
     acts = np.empty((kept, 2, batch, 4 * hidden), dtype)
     tanh_c = np.empty((kept, 2, batch, hidden), dtype)
     cells = np.empty((kept + 1, 2, batch, hidden), dtype)
@@ -667,11 +701,26 @@ def bilstm_scan(groups, w_rec) -> list[Node]:
                                          dh_new * tc * o * (1.0 - o)], axis=-1)
             dc = dc_new * f
             np.matmul(d_gates[t], w_t, out=dh)
-        for node, w_node, d_k, h_k in zip(projs[0], (w_f, w_b), _scan_unstack(d_gates),
-                                          _scan_unstack(states[:steps])):
-            _accumulate(node, d_k.transpose(1, 0, 2))
-            _accumulate(w_node, h_k.reshape(-1, hidden).T @ d_k.reshape(-1, 4 * hidden),
-                        fresh=True)
+        [seq], real = seqs, masks[0] != 0
+        d_dirs = _scan_unstack(d_gates)
+        # Each direction's gate gradients at the real tokens, (N, 4h) in (row, time) order.
+        real_rows = [d_k.transpose(1, 0, 2)[real] for d_k in d_dirs]
+        if seq.needs_grad:
+            rows_grad = real_rows[1] @ w_in[1].value.T
+            rows_grad += real_rows[0] @ w_in[0].value.T
+            grad = np.zeros(seq.shape, seq.dtype)
+            grad.transpose(0, 2, 1)[real] = rows_grad
+            _accumulate(seq, grad, fresh=True)
+        lengths = real.sum(axis=1)
+        for w_node, b_node, r_node, rows_k, d_k, h_k in zip(
+                w_in, bias, w_rec, real_rows, d_dirs, _scan_unstack(states[:steps])):
+            if b_node.needs_grad:
+                _accumulate(b_node, rows_k.sum(axis=0), fresh=True)
+            if w_node.needs_grad:
+                _accumulate(w_node, _row_products_sum(seq.value, rows_k, lengths), fresh=True)
+            if r_node.needs_grad:
+                _accumulate(r_node, h_k.reshape(-1, hidden).T @ d_k.reshape(-1, 4 * hidden),
+                            fresh=True)
 
     outs = []
     for mask, r in zip(masks, rows):

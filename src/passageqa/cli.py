@@ -6,7 +6,17 @@ and a help text, and may be given as a flag or as a key of an optional JSON
 config file (--config); a flag overrides the config value, which overrides
 the default.  Every config value is type-checked before any command runs,
 whichever command it is.  One seed drives every source of randomness, so
-runs with the same inputs and seed produce byte-identical outputs.
+runs with the same inputs and seed produce byte-identical outputs on one
+BLAS set-up.
+
+The BLAS set-up is part of that promise, and the program pins none of it.
+numpy's OpenBLAS rounds a large float32 product by its kernel (chosen for
+the CPU) and its thread count (OPENBLAS_NUM_THREADS, by default the core
+count), so `train` writes other checkpoint bytes on another CPU or thread
+count, and scores may move by an ulp.  A paper-width training step (8
+passages of 66-154 tokens, hidden 100) took 226 ms on one thread and 197 ms
+on two, with other gradient bits, on a 2-core x86-64 host (SkylakeX
+kernel).  The tests and the benchmark run OpenBLAS on one thread.
 
 Exit codes: 0 success, 2 usage or configuration error, 3 missing input file,
 4 malformed data or artifact (also a checkpoint whose outputs are not finite,

@@ -236,10 +236,13 @@ class NeuralScorer:
             # Overflow shows as a non-finite output, which _checked reports.
             with ad.no_grad(), np.errstate(over="ignore", invalid="ignore"):
                 for rows in wave:
-                    asked = [question] * len(rows)
                     seqs = [records[i].tokens for i in rows]
-                    batch = encode_batch(asked, seqs, self.table, self.vocabulary)
-                    questions = self._states(asked, batch.question_ids, batch.question_mask)
+                    batch = encode_batch([question] * len(rows), seqs, self.table,
+                                         self.vocabulary)
+                    # Every row asks the one question: its states once, seen by each row.
+                    [states] = self._states([question], batch.question_ids[:1],
+                                            batch.question_mask[:1])
+                    questions = np.broadcast_to(states, (len(rows),) + states.shape)
                     passages = self._states(seqs, batch.passage_ids, batch.passage_mask)
                     chunks.append((ad.constant(passages), ad.constant(questions), batch))
                 states = read(self.weights, self.hp, chunks, heads=heads)

@@ -17,9 +17,11 @@ needs no per-token Python.
 
 `forward_batch` is two stages: `encode_sequences` (highway + contextual
 bi-LSTM, which sees one sequence only) and `read` (everything after), so
-inference can encode a question once and reuse passage encodings.  `read`
-takes a list of chunks and runs each later bi-LSTM once over all of them
-(`ad.bilstm_scan` groups), while attention and the heads stay per chunk.
+inference can encode a question once and reuse passage encodings.  Every
+bi-LSTM is one `ad.bilstm_scan` op from its input to its states, input
+projections included, whose backward pass works over real tokens only.
+`read` takes a list of chunks and runs each later bi-LSTM once over all of
+them (`ad.bilstm_scan` groups), while attention and the heads stay per chunk.
 Its span head is `span_head`, which the scorer also runs alone on the
 attention output and fused states its finalists kept from ranking.
 Each chunk keeps the bits it gets alone, except a one-row chunk sharing
@@ -337,19 +339,14 @@ def encode_batch(questions: list[TokenSeq], passages: list[TokenSeq], table: Vec
 def bilstm_encode(fwd: tuple, bwd: tuple, seqs: Sequence[Node],
                   masks: Sequence[np.ndarray]) -> list[Node]:
     """Each (batch, in_dim, time) sequence -> (batch, 2*hidden, time) by the
-    `fwd` and `bwd` LSTMs, all in one time loop; rows :hidden are forward.
-    Each mask must be right-padded (real tokens first); the states at padding
-    are zero, and so are its columns."""
+    `fwd` and `bwd` LSTMs, input projections included, all in one time loop
+    (`ad.bilstm_scan`); rows :hidden are forward.  Each mask must be
+    right-padded (real tokens first); the states at padding are zero, and so
+    are its columns."""
     if any(seq.value.shape[2] == 0 for seq in seqs):
         raise ValueError("cannot encode an empty sequence")
-
-    def projections(seq: Node) -> list[Node]:
-        seq_rows = ad.transpose(seq, (0, 2, 1))
-        return [ad.add(ad.matmul(seq_rows, w_in), bias) for w_in, _, bias in (fwd, bwd)]
-
-    # The list is the scan's alone, so without backward it can free the projections.
-    return ad.bilstm_scan([(projections(seq), mask) for seq, mask in zip(seqs, masks)],
-                          (fwd[1], bwd[1]))
+    w_in, w_rec, bias = zip(fwd, bwd)
+    return ad.bilstm_scan(list(zip(seqs, masks)), w_in, bias, w_rec)
 
 
 def linear_seq(weight, bias, seq: Node) -> Node:

@@ -193,20 +193,22 @@ def test_fd_shape_ops_composite():
 
 
 def test_fd_bilstm_scan():
-    """BPTT through both directions, each with its own projection and w_rec;
-    row 1 is padded after two tokens, row 2 after three."""
+    """BPTT through both directions, each with its own w_in, bias and w_rec,
+    down to the input sequence both read; row 1 is padded after two tokens,
+    row 2 after three."""
     rng = np.random.default_rng(9)
     mask = np.array([[1, 1, 1, 1], [1, 1, 0, 0], [1, 1, 1, 0]], dtype=np.float64)
-    arrays, weights = {}, []
+    arrays, weights = {"seq": rng.standard_normal((3, 2, 4))}, []
     for direction in ("fwd", "bwd"):
         weights.append(rng.standard_normal((3, 3, 4)))
-        arrays[f"proj_{direction}"] = rng.standard_normal((3, 4, 12))
+        arrays[f"w_in_{direction}"] = rng.standard_normal((2, 12))
+        arrays[f"bias_{direction}"] = rng.standard_normal(12) * 0.5
         arrays[f"w_rec_{direction}"] = rng.standard_normal((3, 12)) * 0.5
     weights = np.concatenate(weights, axis=1)
 
     def build_loss(p):
-        [out] = ad.bilstm_scan([((p["proj_fwd"], p["proj_bwd"]), mask)],
-                               (p["w_rec_fwd"], p["w_rec_bwd"]))
+        [out] = ad.bilstm_scan([(p["seq"], mask)], *((p[f"{name}_fwd"], p[f"{name}_bwd"])
+                                                     for name in ("w_in", "bias", "w_rec")))
         return ad.reduce_sum(ad.mul(out, constant(weights)))
 
     fd(arrays, build_loss)
@@ -214,23 +216,25 @@ def test_fd_bilstm_scan():
 
 @pytest.mark.parametrize("reverse", [False, True])
 def test_fd_lstm_scan(reverse):
-    """BPTT through one direction of bilstm_scan, the other held constant;
-    row 1 is padded after two tokens, row 2 after three."""
+    """BPTT through one direction of bilstm_scan, the other's weights held
+    constant, down to the input sequence; row 1 is padded after two tokens,
+    row 2 after three."""
     rng = np.random.default_rng(9)
     mask = np.array([[1, 1, 1, 1], [1, 1, 0, 0], [1, 1, 1, 0]], dtype=np.float64)
     weights = rng.standard_normal((3, 3, 4))
-    arrays = {"proj": rng.standard_normal((3, 4, 12)),
+    arrays = {"seq": rng.standard_normal((3, 2, 4)), "w_in": rng.standard_normal((2, 12)),
+              "bias": rng.standard_normal(12) * 0.5,
               "w_rec": rng.standard_normal((3, 12)) * 0.5}
-    other_proj = constant(rng.standard_normal((3, 4, 12)))
-    other_w_rec = constant(rng.standard_normal((3, 12)) * 0.5)
+    other = {"w_in": constant(rng.standard_normal((2, 12))),
+             "bias": constant(rng.standard_normal(12) * 0.5),
+             "w_rec": constant(rng.standard_normal((3, 12)) * 0.5)}
     rows = slice(3, 6) if reverse else slice(0, 3)
 
     def build_loss(p):
-        if reverse:
-            proj, w_rec = (other_proj, p["proj"]), (other_w_rec, p["w_rec"])
-        else:
-            proj, w_rec = (p["proj"], other_proj), (p["w_rec"], other_w_rec)
-        out = ad.slice_axis(ad.bilstm_scan([(proj, mask)], w_rec)[0], 1, rows.start, rows.stop)
+        pairs = [(other[name], p[name]) if reverse else (p[name], other[name])
+                 for name in ("w_in", "bias", "w_rec")]
+        out = ad.slice_axis(ad.bilstm_scan([(p["seq"], mask)], *pairs)[0], 1,
+                            rows.start, rows.stop)
         return ad.reduce_sum(ad.mul(out, constant(weights)))
 
     fd(arrays, build_loss)
@@ -528,15 +532,20 @@ def test_shape_errors_name_the_op():
         ad.matmul(constant(np.ones((2, 3))), constant(np.ones((4, 2))))
     with pytest.raises(ShapeMismatchError, match="concat"):
         ad.concat([constant(np.ones((2, 3))), constant(np.ones((3, 3)))], axis=1)
-    proj, w_rec = constant(np.ones((2, 3, 8))), constant(np.ones((2, 8)))
+    seq, w_in, bias = constant(np.ones((2, 8, 3))), constant(np.eye(8)), constant(np.zeros(8))
+    w_rec = constant(np.ones((2, 8)))
     with pytest.raises(ShapeMismatchError, match="bilstm_scan"):
-        ad.bilstm_scan([((proj, proj), np.ones((2, 4)))], (w_rec, w_rec))
+        ad.bilstm_scan([(seq, np.ones((2, 4)))], (w_in, w_in), (bias, bias), (w_rec, w_rec))
     with pytest.raises(ShapeMismatchError, match="bilstm_scan"):
-        ad.bilstm_scan([((proj, constant(np.ones((2, 4, 8)))), np.ones((2, 3)))], (w_rec, w_rec))
-    with pytest.raises(ValueError, match="bilstm_scan: every projection must have one dtype"):
-        ad.bilstm_scan([((proj, proj), np.ones((2, 3))),
-                        ((proj, constant(np.ones((2, 3, 8), np.float32))), np.ones((2, 3)))],
+        ad.bilstm_scan([(seq, np.ones((2, 3)))], (w_in, constant(np.ones((4, 8)))), (bias, bias),
                        (w_rec, w_rec))
+    with pytest.raises(ShapeMismatchError, match="bilstm_scan"):
+        ad.bilstm_scan([(constant(np.ones((2, 4, 3))), np.ones((2, 3)))], (w_in, w_in),
+                       (bias, bias), (w_rec, w_rec))
+    narrow = [(constant(a.value.astype(np.float32)),) * 2 for a in (w_in, bias, w_rec)]
+    with pytest.raises(ValueError, match="bilstm_scan: every projection must have one dtype"):
+        ad.bilstm_scan([(seq, np.ones((2, 3))),
+                        (constant(np.ones((2, 8, 3), np.float32)), np.ones((2, 3)))], *narrow)
     with pytest.raises(ShapeMismatchError, match="broadcast"):
         ad.broadcast_to(constant(np.ones(3)), (2, 4))
     with pytest.raises(ShapeMismatchError, match="masked_softmax"):

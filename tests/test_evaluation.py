@@ -434,9 +434,9 @@ def test_scorer_runs_one_loop_per_bilstm_layer_for_all_chunks(task, monkeypatch)
     groups_per_call = []
     original = ad.bilstm_scan
 
-    def counting(groups, w_rec):
+    def counting(groups, *weights):
         groups_per_call.append(len(groups))
-        return original(groups, w_rec)
+        return original(groups, *weights)
 
     monkeypatch.setattr(ad, "bilstm_scan", counting)
     scorer.relevance_scores(question, records)

@@ -32,13 +32,27 @@ def gate_row(hidden, input_, forget, cell, output):
     return np.repeat(np.array([input_, forget, cell, output], dtype=np.float64), hidden)
 
 
+def projection_inputs(proj_fwd, proj_bwd):
+    """A (B, 8h, T) input and the (w_in, bias) pairs under which bilstm_scan's
+    input projections are exactly `proj_fwd` and `proj_bwd` (B, T, 4h): the
+    input stacks both along its features, each w_in picks its half with an
+    identity block, and the biases are zero.  Every product term is x * 1 or
+    x * 0, so the input's gradient is the two projection gradients, stacked
+    the same way, with their bits."""
+    four_h, dtype = proj_fwd.shape[2], proj_fwd.dtype
+    seq = np.ascontiguousarray(np.concatenate([proj_fwd, proj_bwd], axis=2).transpose(0, 2, 1))
+    w_in = (np.eye(2 * four_h, four_h, dtype=dtype), np.eye(2 * four_h, four_h, -four_h, dtype))
+    return seq, w_in, (np.zeros(four_h, dtype), np.zeros(four_h, dtype))
+
+
 def scan_mirrored(proj):
     """bilstm_scan with zero w_rec and the backward projection time-reversed,
     so both halves of the output should show the same states, mirrored."""
     hidden = proj.shape[2] // 4
     zeros = constant(np.zeros((hidden, 4 * hidden)))
-    out = ad.bilstm_scan([((constant(proj), constant(proj[:, ::-1].copy())),
-                           np.ones(proj.shape[:2]))], (zeros, zeros))[0].value
+    seq, w_in, bias = projection_inputs(proj, proj[:, ::-1])
+    out = ad.bilstm_scan([(constant(seq), np.ones(proj.shape[:2]))], w_in, bias,
+                         (zeros, zeros))[0].value
     np.testing.assert_array_equal(out[:, hidden:, ::-1], out[:, :hidden])
     return out[:, :hidden]
 
@@ -48,8 +62,9 @@ def test_bilstm_scan_matches_scalar_steps():
     fwd = random_lstm(rng, 4, 3)[:2] + (rng.standard_normal(12),)
     bwd = random_lstm(rng, 4, 3)[:2] + (rng.standard_normal(12),)
     x = rng.standard_normal((2, 3, 4))
-    out = ad.bilstm_scan([([constant(x @ w_in + bias) for w_in, _, bias in (fwd, bwd)],
-                           np.ones((2, 3)))], (constant(fwd[1]), constant(bwd[1])))[0].value
+    w_in, w_rec, bias = zip(fwd, bwd)
+    out = ad.bilstm_scan([(constant(x.transpose(0, 2, 1)), np.ones((2, 3)))],
+                         w_in, bias, w_rec)[0].value
     # C order like every other op's output, so downstream matmuls round alike
     assert out.flags.c_contiguous
     for row in range(2):
@@ -76,25 +91,122 @@ def right_padded_scans(draw):
 @given(right_padded_scans())
 def test_bilstm_scan_matches_blended_reference(case):
     """Value and all four gradients equal the scan that carried its state
-    across masked positions, byte for byte; at padding both outputs are zero."""
+    across masked positions, byte for byte; at padding both outputs are zero.
+    The projections come in through `projection_inputs`, so the input's
+    gradient holds both projection gradients."""
     hidden, dtype, seed, mask = case
     rng = np.random.default_rng(seed)
     batch, steps = mask.shape
     proj = [rng.standard_normal((batch, steps, 4 * hidden)).astype(dtype) for _ in range(2)]
     w_rec = [(rng.standard_normal((hidden, 4 * hidden)) * 0.5).astype(dtype) for _ in range(2)]
     grad = rng.standard_normal((batch, 2 * hidden, steps)).astype(dtype)
-    leaves = [leaf(a, True) for a in proj + w_rec]
-    out = ad.bilstm_scan([(leaves[:2], mask)], leaves[2:])[0]
+    seq, w_in, bias = projection_inputs(*proj)
+    leaves = [leaf(a, True) for a in [seq] + w_rec]
+    out = ad.bilstm_scan([(leaves[0], mask)], w_in, bias, leaves[1:])[0]
     ad.backward(ad.reduce_sum(ad.mul(out, constant(grad))))
     value, grads = oracles.bilstm_scan_blended(proj, w_rec, mask, grad)
+    halves = [leaves[0].grad[:, k * 4 * hidden:(k + 1) * 4 * hidden].transpose(0, 2, 1)
+              for k in range(2)]
     # The sign of a zero at padding differs between the two, so compare real
     # positions by their bytes and padded ones by value.
     real = np.broadcast_to(mask[:, None, :] == 1, value.shape)
     assert out.value.dtype == dtype and out.value.flags.c_contiguous
     assert out.value[real].tobytes() == value[real].tobytes()
     assert not out.value[~real].any() and not value[~real].any()
-    for node, expected in zip(leaves, grads):
-        assert node.grad.tobytes() == expected.tobytes()
+    for got, expected in zip(halves + [node.grad for node in leaves[1:]], grads):
+        assert got.tobytes() == expected.tobytes()
+
+
+def summed_in_stack_order(xs, ys):
+    """The sum over k of xs[k] @ ys[k], added up one product at a time."""
+    total = xs[0] @ ys[0]
+    for x, y in zip(xs[1:], ys[1:]):
+        total += x @ y
+    return total
+
+
+@settings(max_examples=80, deadline=None)
+@given(right_padded_scans(), st.integers(1, 9))
+def test_bilstm_scan_matches_unfused_reference(case, in_dim):
+    """The value and all seven gradients (the input's, and w_in, bias and
+    w_rec of each direction) equal the unfused graph's: numpy projections
+    over the padded rows fed to the blended scan, and the gradient products
+    over the padded rows, which the fused scan forms over the real tokens
+    only.  The value, the bias and w_rec gradients and, from two input
+    features on, the w_in ones are equal byte for byte.  The input gradient
+    is held to closeness: OpenBLAS picks its kernel by a product's shape,
+    and at these small widths the N real rows in one product may round
+    otherwise than T rows per batch row (the paper-width shapes are pinned
+    byte for byte by test_real_token_products_keep_their_bits).  With one
+    input feature the w_in gradient is a gemv, also held to closeness."""
+    hidden, dtype, seed, mask = case
+    rng = np.random.default_rng(seed)
+    batch, steps = mask.shape
+    seq = rng.standard_normal((batch, in_dim, steps)).astype(dtype)
+    w_in = [rng.standard_normal((in_dim, 4 * hidden)).astype(dtype) for _ in range(2)]
+    bias = [rng.standard_normal(4 * hidden).astype(dtype) for _ in range(2)]
+    w_rec = [(rng.standard_normal((hidden, 4 * hidden)) * 0.5).astype(dtype) for _ in range(2)]
+    grad = rng.standard_normal((batch, 2 * hidden, steps)).astype(dtype)
+    leaves = [leaf(a, True) for a in [seq] + w_in + bias + w_rec]
+    out = ad.bilstm_scan([(leaves[0], mask)], leaves[1:3], leaves[3:5], leaves[5:])[0]
+    ad.backward(ad.reduce_sum(ad.mul(out, constant(grad))))
+
+    rows = seq.transpose(0, 2, 1)
+    proj = [rows @ w + b for w, b in zip(w_in, bias)]
+    value, (d_fwd, d_bwd, *d_rec) = oracles.bilstm_scan_blended(proj, w_rec, mask, grad)
+    # The unfused graph met both directions in the input's transpose node,
+    # backward first, and summed each weight gradient over the stack.
+    d_rows = np.zeros_like(rows) + d_bwd @ w_in[1].T
+    d_rows += d_fwd @ w_in[0].T
+    expected = [np.ascontiguousarray(d_rows.transpose(0, 2, 1))]
+    d_proj = (d_fwd, d_bwd)
+    expected += [np.zeros_like(w) + summed_in_stack_order(seq, d) for w, d in zip(w_in, d_proj)]
+    expected += [np.zeros_like(b) + d.sum(axis=(0, 1)) for b, d in zip(bias, d_proj)]
+    expected += d_rec
+
+    real = np.broadcast_to(mask[:, None, :] == 1, value.shape)
+    assert out.value.dtype == dtype and out.value.flags.c_contiguous
+    assert out.value[real].tobytes() == value[real].tobytes()
+    assert not out.value[~real].any()
+    close = [0, 1, 2] if in_dim == 1 else [0]
+    for k, (node, want) in enumerate(zip(leaves, expected)):
+        assert node.grad.dtype == want.dtype
+        if k in close:
+            np.testing.assert_allclose(node.grad, want,
+                                       rtol=1e-4 if dtype == np.float32 else 1e-11,
+                                       atol=1e-5 if dtype == np.float32 else 1e-13)
+        else:
+            assert node.grad.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("in_dim", [1400, 800, 300, 200])
+def test_real_token_products_keep_their_bits(in_dim):
+    """bilstm_scan forms the input and w_in gradients over real tokens only,
+    and keeps the padded graph's bits because OpenBLAS gives those products
+    the same bits over fewer rows at the model's paper widths: the end,
+    fusion, ctx and start LSTM inputs, 8 passages of 66-154 tokens, hidden
+    100, float32.  A numpy or OpenBLAS change that breaks this shows here,
+    by product, before any digest moves."""
+    from conftest import pytest_report_header
+    rng = np.random.default_rng(in_dim)
+    lengths = np.array([154, 66, 120, 98, 154, 77, 140, 103])
+    real = np.arange(154) < lengths[:, None]
+    seq = rng.standard_normal((8, in_dim, 154)).astype(np.float32)
+    grads = rng.standard_normal((8, 154, 400)).astype(np.float32) * real[..., None]
+    w_in = rng.standard_normal((in_dim, 400)).astype(np.float32)
+    rows = grads[real]
+    ends = np.cumsum(lengths)
+    products = {
+        "input gradient rows @ w_in.T": ((grads @ w_in.T)[real], rows @ w_in.T),
+        "w_in gradient summed per row": (
+            summed_in_stack_order(seq, grads),
+            summed_in_stack_order([seq[k, :, :n] for k, n in enumerate(lengths)],
+                                  np.split(rows, ends[:-1]))),
+    }
+    for name, (padded, real_only) in products.items():
+        assert padded.tobytes() == real_only.tobytes(), (
+            f"{name} at in_dim {in_dim}: over real tokens it differs from the padded "
+            f"product; {pytest_report_header(None)}")
 
 
 @st.composite
@@ -119,11 +231,13 @@ def test_grouped_bilstm_scan_equals_one_call_per_group(case):
     BLAS path), so then only closeness is checked."""
     hidden, dtype, seed, masks = case
     rng = np.random.default_rng(seed)
-    groups = [([rng.standard_normal(m.shape + (4 * hidden,)).astype(dtype) for _ in range(2)], m)
-              for m in masks]
+    inputs = [projection_inputs(*(rng.standard_normal(m.shape + (4 * hidden,)).astype(dtype)
+                                  for _ in range(2))) for m in masks]
+    groups = [(seq, m) for (seq, _, _), m in zip(inputs, masks)]
+    w_in, bias = inputs[0][1:]
     w_rec = [(rng.standard_normal((hidden, 4 * hidden)) * 0.5).astype(dtype) for _ in range(2)]
-    values = [out.value for out in ad.bilstm_scan(groups, w_rec)]
-    want = [ad.bilstm_scan([group], w_rec)[0].value for group in groups]
+    values = [out.value for out in ad.bilstm_scan(groups, w_in, bias, w_rec)]
+    want = [ad.bilstm_scan([group], w_in, bias, w_rec)[0].value for group in groups]
     assert all(v.flags.c_contiguous and v.dtype == dtype for v in values)
     if len(masks) > 1 and any(len(m) == 1 for m in masks):
         for a, b in zip(values, want):
@@ -137,23 +251,26 @@ def test_grouped_bilstm_scan_equals_one_call_per_group(case):
 @pytest.mark.parametrize("learned", ["proj", "w_rec"])
 def test_grouped_bilstm_scan_refuses_gradients(learned):
     """Gradients flow through one group: two groups with an input that needs
-    a gradient raise ValueError, and run under no_grad."""
-    proj = leaf(np.ones((2, 3, 8)), learned == "proj")
+    a gradient (the sequence the projections come from, or w_rec) raise
+    ValueError, and run under no_grad."""
+    seq = leaf(np.ones((2, 8, 3)), learned == "proj")
     w_rec = leaf(np.ones((2, 8)), learned == "w_rec")
-    groups = [((proj, proj), np.ones((2, 3))), ((proj, proj), np.ones((2, 3)))]
+    weights = ((np.eye(8),) * 2, (np.zeros(8),) * 2, (w_rec, w_rec))
+    groups = [(seq, np.ones((2, 3))), (seq, np.ones((2, 3)))]
     with pytest.raises(ValueError, match="bilstm_scan: gradients flow through one group"):
-        ad.bilstm_scan(groups, (w_rec, w_rec))
-    assert len(ad.bilstm_scan(groups[:1], (w_rec, w_rec))) == 1
+        ad.bilstm_scan(groups, *weights)
+    assert len(ad.bilstm_scan(groups[:1], *weights)) == 1
     with ad.no_grad():
-        assert len(ad.bilstm_scan(groups, (w_rec, w_rec))) == 2
+        assert len(ad.bilstm_scan(groups, *weights)) == 2
 
 
 @pytest.mark.parametrize("mask", [[[1, 1, 0], [1, 0, 1]], [[1, 1, 1], [1, 0.5, 0]],
                                   [[0, 1, 1], [1, 1, 1]], [[1, 1, 2], [1, 1, 1]]])
 def test_bilstm_scan_rejects_mask_not_right_padded(mask):
-    proj, w_rec = constant(np.ones((2, 3, 8))), constant(np.ones((2, 8)))
+    seq, w_rec = constant(np.ones((2, 8, 3))), constant(np.ones((2, 8)))
     with pytest.raises(ValueError, match="bilstm_scan: mask"):
-        ad.bilstm_scan([((proj, proj), np.array(mask, dtype=np.float64))], (w_rec, w_rec))
+        ad.bilstm_scan([(seq, np.array(mask, dtype=np.float64))], (np.eye(8),) * 2,
+                       (np.zeros(8),) * 2, (w_rec, w_rec))
 
 
 def test_saturated_forget_gate_copies_cell_state():
