@@ -394,15 +394,19 @@ def broadcast_to(a: Node, shape: tuple[int, ...]) -> Node:
 # nonlinearities
 
 
-def _sigmoid_values(x: np.ndarray) -> np.ndarray:
+def _sigmoid_values(x: np.ndarray, out: np.ndarray | None = None,
+                    scratch: np.ndarray | None = None) -> np.ndarray:
+    """sigmoid(x), written into `out` when given, with `scratch` (x's shape
+    and dtype) as its one temporary; neither may overlap x or the other."""
     # exp(-|x|) never overflows; the negative branch ex/(1+ex) stays exact
     # as ex * (1/(1+ex)) without any cancellation.  No np.where: a select on
     # a sign-random mask mispredicts about every other element.  ex <= 1, so
     # the factor is exactly 1.0 where x >= 0 and ex elsewhere (NaN stays NaN);
     # asarray keeps np.where's 0-d array where the product gives a scalar.
-    ex = np.exp(-np.abs(x))
-    base = 1.0 / (1.0 + ex)
-    return np.asarray(base * np.maximum(ex, x >= 0))
+    ex = np.exp(np.negative(np.abs(x, out=out), out=out), out=out)
+    factor = np.maximum(ex, np.greater_equal(x, 0, out=scratch), out=scratch)
+    base = np.divide(1.0, np.add(1.0, ex, out=out), out=out)
+    return np.asarray(np.multiply(base, factor, out=out))
 
 
 def sigmoid(a) -> Node:
@@ -586,6 +590,19 @@ def bilstm_scan(groups, w_in, bias, w_rec) -> list[Node]:
     keeps k*c and k*h, so the state is zero at padding, which no real
     position of either direction reads, and so are the outputs there.
 
+    A step allocates nothing: it writes into buffers made once per scan, or
+    once per segment of steps that run the same rows, and keeps each
+    element's operand order, so its bits are those of the formulas above.
+    Forward it makes 18 numpy calls: the recurrent product, the projection
+    add, eight for the sigmoid, the tanh over the cell block, four for c and
+    three for h.  Backward it makes 19: eight update dh and dc in place,
+    three write the input, forget and output blocks (dc*g, dc*c_prev,
+    dh*tanh(c)) into the step's slot of a zeroed buffer, one multiplies the
+    whole slot by the gates, one rewrites the cell block as dc*i, four
+    multiply the whole slot by 1 - gate (1 - g*g on the cell block), one
+    more updates dc, and the last is the BPTT product dh = d_gates @ w_rec.T,
+    which t = 0 skips, as nothing reads it.
+
     The groups share one time-major buffer in decreasing T_g order, so the
     groups still running at step s are a row prefix, and each step is one
     (2, rows, h) @ (2, h, 4h) matmul over that prefix.  Every group gets the
@@ -648,17 +665,17 @@ def bilstm_scan(groups, w_in, bias, w_rec) -> list[Node]:
             segments.append((lo, masks[g].shape[1], start))
     batch, steps = start, max(m.shape[1] for m in masks)
     xs = np.empty((steps, 2, batch, 4 * hidden), dtype)
-    keep = np.empty((steps, 2, batch, 1), dtype)
+    keep = np.empty((steps, 2, batch, hidden), dtype)   # full width: no broadcast per step
     for seq, mask, r in zip(seqs, masks, rows):
         length = mask.shape[1]
         # Time-major, the backward half time-reversed, so every step slice is
         # contiguous; the views below are each direction's in time order.
         for xs_k, keep_k, w, b in zip(_scan_unstack(xs[:length, :, r]),
-                                      _scan_unstack(keep[:length, :, r, 0]), w_in, bias):
+                                      _scan_unstack(keep[:length, :, r]), w_in, bias):
             proj = (seq.value.transpose(0, 2, 1) @ w.value).astype(dtype, copy=False)
             proj += b.value
             xs_k[...] = proj.transpose(1, 0, 2)
-            keep_k[...] = mask.T
+            keep_k[...] = mask.T[..., None]
     w = np.stack([w.value for w in w_rec])
     # Step t reads state row t and writes row t + 1; row 0 is the zero initial
     # state.  Without backward one slot of acts and two of cells are reused.
@@ -672,35 +689,56 @@ def bilstm_scan(groups, w_in, bias, w_rec) -> list[Node]:
     for lo, hi, n in reversed(segments):
         xs_n, keep_n, acts_n, tanh_n, cells_n, states_n = (
             buf[:, :, :n] for buf in (xs, keep, acts, tanh_c, cells, states))
+        # The step's buffers: every product and sum below is written in place.
+        gates, spare = np.empty((2, 2, n, 4 * hidden), dtype)
+        ig = np.empty((2, n, hidden), dtype)
         for t in range(lo, hi):
-            gates = xs_n[t] + states_n[t] @ w
+            np.matmul(states_n[t], w, out=gates)
+            gates += xs_n[t]
             a = acts_n[t % kept]
-            a[...] = _sigmoid_values(gates)
-            a[..., blocks[2]] = np.tanh(gates[..., blocks[2]])
+            _sigmoid_values(gates, out=a, scratch=spare)
+            np.tanh(gates[..., blocks[2]], out=a[..., blocks[2]])
             i, f, cand, o = (a[..., b] for b in blocks)
-            c = cells_n[(t + 1) % (kept + 1)]
-            np.multiply(keep_n[t], f * cells_n[t % (kept + 1)] + i * cand, out=c)
-            np.multiply(keep_n[t], o * np.tanh(c, out=tanh_n[t % kept]), out=states_n[t + 1])
+            c_prev, c = cells_n[t % (kept + 1)], cells_n[(t + 1) % (kept + 1)]
+            k, tc, h = keep_n[t], tanh_n[t % kept], states_n[t + 1]
+            np.multiply(f, c_prev, out=c)
+            c += np.multiply(i, cand, out=ig)
+            c *= k
+            np.multiply(o, np.tanh(c, out=tc), out=h)
+            h *= k
     xs = xs_n = None            # free the inputs before the outputs are copied out
 
     def back(g):
         gs = np.empty((steps, 2, batch, hidden), dtype)
         gs[:, 0] = g[:, :hidden].transpose(2, 0, 1)
         gs[:, 1] = g[:, hidden:, ::-1].transpose(2, 0, 1)
-        d_gates = np.empty_like(acts)
+        # Zeroed: a step multiplies its cell block by the gates before writing it.
+        d_gates = np.zeros_like(acts)
         w_t = w.swapaxes(1, 2)
-        dh, dc = np.zeros((2, batch, hidden), dtype), np.zeros((2, batch, hidden), dtype)
+        dh, dc, tc_slope, dh_o = np.zeros((4, 2, batch, hidden), dtype)
+        factor = np.empty((2, batch, 4 * hidden), dtype)
+        factor_cell = factor[..., blocks[2]]
         for t in range(steps - 1, -1, -1):
-            i, f, cand, o = (acts[t, ..., b] for b in blocks)
-            k, tc = keep[t], tanh_c[t]
-            dh_new, dc_new = k * (dh + gs[t]), k * dc
-            dc_new += dh_new * o * (1.0 - tc * tc)
-            d_gates[t] = np.concatenate([dc_new * cand * i * (1.0 - i),
-                                         dc_new * cells[t] * f * (1.0 - f),
-                                         dc_new * i * (1.0 - cand * cand),
-                                         dh_new * tc * o * (1.0 - o)], axis=-1)
-            dc = dc_new * f
-            np.matmul(d_gates[t], w_t, out=dh)
+            a, dg = acts[t], d_gates[t]
+            i, f, cand, o = (a[..., b] for b in blocks)
+            dg_i, dg_f, dg_cell, dg_o = (dg[..., b] for b in blocks)
+            tc = tanh_c[t]
+            dh += gs[t]
+            dh *= keep[t]
+            dc *= keep[t]
+            np.subtract(1.0, np.multiply(tc, tc, out=tc_slope), out=tc_slope)
+            dc += np.multiply(np.multiply(dh, o, out=dh_o), tc_slope, out=dh_o)
+            np.multiply(dc, cand, out=dg_i)
+            np.multiply(dc, cells[t], out=dg_f)
+            np.multiply(dh, tc, out=dg_o)
+            dg *= a
+            np.multiply(dc, i, out=dg_cell)
+            np.subtract(1.0, a, out=factor)
+            np.subtract(1.0, np.multiply(cand, cand, out=factor_cell), out=factor_cell)
+            dg *= factor
+            if t:               # at t = 0 no earlier step reads dh or dc
+                dc *= f
+                np.matmul(dg, w_t, out=dh)
         [seq], real = seqs, masks[0] != 0
         d_dirs = _scan_unstack(d_gates)
         # Each direction's gate gradients at the real tokens, (N, 4h) in (row, time) order.

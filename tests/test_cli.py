@@ -8,12 +8,15 @@ import io
 import json
 import math
 import struct
-from contextlib import redirect_stdout
+import sys
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from passageqa import cli
 from passageqa.checkpoint import load_checkpoint, save_checkpoint
@@ -657,3 +660,129 @@ def test_ask_with_a_question_of_no_tokens_exits_2(ws, capsys, question, chain):
     assert code == 2
     assert "error: no question given" in err and "Traceback" not in err, err
     assert "answer" not in out
+
+
+# ---------------------------------------------------------------------------
+# generated argv
+
+DOCUMENTED_EXITS = {0, 2, 3, 4}
+# (command, setting) pairs the command writes; every other path setting is read
+OUTPUTS = {("ingest", "corpus"), ("build-index", "index"), ("train", "checkpoint"),
+           ("eval-ir", "report"), ("eval-rc", "report"), ("eval-mrs", "report")}
+TEXT_VALUES = ["", "0", "1", "-1", "2", "1.5", "nan", "inf", "1e400", "x", "--k", "tfidf:2",
+               "tfidf:200,neural:5", "neural:3", "tfidf:0", "tfidf:3,neural:9", "bogus:1",
+               "mtl", "stl-ir", "stl-rc", "18446744073709551616", " ", "\ud800"]
+# values that keep a drawn training run short
+EPOCH_VALUES = ["", "0", "1", "-1", "2", "1.5", "x"]
+JSON_VALUES = [None, True, 0, 2, -2, 1.5, float("nan"), "x", "tfidf:2,neural:1", [], {}]
+
+
+def _scratch_paths(scratch: Path) -> list[str]:
+    """Output candidates in `scratch`: a file, a directory, a new path, a path
+    in a missing directory and one below a file."""
+    (scratch / "afile").write_text("keep")
+    (scratch / "adir").mkdir()
+    return [str(scratch / name) for name in
+            ("afile", "adir", "new", "nodir/out", "afile/sub/out")]
+
+
+def _draw_config(data, command, path_values, outputs) -> dict:
+    """Drawn settings; a train config always holds small hyperparameters."""
+    config = {}
+    for key in data.draw(st.lists(st.sampled_from(sorted(cli.SETTINGS) + ["unknown"]),
+                                  max_size=5, unique=True)):
+        if (command, key) in OUTPUTS:
+            pool = outputs
+        elif key in ("corpus", "vectors", "index", "checkpoint", "dataset"):
+            pool = path_values + JSON_VALUES
+        else:
+            pool = JSON_VALUES
+        config[key] = data.draw(st.sampled_from(pool))
+    if command == "train":
+        config["hyperparams"] = {"hidden": 4, "attn_dim": 4, "epochs": 1,
+                                 "batch_positives": 10, "batch_negatives": 10}
+        config["hyperparams"].update(data.draw(st.dictionaries(
+            st.sampled_from(["dropout", "learning_rate", "seed", "ir_weight", "bogus"]),
+            st.sampled_from(JSON_VALUES), max_size=2)))
+    return config
+
+
+def _base_argv(ws, command: str, outputs: list[str]) -> dict:
+    """The flags of a run of `command` that succeeds on the workspace."""
+    scorer = {"corpus": ws.corpus_dir, "vectors": ws.vectors, "checkpoint": ws.ckpt_dir}
+    return {"ingest": {"dataset": ws.dataset, "corpus": outputs[2]},
+            "build-index": {"corpus": ws.corpus_dir, "index": outputs[2]},
+            "train": dict(scorer, index=ws.index_path, checkpoint=outputs[2]),
+            "eval-ir": dict(scorer, index=ws.index_path, report=outputs[2]),
+            "eval-rc": scorer,
+            "eval-mrs": dict(scorer, index=ws.index_path),
+            "ask": dict(scorer, index=ws.index_path, question="Which river runs by it ?"),
+            }.get(command, {})
+
+
+def _draw_argv(data, ws, scratch: Path) -> list[str]:
+    """A run that succeeds on the workspace, with up to four drawn edits: a
+    flag dropped, or set (now and then one the command does not take) to a
+    value drawn from the workspace's files, outputs in `scratch` and odd
+    text; maybe a drawn config file or another file as config; now and then
+    no command or an unknown one.  A command's outputs go to `scratch` only:
+    the workspace is never written."""
+    outputs = _scratch_paths(scratch)
+    path_values = [ws.corpus_dir, ws.vectors, ws.index_path, ws.ckpt_dir,
+                   str(Path(ws.ckpt_dir) / "final.ckpt"), ws.dataset] + outputs
+    command = data.draw(st.sampled_from(sorted(cli.COMMANDS) * 3 + ["", "nope", "--help"]))
+    every_flag = sorted({flag for spec in cli.COMMANDS.values() for flag in spec[2]}
+                        | {"seed", "unknown"})
+    takes = ["seed", *cli.COMMANDS[command][2]] if command in cli.COMMANDS else every_flag
+    flags = _base_argv(ws, command, outputs)
+    for _ in range(data.draw(st.integers(0, 4))):
+        flag = data.draw(st.sampled_from(takes) | st.sampled_from(every_flag))
+        if data.draw(st.integers(0, 3)) == 0:
+            flags.pop(flag, None)
+        elif flag == "question":
+            flags[flag] = data.draw(st.sampled_from(TEXT_VALUES) | st.text(max_size=12))
+        elif flag == "epochs":
+            flags[flag] = data.draw(st.sampled_from(EPOCH_VALUES))
+        elif flag in ("seed", "buckets", "k", "tau", "chain", "mode", "unknown"):
+            flags[flag] = data.draw(st.sampled_from(TEXT_VALUES))
+        elif (command, flag) in OUTPUTS:
+            flags[flag] = data.draw(st.sampled_from(outputs))
+        else:
+            flags[flag] = data.draw(st.sampled_from(path_values + TEXT_VALUES))
+    argv = [command] if command else []
+    for flag, value in flags.items():
+        argv += [f"--{flag}", value]
+    config = data.draw(st.sampled_from(["drawn", "none", "other"]))
+    if config == "other":       # no file of these is a config this program takes
+        argv += ["--config", data.draw(st.sampled_from(path_values + TEXT_VALUES))]
+    elif command == "train" or config == "drawn":
+        path = scratch / "config.json"
+        path.write_text(json.dumps(_draw_config(data, command, path_values, outputs)))
+        argv += ["--config", str(path)]
+    return argv
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_every_generated_argv_exits_with_a_documented_code(ws, data):
+    """Whatever the argv, main returns or exits with a documented code; a
+    failure prints one `error:` line and no traceback."""
+    with tempfile.TemporaryDirectory(dir=ws.root) as tmp:
+        argv = _draw_argv(data, ws, Path(tmp))
+        stdin = data.draw(st.sampled_from(["", "\n", " \n", "Which river runs by it ?\n"]))
+        out, err = io.StringIO(), io.StringIO()
+        saved_stdin, sys.stdin = sys.stdin, io.StringIO(stdin)
+        try:
+            with redirect_stdout(out), redirect_stderr(err):
+                try:
+                    code = cli.main(argv)
+                except SystemExit as exc:       # argparse: usage errors and --help
+                    code = exc.code
+        finally:
+            sys.stdin = saved_stdin
+    err = err.getvalue()
+    assert code in DOCUMENTED_EXITS, (argv, code, err)
+    assert "Traceback" not in err, (argv, err)
+    error_lines = [line for line in err.splitlines() if "error:" in line]
+    assert len(error_lines) == (code != 0), (argv, code, err)

@@ -1,5 +1,7 @@
 """LSTM / highway layer tests against hand-rolled scalar references."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -177,6 +179,61 @@ def test_bilstm_scan_matches_unfused_reference(case, in_dim):
                                        atol=1e-5 if dtype == np.float32 else 1e-13)
         else:
             assert node.grad.tobytes() == want.tobytes()
+
+
+# Bit patterns of a signaling NaN: any arithmetic that reads one raises under
+# np.errstate(invalid="raise"), where a quiet NaN would pass on silently.
+SIGNALING_NAN = {np.dtype(np.float32): (np.uint32, 0x7FA00000),
+                 np.dtype(np.float64): (np.uint64, 0x7FF4000000000000)}
+
+
+def signaling_nans(make):
+    """np.empty or np.empty_like whose floating arrays come filled with
+    signaling NaNs in place of whatever the allocator left there."""
+    def poisoned(*args, **kwargs):
+        out = make(*args, **kwargs)
+        if out.dtype in SIGNALING_NAN:
+            view, bits = SIGNALING_NAN[out.dtype]
+            out.view(view).fill(bits)
+        return out
+    return poisoned
+
+
+@settings(max_examples=60, deadline=None)
+@given(right_padded_scans(), st.integers(1, 5))
+def test_bilstm_scan_reads_no_unwritten_buffer(case, in_dim):
+    """Forward and backward on finite inputs raise no floating-point error,
+    also when every array the scan leaves unwritten holds signaling NaNs,
+    and give the same bytes either way; a second, shorter group runs the
+    gradient-free scan's row-prefix segments."""
+    hidden, dtype, seed, mask = case
+    rng = np.random.default_rng(seed)
+    batch, steps = mask.shape
+    arrays = [rng.standard_normal((batch, in_dim, steps)),
+              *(rng.standard_normal((in_dim, 4 * hidden)) for _ in range(2)),
+              *(rng.standard_normal(4 * hidden) for _ in range(2)),
+              *(rng.standard_normal((hidden, 4 * hidden)) * 0.5 for _ in range(2))]
+    seq, *weights = [a.astype(dtype) for a in arrays]
+    grad = rng.standard_normal((batch, 2 * hidden, steps)).astype(dtype)
+    short = max(1, steps // 2)
+
+    def run():
+        leaves = [leaf(a, True) for a in [seq] + weights]
+        out = ad.bilstm_scan([(leaves[0], mask)], leaves[1:3], leaves[3:5], leaves[5:])[0]
+        ad.backward(ad.reduce_sum(ad.mul(out, constant(grad))))
+        with ad.no_grad():
+            waves = ad.bilstm_scan([(seq[:1, :, :short], mask[:1, :short]), (seq, mask)],
+                                   weights[0:2], weights[2:4], weights[4:])
+        return [out.value] + [node.grad for node in leaves] + [node.value for node in waves]
+
+    with np.errstate(all="raise"):
+        clean = run()
+        with mock.patch.object(np, "empty", signaling_nans(np.empty)), \
+                mock.patch.object(np, "empty_like", signaling_nans(np.empty_like)):
+            poisoned = run()
+    for got, want in zip(poisoned, clean):
+        assert np.isfinite(want).all()
+        assert got.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("in_dim", [1400, 800, 300, 200])

@@ -8,6 +8,7 @@ import pytest
 import passageqa.autodiff as ad
 from passageqa.autodiff import constant
 from passageqa.model import ForwardState, Hyperparams, named_arrays
+from passageqa.retriever import build_index
 from passageqa.training import (Batch, OptimizerError, QuestionExample, TrainMode,
                                 build_targets, ema_update, graph_loss,
                                 make_negative, relevance_loss, sgd_momentum_step,
@@ -15,6 +16,7 @@ from passageqa.training import (Batch, OptimizerError, QuestionExample, TrainMod
 from passageqa.text import tokenize
 
 from oracles import joint_loss
+from synthtask import build_task
 
 
 def positive(qid="q", pid=0, span=(0, 0)):
@@ -452,6 +454,23 @@ def test_one_row_step_at_paper_width_is_golden(task, task_index):
                    mode=TrainMode.READING_ONLY)
     assert [h.n_batches for h in result.history] == [1]
     assert result_digest(result) == GOLDEN_ONE_ROW_STEP
+
+
+# sha256 of three mtl steps at the bench's train_mtl width, digested as above,
+# taken before the bi-LSTM time step was rewritten in place.  The bench's own
+# training digests hash losses only, which can hold while weight bits move;
+# this one hashes the raw weights too.
+GOLDEN_MTL_BENCH_WIDTH = "b356f34c827f0c01a34e0f33741a665a00bd0656e68b3100359399b5b085a289"
+
+
+def test_mtl_steps_at_bench_width_are_golden():
+    """Embed 32, hidden 16, attn 16, 10 positives and 10 negatives a step."""
+    wide = build_task(seed=0, emb_dim=32)
+    hp = small_hp(hidden=16, attn_dim=16, dropout=0.2, epochs=3,
+                  batch_positives=10, batch_negatives=10)
+    result = train(wide.examples[:10], wide.corpus, build_index(wide.corpus), wide.table, hp)
+    assert [h.n_batches for h in result.history] == [1, 1, 1]
+    assert result_digest(result) == GOLDEN_MTL_BENCH_WIDTH
 
 
 def test_train_writes_per_epoch_checkpoints(task, task_index, tmp_path):
