@@ -12,21 +12,23 @@ so little of each chunk is padding.  The contextual encoding of every
 question and passage it sees stays in one LRU keyed by text (so one scorer
 serves any corpus), bounded at ENCODING_CACHE_BYTES, together with the
 text's token numbers in the scorer's own vocabulary; both leave the LRU
-together.  A chunk of cached texts is batched from those numbers with no
-per-token Python, and only the texts the chunk must encode are embedded.
+together.  A chunk that finds the vocabulary past VOCABULARY_WORDS words
+starts a new one and empties the LRU, whose entries hold the old numbers.
+A chunk of cached texts is batched from those numbers with no per-token
+Python, and only the texts the chunk must encode are embedded.
 Ranking and then reading for one question encode it once, and a later
 question re-runs only the attention, fusion and heads on a cached passage.
 An encoding made inside one chunk may differ by an ulp from one made inside
 another, so a score can depend on which chunk first encoded its passage.
 
-When a chain ends in a neural stage, `telescope` asks the scorer to keep
-the final_k finalists of that stage: copies of their attention output and
-fused states over their real tokens, and their relevance.  `read_candidates`
-then runs only the span heads on them, padded as a fresh read would pad
-them, so an ask runs attention, fusion and the rel head once per survivor,
-and each finalist has one relevance for ranking and voting.  Anything else
-(`eval-rc`, a chain ending in tfidf, another question or passage) is read
-afresh.
+Reading has one path.  When a chain ends in a neural stage, `telescope`
+asks the scorer to keep the final_k finalists of that stage: copies of
+their attention output and fused states over their real tokens, and their
+relevance.  `read_candidates` runs only the span heads on them, so an ask
+runs attention, fusion and the rel head once per survivor, and each
+finalist has one relevance for ranking and voting.  Records not kept for
+this question (`eval-rc`, a chain ending in tfidf, another question or
+passage) are first ranked, all of them kept, then read the same way.
 
 Consecutive chunks are read in waves: one `read` call, so one time loop per
 bi-LSTM layer, for as many chunks as keep their (rows, 8d, T) attention
@@ -55,6 +57,7 @@ from .training import QuestionExample
 VALID_STAGE_KINDS = ("tfidf", "neural")
 SCORE_BATCH = 32            # passages per forward pass when scoring or reading
 ENCODING_CACHE_BYTES = 32 << 20   # bound on a scorer's cached question and passage encodings
+VOCABULARY_WORDS = 1 << 17        # bound on a scorer's numbered words (~25 MB), checked per chunk
 WAVE_BYTES = 32 << 20             # bound on the attention output of the chunks read together
 
 
@@ -132,11 +135,10 @@ class AnswerCandidate:
 
 @dataclass
 class _Finalist:
-    """What a finalist keeps from the rank pass for `read_candidates`: its
-    passage text, copies of its attention output (8d, n) and fused states
-    (2d, n) over its n real tokens, and its relevance."""
+    """What a finalist keeps from the rank pass for `read_candidates`:
+    copies of its attention output (8d, n) and fused states (2d, n) over its
+    n real tokens, and its relevance."""
 
-    text: str
     attended: np.ndarray
     fused: np.ndarray
     relevance: float
@@ -146,7 +148,7 @@ class _Finalist:
                    relevance: float) -> _Finalist:
         """Row `row` of a rank-pass state, copied so that no wave array stays alive."""
         n = len(rec.tokens)
-        return cls(rec.text, state.attended.value[row, :, :n].copy(),
+        return cls(state.attended.value[row, :, :n].copy(),
                    state.fused.value[row, :, :n].copy(), relevance)
 
 
@@ -179,7 +181,7 @@ class NeuralScorer:
         self._encoded_bytes = 0
         self.vocabulary = _ScorerVocabulary(table, self._encodings)
         self._question = ""                 # the text the finalists were ranked for
-        self._finalists: dict[int, _Finalist] = {}
+        self._finalists: dict[tuple[int, str], _Finalist] = {}   # by passage id and text
 
     def _states(self, seqs: list[TokenSeq], ids: np.ndarray, mask: np.ndarray) -> np.ndarray:
         """(B, 2d, T) contextual states of `seqs`, whose padded token numbers
@@ -227,70 +229,73 @@ class NeuralScorer:
             wave_bytes += size
         return waves
 
-    def _read_chunks(self, question: TokenSeq, records: list[PassageRecord],
-                     heads: tuple[str, ...]):
-        """Yield (input positions, state) per chunk of length-sorted records,
-        read one wave at a time."""
+    def _read_chunks(self, question: TokenSeq, records: list[PassageRecord]):
+        """Yield (input positions, ranked state) per chunk of length-sorted
+        records, read one wave at a time."""
         for wave in self._waves(records):
             chunks = []
             # Overflow shows as a non-finite output, which _checked reports.
             with ad.no_grad(), np.errstate(over="ignore", invalid="ignore"):
                 for rows in wave:
+                    if len(self.vocabulary) > VOCABULARY_WORDS:   # cache entries hold its numbers
+                        self._encodings.clear()
+                        self._encoded_bytes = 0
+                        self.vocabulary = _ScorerVocabulary(self.table, self._encodings)
                     seqs = [records[i].tokens for i in rows]
                     batch = encode_batch([question] * len(rows), seqs, self.table,
                                          self.vocabulary)
-                    # Every row asks the one question: its states once, seen by each row.
-                    [states] = self._states([question], batch.question_ids[:1],
-                                            batch.question_mask[:1])
-                    questions = np.broadcast_to(states, (len(rows),) + states.shape)
+                    # Every row asks the one question: its states once, (1, 2d, J).
+                    question_states = self._states([question], batch.question_ids[:1],
+                                                   batch.question_mask[:1])
                     passages = self._states(seqs, batch.passage_ids, batch.passage_mask)
-                    chunks.append((ad.constant(passages), ad.constant(questions), batch))
-                states = read(self.weights, self.hp, chunks, heads=heads)
+                    chunks.append((ad.constant(passages), ad.constant(question_states), batch))
+                states = read(self.weights, self.hp, chunks, heads=("relevance",))
             for rows, state in zip(wave, states):
-                _checked(state.relevance, state.start_probs, state.end_probs)
+                _checked(state.relevance)
                 yield rows, state
 
     def _read_finalists(self, records: list[PassageRecord]):
         """Yield (input positions, start probs, end probs, relevances) per
         chunk of finalists, read from what they kept from the rank pass.  A
-        chunk is padded to its longest passage, as a fresh read pads it."""
+        chunk is padded to its longest passage, as the rank pass padded it."""
         for wave in self._waves(records):
+            kept = [[self._finalists[records[i].passage_id, records[i].text] for i in rows]
+                    for rows in wave]
             chunks = []
-            for rows in wave:
-                kept = [self._finalists[records[i].passage_id] for i in rows]
+            for rows, fins in zip(wave, kept):
                 lengths = np.array([len(records[i].tokens) for i in rows])
                 mask = np.arange(lengths[-1]) < lengths[:, None]
-                chunks.append((ad.constant(_stack([fin.attended for fin in kept], lengths[-1])),
-                               ad.constant(_stack([fin.fused for fin in kept], lengths[-1])),
+                chunks.append((ad.constant(_stack([fin.attended for fin in fins], lengths[-1])),
+                               ad.constant(_stack([fin.fused for fin in fins], lengths[-1])),
                                mask.astype(self.table.matrix.dtype)))
             with ad.no_grad(), np.errstate(over="ignore", invalid="ignore"):
                 spans = span_head(self.weights, chunks)
-            for rows, (_, start_probs, _, end_probs) in zip(wave, spans):
+            for rows, fins, (_, start_probs, _, end_probs) in zip(wave, kept, spans):
                 _checked(start_probs, end_probs)
-                yield (rows, start_probs.value, end_probs.value,
-                       [self._finalists[records[i].passage_id].relevance for i in rows])
+                yield rows, start_probs.value, end_probs.value, [fin.relevance for fin in fins]
 
     def relevance_scores(self, question: TokenSeq, records: list[PassageRecord],
                          finalists: int = 0) -> list[float]:
         """Relevance of each record to the question, in input order.
 
         The top `finalists` records by (-relevance, passage id), the order
-        `telescope` ranks in, keep copies of their attention output, fused
-        states and relevance, so that `read_candidates` can read them without
-        running attention, fusion and the rel head again.  Every call drops
-        what an earlier one kept."""
+        `telescope` ranks in, are kept by passage id and text: copies of
+        their attention output, fused states and relevance, so that
+        `read_candidates` can read them without running attention, fusion
+        and the rel head again.  Every call drops what an earlier one kept."""
         scores = [0.0] * len(records)
-        kept: dict[int, _Finalist] = {}
+        kept: dict[tuple[int, str], _Finalist] = {}
         self._finalists = {}
-        for rows, state in self._read_chunks(question, records, ("relevance",)):
+        for rows, state in self._read_chunks(question, records):
             for i, value in zip(rows, state.relevance.value):
                 scores[i] = float(value)
             # A running top `finalists`; j = -1 marks one kept from an earlier chunk.
-            entrants = [(-fin.relevance, pid, -1) for pid, fin in kept.items()]
-            entrants += [(-scores[i], records[i].passage_id, j) for j, i in enumerate(rows)]
-            kept = {pid: kept[pid] if j < 0 else
+            entrants = [(-fin.relevance, key, -1) for key, fin in kept.items()]
+            entrants += [(-scores[i], (records[i].passage_id, records[i].text), j)
+                         for j, i in enumerate(rows)]
+            kept = {key: kept[key] if j < 0 else
                     _Finalist.from_state(records[rows[j]], state, j, scores[rows[j]])
-                    for _, pid, j in sorted(entrants)[:finalists]}
+                    for _, key, j in sorted(entrants)[:finalists]}
         self._question, self._finalists = question.text, kept
         return scores
 
@@ -298,22 +303,15 @@ class NeuralScorer:
                         records: list[PassageRecord]) -> list[AnswerCandidate]:
         """Span + relevance for each passage, in input order; spans stay in the passage.
 
-        When the last `relevance_scores` call kept every record as a finalist
-        for this question's text, the records are read from what they kept,
-        and each candidate's relevance is its ranked score.  Otherwise they
-        are read afresh."""
-        held = (question.text == self._question and all(
-            rec.passage_id in self._finalists
-            and self._finalists[rec.passage_id].text == rec.text for rec in records))
+        Records are read from what the rank pass kept for this question's
+        text, and each candidate's relevance is its ranked score.  Unless the
+        last `relevance_scores` call kept every record, they are ranked
+        first, all of them kept."""
+        held = self._finalists if question.text == self._question else {}
+        if any((rec.passage_id, rec.text) not in held for rec in records):
+            self.relevance_scores(question, records, len(records))
         out: list[AnswerCandidate | None] = [None] * len(records)
-        if held:
-            chunks = self._read_finalists(records)
-        else:
-            chunks = ((rows, state.start_probs.value, state.end_probs.value,
-                       state.relevance.value)
-                      for rows, state in self._read_chunks(question, records,
-                                                           ("span", "relevance")))
-        for rows, starts, ends, rels in chunks:
+        for rows, starts, ends, rels in self._read_finalists(records):
             for j, i in enumerate(rows):
                 rec = records[i]
                 n = len(rec.tokens)
@@ -333,9 +331,9 @@ def _stack(arrays: list[np.ndarray], length: int) -> np.ndarray:
     return out
 
 
-def _checked(*outputs: ad.Node | None) -> None:
+def _checked(*outputs: ad.Node) -> None:
     """Raise EvaluationError if any given output holds a non-finite value."""
-    if not all(np.isfinite(node.value).all() for node in outputs if node is not None):
+    if not all(np.isfinite(node.value).all() for node in outputs):
         raise EvaluationError("the model gave a non-finite relevance or span "
                               "probability; its weights overflow")
 

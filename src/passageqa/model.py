@@ -376,7 +376,7 @@ class ForwardState:
     """Nodes produced by one forward pass; head fields are None if skipped."""
 
     ctx_passage: Node          # (B, 2d, T)
-    ctx_question: Node         # (B, 2d, J)
+    ctx_question: Node         # (B or 1, 2d, J)
     similarity: Node           # (B, T, J)
     attended: Node             # (B, 8d, T)
     fused: Node                # (B, 2d, T)
@@ -398,6 +398,7 @@ def attention_flow(ctx_passage: Node, ctx_question: Node, sim_weight: Node,
 
     Returns the (B, T, J) similarity matrix and the (B, 8d, T) output that
     stacks passage encodings with question-aware and passage-aware blends.
+    A (1, 2d, J) `ctx_question` is one question that every row reads.
     """
     n, two_d, t_len = ctx_passage.value.shape
     j_len = ctx_question.value.shape[2]
@@ -408,11 +409,11 @@ def attention_flow(ctx_passage: Node, ctx_question: Node, sim_weight: Node,
     w_product = ad.reshape(ad.slice_axis(sim_weight, 0, 2 * two_d, 3 * two_d), (1, two_d, 1))
 
     lin_passage = ad.reduce_sum(ad.mul(ctx_passage, w_passage), axis=1)    # (B, T)
-    lin_question = ad.reduce_sum(ad.mul(ctx_question, w_question), axis=1)  # (B, J)
+    lin_question = ad.reduce_sum(ad.mul(ctx_question, w_question), axis=1)  # (B or 1, J)
     cross = ad.matmul(ad.transpose(ad.mul(ctx_passage, w_product), (0, 2, 1)),
                       ctx_question)                                        # (B, T, J)
     similarity = ad.add(cross, ad.add(ad.reshape(lin_passage, (n, t_len, 1)),
-                                      ad.reshape(lin_question, (n, 1, j_len))))
+                                      ad.reshape(lin_question, (-1, 1, j_len))))
 
     # passage -> question attention
     att_over_question = ad.masked_softmax(similarity, question_mask[:, None, :])
@@ -509,7 +510,7 @@ def read(weights: ModelWeights, hp: Hyperparams,
          heads: tuple[str, ...] = ("span", "relevance")) -> list[ForwardState]:
     """Attention flow, fusion and the requested heads over encoded states.
 
-    Each chunk is (ctx_passage (B, 2d, T), ctx_question (B, 2d, J), batch):
+    Each chunk is (ctx_passage (B, 2d, T), ctx_question (B or 1, 2d, J), batch):
     the states come from `encode_sequences`, and `batch` supplies the masks
     and the match channel.  Returns one state per chunk.  Attention and the
     heads' arithmetic run chunk by chunk; each of the fusion, start, end and

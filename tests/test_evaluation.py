@@ -428,6 +428,20 @@ def test_scorer_equals_read_chunk_by_chunk(task):
     assert scorer_outputs(scorer, question, records) == (scores, cands)
 
 
+def test_one_passage_read_equals_forward_batch(task):
+    """`evaluate_rc` reads one passage at a time: ranked, then read from what
+    the rank pass kept, it has the bits of `forward_batch` with both heads."""
+    for ex in task.examples[:6]:
+        scorer = hidden16_scorer(task)
+        rec = task.corpus[ex.passage_id]
+        [got] = scorer.read_candidates(ex.question, [rec])
+        batch = encode_batch([ex.question], [rec.tokens], scorer.table)
+        state = forward_batch(scorer.weights, scorer.hp, batch)
+        t1, t2, score = select_span(state.start_probs.value[0], state.end_probs.value[0])
+        assert (got.span, got.span_score, got.relevance) == (
+            (t1, t2), score, float(state.relevance.value[0]))
+
+
 def test_scorer_runs_one_loop_per_bilstm_layer_for_all_chunks(task, monkeypatch):
     scorer = hidden16_scorer(task)
     question, records = task.examples[5].question, varied_records(task, n=70)
@@ -527,9 +541,10 @@ def test_finalists_are_a_running_top_k_over_waves(task, monkeypatch):
     assert (held_read(5), held_read(40)) == whole
 
 
-def test_read_falls_back_to_a_fresh_read(task, monkeypatch):
+def test_a_record_not_held_is_ranked_then_read(task, monkeypatch):
     """A finalist's kept states serve only its own question and passage text;
-    anything else is read afresh, with the bits of a scorer that kept nothing."""
+    anything else is ranked first, all of it kept, then read from what it
+    kept, with the bits of a scorer that kept nothing."""
     question, other = task.examples[5].question, task.examples[6].question
     records = varied_records(task, n=40)
     scorer = hidden16_scorer(task)
@@ -550,6 +565,10 @@ def test_read_falls_back_to_a_fresh_read(task, monkeypatch):
     reads = counting_reads(monkeypatch)
     scorer.read_candidates(question, finalists)
     assert reads == [1]
+    # Finalists are kept by passage id and text, so two texts may share an id.
+    both = finalists[:1] + renamed
+    assert scorer.read_candidates(question, both) == hidden16_scorer(task).read_candidates(
+        question, both)
 
 
 def test_held_read_raises_on_non_finite_span_probability(task, monkeypatch):
@@ -612,6 +631,36 @@ def test_vocabulary_grows_only_with_distinct_surface_tokens(task):
     scorer.relevance_scores(question, records + upper)
     grown = words | set(upper[0].tokens.tokens)
     assert len(scorer.vocabulary) == len(grown) > len(words)
+
+
+def test_scorer_vocabulary_stays_within_its_bound(task, monkeypatch):
+    """Over many distinct words, a chunk never numbers into a vocabulary past
+    VOCABULARY_WORDS, and every output equals an unbounded scorer's."""
+    bound = 300
+    question = task.examples[3].question
+    calls = [[PassageRecord(rec.passage_id, 0, rec.text + "".join(
+                  f" c{k}r{rec.passage_id}w{j}" for j in range(5)))
+              for rec in varied_records(task, n=40, offset=k)] for k in range(6)]
+    unbounded = hidden16_scorer(task)
+    expected = [scorer_outputs(unbounded, question, records) for records in calls]
+    monkeypatch.setattr(evaluation, "VOCABULARY_WORDS", bound)
+    sizes = []
+    original = evaluation.encode_batch
+
+    def counting(questions, passages, table, vocabulary):
+        sizes.append(len(vocabulary))
+        return original(questions, passages, table, vocabulary)
+
+    monkeypatch.setattr(evaluation, "encode_batch", counting)
+    scorer = hidden16_scorer(task)
+    assert [scorer_outputs(scorer, question, records) for records in calls] == expected
+    assert len(unbounded.vocabulary) > 4 * bound and max(sizes) <= bound
+    assert sum(after < before for before, after in zip(sizes, sizes[1:])) >= 3
+    # The cache starts afresh with the vocabulary: its numbers are the new ones.
+    numbers = scorer.vocabulary.numbers
+    assert scorer._encodings
+    for text, (ids, _) in scorer._encodings.items():
+        assert ids.tolist() == [numbers[tok] for tok in tokenize(text).tokens]
 
 
 def test_telescope_tfidf_only_matches_top_k(task, task_index):
