@@ -20,7 +20,9 @@ kernel).  The tests and the benchmark run OpenBLAS on one thread.
 
 Exit codes: 0 success, 2 usage or configuration error, 3 missing input file,
 4 malformed data or artifact (also a checkpoint whose outputs are not finite,
-or an index built from another passage store), 1 unexpected failure.
+an index built from another passage store, no positive example to train on,
+or a training run whose loss or gradient stops being finite), 1 unexpected
+failure.
 """
 from __future__ import annotations
 
@@ -41,7 +43,7 @@ from .retriever import (DEFAULT_BUCKETS, Corpus, CorpusError, IndexFormatError,
 from .squad import (DatasetFormatError, check_examples, ingest_dataset, load_examples,
                     save_examples)
 from .text import VectorFileError, load_vectors, tokenize, utf8_encodable
-from .training import TrainMode, train
+from .training import OptimizerError, TrainMode, train
 
 logger = logging.getLogger(__name__)
 
@@ -266,6 +268,9 @@ def cmd_train(s) -> int:
     corpus = _load_corpus_dir(corpus_dir)
     index = _load_index(s, corpus)
     positives = [ex for ex in _load_examples(corpus_dir, corpus) if ex.relevance == 1]
+    if not positives:
+        raise DatasetFormatError(
+            f"{Path(corpus_dir) / EXAMPLES_FILE}: no positive examples to train on")
     table = load_vectors(vectors_path)
     hp = _hyperparams(s, s.hyperparams,
                       [name for name, setting in SETTINGS.items() if setting.hyperparam])
@@ -400,7 +405,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_MISSING
     except (DatasetFormatError, VectorFileError, IndexFormatError,
-            CheckpointFormatError, CorpusError, EvaluationError) as exc:
+            CheckpointFormatError, CorpusError, EvaluationError, OptimizerError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
 

@@ -202,7 +202,7 @@ class NeuralScorer:
         if missing:
             rows = list(missing.values())
             emb = self.vocabulary.embed(ids[rows])
-            [states] = encode_sequences(self.weights, self.hp, [(emb, mask[rows])])
+            [states] = encode_sequences(self.weights, [(emb, mask[rows])])
             for (text, i), row in zip(missing.items(), states.value):
                 n = len(seqs[i])
                 cache[text] = (ids[i, :n].copy(), row[:, :n].copy())
@@ -249,7 +249,7 @@ class NeuralScorer:
                                                    batch.question_mask[:1])
                     passages = self._states(seqs, batch.passage_ids, batch.passage_mask)
                     chunks.append((ad.constant(passages), ad.constant(question_states), batch))
-                states = read(self.weights, self.hp, chunks, heads=("relevance",))
+                states = read(self.weights, chunks, heads=("relevance",))
             for rows, state in zip(wave, states):
                 _checked(state.relevance)
                 yield rows, state

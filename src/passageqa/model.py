@@ -26,7 +26,9 @@ Its span head is `span_head`, which the scorer also runs alone on the
 attention output and fused states its finalists kept from ranking.
 Each chunk keeps the bits it gets alone, except a one-row chunk sharing
 steps with others, which may move by an ulp.  Gradients flow through one
-chunk; several chunks run without them, as the scorer's waves do.
+chunk; several chunks run without them, as the scorer's waves do.  Layers
+take dropout as `drop`, a Node -> Node function, the identity by default;
+only `forward_batch` builds one, from `hp.dropout`, `rng` and `train`.
 
 All sequence tensors are (batch, features, time).  Masks are constant float
 arrays (batch, time) and right-padded: 1.0 at the real tokens, which come
@@ -36,10 +38,10 @@ positions receives one, and bi-LSTM states and outputs at padding are zero.
 The weights are one ordered name -> array table.  `param_shapes` is the only
 listing of the parameters: initialisation, checkpoint validation and the
 forward pass all work from its names and shapes.  Layer functions take
-weights as arrays (inference) or graph leaves (training).  An LSTM direction
-is a (w_in, w_rec, bias) triple, gate columns in [input, forget, cell,
-output] blocks: w_in (in_dim, 4*hidden), w_rec (hidden, 4*hidden), bias
-(4*hidden,).
+weights as arrays (inference) or graph leaves (training).  `bilstm_encode`
+looks up a bi-LSTM by name: each direction X_fwd, X_bwd has w_in (in_dim,
+4*hidden), w_rec (hidden, 4*hidden) and bias (4*hidden,), gate columns in
+[input, forget, cell, output] blocks.
 """
 from __future__ import annotations
 
@@ -336,16 +338,21 @@ def encode_batch(questions: list[TokenSeq], passages: list[TokenSeq], table: Vec
 # forward pass
 
 
-def bilstm_encode(fwd: tuple, bwd: tuple, seqs: Sequence[Node],
+def _keep(node: Node) -> Node:
+    return node
+
+
+def bilstm_encode(w: dict, name: str, seqs: Sequence[Node],
                   masks: Sequence[np.ndarray]) -> list[Node]:
     """Each (batch, in_dim, time) sequence -> (batch, 2*hidden, time) by the
-    `fwd` and `bwd` LSTMs, input projections included, all in one time loop
-    (`ad.bilstm_scan`); rows :hidden are forward.  Each mask must be
-    right-padded (real tokens first); the states at padding are zero, and so
-    are its columns."""
+    `{name}_fwd` and `{name}_bwd` LSTMs of the weight table `w`, input
+    projections included, all in one time loop (`ad.bilstm_scan`); rows
+    :hidden are forward.  Each mask must be right-padded (real tokens
+    first); the states at padding are zero, and so are its columns."""
     if any(seq.value.shape[2] == 0 for seq in seqs):
         raise ValueError("cannot encode an empty sequence")
-    w_in, w_rec, bias = zip(fwd, bwd)
+    w_in, bias, w_rec = ([w[f"{name}_{d}.{part}"] for d in ("fwd", "bwd")]
+                         for part in ("w_in", "bias", "w_rec"))
     return ad.bilstm_scan(list(zip(seqs, masks)), w_in, bias, w_rec)
 
 
@@ -354,16 +361,16 @@ def linear_seq(weight, bias, seq: Node) -> Node:
     return ad.add(ad.matmul(weight, seq), bias)
 
 
-def highway_forward(layers: Sequence[tuple], seq: Node, dropout_rate: float = 0.0,
-                    rng: np.random.Generator | None = None,
-                    train: bool = False) -> Node:
+def highway_forward(layers: Sequence[tuple], seq: Node,
+                    drop: Callable[[Node], Node] = _keep) -> Node:
     """Highway network over (B, dim, T); gate mixes transform with identity.
 
-    Each layer is (transform weight, transform bias, gate weight, gate bias).
+    Each layer is (transform weight, transform bias, gate weight, gate bias);
+    `drop` takes its input.
     """
     out = seq
     for transform_w, transform_b, gate_w, gate_b in layers:
-        out = ad.dropout(out, dropout_rate, rng, train)
+        out = drop(out)
         transformed = ad.relu(linear_seq(transform_w, transform_b, out))
         gate = ad.sigmoid(linear_seq(gate_w, gate_b, out))
         carry = ad.sub(1.0, gate)
@@ -435,37 +442,28 @@ def attention_flow(ctx_passage: Node, ctx_question: Node, sim_weight: Node,
     return similarity, attended
 
 
-def _bilstm(w: dict, name: str, seqs: Sequence[Node],
-            masks: Sequence[np.ndarray]) -> list[Node]:
-    fwd, bwd = ((w[f"{name}_{d}.w_in"], w[f"{name}_{d}.w_rec"], w[f"{name}_{d}.bias"])
-                for d in ("fwd", "bwd"))
-    return bilstm_encode(fwd, bwd, seqs, masks)
-
-
-def encode_sequences(weights: ModelWeights, hp: Hyperparams,
+def encode_sequences(weights: ModelWeights,
                      sequences: Sequence[tuple[np.ndarray, np.ndarray]],
-                     train: bool = False, rng: np.random.Generator | None = None
-                     ) -> list[Node]:
+                     drop: Callable[[Node], Node] = _keep) -> list[Node]:
     """Highway + contextual bi-LSTM of each (embeddings (B, dim, T), mask (B, T)).
 
     Returns one (B, 2d, T) node per sequence, each from a ctx time loop of
     its own, so a one-row batch keeps the bits of a one-row scan (see
     `ad.bilstm_scan`).  Each depends on its own sequence only, never on the
-    one it will be read against.  With train=True, dropout draws from `rng` in this order: every
-    highway network, then the ctx input of each sequence in turn.
+    one it will be read against.  `drop` takes, in this order, each highway
+    layer's input of every sequence in turn, then each ctx input.
     """
     w = weights.arrays
     highway = [(w[f"highway.{i}.transform.weight"], w[f"highway.{i}.transform.bias"],
                 w[f"highway.{i}.gate.weight"], w[f"highway.{i}.gate.bias"])
                for i in range(2)]
-    highways = [highway_forward(highway, ad.constant(emb), hp.dropout, rng, train)
-                for emb, _ in sequences]
-    return [_bilstm(w, "ctx", [ad.dropout(seq, hp.dropout, rng, train)], [mask])[0]
+    highways = [highway_forward(highway, ad.constant(emb), drop) for emb, _ in sequences]
+    return [bilstm_encode(w, "ctx", [drop(seq)], [mask])[0]
             for seq, (_, mask) in zip(highways, sequences)]
 
 
 def span_head(weights: ModelWeights, chunks: Sequence[tuple[Node, Node, np.ndarray]],
-              drop: Callable[[Node], Node] = lambda node: node
+              drop: Callable[[Node], Node] = _keep
               ) -> list[tuple[Node, Node, Node, Node]]:
     """Start and end logits and probabilities of each chunk.
 
@@ -481,7 +479,7 @@ def span_head(weights: ModelWeights, chunks: Sequence[tuple[Node, Node, np.ndarr
     w_start = ad.reshape(w["start_weight"], (1, 10 * d, 1))
     w_end = ad.reshape(w["end_weight"], (1, 10 * d, 1))
     masks = [mask for _, _, mask in chunks]
-    start_all = _bilstm(w, "start", [drop(fused) for _, fused, _ in chunks], masks)
+    start_all = bilstm_encode(w, "start", [drop(fused) for _, fused, _ in chunks], masks)
     starts, end_inputs = [], []
     for (attended, _, mask), start_states in zip(chunks, start_all):
         n, _, t_len = start_states.shape
@@ -497,16 +495,15 @@ def span_head(weights: ModelWeights, chunks: Sequence[tuple[Node, Node, np.ndarr
         end_inputs.append(drop(end_seq_in))
     out = []
     for (attended, _, mask), start, end_states in zip(
-            chunks, starts, _bilstm(w, "end", end_inputs, masks)):
+            chunks, starts, bilstm_encode(w, "end", end_inputs, masks)):
         end_in = ad.concat([attended, end_states], axis=1)
         end_logits = ad.reduce_sum(ad.mul(drop(end_in), w_end), axis=1)
         out.append((*start, end_logits, ad.masked_softmax(end_logits, mask)))
     return out
 
 
-def read(weights: ModelWeights, hp: Hyperparams,
-         chunks: Sequence[tuple[Node, Node, EncodedBatch]], train: bool = False,
-         rng: np.random.Generator | None = None,
+def read(weights: ModelWeights, chunks: Sequence[tuple[Node, Node, EncodedBatch]],
+         drop: Callable[[Node], Node] = _keep,
          heads: tuple[str, ...] = ("span", "relevance")) -> list[ForwardState]:
     """Attention flow, fusion and the requested heads over encoded states.
 
@@ -517,18 +514,14 @@ def read(weights: ModelWeights, hp: Hyperparams,
     rel bi-LSTMs runs one time loop over all chunks, which gives every chunk
     the bits it gets alone, except for a one-row chunk (see
     `ad.bilstm_scan`).  Gradients flow through one chunk only: several
-    chunks run without them, as the scorer's waves do.  With train=True,
-    dropout draws from `rng` stage by stage, chunk by chunk within a stage.
+    chunks run without them, as the scorer's waves do.  `drop` takes each LSTM
+    and output-transform input, stage by stage, chunk by chunk in a stage.
     """
     unknown = set(heads) - {"span", "relevance"}
     if unknown:
         raise ValueError(f"unknown heads: {sorted(unknown)}")
     w = weights.arrays
     d = weights.hidden
-
-    def drop(node: Node) -> Node:
-        return ad.dropout(node, hp.dropout, rng, train)
-
     states = []
     for ctx_passage, ctx_question, batch in chunks:
         pmask, qmask = batch.passage_mask, batch.question_mask
@@ -537,8 +530,8 @@ def read(weights: ModelWeights, hp: Hyperparams,
         states.append(ForwardState(ctx_passage, ctx_question, similarity, attended, None,
                                    pmask, qmask))
     pmasks = [state.passage_mask for state in states]
-    for state, fused in zip(states, _bilstm(w, "fusion", [drop(s.attended) for s in states],
-                                            pmasks)):
+    fused_all = bilstm_encode(w, "fusion", [drop(s.attended) for s in states], pmasks)
+    for state, fused in zip(states, fused_all):
         state.fused = fused
 
     if "span" in heads:
@@ -551,7 +544,7 @@ def read(weights: ModelWeights, hp: Hyperparams,
         w_rel = ad.reshape(w["rel_weight"], (1, 2 * d))
         rel_inputs = [drop(ad.concat([state.fused, ad.constant(batch.match_channel)], axis=1))
                       for state, (_, _, batch) in zip(states, chunks)]
-        for state, rel_states in zip(states, _bilstm(w, "rel", rel_inputs, pmasks)):
+        for state, rel_states in zip(states, bilstm_encode(w, "rel", rel_inputs, pmasks)):
             n, _, t_len = rel_states.shape
             proj = linear_seq(w["attn_proj.weight"], w["attn_proj.bias"],
                               rel_states)                                # (B, c, T)
@@ -571,14 +564,17 @@ def forward_batch(weights: ModelWeights, hp: Hyperparams, batch: EncodedBatch,
                   heads: tuple[str, ...] = ("span", "relevance")) -> ForwardState:
     """Run the network on an encoded batch: `encode_sequences`, then `read`.
 
-    `weights` may hold arrays (inference) or graph leaves (training).  With
-    train=True, inverted dropout is applied to highway layers, LSTM inputs,
-    and the inputs of the three output transforms, consuming `rng`.
+    `weights` may hold arrays (inference) or graph leaves (training).  This is
+    the one place `hp.dropout`, `rng` and `train` become the layers' `drop`:
+    with train=True, inverted dropout drawing from `rng`, else the identity.
     """
+    def drop(node: Node) -> Node:
+        return ad.dropout(node, hp.dropout, rng, train)
+
     ctx_passage, ctx_question = encode_sequences(
-        weights, hp, [(batch.passage_emb, batch.passage_mask),
-                      (batch.question_emb, batch.question_mask)], train, rng)
-    [state] = read(weights, hp, [(ctx_passage, ctx_question, batch)], train, rng, heads)
+        weights, [(batch.passage_emb, batch.passage_mask),
+                  (batch.question_emb, batch.question_mask)], drop)
+    [state] = read(weights, [(ctx_passage, ctx_question, batch)], drop, heads)
     return state
 
 

@@ -34,7 +34,7 @@ class TrainMode(str, Enum):
 
 
 class OptimizerError(RuntimeError):
-    """Raised when a gradient goes non-finite; names the offending tensor."""
+    """Raised when the loss or a gradient goes non-finite; names the epoch or tensor."""
 
 
 @dataclass
@@ -285,16 +285,18 @@ def train(positives: list[QuestionExample], corpus: Corpus, index: TfIdfIndex,
                                    table)
             targets = build_targets(batch, encoded.passage_emb.shape[2])
             node_weights, leaves = as_param_nodes(weights)
-            state = forward_batch(node_weights, hp, encoded, train=True,
-                                  rng=rng_dropout, heads=heads)
-            loss = graph_loss(state, targets, hp.ir_weight, mode)
-            loss_value = float(loss.value)
-            if not np.isfinite(loss_value):
-                raise OptimizerError(f"non-finite loss at epoch {epoch}")
-            ad.backward(loss)
-            grads = {name: leaves[name].gradient() for name in arrays}
-            sgd_momentum_step(arrays, grads, velocity, lr, hp.momentum)
-            ema_update(ema, arrays, hp.ema_decay)
+            # A diverging run ends in OptimizerError, not in numpy warnings.
+            with np.errstate(over="ignore", invalid="ignore"):
+                state = forward_batch(node_weights, hp, encoded, train=True,
+                                      rng=rng_dropout, heads=heads)
+                loss = graph_loss(state, targets, hp.ir_weight, mode)
+                loss_value = float(loss.value)
+                if not np.isfinite(loss_value):
+                    raise OptimizerError(f"non-finite loss at epoch {epoch}")
+                ad.backward(loss)
+                grads = {name: leaves[name].gradient() for name in arrays}
+                sgd_momentum_step(arrays, grads, velocity, lr, hp.momentum)
+                ema_update(ema, arrays, hp.ema_decay)
             losses.append(loss_value)
         stats = EpochStats(epoch, float(np.mean(losses)), len(losses), lr)
         history.append(stats)

@@ -376,6 +376,43 @@ def test_bad_train_mode_from_config_exits_2(ws, tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("keep", ["nothing", "negatives"])
+def test_nothing_to_train_on_exits_4(ws, tmp_path, capsys, keep):
+    """Checked before the vectors are read: this vector file is malformed."""
+    corpus_dir = tmp_path / "corpus"
+    corpus_dir.mkdir()
+    source = ws.root / "corpus"
+    (corpus_dir / "passages.jsonl").write_bytes((source / "passages.jsonl").read_bytes())
+    rows = [] if keep == "nothing" else [
+        json.dumps(dict(json.loads(line), relevance=0, span=None, answers=[]))
+        for line in (source / "examples.jsonl").read_text(encoding="utf-8").splitlines()]
+    (corpus_dir / "examples.jsonl").write_text("".join(r + "\n" for r in rows),
+                                               encoding="utf-8")
+    vectors = tmp_path / "bad.vec"
+    vectors.write_text("not a vector file\n", encoding="utf-8")
+    out_dir = tmp_path / "out"
+    code, _ = run(["train", "--config", ws.train_config, "--corpus", str(corpus_dir),
+                   "--vectors", str(vectors), "--checkpoint", str(out_dir)])
+    err = capsys.readouterr().err
+    assert code == 4
+    assert "examples.jsonl: no positive examples to train on" in err, err
+    assert "Traceback" not in err and not out_dir.exists()
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_diverging_training_run_exits_4(ws, tmp_path, capsys):
+    config = json.loads(Path(ws.train_config).read_text(encoding="utf-8"))
+    config["hyperparams"]["learning_rate"] = 1e30
+    config["checkpoint"] = str(tmp_path / "out")
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(config), encoding="utf-8")
+    code, out = run(["train", "--config", str(path)])
+    err = capsys.readouterr().err
+    assert code == 4
+    assert "error: non-finite" in err and "Traceback" not in err, err
+    assert "RuntimeWarning" not in err and "saved final checkpoint" not in out
+
+
 def test_corrupt_index_exits_4(ws, tmp_path, capsys):
     real = (ws.root / "passages.idx").read_bytes()
     cases = {

@@ -286,9 +286,9 @@ def test_scorer_warm_call_reuses_encodings_bit_for_bit(task, monkeypatch):
     encoded_rows = []
     original = evaluation.encode_sequences
 
-    def counting(weights, hp, sequences, *args, **kwargs):
+    def counting(weights, sequences, *args, **kwargs):
         encoded_rows.extend(emb.shape[0] for emb, _ in sequences)
-        return original(weights, hp, sequences, *args, **kwargs)
+        return original(weights, sequences, *args, **kwargs)
 
     monkeypatch.setattr(evaluation, "encode_sequences", counting)
     assert scorer.relevance_scores(question, records) == cold
@@ -305,9 +305,9 @@ def test_scorer_encodes_a_question_once_to_rank_and_read(task, monkeypatch):
     encoded_rows = []
     original = evaluation.encode_sequences
 
-    def counting(weights, hp, sequences, *args, **kwargs):
+    def counting(weights, sequences, *args, **kwargs):
         encoded_rows.extend(emb.shape[0] for emb, _ in sequences)
-        return original(weights, hp, sequences, *args, **kwargs)
+        return original(weights, sequences, *args, **kwargs)
 
     monkeypatch.setattr(evaluation, "encode_sequences", counting)
     scores = scorer.relevance_scores(question, records)
@@ -399,7 +399,7 @@ def test_scorer_outputs_keep_their_golden_bits(task):
 def test_scorer_equals_read_chunk_by_chunk(task):
     """One read over all chunks gives each chunk the bits of a read of its own."""
     scorer = hidden16_scorer(task)
-    weights, hp = scorer.weights, scorer.hp
+    weights = scorer.weights
     question, records = task.examples[6].question, varied_records(task, n=70)
     order = sorted(range(len(records)), key=lambda i: len(records[i].tokens))
     scores, cands = [None] * len(records), [None] * len(records)
@@ -409,15 +409,15 @@ def test_scorer_equals_read_chunk_by_chunk(task):
                              scorer.table)
         if start == 0:
             [ctx_question] = encode_sequences(
-                weights, hp, [(batch.question_emb[:1], batch.question_mask[:1])])
-        [encoded] = encode_sequences(weights, hp, [(batch.passage_emb, batch.passage_mask)])
+                weights, [(batch.question_emb[:1], batch.question_mask[:1])])
+        [encoded] = encode_sequences(weights, [(batch.passage_emb, batch.passage_mask)])
         # The scorer pads cached encodings with +0.0.
         passages = np.zeros_like(encoded.value)
         for j, i in enumerate(rows):
             length = len(records[i].tokens)
             passages[j, :, :length] = encoded.value[j, :, :length]
         questions = np.repeat(ctx_question.value, len(rows), axis=0)
-        [state] = read(weights, hp, [(ad.constant(passages), ad.constant(questions), batch)])
+        [state] = read(weights, [(ad.constant(passages), ad.constant(questions), batch)])
         for j, i in enumerate(rows):
             length = len(records[i].tokens)
             t1, t2, score = select_span(state.start_probs.value[j, :length],
@@ -472,9 +472,9 @@ def test_scorer_reads_the_same_bytes_in_smaller_waves(task, monkeypatch, waves):
     chunks_per_read = []
     original = evaluation.read
 
-    def counting(weights, hp, chunks, *args, **kwargs):
+    def counting(weights, chunks, *args, **kwargs):
         chunks_per_read.append(len(chunks))
-        return original(weights, hp, chunks, *args, **kwargs)
+        return original(weights, chunks, *args, **kwargs)
 
     monkeypatch.setattr(evaluation, "read", counting)
     assert scorer_outputs(hidden16_scorer(task), question, records) == whole
@@ -486,9 +486,9 @@ def counting_reads(monkeypatch) -> list[int]:
     calls = []
     original = evaluation.read
 
-    def counting(weights, hp, chunks, *args, **kwargs):
+    def counting(weights, chunks, *args, **kwargs):
         calls.append(len(chunks))
-        return original(weights, hp, chunks, *args, **kwargs)
+        return original(weights, chunks, *args, **kwargs)
 
     monkeypatch.setattr(evaluation, "read", counting)
     return calls

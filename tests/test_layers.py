@@ -20,6 +20,13 @@ def random_lstm(rng, in_dim, hidden):
     return w_in, w_rec, np.zeros(4 * hidden)
 
 
+def encode(fwd, bwd, seqs, masks):
+    """`bilstm_encode` over the (w_in, w_rec, bias) triples `fwd` and `bwd`."""
+    w = {f"lstm_{d}.{part}": value for d, p in (("fwd", fwd), ("bwd", bwd))
+         for part, value in zip(("w_in", "w_rec", "bias"), p)}
+    return bilstm_encode(w, "lstm", seqs, masks)
+
+
 def unmasked(seq):
     """The all-real (B, T) mask of a (B, features, T) batch."""
     return np.ones((seq.shape[0], seq.shape[2]))
@@ -362,7 +369,7 @@ def test_bilstm_matches_naive_unroll():
     fwd = random_lstm(rng, 3, 2)
     bwd = random_lstm(rng, 3, 2)
     seq = rng.standard_normal((1, 3, 4))
-    enc = bilstm_encode(fwd, bwd, [constant(seq)], [unmasked(seq)])[0]
+    enc = encode(fwd, bwd, [constant(seq)], [unmasked(seq)])[0]
     assert enc.value.shape == (1, 4, 4)
     columns = [list(seq[0, :, t]) for t in range(4)]
     ref = oracles.bilstm(fwd, bwd, columns, 2)
@@ -375,8 +382,8 @@ def test_bilstm_direction_swap_mirrors_reversed_input():
     fwd = random_lstm(rng, 3, 2)
     bwd = random_lstm(rng, 3, 2)
     seq = rng.standard_normal((2, 3, 5))
-    enc = bilstm_encode(fwd, bwd, [constant(seq)], [unmasked(seq)])[0].value
-    flipped = bilstm_encode(bwd, fwd, [constant(seq[:, :, ::-1].copy())], [unmasked(seq)])[0].value
+    enc = encode(fwd, bwd, [constant(seq)], [unmasked(seq)])[0].value
+    flipped = encode(bwd, fwd, [constant(seq[:, :, ::-1].copy())], [unmasked(seq)])[0].value
     np.testing.assert_allclose(flipped[:, 2:, ::-1], enc[:, :2, :], atol=1e-12)
     np.testing.assert_allclose(flipped[:, :2, ::-1], enc[:, 2:, :], atol=1e-12)
 
@@ -386,7 +393,7 @@ def test_bilstm_single_step_sequence():
     fwd = random_lstm(rng, 2, 2)
     bwd = random_lstm(rng, 2, 2)
     seq = rng.standard_normal((1, 2, 1))
-    enc = bilstm_encode(fwd, bwd, [constant(seq)], [unmasked(seq)])[0]
+    enc = encode(fwd, bwd, [constant(seq)], [unmasked(seq)])[0]
     assert enc.value.shape == (1, 4, 1)
 
 
@@ -394,7 +401,7 @@ def test_bilstm_rejects_empty_sequence():
     rng = np.random.default_rng(14)
     p = random_lstm(rng, 2, 2)
     with pytest.raises(ValueError, match="empty"):
-        bilstm_encode(p, p, [constant(np.zeros((1, 2, 0)))], [np.ones((1, 0))])[0]
+        encode(p, p, [constant(np.zeros((1, 2, 0)))], [np.ones((1, 0))])[0]
 
 
 def test_padded_batch_equals_individual_encoding():
@@ -412,9 +419,9 @@ def test_padded_batch_equals_individual_encoding():
     padded[1, :, 3:] = 1e6
     mask = np.array([[1, 1, 1, 1, 1], [1, 1, 1, 0, 0]], dtype=np.float64)
 
-    joint = bilstm_encode(fwd, bwd, [constant(padded)], [mask])[0].value
-    solo_long = bilstm_encode(fwd, bwd, [constant(long_seq[None])], [np.ones((1, 5))])[0].value
-    solo_short = bilstm_encode(fwd, bwd, [constant(short_seq[None])], [np.ones((1, 3))])[0].value
+    joint = encode(fwd, bwd, [constant(padded)], [mask])[0].value
+    solo_long = encode(fwd, bwd, [constant(long_seq[None])], [np.ones((1, 5))])[0].value
+    solo_short = encode(fwd, bwd, [constant(short_seq[None])], [np.ones((1, 3))])[0].value
 
     np.testing.assert_allclose(joint[0], solo_long[0], atol=1e-12)
     np.testing.assert_allclose(joint[1, :, :3], solo_short[0], atol=1e-12)
@@ -431,7 +438,7 @@ def test_bilstm_gradients_with_ragged_mask():
     def build():
         leaves = {k: leaf(v, True) for k, v in arrays.items()}
         lp = (leaves["w_in"], leaves["w_rec"], leaves["bias"])
-        out = bilstm_encode(lp, lp, [constant(xs)], [mask])[0]
+        out = encode(lp, lp, [constant(xs)], [mask])[0]
         return ad.reduce_sum(ad.mul(out, out)), leaves
 
     assert gradient_check(build, arrays) < 1e-6

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import passageqa.autodiff as ad
 from passageqa.model import (Hyperparams, encode_batch, extract_answer,
                              forward_batch, init_weights, named_arrays,
                              param_shapes, select_span, weights_from_named)
@@ -344,6 +345,37 @@ def test_dropout_changes_training_forward_only():
                                 rng=np.random.default_rng(5))
     assert not np.array_equal(train_state.start_probs.value,
                               eval_state.start_probs.value)
+
+
+@pytest.mark.parametrize("heads, picked", [
+    (("span", "relevance"), range(13)),
+    (("span",), range(11)),
+    (("relevance",), [*range(7), 11, 12]),
+])
+def test_dropout_draws_in_a_fixed_order(monkeypatch, heads, picked):
+    """The training rng stream follows the order of the dropout calls: the
+    passage's highway layers, the question's, the ctx input of each, fusion,
+    then each head's LSTM and output inputs.  The widths differ (embed 5,
+    2d 6, 2d+1 7, 8d 24, 10d 30, 14d 42), so each call's input shape names it."""
+    _, table, weights, _ = tiny_setup(seed=42, embed=5, hidden=3)
+    hp = Hyperparams(hidden=3, attn_dim=2, dropout=0.3)
+    batch = encode_batch(seqs("w1 w2", "w3"), seqs("w4 w5 w6 w7", "w8 w9"), table)
+    shapes = []
+    original = ad.dropout
+
+    def recording(node, rate, rng, train):
+        shapes.append(node.value.shape)
+        return original(node, rate, rng, train)
+
+    monkeypatch.setattr(ad, "dropout", recording)
+    forward_batch(weights, hp, batch, train=True, rng=np.random.default_rng(6), heads=heads)
+    every = [(2, 5, 4), (2, 5, 4), (2, 5, 2), (2, 5, 2),   # highway x2: passage, question
+             (2, 5, 4), (2, 5, 2),                           # ctx: passage, question
+             (2, 24, 4),                                     # fusion
+             (2, 6, 4), (2, 30, 4),                          # start LSTM, start output
+             (2, 42, 4), (2, 30, 4),                         # end LSTM, end output
+             (2, 7, 4), (2, 6)]                              # rel LSTM, rel summary
+    assert shapes == [every[i] for i in picked]
 
 
 def test_full_forward_matches_scalar_reference():
