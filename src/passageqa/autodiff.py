@@ -394,19 +394,19 @@ def broadcast_to(a: Node, shape: tuple[int, ...]) -> Node:
 # nonlinearities
 
 
-def _sigmoid_values(x: np.ndarray, out: np.ndarray | None = None,
-                    scratch: np.ndarray | None = None) -> np.ndarray:
-    """sigmoid(x), written into `out` when given, with `scratch` (x's shape
-    and dtype) as its one temporary; neither may overlap x or the other."""
+def _sigmoid_values(x: np.ndarray) -> np.ndarray:
+    """sigmoid(x) for the graph ops `sigmoid` and `log_sigmoid`.  The scorer
+    ranks and votes on relevances from here, so this keeps float32's relative
+    precision in the low tail.  bilstm_scan's gates use the cheaper
+    0.5*tanh(x/2) + 0.5, whose float32 relative error reaches 2.4e-5 and
+    which is exactly 0 below about 3e-8, where low relevances would tie."""
     # exp(-|x|) never overflows; the negative branch ex/(1+ex) stays exact
     # as ex * (1/(1+ex)) without any cancellation.  No np.where: a select on
     # a sign-random mask mispredicts about every other element.  ex <= 1, so
     # the factor is exactly 1.0 where x >= 0 and ex elsewhere (NaN stays NaN);
     # asarray keeps np.where's 0-d array where the product gives a scalar.
-    ex = np.exp(np.negative(np.abs(x, out=out), out=out), out=out)
-    factor = np.maximum(ex, np.greater_equal(x, 0, out=scratch), out=scratch)
-    base = np.divide(1.0, np.add(1.0, ex, out=out), out=out)
-    return np.asarray(np.multiply(base, factor, out=out))
+    ex = np.exp(-np.abs(x))
+    return np.asarray(1.0 / (1.0 + ex) * np.maximum(ex, x >= 0))
 
 
 def sigmoid(a) -> Node:
@@ -590,18 +590,25 @@ def bilstm_scan(groups, w_in, bias, w_rec) -> list[Node]:
     keeps k*c and k*h, so the state is zero at padding, which no real
     position of either direction reads, and so are the outputs there.
 
+    The sigmoid is 0.5*tanh(x/2) + 0.5, so one tanh covers all four blocks:
+    once per scan, the sigmoid blocks' columns of w_rec and of each group's
+    projections (after the bias add) are halved.  Halving is exact, so the
+    tanh reads x/2 there, bit for bit.
+
     A step allocates nothing: it writes into buffers made once per scan, or
     once per segment of steps that run the same rows, and keeps each
     element's operand order, so its bits are those of the formulas above.
-    Forward it makes 18 numpy calls: the recurrent product, the projection
-    add, eight for the sigmoid, the tanh over the cell block, four for c and
-    three for h.  Backward it makes 19: eight update dh and dc in place,
-    three write the input, forget and output blocks (dc*g, dc*c_prev,
-    dh*tanh(c)) into the step's slot of a zeroed buffer, one multiplies the
-    whole slot by the gates, one rewrites the cell block as dc*i, four
-    multiply the whole slot by 1 - gate (1 - g*g on the cell block), one
-    more updates dc, and the last is the BPTT product dh = d_gates @ w_rec.T,
-    which t = 0 skips, as nothing reads it.
+    Forward it makes 12 numpy calls: the recurrent product, the projection
+    add, one tanh over the whole slot, a multiply and an add by per-column
+    vectors (0.5 and 0.5 on the sigmoid blocks, 1 and 0 on the cell block),
+    four for c and three for h.  Backward reads the unhalved w_rec and makes
+    19: eight update dh and dc in place, three write the input, forget and
+    output blocks (dc*g, dc*c_prev, dh*tanh(c)) into the step's slot of a
+    zeroed buffer, one multiplies the whole slot by the gates, one rewrites
+    the cell block as dc*i, four multiply the whole slot by 1 - gate
+    (1 - g*g on the cell block), one more updates dc, and the last is the
+    BPTT product dh = d_gates @ w_rec.T, which t = 0 skips, as nothing
+    reads it.
 
     The groups share one time-major buffer in decreasing T_g order, so the
     groups still running at step s are a row prefix, and each step is one
@@ -664,6 +671,11 @@ def bilstm_scan(groups, w_in, bias, w_rec) -> list[Node]:
         if lo < masks[g].shape[1]:
             segments.append((lo, masks[g].shape[1], start))
     batch, steps = start, max(m.shape[1] for m in masks)
+    blocks = [slice(k * hidden, (k + 1) * hidden) for k in range(4)]  # i, f, g, o
+    # sigmoid(x) = 0.5*tanh(x/2) + 0.5 on the i, f and o blocks, tanh on g.
+    scale = np.full(4 * hidden, 0.5, dtype)
+    scale[blocks[2]] = 1.0
+    shift = 1.0 - scale
     xs = np.empty((steps, 2, batch, 4 * hidden), dtype)
     keep = np.empty((steps, 2, batch, hidden), dtype)   # full width: no broadcast per step
     for seq, mask, r in zip(seqs, masks, rows):
@@ -674,9 +686,11 @@ def bilstm_scan(groups, w_in, bias, w_rec) -> list[Node]:
                                       _scan_unstack(keep[:length, :, r]), w_in, bias):
             proj = (seq.value.transpose(0, 2, 1) @ w.value).astype(dtype, copy=False)
             proj += b.value
+            proj *= scale       # not on xs, whose rows past a short group stay unwritten
             xs_k[...] = proj.transpose(1, 0, 2)
             keep_k[...] = mask.T[..., None]
     w = np.stack([w.value for w in w_rec])
+    w_half = w * scale
     # Step t reads state row t and writes row t + 1; row 0 is the zero initial
     # state.  Without backward one slot of acts and two of cells are reused.
     kept = steps if record else 1
@@ -685,19 +699,19 @@ def bilstm_scan(groups, w_in, bias, w_rec) -> list[Node]:
     cells = np.empty((kept + 1, 2, batch, hidden), dtype)
     states = np.empty((steps + 1, 2, batch, hidden), dtype)
     cells[0] = states[0] = 0
-    blocks = [slice(k * hidden, (k + 1) * hidden) for k in range(4)]  # i, f, g, o
     for lo, hi, n in reversed(segments):
         xs_n, keep_n, acts_n, tanh_n, cells_n, states_n = (
             buf[:, :, :n] for buf in (xs, keep, acts, tanh_c, cells, states))
         # The step's buffers: every product and sum below is written in place.
-        gates, spare = np.empty((2, 2, n, 4 * hidden), dtype)
+        gates = np.empty((2, n, 4 * hidden), dtype)
         ig = np.empty((2, n, hidden), dtype)
         for t in range(lo, hi):
-            np.matmul(states_n[t], w, out=gates)
+            np.matmul(states_n[t], w_half, out=gates)
             gates += xs_n[t]
             a = acts_n[t % kept]
-            _sigmoid_values(gates, out=a, scratch=spare)
-            np.tanh(gates[..., blocks[2]], out=a[..., blocks[2]])
+            np.tanh(gates, out=a)
+            a *= scale
+            a += shift
             i, f, cand, o = (a[..., b] for b in blocks)
             c_prev, c = cells_n[t % (kept + 1)], cells_n[(t + 1) % (kept + 1)]
             k, tc, h = keep_n[t], tanh_n[t % kept], states_n[t + 1]

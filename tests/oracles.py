@@ -123,10 +123,12 @@ def highway(layers, col: list[float]) -> list[float]:
 #
 # Both LSTM directions in numpy, with the state at a masked position blended
 # as k*new + (1-k)*old, so a mask may have gaps.  At a real position the
-# arithmetic is autodiff.bilstm_scan's, in the same order.  The sigmoid here is
-# the reference formula, np.where's select; the package's branch-free
-# _sigmoid_values must give its bytes.  So on a right-padded mask the
-# package's scan can be held to its bytes.
+# arithmetic is autodiff.bilstm_scan's, in the same order, so on a right-padded
+# mask the package's scan can be held to its bytes.  The gates' sigmoid is the
+# scan's tanh form, 0.5*tanh(x/2) + 0.5, written here on the whole sums.
+# _sigmoid_array below is the reference formula, np.where's select, whose
+# bytes the package's branch-free _sigmoid_values (the graph ops' sigmoid)
+# must give.
 
 
 def _sigmoid_array(x: np.ndarray) -> np.ndarray:
@@ -158,7 +160,7 @@ def bilstm_scan_blended(proj: tuple[np.ndarray, np.ndarray],
     for t in range(steps):
         h_prev[t], c_prev[t] = h, c
         gates = xs[t] + h @ w
-        acts[t] = _sigmoid_array(gates)
+        acts[t] = 0.5 * np.tanh(0.5 * gates) + 0.5
         acts[t, ..., blocks[2]] = np.tanh(gates[..., blocks[2]])
         i, f, cand, o = (acts[t, ..., b] for b in blocks)
         c_new = f * c + i * cand

@@ -70,6 +70,15 @@ def test_sigmoid_values_match_the_reference_formula_bytes(x):
     assert out[~nan].tobytes() == ref[~nan].tobytes()
 
 
+def test_sigmoid_keeps_low_relevances_apart():
+    """The scorer ranks and votes on float32 relevances from ad.sigmoid, so
+    two low logits must not tie: 0.5*tanh(x/2) + 0.5, the bi-LSTM gates'
+    form, gives both of these the same float32 value."""
+    out = ad.sigmoid(constant(np.array([-12.0, -12.001], np.float32))).value
+    assert out.dtype == np.float32
+    assert (out > 0).all() and out[0] != out[1]
+
+
 def test_log_sigmoid_values():
     x = constant(np.array([0.0, -1000.0, 40.0]))
     out = ad.log_sigmoid(x).value

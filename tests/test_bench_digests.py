@@ -24,7 +24,7 @@ TINY_SEED_7 = {
 FULL_SEED_3 = {
     "ask_default": "4aa5912db9df1c3aa89e2a7da15f226a723c070930853ad82cdba2bed08df357",
     "train_mtl": "3844f8841a45da0d8604894d3eacf55c615a1d654802ed78acd39d6ef351507e",
-    "train_rc": "b72eb9cd6a3f15c2f48250ce77005df3d0c71c7e44fa0df54026a793f057738e",
+    "train_rc": "707438b3db78b31e58845a616d05b19de57f63ec19bf55a989c9e83a8e2195e6",
 }
 
 

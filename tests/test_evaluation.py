@@ -387,7 +387,7 @@ def scorer_outputs(scorer, question, records):
 
 # sha256 of repr(scorer_outputs) for hidden16_scorer, task.examples[5] and
 # varied_records(task, n=70): three chunks of 32, 32 and 6 rows.
-GOLDEN_SCORER_SHA256 = "5672e6c265f5ea2d852b90190bff082aea943f4eb3b8bd4c391b09a281f0928f"
+GOLDEN_SCORER_SHA256 = "8dede8c67fd2a78fe86a8e3c97272a4a6bb10b30fa48c218a75380d2c5649c60"
 
 
 def test_scorer_outputs_keep_their_golden_bits(task):

@@ -84,6 +84,35 @@ def test_bilstm_scan_matches_scalar_steps():
                 np.testing.assert_allclose(out[row, half, t], ref[t], rtol=1e-12)
 
 
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_float32_bilstm_scan_matches_float64_scalar_steps(seed):
+    """The float32 scan, as the model runs it, stays within 2e-6 of the
+    float64 scalar unroll of its own float32 weights over 40 steps at
+    hidden 16, with gates pushed towards saturation by unit-scale weights.
+    Its gate sigmoid is 0.5*tanh(x/2) + 0.5; the scalar one is the textbook
+    formula.  On 20 seeds the error peaked near 4e-7 with either."""
+    rng = np.random.default_rng(seed)
+    hidden, steps, in_dim, batch = 16, 40, 8, 2
+
+    def lstm():
+        w_in = rng.standard_normal((in_dim, 4 * hidden))
+        w_rec = rng.standard_normal((hidden, 4 * hidden)) * 0.5
+        return tuple(a.astype(np.float32) for a in (w_in, w_rec, rng.standard_normal(4 * hidden)))
+
+    fwd, bwd = lstm(), lstm()
+    x = rng.standard_normal((batch, steps, in_dim)).astype(np.float32)
+    w_in, w_rec, bias = zip(fwd, bwd)
+    out = ad.bilstm_scan([(constant(np.ascontiguousarray(x.transpose(0, 2, 1))),
+                           np.ones((batch, steps), np.float32))], w_in, bias, w_rec)[0].value
+    assert out.dtype == np.float32
+    for row in range(batch):
+        columns = [list(x[row, t]) for t in range(steps)]
+        for half, lstm_k, reverse in ((slice(0, hidden), fwd, False),
+                                      (slice(hidden, 2 * hidden), bwd, True)):
+            ref = np.array(oracles.lstm_unroll(*lstm_k, columns, hidden, reverse=reverse))
+            np.testing.assert_allclose(out[row, half].T, ref, rtol=0, atol=2e-6)
+
+
 @st.composite
 def right_padded_scans(draw):
     """Shape, dtype, seed and a right-padded (B, T) mask: rows of full length
@@ -271,6 +300,35 @@ def test_real_token_products_keep_their_bits(in_dim):
         assert padded.tobytes() == real_only.tobytes(), (
             f"{name} at in_dim {in_dim}: over real tokens it differs from the padded "
             f"product; {pytest_report_header(None)}")
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("hidden, rows", [(16, 1), (16, 5), (16, 20), (16, 120), (100, 8)])
+def test_halved_gate_columns_keep_their_bits(hidden, rows, dtype):
+    """bilstm_scan halves the sigmoid blocks' columns of w_rec and of the
+    projections once per scan, so that one tanh gives all four gates.  That
+    keeps the bits of halving the step's pre-activations only because
+    scaling by a power of two is exact in the recurrent product, on the BLAS
+    kernel that runs (the failure message names it), and in the projection
+    add.  Pinned at the scan's
+    own (2, rows, h) @ (2, h, 4h) shapes: the ask's ranking and train_mtl
+    widths at hidden 16, the paper width at hidden 100."""
+    from conftest import pytest_report_header
+    rng = np.random.default_rng(1000 * hidden + rows)
+    scale = np.full(4 * hidden, 0.5, dtype)
+    scale[2 * hidden:3 * hidden] = 1.0
+    s = rng.standard_normal((2, rows, hidden)).astype(dtype)
+    w = rng.standard_normal((2, hidden, 4 * hidden)).astype(dtype)
+    p = rng.standard_normal((2, rows, 4 * hidden)).astype(dtype)
+    q = s @ w
+    checks = {
+        "s @ (w * scale) against (s @ w) * scale": (s @ (w * scale), q * scale),
+        "p * scale + q * scale against (p + q) * scale": (p * scale + q * scale, (p + q) * scale),
+    }
+    for name, (halved, whole) in checks.items():
+        assert halved.tobytes() == whole.tobytes(), (
+            f"{name} at hidden {hidden}, {rows} rows, {np.dtype(dtype)}: halving is not "
+            f"exact; {pytest_report_header(None)}")
 
 
 @st.composite

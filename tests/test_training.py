@@ -385,8 +385,8 @@ def test_train_ranks_each_gold_passage_once_across_epochs(monkeypatch):
 
 
 # sha256 of two mtl steps with dropout 0.2 (losses, then raw weights by name),
-# taken before the trunk was split into encode_sequences and read.
-GOLDEN_MTL_STEPS = "0b4dc2691c0b81cf3b74b6181c27ed7a234d6a3c744e144287fe9dca530ad211"
+# taken with the bi-LSTM gates' sigmoid in its tanh form, 0.5*tanh(x/2) + 0.5.
+GOLDEN_MTL_STEPS = "da0740119f49fbfbbbc34fb41b14a2b640fc584470a4325232125b02e443e977"
 
 
 def small_hp(**over):
@@ -442,7 +442,7 @@ def test_mtl_steps_are_golden(task, task_index):
 # sha256 of one stl-rc step on one example at hidden 100, float32, digested
 # as above, taken with the session's one OpenBLAS thread (conftest.py): its
 # end-LSTM input product is large enough for OpenBLAS to thread.
-GOLDEN_ONE_ROW_STEP = "cdf41311473faea66fd1fdc91795ef8ba7265d3209a97df26a567105411cf5cf"
+GOLDEN_ONE_ROW_STEP = "f882ec7b04a57a6c0e3ca52de8fa8d02fe84de3754c736d33dde992372bcb7e8"
 
 
 def test_one_row_step_at_paper_width_is_golden(task, task_index):
@@ -456,11 +456,10 @@ def test_one_row_step_at_paper_width_is_golden(task, task_index):
     assert result_digest(result) == GOLDEN_ONE_ROW_STEP
 
 
-# sha256 of three mtl steps at the bench's train_mtl width, digested as above,
-# taken before the bi-LSTM time step was rewritten in place.  The bench's own
-# training digests hash losses only, which can hold while weight bits move;
-# this one hashes the raw weights too.
-GOLDEN_MTL_BENCH_WIDTH = "b356f34c827f0c01a34e0f33741a665a00bd0656e68b3100359399b5b085a289"
+# sha256 of three mtl steps at the bench's train_mtl width, digested as above.
+# The bench's own training digests hash losses only, which can hold while
+# weight bits move; this one hashes the raw weights too.
+GOLDEN_MTL_BENCH_WIDTH = "68429aa236b11a4980b3b8e608b24804766e189aad463ddb43adfe7980a0c0ad"
 
 
 def test_mtl_steps_at_bench_width_are_golden():
