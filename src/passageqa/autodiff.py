@@ -519,8 +519,7 @@ def masked_softmax(logits, mask: np.ndarray | None = None) -> Node:
     low = np.where(keep, x, -np.inf)
     rowmax = low.max(axis=-1, keepdims=True)
     rowmax = np.where(np.isfinite(rowmax), rowmax, 0.0)
-    shifted = np.where(keep, x - rowmax, 0.0)
-    weights = np.exp(shifted) * keep
+    weights = np.exp(low - rowmax)      # exp(-inf) = 0 at masked positions
     denom = weights.sum(axis=-1, keepdims=True)
     safe = np.where(denom > 0, denom, 1.0)
     value = (weights / safe).astype(x.dtype)
@@ -581,34 +580,43 @@ def bilstm_scan(groups, w_in, bias, w_rec) -> list[Node]:
     backward ones in rows h:.
 
     A direction's input projections x_t @ w_in + bias are one product per
-    group over its (B_g, T_g, in) view, padding included, with the bias added
-    in place, then copied into the scan's time-major buffer.  Each step
-    computes gates = proj_t + h @ w_rec, one sigmoid over all four blocks
-    with tanh on the cell block, c = f*c + i*g and h = o*tanh(c), from zero
-    initial states; a group's forward direction runs from t = 0 and its
-    backward one from its own t = T_g-1.  With k its mask column, a step
-    keeps k*c and k*h, so the state is zero at padding, which no real
-    position of either direction reads, and so are the outputs there.
+    group over its (B_g, T_g, in) view, padding included.  The forward one is
+    written by `out=` straight into its slot of the scan's time-major buffer,
+    a strided layout BLAS takes, with the contiguous product's bits; the
+    backward one is formed contiguous and copied in time-reversed.  Each bias
+    is added over long contiguous runs: the forward slot viewed as
+    (T_g, B_g*4h) plus the bias tiled B_g times, the backward product viewed
+    as (B_g, T_g*4h) plus it tiled T_g times.  Each step computes
+    gates = proj_t + h @ w_rec, one sigmoid over all four blocks with tanh on
+    the cell block, c = f*c + i*g and h = o*tanh(c), from zero initial
+    states; a group's forward direction runs from t = 0 and its backward one
+    from its own t = T_g-1.  With k its mask column, a step keeps k*c and
+    k*h, so the state is zero at padding, which no real position of either
+    direction reads, and so are the outputs there.
 
     The sigmoid is 0.5*tanh(x/2) + 0.5, so one tanh covers all four blocks:
-    once per scan, the sigmoid blocks' columns of w_rec and of each group's
-    projections (after the bias add) are halved.  Halving is exact, so the
-    tanh reads x/2 there, bit for bit.
+    once per scan, the sigmoid blocks' columns of w_in, bias and w_rec are
+    halved, each weight in its own dtype, so that every product keeps the
+    dtype it has unhalved.  Halving is exact away from the subnormal range,
+    so x @ (w_in*s) + bias*s has the bits of (x @ w_in + bias)*s and the tanh
+    reads x/2 there, bit for bit.
 
     A step allocates nothing: it writes into buffers made once per scan, or
     once per segment of steps that run the same rows, and keeps each
     element's operand order, so its bits are those of the formulas above.
     Forward it makes 12 numpy calls: the recurrent product, the projection
-    add, one tanh over the whole slot, a multiply and an add by per-column
-    vectors (0.5 and 0.5 on the sigmoid blocks, 1 and 0 on the cell block),
-    four for c and three for h.  Backward reads the unhalved w_rec and makes
-    19: eight update dh and dc in place, three write the input, forget and
-    output blocks (dc*g, dc*c_prev, dh*tanh(c)) into the step's slot of a
-    zeroed buffer, one multiplies the whole slot by the gates, one rewrites
-    the cell block as dc*i, four multiply the whole slot by 1 - gate
-    (1 - g*g on the cell block), one more updates dc, and the last is the
-    BPTT product dh = d_gates @ w_rec.T, which t = 0 skips, as nothing
-    reads it.
+    add, one tanh over the whole slot, a multiply and an add (0.5 and 0.5 on
+    the sigmoid blocks, 1 and 0 on the cell block), four for c and three for
+    h.  Every operand of a step has the step's full shape, so numpy runs it
+    as long contiguous runs: an operand broadcast from a (4h,) vector would
+    cost one short inner loop per row.  Backward reads the unhalved w_rec
+    and makes 19: eight update dh and dc in place, three write the input,
+    forget and output blocks (dc*g, dc*c_prev, dh*tanh(c)) into the step's
+    slot of a zeroed buffer, one multiplies the whole slot by the gates, one
+    rewrites the cell block as dc*i, four multiply the whole slot by
+    1 - gate (1 - g*g on the cell block), one more updates dc, and the last
+    is the BPTT product dh = d_gates @ w_rec.T, which t = 0 skips, as
+    nothing reads it.
 
     The groups share one time-major buffer in decreasing T_g order, so the
     groups still running at step s are a row prefix, and each step is one
@@ -675,22 +683,33 @@ def bilstm_scan(groups, w_in, bias, w_rec) -> list[Node]:
     # sigmoid(x) = 0.5*tanh(x/2) + 0.5 on the i, f and o blocks, tanh on g.
     scale = np.full(4 * hidden, 0.5, dtype)
     scale[blocks[2]] = 1.0
-    shift = 1.0 - scale
+    # Each weight halved in its own dtype, so each product keeps its dtype.
+    (w_fwd, b_fwd), (w_bwd, b_bwd) = ((w.value * scale.astype(w.dtype),
+                                       b.value * scale.astype(b.dtype))
+                                      for w, b in zip(w_in, bias))
     xs = np.empty((steps, 2, batch, 4 * hidden), dtype)
     keep = np.empty((steps, 2, batch, hidden), dtype)   # full width: no broadcast per step
     for seq, mask, r in zip(seqs, masks, rows):
-        length = mask.shape[1]
+        n, length = mask.shape
+        x = seq.value.transpose(0, 2, 1)
         # Time-major, the backward half time-reversed, so every step slice is
-        # contiguous; the views below are each direction's in time order.
-        for xs_k, keep_k, w, b in zip(_scan_unstack(xs[:length, :, r]),
-                                      _scan_unstack(keep[:length, :, r]), w_in, bias):
-            proj = (seq.value.transpose(0, 2, 1) @ w.value).astype(dtype, copy=False)
-            proj += b.value
-            proj *= scale       # not on xs, whose rows past a short group stay unwritten
-            xs_k[...] = proj.transpose(1, 0, 2)
+        # contiguous.  The forward product goes straight into its slot, whose
+        # rows r are one contiguous run per step.
+        fwd = xs[:length, 0, r]
+        np.matmul(x, w_fwd, out=fwd.transpose(1, 0, 2))
+        fwd_runs = fwd.reshape(length, n * 4 * hidden)
+        fwd_runs += np.tile(b_fwd, n)
+        bwd = (x @ w_bwd).astype(dtype, copy=False)
+        bwd_runs = bwd.reshape(n, length * 4 * hidden)
+        bwd_runs += np.tile(b_bwd, length)
+        xs[:length, 1, r][::-1] = bwd.transpose(1, 0, 2)
+        for keep_k in _scan_unstack(keep[:length, :, r]):
             keep_k[...] = mask.T[..., None]
     w = np.stack([w.value for w in w_rec])
     w_half = w * scale
+    # The gate affine's operands at full width, so a step's runs are long.
+    scale = np.broadcast_to(scale, (2, batch, 4 * hidden)).copy()
+    shift = 1.0 - scale
     # Step t reads state row t and writes row t + 1; row 0 is the zero initial
     # state.  Without backward one slot of acts and two of cells are reused.
     kept = steps if record else 1
@@ -702,6 +721,7 @@ def bilstm_scan(groups, w_in, bias, w_rec) -> list[Node]:
     for lo, hi, n in reversed(segments):
         xs_n, keep_n, acts_n, tanh_n, cells_n, states_n = (
             buf[:, :, :n] for buf in (xs, keep, acts, tanh_c, cells, states))
+        scale_n, shift_n = scale[:, :n], shift[:, :n]
         # The step's buffers: every product and sum below is written in place.
         gates = np.empty((2, n, 4 * hidden), dtype)
         ig = np.empty((2, n, hidden), dtype)
@@ -710,8 +730,8 @@ def bilstm_scan(groups, w_in, bias, w_rec) -> list[Node]:
             gates += xs_n[t]
             a = acts_n[t % kept]
             np.tanh(gates, out=a)
-            a *= scale
-            a += shift
+            a *= scale_n
+            a += shift_n
             i, f, cand, o = (a[..., b] for b in blocks)
             c_prev, c = cells_n[t % (kept + 1)], cells_n[(t + 1) % (kept + 1)]
             k, tc, h = keep_n[t], tanh_n[t % kept], states_n[t + 1]

@@ -41,7 +41,7 @@ def _write_tensor(fh, name: str, array: np.ndarray) -> None:
     fh.write(struct.pack("<B", data.ndim))
     for dim in data.shape:
         fh.write(struct.pack("<I", dim))
-    fh.write(data.tobytes())
+    fh.write(data)             # the contiguous buffer, not a copy of it
 
 
 def save_checkpoint(path: str, hp: Hyperparams, weights: ModelWeights,

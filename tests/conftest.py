@@ -3,7 +3,9 @@
 Golden hashes hold for one OpenBLAS kernel and one thread count: a product
 OpenBLAS threads gives other bits on one thread than on two.  So the session
 runs OpenBLAS on BLAS_THREADS threads, the benchmark's setting
-(bench/run.py), and the report header names the kernel and thread count.
+(bench/run.py), and the report header names the kernel and thread count,
+and the numpy version, whose summation order and matmul paths the goldens
+rest on too.
 OpenBLAS reads OPENBLAS_NUM_THREADS only when it loads, which numpy has done
 by the time this file runs, so the count is set through the library numpy
 loaded.
@@ -50,11 +52,12 @@ def pytest_configure(config):
 
 
 def pytest_report_header(config):
+    numpy = f"numpy {np.__version__}"
     if _BLAS is None:
-        return "BLAS: numpy's OpenBLAS thread calls not found, thread count not pinned"
+        return f"BLAS: numpy's OpenBLAS thread calls not found, thread count not pinned; {numpy}"
     threads = _BLAS.scipy_openblas_get_num_threads64_()
     kernel = _BLAS.scipy_openblas_get_corename64_().decode()
-    return f"BLAS: {kernel}, {threads} thread{'' if threads == 1 else 's'}"
+    return f"BLAS: {kernel}, {threads} thread{'' if threads == 1 else 's'}; {numpy}"
 
 
 @pytest.fixture(scope="session")

@@ -197,6 +197,29 @@ def bilstm_scan_blended(proj: tuple[np.ndarray, np.ndarray],
 
 
 # ---------------------------------------------------------------------------
+# masked softmax
+#
+# autodiff.masked_softmax's value as first written: a masked position is
+# shifted to 0, so its weight is exp(0), and then multiplied by the mask.
+# The package takes exp(-inf) = 0 there instead, and must keep these bytes.
+
+
+def masked_softmax(x: np.ndarray, mask: np.ndarray | None) -> np.ndarray:
+    if mask is None:
+        keep = np.ones(x.shape, dtype=bool)
+    else:
+        keep = np.broadcast_to(np.asarray(mask) != 0, x.shape)
+    low = np.where(keep, x, -np.inf)
+    rowmax = low.max(axis=-1, keepdims=True)
+    rowmax = np.where(np.isfinite(rowmax), rowmax, 0.0)
+    shifted = np.where(keep, x - rowmax, 0.0)
+    weights = np.exp(shifted) * keep
+    denom = weights.sum(axis=-1, keepdims=True)
+    safe = np.where(denom > 0, denom, 1.0)
+    return (weights / safe).astype(x.dtype)
+
+
+# ---------------------------------------------------------------------------
 # reverse mode the plain way
 #
 # A few graph ops with the gradient bookkeeping autodiff had before its

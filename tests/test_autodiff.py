@@ -326,6 +326,40 @@ def test_masked_softmax_properties(seed, rows, cols):
             assert np.all(probs[r] == 0.0)
 
 
+_SOFTMAX_SPECIALS = (0.0, -0.0, 1.0, math.inf, -math.inf, math.nan, 1e30, -1e30)
+
+
+@st.composite
+def _masked_softmax_inputs(draw):
+    """Logits with specials, and no mask or one broadcastable to them."""
+    dtype = draw(st.sampled_from([np.float32, np.float64]))
+    values = st.one_of(st.sampled_from(_SOFTMAX_SPECIALS).map(dtype),
+                       st.floats(width=np.finfo(dtype).bits))
+    shape = draw(hnp.array_shapes(min_dims=1, max_dims=3, max_side=6))
+    x = draw(hnp.arrays(dtype, shape, elements=values))
+    if draw(st.booleans()):
+        return x, None
+    trailing = shape[draw(st.integers(0, len(shape))):]
+    mask_shape = tuple(draw(st.sampled_from([1, n])) for n in trailing)
+    return x, draw(hnp.arrays(np.float64, mask_shape, elements=st.sampled_from([0.0, 1.0])))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_masked_softmax_inputs())
+def test_masked_softmax_matches_the_first_formula_bytes(case):
+    """masked_softmax takes exp(-inf) = 0 at masked positions where it once
+    took exp(0) * 0, and keeps that formula's bytes on every input: NaN,
+    +-inf, +-0, +-1e30, all-masked rows, broadcast masks, float32 and
+    float64.  Overflow and inf/inf warn in both formulas alike, so warnings
+    are off here."""
+    x, mask = case
+    with np.errstate(all="ignore"):
+        want = oracles.masked_softmax(x, mask)
+        got = ad.masked_softmax(constant(x), mask).value
+    assert got.dtype == want.dtype == x.dtype
+    assert got.tobytes() == want.tobytes()
+
+
 @settings(max_examples=40, deadline=None)
 @given(seed=st.integers(0, 2**31 - 1))
 def test_masked_logsumexp_matches_scalar_reference(seed):

@@ -331,6 +331,42 @@ def test_halved_gate_columns_keep_their_bits(hidden, rows, dtype):
             f"exact; {pytest_report_header(None)}")
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("in_dim, hidden", [(32, 16), (33, 16), (128, 16), (224, 16),
+                                            (300, 100), (800, 100), (200, 100), (1400, 100)])
+def test_halved_projection_keeps_its_bits(in_dim, hidden, dtype):
+    """bilstm_scan halves w_in and the bias once per scan, not each
+    projection after its bias add, and writes the forward projection through
+    `out=` straight into its strided slot of the time-major buffer.  Both
+    keep the bits of the contiguous (x @ w + b) * scale on the BLAS kernel
+    that runs (the failure message names it).  Pinned at the LSTM input
+    widths of the bench (hidden 16: ctx and start 32, rel 33, fusion 128,
+    end 224) and of the paper (hidden 100: ctx 300, fusion 800, start 200,
+    end 1400), over the scan's (B, T, in) view of a (B, in, T) input."""
+    from conftest import pytest_report_header
+    rng = np.random.default_rng(in_dim)
+    batch, steps = (6, 90) if hidden == 16 else (8, 154)
+    scale = np.full(4 * hidden, 0.5, dtype)
+    scale[2 * hidden:3 * hidden] = 1.0
+    x = rng.standard_normal((batch, in_dim, steps)).astype(dtype).transpose(0, 2, 1)
+    w = rng.standard_normal((in_dim, 4 * hidden)).astype(dtype)
+    b = rng.standard_normal(4 * hidden).astype(dtype)
+    product = x @ w
+    # Rows 2..2+batch of a direction's slot, as a group after another one.
+    slot = np.zeros((steps, 2, batch + 3, 4 * hidden), dtype)[:, 0, 2:2 + batch]
+    np.matmul(x, w, out=slot.transpose(1, 0, 2))
+    checks = {
+        "x @ (w * scale) + b * scale against (x @ w + b) * scale": (
+            x @ (w * scale) + b * scale, (product + b) * scale),
+        "x @ w through out= into a time-major slot against the contiguous product": (
+            slot.transpose(1, 0, 2), product),
+    }
+    for name, (got, want) in checks.items():
+        assert got.tobytes() == want.tobytes(), (
+            f"{name} at in_dim {in_dim}, hidden {hidden}, {np.dtype(dtype)}: the bits "
+            f"differ; {pytest_report_header(None)}")
+
+
 @st.composite
 def scan_groups(draw):
     """Hidden size, dtype, seed and one right-padded (B_g, T_g) mask per group."""
