@@ -13,10 +13,25 @@ The one recurrent op, `bilstm_scan`, takes a bi-LSTM from its input
 sequences to its states as one node: the input projections, both
 directions' time loop, and a backward pass that forms the input and input
 weight gradients from the real tokens only.
+
+`backward` overlaps the products whose only use is a leaf's gradient with
+the rest of backprop, on one helper thread: `matmul`'s product for a leaf
+operand, and `bilstm_scan`'s `w_in` and `w_rec` ones.  No later node reads a
+leaf's gradient, so nothing waits for them before the loop ends.  The helper
+only computes arrays; the main thread makes every addition into a gradient.
+A leaf's deferred products are added in submission order when the loop ends,
+or before the leaf's next immediate contribution, which waits for them, so
+every gradient has the bits of a serial backward.
+Each product runs in a copy of its caller's `contextvars` context, so an
+`np.errstate` around `backward` (numpy keeps it in a context variable) holds
+on the helper too.  Each BLAS call still runs on the thread count OpenBLAS is
+set to.
 """
 from __future__ import annotations
 
 import contextlib
+import contextvars
+from concurrent.futures import Future, ThreadPoolExecutor, wait
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -119,16 +134,55 @@ def _make(op: str, value: np.ndarray, parents: tuple[Node, ...],
     return Node(value, op)
 
 
-def _accumulate(node: Node, grad: np.ndarray, fresh: bool = False) -> None:
-    """Add `grad` into `node.grad`.  The first gradient is stored as
+# The helper thread of `backward`; it starts with the first deferred product.
+_helper = ThreadPoolExecutor(1, thread_name_prefix="backward")
+# While `backward` runs: each leaf -> its deferred products not yet added, in
+# submission order.
+_held: dict[Node, list[Future]] | None = None
+
+
+def _accumulate(node: Node, grad: np.ndarray, fresh: bool = False, at=None) -> None:
+    """Add `grad` into `node.grad` (see `_add`), after the node's held
+    deferred products, so a leaf's additions keep their backward order."""
+    if not node.needs_grad:
+        return
+    if _held and node in _held:
+        _add_held(_held, node)
+    _add(node, grad, fresh, at)
+
+
+def _defer(node: Node, product: Callable[..., np.ndarray], *args) -> None:
+    """Accumulate product(*args), a new array, into `node`.  Inside `backward`,
+    when `node` is a leaf, the product runs on the helper thread in a copy of
+    the caller's context, and is added when the node's next contribution
+    comes or when the loop ends."""
+    if _held is None or node._backward is not None:
+        _accumulate(node, product(*args), fresh=True)
+        return
+    future = _helper.submit(contextvars.copy_context().run, product, *args)
+    _held.setdefault(node, []).append(future)
+
+
+def _add_held(held: dict[Node, list[Future]], node: Node) -> None:
+    """Add the node's deferred products, waiting for each, in submission order."""
+    for future in held[node]:
+        _add(node, future.result(), fresh=True)
+    del held[node]          # kept if one raised, so backward still waits for the rest
+
+
+def _add(node: Node, grad: np.ndarray, fresh: bool = False, at=None) -> None:
+    """Add `grad` into `node.grad`, or into `node.grad[at]` with the rest of
+    a first gradient zero.  The first gradient is stored as
     zeros_like(value) + grad would be: in value's layout, and 0.0 where grad
     holds -0.0.  A `fresh` grad is a new array that nothing else holds, and
     the node keeps it after `+= 0` when it has that layout and dtype, or is
     C-ordered and the node a transpose, whose backward only hands a view on
     to an elementwise add, which gives the same bits in any layout."""
-    if not node.needs_grad:
-        return
-    if node.grad is not None:
+    if at is not None:
+        if node.grad is None:
+            node.grad = np.zeros_like(node.value)
+        node.grad[at] += grad
+    elif node.grad is not None:
         node.grad += grad
     elif (fresh and isinstance(grad, np.ndarray) and grad.shape == node.value.shape
           and grad.dtype == node.value.dtype and grad.flags.c_contiguous
@@ -151,15 +205,11 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 
 
 def _matmul_grad(x: np.ndarray, y: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
-    """x @ y summed down to `shape`.  Into a 2-D `shape` from (B, ., .) stacks,
-    the slice products are added up one by one in stack order, as the sum of
-    the whole product stack over B runs, without forming that stack."""
-    if len(shape) == 2 and x.ndim == y.ndim == 3:
-        total = x[0] @ y[0]
-        part = np.empty_like(total)
-        for k in range(1, len(x)):
-            total += np.matmul(x[k], y[k], out=part)
-        return total
+    """x @ y summed down to `shape`.  Into a 2-D `shape` from (B, ., .) stacks
+    this forms the product stack in one call and sums it over B in stack
+    order: the bits of adding the slice products one by one, in two numpy
+    calls, so a product on the helper thread takes the interpreter lock twice,
+    not twice per slice."""
     return _unbroadcast(x @ y, shape)
 
 
@@ -189,16 +239,33 @@ def backward(loss: Node) -> dict[Node, np.ndarray]:
     Populates `.grad` on every grad-requiring node reachable from `loss` and
     returns a map from leaf parameter nodes to their gradients.  Leaves the
     loss never touched keep a zero gradient (see `Node.gradient`).
+
+    The leaf-only products (`matmul`'s for a leaf operand, `bilstm_scan`'s
+    `w_in` and `w_rec` ones) run on the helper thread, each in a copy of its
+    caller's context, so an enclosing `np.errstate` holds there too.  A
+    leaf's contributions, deferred and immediate, are added in the order a
+    serial backward adds them, so every gradient has that backward's bits:
+    an immediate one first adds the deferred ones before it, and the rest are
+    added when the loop ends.  Every product has finished when this returns
+    or raises; an exception raised in one is raised here.
     """
+    global _held
     if loss.value.size != 1:
         raise ValueError(f"backward needs a scalar loss, got shape {loss.value.shape}")
     if not loss.needs_grad:
         return {}
     order = _toposort(loss)
     loss.grad = np.ones_like(loss.value)
-    for node in reversed(order):
-        if node._backward is not None:
-            node._backward(node.grad)
+    _held = held = {}
+    try:
+        for node in reversed(order):
+            if node._backward is not None:
+                node._backward(node.grad)
+    finally:
+        _held = None
+        wait([future for futures in held.values() for future in futures])
+    for node in list(held):
+        _add_held(held, node)
     return {n: n.gradient() for n in order if not n.parents and n._backward is None}
 
 
@@ -308,9 +375,9 @@ def matmul(a, b) -> Node:
 
     def back(g):
         if a.needs_grad:
-            _accumulate(a, _matmul_grad(g, b.value.swapaxes(-1, -2), a.shape), fresh=True)
+            _defer(a, _matmul_grad, g, b.value.swapaxes(-1, -2), a.shape)
         if b.needs_grad:
-            _accumulate(b, _matmul_grad(a.value.swapaxes(-1, -2), g, b.shape), fresh=True)
+            _defer(b, _matmul_grad, a.value.swapaxes(-1, -2), g, b.shape)
 
     return _make("matmul", value, (a, b), back)
 
@@ -347,11 +414,7 @@ def slice_axis(a: Node, axis: int, start: int, stop: int) -> Node:
     value = a.value[slicer]
 
     def back(g):
-        if not a.needs_grad:
-            return
-        if a.grad is None:
-            a.grad = np.zeros_like(a.value)
-        a.grad[slicer] += g
+        _accumulate(a, g, at=slicer)
 
     return _make("slice", value, (a,), back)
 
@@ -522,7 +585,7 @@ def masked_softmax(logits, mask: np.ndarray | None = None) -> Node:
     weights = np.exp(low - rowmax)      # exp(-inf) = 0 at masked positions
     denom = weights.sum(axis=-1, keepdims=True)
     safe = np.where(denom > 0, denom, 1.0)
-    value = (weights / safe).astype(x.dtype)
+    value = (weights / safe).astype(x.dtype, copy=False)
 
     def back(g):
         inner = (g * value).sum(axis=-1, keepdims=True)
@@ -564,6 +627,12 @@ def _row_products_sum(seq: np.ndarray, grads: np.ndarray, lengths: np.ndarray) -
     for k in range(1, len(lengths)):
         total += np.matmul(seq[k, :, :lengths[k]], grads[ends[k - 1]:ends[k]], out=part)
     return total
+
+
+def _flat_product(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """x.T @ y over both flattened to 2-D along their last axis: the `w_rec`
+    gradient from time-major states and gate gradients."""
+    return x.reshape(-1, x.shape[-1]).T @ y.reshape(-1, y.shape[-1])
 
 
 def bilstm_scan(groups, w_in, bias, w_rec) -> list[Node]:
@@ -637,7 +706,8 @@ def bilstm_scan(groups, w_in, bias, w_rec) -> list[Node]:
     in > 1: one input feature makes the product a gemv).  So does the input
     one at the model's paper widths, but OpenBLAS picks its kernel by a
     product's shape, so at small widths N rows in one product may round
-    otherwise than T rows per batch row, by an ulp.  Under `no_grad` no
+    otherwise than T rows per batch row, by an ulp.  The `w_in` and `w_rec`
+    products run on `backward`'s helper thread.  Under `no_grad` no
     activations are kept.  `mask` is never differentiated.
     """
     w_in, bias, w_rec = ([as_node(w) for w in pair] for pair in (w_in, bias, w_rec))
@@ -703,8 +773,11 @@ def bilstm_scan(groups, w_in, bias, w_rec) -> list[Node]:
         bwd_runs = bwd.reshape(n, length * 4 * hidden)
         bwd_runs += np.tile(b_bwd, length)
         xs[:length, 1, r][::-1] = bwd.transpose(1, 0, 2)
+        # One repeat for both directions: a broadcast mask.T[..., None] would
+        # run one h-element loop per (time, row).
+        keep_g = np.repeat(mask.T, hidden, axis=1).reshape(length, n, hidden)
         for keep_k in _scan_unstack(keep[:length, :, r]):
-            keep_k[...] = mask.T[..., None]
+            keep_k[...] = keep_g
     w = np.stack([w.value for w in w_rec])
     w_half = w * scale
     # The gate affine's operands at full width, so a step's runs are long.
@@ -789,10 +862,9 @@ def bilstm_scan(groups, w_in, bias, w_rec) -> list[Node]:
             if b_node.needs_grad:
                 _accumulate(b_node, rows_k.sum(axis=0), fresh=True)
             if w_node.needs_grad:
-                _accumulate(w_node, _row_products_sum(seq.value, rows_k, lengths), fresh=True)
+                _defer(w_node, _row_products_sum, seq.value, rows_k, lengths)
             if r_node.needs_grad:
-                _accumulate(r_node, h_k.reshape(-1, hidden).T @ d_k.reshape(-1, 4 * hidden),
-                            fresh=True)
+                _defer(r_node, _flat_product, h_k, d_k)
 
     outs = []
     for mask, r in zip(masks, rows):

@@ -13,10 +13,16 @@ The BLAS set-up is part of that promise, and the program pins none of it.
 numpy's OpenBLAS rounds a large float32 product by its kernel (chosen for
 the CPU) and its thread count (OPENBLAS_NUM_THREADS, by default the core
 count), so `train` writes other checkpoint bytes on another CPU or thread
-count, and scores may move by an ulp.  A paper-width training step (8
-passages of 66-154 tokens, hidden 100) took 226 ms on one thread and 197 ms
-on two, with other gradient bits, on a 2-core x86-64 host (SkylakeX
-kernel).  The tests and the benchmark run OpenBLAS on one thread.
+count, and scores may move by an ulp.  Training also runs one helper thread
+of its own: `autodiff.backward` forms the weight-gradient products there
+while backprop goes on and adds them in serial order, so every gradient has
+the bits of serial products on the same BLAS set-up.  A paper-width training
+step (8 passages of 66-154 tokens, hidden 100: forward, backward and SGD)
+took 360 ms on one BLAS thread and 407 ms on two, with other gradient bits,
+on a 2-core x86-64 host (SkylakeX kernel).  On two, the helper's products
+and BLAS's own threads share the two cores; with the products made in line
+the step took 422 and 369 ms.  The tests and the benchmark run OpenBLAS on
+one thread.
 
 Exit codes: 0 success, 2 usage or configuration error, 3 missing input file,
 4 malformed data or artifact (also a checkpoint whose outputs are not finite,

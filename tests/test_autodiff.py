@@ -1,5 +1,7 @@
 """Graph engine tests: frozen values, gradient checks, masking, errors."""
 import math
+import threading
+import time
 from types import SimpleNamespace
 
 import numpy as np
@@ -542,6 +544,123 @@ def test_adopted_gradients_are_not_aliased(name):
     graph = ALIASING_GRAPHS[name]
     assert_same_leaf_gradients(lambda ops, v: ops.total(ops.mul(graph(ops, v), v["C"])),
                                arrays, {"a", "k", "p", "q"})
+
+
+# ---------------------------------------------------------------------------
+# leaf-only products on backward's helper thread
+
+
+def _weighted(node):
+    """A scalar that reads every element of `node` with its own weight."""
+    weights = np.cos(np.arange(node.value.size)).reshape(node.shape)
+    return ad.reduce_sum(ad.mul(node, constant(weights.astype(node.dtype))))
+
+
+def _one_weight_terms():
+    """Builders of five scalar terms, each taking `use`, which gives the
+    (3, 12) weight a term reads: two scans that read it as the forward w_in
+    and w_rec (deferred), matmuls that read it as either operand (deferred)
+    and a slice (immediate)."""
+    rng = np.random.default_rng(25)
+    f32 = lambda *shape: (rng.standard_normal(shape) * 0.5).astype(np.float32)
+    fixed = {"w_in": constant(f32(3, 12)), "bias": constant(f32(12)),
+             "w_rec": constant(f32(3, 12))}
+    seqs = [constant(f32(2, 3, 5)), constant(f32(3, 3, 4))]
+    x, y = constant(f32(2, 4, 3)), constant(f32(12, 5))
+
+    def scan(seq):
+        mask = np.ones((seq.shape[0], seq.shape[2]), np.float32)
+        return lambda use: _weighted(ad.bilstm_scan(
+            [(seq, mask)], (use(), fixed["w_in"]), (fixed["bias"],) * 2,
+            (use(), fixed["w_rec"]))[0])
+
+    return [scan(seqs[0]),
+            lambda use: _weighted(ad.matmul(x, use())),
+            lambda use: _weighted(ad.slice_axis(use(), 1, 2, 7)),
+            scan(seqs[1]),
+            lambda use: _weighted(ad.matmul(use(), y))]
+
+
+def test_a_leaf_adds_deferred_and_immediate_contributions_in_backward_order():
+    """One leaf read by two scans, two matmuls and a slice: its gradient has
+    the bytes of each read's own contribution summed in backward order (the
+    last term first, a scan's w_in before its w_rec) with plain numpy."""
+    w0 = (np.random.default_rng(3).standard_normal((3, 12)) * 0.5).astype(np.float32)
+    terms = _one_weight_terms()
+    shared = leaf(w0, True)
+    loss = None
+    for term in terms:
+        value = term(lambda: shared)
+        loss = value if loss is None else ad.add(loss, value)
+    backward(loss)
+
+    contributions = []
+    for term in reversed(terms):
+        reads = []
+
+        def use():
+            reads.append(leaf(w0.copy(), True))
+            return reads[-1]
+
+        backward(term(use))
+        contributions += [read.grad for read in reads]
+    assert len(contributions) == 7
+    expected = np.zeros_like(w0)
+    for part in contributions:
+        expected += part
+    in_build_order = np.zeros_like(w0)
+    for part in contributions[::-1]:
+        in_build_order += part
+    assert in_build_order.tobytes() != expected.tobytes()   # the order shows in the bytes
+    assert shared.grad.tobytes() == expected.tobytes()
+
+
+def test_a_deferred_product_keeps_the_callers_errstate():
+    """A leaf's matmul gradient overflows float32 on the helper thread.  The
+    caller's np.errstate holds there, so no RuntimeWarning (an error in this
+    suite) is raised."""
+    w = leaf(np.full((2, 3), 1e30, np.float32), True)
+    x = constant(np.full((3, 4), 1e38, np.float32))
+    with np.errstate(over="ignore"):
+        backward(ad.reduce_sum(ad.matmul(w, x)))
+    assert np.isposinf(w.grad).all()
+
+
+def test_a_failing_deferred_product_is_raised_after_every_product_finished(monkeypatch):
+    """v @ (w @ x) with leaves v and w: their two products run on the helper
+    thread, the inner node's on the main thread.  The first deferred product
+    raises and the second runs on: backward raises the error only after the
+    second has finished, and the next backward gives the serial gradients."""
+    matmul_grad, main_calls, helper_calls, finished = ad._matmul_grad, [], [], []
+
+    def product(*args):
+        if threading.current_thread() is threading.main_thread():
+            main_calls.append(args)
+            return matmul_grad(*args)
+        helper_calls.append(args)
+        if len(helper_calls) == 1:
+            raise RuntimeError("deferred product failed")
+        time.sleep(0.2)
+        finished.append(True)
+        return matmul_grad(*args)
+
+    rng = np.random.default_rng(4)
+    v0, w0, x0 = (rng.standard_normal(shape) for shape in ((4, 2), (2, 3), (3, 4)))
+
+    def loss(v, w):
+        return ad.reduce_sum(ad.matmul(v, ad.matmul(w, constant(x0))))
+
+    monkeypatch.setattr(ad, "_matmul_grad", product)
+    with pytest.raises(RuntimeError, match="deferred product failed"):
+        backward(loss(leaf(v0, True), leaf(w0, True)))
+    assert (len(main_calls), len(helper_calls), finished) == (1, 2, [True])
+    assert ad._held is None
+    monkeypatch.undo()
+    v, w = leaf(v0, True), leaf(w0, True)
+    backward(loss(v, w))
+    ones = np.ones((4, 4))
+    assert v.grad.tobytes() == (ones @ (w0 @ x0).T).tobytes()
+    assert w.grad.tobytes() == (v0.T @ ones @ x0.T).tobytes()
 
 
 # ---------------------------------------------------------------------------
