@@ -850,13 +850,9 @@ def bilstm_scan(groups, w_in, bias, w_rec) -> list[Node]:
         d_dirs = _scan_unstack(d_gates)
         # Each direction's gate gradients at the real tokens, (N, 4h) in (row, time) order.
         real_rows = [d_k.transpose(1, 0, 2)[real] for d_k in d_dirs]
-        if seq.needs_grad:
-            rows_grad = real_rows[1] @ w_in[1].value.T
-            rows_grad += real_rows[0] @ w_in[0].value.T
-            grad = np.zeros(seq.shape, seq.dtype)
-            grad.transpose(0, 2, 1)[real] = rows_grad
-            _accumulate(seq, grad, fresh=True)
         lengths = real.sum(axis=1)
+        # The weight products first, so the helper thread starts on them while
+        # this thread forms the input gradient.
         for w_node, b_node, r_node, rows_k, d_k, h_k in zip(
                 w_in, bias, w_rec, real_rows, d_dirs, _scan_unstack(states[:steps])):
             if b_node.needs_grad:
@@ -865,6 +861,12 @@ def bilstm_scan(groups, w_in, bias, w_rec) -> list[Node]:
                 _defer(w_node, _row_products_sum, seq.value, rows_k, lengths)
             if r_node.needs_grad:
                 _defer(r_node, _flat_product, h_k, d_k)
+        if seq.needs_grad:
+            rows_grad = real_rows[1] @ w_in[1].value.T
+            rows_grad += real_rows[0] @ w_in[0].value.T
+            grad = np.zeros(seq.shape, seq.dtype)
+            grad.transpose(0, 2, 1)[real] = rows_grad
+            _accumulate(seq, grad, fresh=True)
 
     outs = []
     for mask, r in zip(masks, rows):

@@ -18,10 +18,10 @@ of its own: `autodiff.backward` forms the weight-gradient products there
 while backprop goes on and adds them in serial order, so every gradient has
 the bits of serial products on the same BLAS set-up.  A paper-width training
 step (8 passages of 66-154 tokens, hidden 100: forward, backward and SGD)
-took 360 ms on one BLAS thread and 407 ms on two, with other gradient bits,
+took 331 ms on one BLAS thread and 393 ms on two, with other gradient bits,
 on a 2-core x86-64 host (SkylakeX kernel).  On two, the helper's products
 and BLAS's own threads share the two cores; with the products made in line
-the step took 422 and 369 ms.  The tests and the benchmark run OpenBLAS on
+the step took 410 and 334 ms.  The tests and the benchmark run OpenBLAS on
 one thread.
 
 Exit codes: 0 success, 2 usage or configuration error, 3 missing input file,
