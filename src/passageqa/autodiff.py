@@ -24,8 +24,8 @@ or before the leaf's next immediate contribution, which waits for them, so
 every gradient has the bits of a serial backward.
 Each product runs in a copy of its caller's `contextvars` context, so an
 `np.errstate` around `backward` (numpy keeps it in a context variable) holds
-on the helper too.  Each BLAS call still runs on the thread count OpenBLAS is
-set to.
+on the helper too.  Each BLAS call runs on the thread count OpenBLAS is set
+to: one under `cli.main`, so the helper and the main thread take a core each.
 """
 from __future__ import annotations
 

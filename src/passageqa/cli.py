@@ -7,22 +7,15 @@ config file (--config); a flag overrides the config value, which overrides
 the default.  Every config value is type-checked before any command runs,
 whichever command it is.  One seed drives every source of randomness, so
 runs with the same inputs and seed produce byte-identical outputs on one
-BLAS set-up.
+BLAS kernel.
 
-The BLAS set-up is part of that promise, and the program pins none of it.
-numpy's OpenBLAS rounds a large float32 product by its kernel (chosen for
-the CPU) and its thread count (OPENBLAS_NUM_THREADS, by default the core
-count), so `train` writes other checkpoint bytes on another CPU or thread
-count, and scores may move by an ulp.  Training also runs one helper thread
-of its own: `autodiff.backward` forms the weight-gradient products there
-while backprop goes on and adds them in serial order, so every gradient has
-the bits of serial products on the same BLAS set-up.  A paper-width training
-step (8 passages of 66-154 tokens, hidden 100: forward, backward and SGD)
-took 331 ms on one BLAS thread and 393 ms on two, with other gradient bits,
-on a 2-core x86-64 host (SkylakeX kernel).  On two, the helper's products
-and BLAS's own threads share the two cores; with the products made in line
-the step took 410 and 334 ms.  The tests and the benchmark run OpenBLAS on
-one thread.
+numpy's OpenBLAS rounds a large float32 product by its thread count and its
+kernel.  `main` sets it to one thread, whatever OPENBLAS_NUM_THREADS says,
+and warns when it cannot; the second core is `autodiff.backward`'s helper's
+(a paper-width training step took 331 ms on one BLAS thread and 393 ms on
+two, on a 2-core x86-64 host).  The kernel is chosen for the CPU, so another
+CPU may still give other checkpoint bytes and move scores by an ulp; the
+tests' goldens hold on SkylakeX, and `train` logs the kernel it runs on.
 
 Exit codes: 0 success, 2 usage or configuration error, 3 missing input file,
 4 malformed data or artifact (also a checkpoint whose outputs are not finite,
@@ -33,11 +26,15 @@ failure.
 from __future__ import annotations
 
 import argparse
+import ctypes
+import functools
 import json
 import logging
 import sys
 from dataclasses import dataclass
 from pathlib import Path
+
+import numpy as np
 
 from .checkpoint import CheckpointFormatError, load_checkpoint, save_checkpoint
 from .evaluation import (ChainSpecError, EvaluationError, NeuralScorer,
@@ -230,6 +227,40 @@ def _write_report(report: dict, path: str | None) -> None:
         print(f"wrote report to {path}")
 
 
+@functools.cache
+def _openblas() -> dict | None:
+    """The thread and kernel calls of numpy's bundled OpenBLAS, typed and keyed
+    by name, or None when no such library or call is found."""
+    for path in sorted((Path(np.__file__).parent.parent / "numpy.libs")
+                       .glob("libscipy_openblas64_*.so")):
+        lib = ctypes.CDLL(str(path))
+        try:
+            return {name: ctypes.CFUNCTYPE(*types)((f"scipy_openblas_{name}64_", lib))
+                    for name, types in (("set_num_threads", (None, ctypes.c_int)),
+                                        ("get_num_threads", (ctypes.c_int,)),
+                                        ("get_corename", (ctypes.c_char_p,)))}
+        except AttributeError:
+            continue
+    return None
+
+
+def _blas_description(openblas: dict) -> str:
+    threads = openblas["get_num_threads"]()
+    kernel = openblas["get_corename"]().decode()
+    return f"{kernel}, {threads} thread{'' if threads == 1 else 's'}"
+
+
+def one_blas_thread() -> str | None:
+    """Set numpy's OpenBLAS to one thread, which OPENBLAS_NUM_THREADS cannot
+    do once numpy has loaded it; returns "<kernel>, 1 thread", or None when
+    its thread calls are not found."""
+    openblas = _openblas()
+    if openblas is None:
+        return None
+    openblas["set_num_threads"](1)
+    return _blas_description(openblas)
+
+
 # ---------------------------------------------------------------------------
 # commands
 
@@ -402,6 +433,12 @@ def main(argv: list[str] | None = None) -> int:
     logging.basicConfig(level=logging.INFO,
                         format="%(levelname)s %(name)s: %(message)s")
     args = build_parser().parse_args(argv)
+    blas = one_blas_thread()
+    if blas is None:
+        logger.warning("numpy's OpenBLAS thread calls not found: the BLAS thread "
+                       "count is not pinned, and it may change output bits")
+    elif args.command == "train":    # its checkpoint bytes depend on the kernel
+        logger.info("BLAS: %s", blas)
     try:
         return args.func(resolve_settings(args, load_config(args.config)))
     except (ConfigError, ChainSpecError) as exc:

@@ -4,8 +4,9 @@ Each workload of bench/run.py runs in a subprocess, at its --tiny size with
 seed 7 and at full size with seed 3, for the minimum number of operations.
 The digest hashes the workload's outputs (ranked ids, scores, answers,
 losses), so a change that moves any bit of them fails here.  The digests
-were taken with one OpenBLAS thread (the bench's own setting) on the
-SkylakeX kernel; another kernel may give other bits (see conftest.py).
+were taken with one OpenBLAS thread (the bench's own setting, and the one
+`passageqa.cli.one_blas_thread` sets) on the SkylakeX kernel; another kernel
+may give other bits (see the cli.py docstring).
 """
 import subprocess
 import sys

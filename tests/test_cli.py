@@ -1,13 +1,17 @@
 """End-to-end command-line runs on a small generated dataset.
 
 Every test drives cli.main(argv) in process and checks exit codes, printed
-summaries, and produced artifacts.
+summaries, and produced artifacts; the BLAS thread-count test also runs
+`python -m passageqa.cli train` in subprocesses.
 """
 import argparse
 import io
 import json
+import logging
 import math
+import os
 import struct
+import subprocess
 import sys
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
@@ -89,6 +93,80 @@ def eval_args(ws, extra):
     index = [] if extra[0] == "eval-rc" else ["--index", ws.index_path]
     return extra + ["--corpus", ws.corpus_dir, "--vectors", ws.vectors,
                     "--checkpoint", ws.ckpt_dir] + index
+
+
+# ---------------------------------------------------------------------------
+# BLAS set-up
+
+SRC = Path(cli.__file__).resolve().parents[1]
+# The variables OpenBLAS reads its thread count from when it loads.
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+
+
+def test_session_runs_on_one_blas_thread():
+    """conftest.py pins the session to the program's one OpenBLAS thread, so
+    the goldens do not depend on the core count.  First in this file: the
+    in-process main() calls below pin it as well."""
+    openblas = cli._openblas()
+    if openblas is None:
+        pytest.skip("numpy's OpenBLAS thread calls not found")
+    blas = cli._blas_description(openblas)
+    assert blas.endswith(", 1 thread"), f"the session runs OpenBLAS on {blas}"
+
+
+def test_train_bytes_do_not_depend_on_openblas_num_threads(tmp_path):
+    """main sets one OpenBLAS thread after numpy has loaded the library, so
+    OPENBLAS_NUM_THREADS (unset: the core count) does not decide the
+    checkpoint bytes of one stl-rc step at hidden 100, a width whose products
+    OpenBLAS threads; train logs the BLAS set-up once."""
+    blas = cli.one_blas_thread()
+    if blas is None:
+        pytest.skip("numpy's OpenBLAS thread calls not found")
+    task = build_task(seed=0, n_passages=4)
+    dataset, vectors = write_files(task, tmp_path)
+    corpus, index = str(tmp_path / "corpus"), str(tmp_path / "passages.idx")
+    assert run(["ingest", "--dataset", dataset, "--corpus", corpus])[0] == 0
+    assert run(["build-index", "--corpus", corpus, "--index", index])[0] == 0
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_THREAD_VARS}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    written = {}
+    for threads in ("1", "2", None):
+        config = tmp_path / f"train-{threads}.json"
+        config.write_text(json.dumps({
+            "corpus": corpus, "vectors": vectors, "index": index, "mode": "stl-rc",
+            "checkpoint": str(tmp_path / f"ckpt-{threads}"),
+            "hyperparams": {"hidden": 100, "attn_dim": 100, "epochs": 1, "seed": 3,
+                            "batch_positives": len(task.examples), "batch_negatives": 0}}))
+        proc = subprocess.run(
+            [sys.executable, "-m", "passageqa.cli", "train", "--config", str(config)],
+            env=dict(env, OPENBLAS_NUM_THREADS=threads) if threads else env,
+            capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr.count("BLAS") == 1, proc.stderr
+        assert f"INFO __main__: BLAS: {blas}\n" in proc.stderr, proc.stderr
+        written[threads] = (tmp_path / f"ckpt-{threads}" / "final.ckpt").read_bytes()
+    assert written["2"] == written["1"], "OPENBLAS_NUM_THREADS=2 moved the checkpoint bytes"
+    assert written[None] == written["1"], "an unset OPENBLAS_NUM_THREADS moved the bytes"
+
+
+@pytest.mark.parametrize("command", ["build-index", "ingest"])
+def test_unfound_blas_thread_calls_log_one_warning(ws, tmp_path, monkeypatch, caplog, capsys,
+                                                   command):
+    """Without numpy's OpenBLAS thread calls main warns once that the thread
+    count is not pinned, then runs the command as before: the same exit code
+    and output (exit 0, and exit 3 for a missing input), no traceback."""
+    argv = {"build-index": ["build-index", "--corpus", ws.corpus_dir,
+                            "--index", str(tmp_path / "i.idx")],
+            "ingest": ["ingest", "--dataset", str(tmp_path / "missing.json"),
+                       "--corpus", str(tmp_path / "corpus")]}[command]
+    pinned = run(argv)
+    caplog.clear()
+    monkeypatch.setattr(cli, "_openblas", lambda: None)
+    assert run(argv) == pinned
+    assert [(r.levelno, r.getMessage()) for r in caplog.records] == [
+        (logging.WARNING, "numpy's OpenBLAS thread calls not found: the BLAS thread count "
+                          "is not pinned, and it may change output bits")]
+    assert "Traceback" not in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

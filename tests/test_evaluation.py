@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 import passageqa.autodiff as ad
 import passageqa.evaluation as evaluation
+from passageqa.cli import one_blas_thread
 from passageqa.evaluation import (SCORE_BATCH, AnswerCandidate, ChainSpecError,
                                   ChainStage, EvaluationError, NeuralScorer,
                                   RankerChain, VoteEntry, answer_question,
@@ -393,7 +394,9 @@ GOLDEN_SCORER_SHA256 = "8dede8c67fd2a78fe86a8e3c97272a4a6bb10b30fa48c218a75380d2
 def test_scorer_outputs_keep_their_golden_bits(task):
     outputs = scorer_outputs(hidden16_scorer(task), task.examples[5].question,
                              varied_records(task, n=70))
-    assert hashlib.sha256(repr(outputs).encode()).hexdigest() == GOLDEN_SCORER_SHA256
+    assert hashlib.sha256(repr(outputs).encode()).hexdigest() == GOLDEN_SCORER_SHA256, (
+        f"scorer outputs moved; the golden was taken on BLAS SkylakeX, 1 thread, "
+        f"this run had BLAS {one_blas_thread()}")
 
 
 def test_scorer_equals_read_chunk_by_chunk(task):

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 import passageqa.autodiff as ad
 from passageqa.autodiff import constant, gradient_check, leaf
+from passageqa.cli import one_blas_thread
 from passageqa.model import bilstm_encode, highway_forward, linear_seq, xavier_uniform
 
 import oracles
@@ -280,7 +281,6 @@ def test_real_token_products_keep_their_bits(in_dim):
     fusion, ctx and start LSTM inputs, 8 passages of 66-154 tokens, hidden
     100, float32.  A numpy or OpenBLAS change that breaks this shows here,
     by product, before any digest moves."""
-    from conftest import pytest_report_header
     rng = np.random.default_rng(in_dim)
     lengths = np.array([154, 66, 120, 98, 154, 77, 140, 103])
     real = np.arange(154) < lengths[:, None]
@@ -299,7 +299,7 @@ def test_real_token_products_keep_their_bits(in_dim):
     for name, (padded, real_only) in products.items():
         assert padded.tobytes() == real_only.tobytes(), (
             f"{name} at in_dim {in_dim}: over real tokens it differs from the padded "
-            f"product; {pytest_report_header(None)}")
+            f"product; BLAS {one_blas_thread()}")
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -313,7 +313,6 @@ def test_halved_gate_columns_keep_their_bits(hidden, rows, dtype):
     add.  Pinned at the scan's
     own (2, rows, h) @ (2, h, 4h) shapes: the ask's ranking and train_mtl
     widths at hidden 16, the paper width at hidden 100."""
-    from conftest import pytest_report_header
     rng = np.random.default_rng(1000 * hidden + rows)
     scale = np.full(4 * hidden, 0.5, dtype)
     scale[2 * hidden:3 * hidden] = 1.0
@@ -328,7 +327,7 @@ def test_halved_gate_columns_keep_their_bits(hidden, rows, dtype):
     for name, (halved, whole) in checks.items():
         assert halved.tobytes() == whole.tobytes(), (
             f"{name} at hidden {hidden}, {rows} rows, {np.dtype(dtype)}: halving is not "
-            f"exact; {pytest_report_header(None)}")
+            f"exact; BLAS {one_blas_thread()}")
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -343,7 +342,6 @@ def test_halved_projection_keeps_its_bits(in_dim, hidden, dtype):
     widths of the bench (hidden 16: ctx and start 32, rel 33, fusion 128,
     end 224) and of the paper (hidden 100: ctx 300, fusion 800, start 200,
     end 1400), over the scan's (B, T, in) view of a (B, in, T) input."""
-    from conftest import pytest_report_header
     rng = np.random.default_rng(in_dim)
     batch, steps = (6, 90) if hidden == 16 else (8, 154)
     scale = np.full(4 * hidden, 0.5, dtype)
@@ -364,7 +362,7 @@ def test_halved_projection_keeps_its_bits(in_dim, hidden, dtype):
     for name, (got, want) in checks.items():
         assert got.tobytes() == want.tobytes(), (
             f"{name} at in_dim {in_dim}, hidden {hidden}, {np.dtype(dtype)}: the bits "
-            f"differ; {pytest_report_header(None)}")
+            f"differ; BLAS {one_blas_thread()}")
 
 
 @st.composite

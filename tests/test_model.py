@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import passageqa.autodiff as ad
+from passageqa.cli import one_blas_thread
 from passageqa.model import (Hyperparams, encode_batch, extract_answer,
                              forward_batch, init_weights, named_arrays,
                              param_shapes, select_span, weights_from_named)
@@ -208,7 +209,9 @@ def test_encode_batch_bytes_are_golden(dtype):
         assert arr.flags.c_contiguous and arr.dtype == dtype
         digest.update(arr.dtype.str.encode())
         digest.update(arr.tobytes())
-    assert digest.hexdigest() == GOLDEN_EMBEDDINGS[dtype]
+    assert digest.hexdigest() == GOLDEN_EMBEDDINGS[dtype], (
+        f"{np.dtype(dtype)} embeddings moved; the golden was taken on BLAS SkylakeX, 1 thread, "
+        f"this run had BLAS {one_blas_thread()}")
 
 
 # Case variants, punctuation tokens, non-ASCII words; the table holds a drawn

@@ -7,6 +7,7 @@ import pytest
 
 import passageqa.autodiff as ad
 from passageqa.autodiff import constant
+from passageqa.cli import one_blas_thread
 from passageqa.model import ForwardState, Hyperparams, named_arrays
 from passageqa.retriever import build_index
 from passageqa.training import (Batch, OptimizerError, QuestionExample, TrainMode,
@@ -436,12 +437,15 @@ def test_mtl_steps_are_golden(task, task_index):
     hp = small_hp(dropout=0.2)
     result = train(task.examples[:6], task.corpus, task_index, task.table, hp)
     assert [h.n_batches for h in result.history] == [1, 1]
-    assert result_digest(result) == GOLDEN_MTL_STEPS
+    assert result_digest(result) == GOLDEN_MTL_STEPS, (
+        f"mtl steps moved; the golden was taken on BLAS SkylakeX, 1 thread, "
+        f"this run had BLAS {one_blas_thread()}")
 
 
 # sha256 of one stl-rc step on one example at hidden 100, float32, digested
-# as above, taken with the session's one OpenBLAS thread (conftest.py): its
-# end-LSTM input product is large enough for OpenBLAS to thread.
+# as above, taken on the one OpenBLAS thread the program sets
+# (cli.one_blas_thread): its end-LSTM input product is large enough for
+# OpenBLAS to thread.
 GOLDEN_ONE_ROW_STEP = "f882ec7b04a57a6c0e3ca52de8fa8d02fe84de3754c736d33dde992372bcb7e8"
 
 
@@ -453,7 +457,9 @@ def test_one_row_step_at_paper_width_is_golden(task, task_index):
     result = train(task.examples[:1], task.corpus, task_index, task.table, hp,
                    mode=TrainMode.READING_ONLY)
     assert [h.n_batches for h in result.history] == [1]
-    assert result_digest(result) == GOLDEN_ONE_ROW_STEP
+    assert result_digest(result) == GOLDEN_ONE_ROW_STEP, (
+        f"one-row step moved; the golden was taken on BLAS SkylakeX, 1 thread, "
+        f"this run had BLAS {one_blas_thread()}")
 
 
 # sha256 of three mtl steps at the bench's train_mtl width, digested as above.
@@ -469,7 +475,9 @@ def test_mtl_steps_at_bench_width_are_golden():
                   batch_positives=10, batch_negatives=10)
     result = train(wide.examples[:10], wide.corpus, build_index(wide.corpus), wide.table, hp)
     assert [h.n_batches for h in result.history] == [1, 1, 1]
-    assert result_digest(result) == GOLDEN_MTL_BENCH_WIDTH
+    assert result_digest(result) == GOLDEN_MTL_BENCH_WIDTH, (
+        f"bench-width mtl steps moved; the golden was taken on BLAS SkylakeX, 1 thread, "
+        f"this run had BLAS {one_blas_thread()}")
 
 
 def test_train_writes_per_epoch_checkpoints(task, task_index, tmp_path):
