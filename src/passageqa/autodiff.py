@@ -14,16 +14,22 @@ sequences to its states as one node: the input projections, both
 directions' time loop, and a backward pass that forms the input and input
 weight gradients from the real tokens only.
 
-`backward` overlaps the products whose only use is a leaf's gradient with
-the rest of backprop, on one helper thread: `matmul`'s product for a leaf
-operand, and `bilstm_scan`'s `w_in` and `w_rec` ones.  No later node reads a
-leaf's gradient, so nothing waits for them before the loop ends.  The helper
-only computes arrays; the main thread makes every addition into a gradient.
-A leaf's deferred products are added in submission order when the loop ends,
-or before the leaf's next immediate contribution, which waits for them, so
-every gradient has the bits of a serial backward.
-Each product runs in a copy of its caller's `contextvars` context, so an
-`np.errstate` around `backward` (numpy keeps it in a context variable) holds
+One helper thread takes long native calls, which release the interpreter
+lock, off the main thread, in forward as in backward; it only computes new
+arrays, from inputs nothing writes meanwhile, so every result has the bits
+of the same call in line.  Forward, it draws a `KeepFactors` stream's
+dropout factors ahead of the `dropout` calls that take them, and forms
+`bilstm_scan`'s backward-direction input products while the main thread
+forms the forward ones.  Backward, it forms the products whose only use is
+a leaf's gradient: `matmul`'s product for a leaf operand, and
+`bilstm_scan`'s `w_in` and `w_rec` ones.  No later node reads a leaf's
+gradient, so nothing waits for them before the loop ends.  The main thread
+makes every addition into a gradient.  A leaf's deferred products are added
+in submission order when the loop ends, or before the leaf's next immediate
+contribution, which waits for them, so every gradient has the bits of a
+serial backward.
+Each task runs in a copy of its caller's `contextvars` context, so an
+`np.errstate` around the caller (numpy keeps it in a context variable) holds
 on the helper too.  Each BLAS call runs on the thread count OpenBLAS is set
 to: one under `cli.main`, so the helper and the main thread take a core each.
 """
@@ -31,6 +37,8 @@ from __future__ import annotations
 
 import contextlib
 import contextvars
+import math
+from collections import deque
 from concurrent.futures import Future, ThreadPoolExecutor, wait
 from typing import Callable, Iterable, Sequence
 
@@ -134,11 +142,16 @@ def _make(op: str, value: np.ndarray, parents: tuple[Node, ...],
     return Node(value, op)
 
 
-# The helper thread of `backward`; it starts with the first deferred product.
-_helper = ThreadPoolExecutor(1, thread_name_prefix="backward")
+# The helper thread; it starts with its first task.
+_helper = ThreadPoolExecutor(1, thread_name_prefix="autodiff")
 # While `backward` runs: each leaf -> its deferred products not yet added, in
 # submission order.
 _held: dict[Node, list[Future]] | None = None
+
+
+def _submit(fn: Callable, *args) -> Future:
+    """Run fn(*args) on the helper thread, in a copy of the caller's context."""
+    return _helper.submit(contextvars.copy_context().run, fn, *args)
 
 
 def _accumulate(node: Node, grad: np.ndarray, fresh: bool = False, at=None) -> None:
@@ -159,8 +172,7 @@ def _defer(node: Node, product: Callable[..., np.ndarray], *args) -> None:
     if _held is None or node._backward is not None:
         _accumulate(node, product(*args), fresh=True)
         return
-    future = _helper.submit(contextvars.copy_context().run, product, *args)
-    _held.setdefault(node, []).append(future)
+    _held.setdefault(node, []).append(_submit(product, *args))
 
 
 def _add_held(held: dict[Node, list[Future]], node: Node) -> None:
@@ -629,6 +641,11 @@ def _row_products_sum(seq: np.ndarray, grads: np.ndarray, lengths: np.ndarray) -
     return total
 
 
+def _products(xs: list[np.ndarray], w: np.ndarray) -> list[np.ndarray]:
+    """x @ w for each x in `xs`: a scan's backward-direction input products."""
+    return [x @ w for x in xs]
+
+
 def _flat_product(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """x.T @ y over both flattened to 2-D along their last axis: the `w_rec`
     gradient from time-major states and gate gradients."""
@@ -652,10 +669,14 @@ def bilstm_scan(groups, w_in, bias, w_rec) -> list[Node]:
     group over its (B_g, T_g, in) view, padding included.  The forward one is
     written by `out=` straight into its slot of the scan's time-major buffer,
     a strided layout BLAS takes, with the contiguous product's bits; the
-    backward one is formed contiguous and copied in time-reversed.  Each bias
-    is added over long contiguous runs: the forward slot viewed as
-    (T_g, B_g*4h) plus the bias tiled B_g times, the backward product viewed
-    as (B_g, T_g*4h) plus it tiled T_g times.  Each step computes
+    backward one is formed contiguous and copied in time-reversed.  The
+    helper thread forms every group's backward product, in one task, while
+    the main thread writes the forward ones; the scan waits for that task
+    even when it raises, and an error raised in the task is raised here.
+    The main thread makes the backward bias adds, time-reversed copies and
+    mask fills.  Each bias is added over long contiguous runs: the forward
+    slot viewed as (T_g, B_g*4h) plus the bias tiled B_g times, the backward
+    product viewed as (B_g, T_g*4h) plus it tiled T_g times.  Each step computes
     gates = proj_t + h @ w_rec, one sigmoid over all four blocks with tanh on
     the cell block, c = f*c + i*g and h = o*tanh(c), from zero initial
     states; a group's forward direction runs from t = 0 and its backward one
@@ -707,7 +728,7 @@ def bilstm_scan(groups, w_in, bias, w_rec) -> list[Node]:
     one at the model's paper widths, but OpenBLAS picks its kernel by a
     product's shape, so at small widths N rows in one product may round
     otherwise than T rows per batch row, by an ulp.  The `w_in` and `w_rec`
-    products run on `backward`'s helper thread.  Under `no_grad` no
+    products run on the helper thread.  Under `no_grad` no
     activations are kept.  `mask` is never differentiated.
     """
     w_in, bias, w_rec = ([as_node(w) for w in pair] for pair in (w_in, bias, w_rec))
@@ -759,17 +780,25 @@ def bilstm_scan(groups, w_in, bias, w_rec) -> list[Node]:
                                       for w, b in zip(w_in, bias))
     xs = np.empty((steps, 2, batch, 4 * hidden), dtype)
     keep = np.empty((steps, 2, batch, hidden), dtype)   # full width: no broadcast per step
-    for seq, mask, r in zip(seqs, masks, rows):
+    inputs = [seq.value.transpose(0, 2, 1) for seq in seqs]
+    # Every group's backward-direction product on the helper thread, in one
+    # task, while this thread writes the forward ones.
+    bwd_products = _submit(_products, inputs, w_bwd)
+    try:
+        for x, mask, r in zip(inputs, masks, rows):
+            n, length = mask.shape
+            # Time-major, the backward half time-reversed, so every step slice
+            # is contiguous.  The forward product goes straight into its slot,
+            # whose rows r are one contiguous run per step.
+            fwd = xs[:length, 0, r]
+            np.matmul(x, w_fwd, out=fwd.transpose(1, 0, 2))
+            fwd_runs = fwd.reshape(length, n * 4 * hidden)
+            fwd_runs += np.tile(b_fwd, n)
+    finally:
+        wait((bwd_products,))
+    for bwd, mask, r in zip(bwd_products.result(), masks, rows):
         n, length = mask.shape
-        x = seq.value.transpose(0, 2, 1)
-        # Time-major, the backward half time-reversed, so every step slice is
-        # contiguous.  The forward product goes straight into its slot, whose
-        # rows r are one contiguous run per step.
-        fwd = xs[:length, 0, r]
-        np.matmul(x, w_fwd, out=fwd.transpose(1, 0, 2))
-        fwd_runs = fwd.reshape(length, n * 4 * hidden)
-        fwd_runs += np.tile(b_fwd, n)
-        bwd = (x @ w_bwd).astype(dtype, copy=False)
+        bwd = bwd.astype(dtype, copy=False)
         bwd_runs = bwd.reshape(n, length * 4 * hidden)
         bwd_runs += np.tile(b_bwd, length)
         xs[:length, 1, r][::-1] = bwd.transpose(1, 0, 2)
@@ -883,9 +912,89 @@ def bilstm_scan(groups, w_in, bias, w_rec) -> list[Node]:
 # regularization
 
 
-def dropout(a: Node, rate: float, rng: np.random.Generator | None,
+def _keep_factors(rng: np.random.Generator, shape: tuple[int, ...], rate: float,
+                  dtype) -> np.ndarray:
+    """Inverted dropout's keep factors: 1/(1 - rate) in `dtype` where a
+    uniform draw from `rng` is at least `rate`, else 0.  The one formula of
+    both an in-line draw and a `KeepFactors` stream."""
+    keep = (rng.random(shape) >= rate).astype(dtype)
+    keep /= 1.0 - rate
+    return keep
+
+
+class KeepFactors:
+    """The keep factors of `dropout` calls at one rate and dtype, drawn from
+    `rng` ahead of the calls that take them, on the helper thread.
+
+    Each `take` returns the next factors of the stream.  Uniform draws
+    compose: drawing n1 + n2 values at once gives the values of drawing n1
+    and then n2.  So the factors of a call are those an in-line draw from
+    `rng` would give, however the stream is cut into blocks.  The lookahead
+    follows demand: a call takes what is drawn, waits for a block of the
+    shortfall when it asks for more, and hands the helper a block of its own
+    size, so at least the largest request seen so far is drawn ahead.  Once
+    the stream exists only the helper reads `rng`.  `close` waits for every
+    block and drops the factors not taken; the stream is its own context
+    manager.  An error raised in a draw is raised by the `take` that waits
+    for it.
+    """
+
+    def __init__(self, rng: np.random.Generator, rate: float, dtype):
+        self.rng, self.rate, self.dtype = rng, rate, np.dtype(dtype)
+        self._blocks: deque[Future] = deque()   # drawn or being drawn, in order
+        self._taken = 0             # values of the first block already taken
+        self._ahead = 0             # values in the blocks not yet taken
+
+    def _draw(self, size: int) -> None:
+        if size:
+            self._blocks.append(_submit(_keep_factors, self.rng, (size,), self.rate,
+                                        self.dtype))
+            self._ahead += size
+
+    def take(self, shape: tuple[int, ...], rate: float, dtype) -> np.ndarray:
+        """The next factors, in `shape`, for a call at `rate` in `dtype`,
+        which must be the stream's."""
+        if rate != self.rate or np.dtype(dtype) != self.dtype:
+            raise ValueError(f"keep factors are drawn at rate {self.rate} in "
+                             f"{self.dtype}, not at rate {rate} in {np.dtype(dtype)}")
+        size = math.prod(shape)
+        if not size:
+            return np.empty(shape, self.dtype)
+        self._draw(max(size - self._ahead, 0))  # the shortfall
+        self._draw(size)                        # the refill of what this call takes
+        parts, need = [], size
+        while need:
+            block = self._blocks[0].result()
+            parts.append(block[self._taken:self._taken + need])
+            need -= len(parts[-1])
+            self._taken += len(parts[-1])
+            if self._taken == len(block):
+                self._blocks.popleft()
+                self._taken = 0
+        self._ahead -= size
+        keep = parts[0] if len(parts) == 1 else np.concatenate(parts)
+        return keep.reshape(shape)
+
+    def close(self) -> None:
+        wait(self._blocks)
+        self._blocks.clear()
+        self._taken = self._ahead = 0
+
+    def __enter__(self) -> KeepFactors:
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
+
+
+def dropout(a: Node, rate: float, rng: np.random.Generator | KeepFactors | None,
             train: bool) -> Node:
-    """Inverted dropout. Identity when train is False or rate is 0."""
+    """Inverted dropout. Identity when train is False or rate is 0.
+
+    The keep factors come from `rng`: drawn in line from a Generator, or the
+    next ones of a `KeepFactors` stream, which has drawn them ahead.  Both
+    are `_keep_factors` of the same uniform draws, so they have equal bytes.
+    """
     if not train or rate == 0.0:
         return as_node(a)
     if not 0.0 <= rate < 1.0:
@@ -893,8 +1002,10 @@ def dropout(a: Node, rate: float, rng: np.random.Generator | None,
     if rng is None:
         raise ValueError("dropout in train mode needs an rng")
     a = as_node(a)
-    keep = (rng.random(a.value.shape) >= rate).astype(a.value.dtype)
-    keep /= 1.0 - rate
+    if isinstance(rng, KeepFactors):
+        keep = rng.take(a.value.shape, rate, a.value.dtype)
+    else:
+        keep = _keep_factors(rng, a.value.shape, rate, a.value.dtype)
     value = a.value * keep
 
     def back(g):

@@ -11,11 +11,12 @@ BLAS kernel.
 
 numpy's OpenBLAS rounds a large float32 product by its thread count and its
 kernel.  `main` sets it to one thread, whatever OPENBLAS_NUM_THREADS says,
-and warns when it cannot; the second core is `autodiff.backward`'s helper's
+and warns when it cannot; the second core is autodiff's helper thread's
 (a paper-width training step took 331 ms on one BLAS thread and 393 ms on
 two, on a 2-core x86-64 host).  The kernel is chosen for the CPU, so another
 CPU may still give other checkpoint bytes and move scores by an ulp; the
 tests' goldens hold on SkylakeX, and `train` logs the kernel it runs on.
+`blas_description` reads the set-up without changing it.
 
 Exit codes: 0 success, 2 usage or configuration error, 3 missing input file,
 4 malformed data or artifact (also a checkpoint whose outputs are not finite,
@@ -244,7 +245,12 @@ def _openblas() -> dict | None:
     return None
 
 
-def _blas_description(openblas: dict) -> str:
+def blas_description() -> str | None:
+    """numpy's OpenBLAS set-up as "<kernel>, <n> thread(s)", read without
+    changing it, or None when its calls are not found."""
+    openblas = _openblas()
+    if openblas is None:
+        return None
     threads = openblas["get_num_threads"]()
     kernel = openblas["get_corename"]().decode()
     return f"{kernel}, {threads} thread{'' if threads == 1 else 's'}"
@@ -252,13 +258,13 @@ def _blas_description(openblas: dict) -> str:
 
 def one_blas_thread() -> str | None:
     """Set numpy's OpenBLAS to one thread, which OPENBLAS_NUM_THREADS cannot
-    do once numpy has loaded it; returns "<kernel>, 1 thread", or None when
-    its thread calls are not found."""
+    do once numpy has loaded it; returns the `blas_description` then, or None
+    when its thread calls are not found."""
     openblas = _openblas()
     if openblas is None:
         return None
     openblas["set_num_threads"](1)
-    return _blas_description(openblas)
+    return blas_description()
 
 
 # ---------------------------------------------------------------------------

@@ -560,13 +560,17 @@ def read(weights: ModelWeights, chunks: Sequence[tuple[Node, Node, EncodedBatch]
 
 
 def forward_batch(weights: ModelWeights, hp: Hyperparams, batch: EncodedBatch,
-                  train: bool = False, rng: np.random.Generator | None = None,
+                  train: bool = False,
+                  rng: np.random.Generator | ad.KeepFactors | None = None,
                   heads: tuple[str, ...] = ("span", "relevance")) -> ForwardState:
     """Run the network on an encoded batch: `encode_sequences`, then `read`.
 
     `weights` may hold arrays (inference) or graph leaves (training).  This is
     the one place `hp.dropout`, `rng` and `train` become the layers' `drop`:
-    with train=True, inverted dropout drawing from `rng`, else the identity.
+    with train=True, inverted dropout whose keep factors come from `rng`,
+    else the identity.  `rng` is a Generator, drawn from in line, or the
+    `ad.KeepFactors` stream `training.train` owns, which draws them ahead on
+    autodiff's helper thread; the calls take the same factors either way.
     """
     def drop(node: Node) -> Node:
         return ad.dropout(node, hp.dropout, rng, train)

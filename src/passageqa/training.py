@@ -231,6 +231,13 @@ def train(positives: list[QuestionExample], corpus: Corpus, index: TfIdfIndex,
     `checkpoint_dir` set, a checkpoint is written after each epoch.  All
     randomness (init, shuffling, negative sampling, dropout) derives from
     hp.seed, so runs are bit-reproducible.
+
+    `train` owns the dropout stream: an `ad.KeepFactors` over its dropout
+    generator, which draws keep factors ahead on autodiff's helper thread
+    while the step runs.  Factors drawn ahead carry over to the next step and
+    the leftovers are dropped at the end, so every step takes the factors an
+    in-line draw would give, and runs stay bit-reproducible.  No draw is
+    left running when `train` returns or raises.
     """
     if not positives:
         raise ValueError("no training examples")
@@ -255,6 +262,7 @@ def train(positives: list[QuestionExample], corpus: Corpus, index: TfIdfIndex,
 
     weights = init_weights(rng_init, table.dim, hp.hidden, hp.attn_dim)
     arrays = named_arrays(weights)
+    dtype = np.result_type(table.matrix, *arrays.values())    # of every dropout input
     ema = {name: arr.copy() for name, arr in arrays.items()}
     velocity = {name: np.zeros_like(arr) for name, arr in arrays.items()}
 
@@ -265,46 +273,48 @@ def train(positives: list[QuestionExample], corpus: Corpus, index: TfIdfIndex,
     pools: dict[int, list[int]] = {}
 
     history: list[EpochStats] = []
-    for epoch in range(1, hp.epochs + 1):
-        lr = hp.learning_rate * hp.lr_decay ** (epoch - 1)
-        order = rng_order.permutation(len(positives))
-        losses = []
-        for chunk in _batches(order, hp.batch_positives):
-            examples = [positives[i] for i in chunk]
-            if want_negatives:
-                negatives = []
-                for pos_ex in examples[:hp.batch_negatives]:
-                    neg = make_negative(pos_ex, index, corpus, rng_negative, gold[pos_ex.qid],
-                                        pools)
-                    if neg is not None:
-                        negatives.append(neg)
-                examples = examples + negatives
-            batch = Batch(examples)
-            encoded = encode_batch([ex.question for ex in batch.examples],
-                                   [corpus[ex.passage_id].tokens for ex in batch.examples],
-                                   table)
-            targets = build_targets(batch, encoded.passage_emb.shape[2])
-            node_weights, leaves = as_param_nodes(weights)
-            # A diverging run ends in OptimizerError, not in numpy warnings.
-            with np.errstate(over="ignore", invalid="ignore"):
-                state = forward_batch(node_weights, hp, encoded, train=True,
-                                      rng=rng_dropout, heads=heads)
-                loss = graph_loss(state, targets, hp.ir_weight, mode)
-                loss_value = float(loss.value)
-                if not np.isfinite(loss_value):
-                    raise OptimizerError(f"non-finite loss at epoch {epoch}")
-                ad.backward(loss)
-                grads = {name: leaves[name].gradient() for name in arrays}
-                sgd_momentum_step(arrays, grads, velocity, lr, hp.momentum)
-                ema_update(ema, arrays, hp.ema_decay)
-            losses.append(loss_value)
-        stats = EpochStats(epoch, float(np.mean(losses)), len(losses), lr)
-        history.append(stats)
-        logger.info("epoch %d: loss %.4f (lr %.4g, %d batches)",
-                    epoch, stats.mean_loss, lr, stats.n_batches)
-        if checkpoint_dir is not None:
-            path = Path(checkpoint_dir) / f"epoch_{epoch:03d}.ckpt"
-            save_checkpoint(str(path), hp, weights, ema)
-        if epoch_callback is not None and epoch_callback(epoch, weights, ema, stats):
-            break
+    # From here on only the stream reads rng_dropout, on autodiff's helper thread.
+    with ad.KeepFactors(rng_dropout, hp.dropout, dtype) as keep_factors:
+        for epoch in range(1, hp.epochs + 1):
+            lr = hp.learning_rate * hp.lr_decay ** (epoch - 1)
+            order = rng_order.permutation(len(positives))
+            losses = []
+            for chunk in _batches(order, hp.batch_positives):
+                examples = [positives[i] for i in chunk]
+                if want_negatives:
+                    negatives = []
+                    for pos_ex in examples[:hp.batch_negatives]:
+                        neg = make_negative(pos_ex, index, corpus, rng_negative,
+                                            gold[pos_ex.qid], pools)
+                        if neg is not None:
+                            negatives.append(neg)
+                    examples = examples + negatives
+                batch = Batch(examples)
+                encoded = encode_batch([ex.question for ex in batch.examples],
+                                       [corpus[ex.passage_id].tokens
+                                        for ex in batch.examples], table)
+                targets = build_targets(batch, encoded.passage_emb.shape[2])
+                node_weights, leaves = as_param_nodes(weights)
+                # A diverging run ends in OptimizerError, not in numpy warnings.
+                with np.errstate(over="ignore", invalid="ignore"):
+                    state = forward_batch(node_weights, hp, encoded, train=True,
+                                          rng=keep_factors, heads=heads)
+                    loss = graph_loss(state, targets, hp.ir_weight, mode)
+                    loss_value = float(loss.value)
+                    if not np.isfinite(loss_value):
+                        raise OptimizerError(f"non-finite loss at epoch {epoch}")
+                    ad.backward(loss)
+                    grads = {name: leaves[name].gradient() for name in arrays}
+                    sgd_momentum_step(arrays, grads, velocity, lr, hp.momentum)
+                    ema_update(ema, arrays, hp.ema_decay)
+                losses.append(loss_value)
+            stats = EpochStats(epoch, float(np.mean(losses)), len(losses), lr)
+            history.append(stats)
+            logger.info("epoch %d: loss %.4f (lr %.4g, %d batches)",
+                        epoch, stats.mean_loss, lr, stats.n_batches)
+            if checkpoint_dir is not None:
+                path = Path(checkpoint_dir) / f"epoch_{epoch:03d}.ckpt"
+                save_checkpoint(str(path), hp, weights, ema)
+            if epoch_callback is not None and epoch_callback(epoch, weights, ema, stats):
+                break
     return TrainResult(weights, ema, history)

@@ -8,7 +8,7 @@ summation order and matmul paths the goldens rest on too.
 import numpy as np
 import pytest
 
-from passageqa.cli import one_blas_thread
+from passageqa.cli import blas_description, one_blas_thread
 from passageqa.retriever import build_index
 
 from synthtask import build_task
@@ -19,7 +19,7 @@ def pytest_configure(config):
 
 
 def pytest_report_header(config):
-    blas = one_blas_thread() or "numpy's OpenBLAS thread calls not found, thread count not pinned"
+    blas = blas_description() or "numpy's OpenBLAS thread calls not found, thread count not pinned"
     return f"BLAS: {blas}; numpy {np.__version__}"
 
 

@@ -12,6 +12,8 @@ from hypothesis.extra import numpy as hnp
 import passageqa.autodiff as ad
 from passageqa.autodiff import (ShapeMismatchError, backward, constant,
                                 gradient_check, leaf, no_grad)
+from passageqa.model import Hyperparams
+from passageqa.training import OptimizerError, train
 
 import oracles
 
@@ -417,6 +419,142 @@ def test_dropout_scales_survivors():
     np.testing.assert_allclose(survivors, 1.0 / 0.75, rtol=1e-12)
 
 
+# Flat sizes 30, 7, 200, 9, 1000, 42, 8, 1000, 1998.  The stream keeps the
+# largest request seen drawn ahead, so the third, fifth and last calls ask for
+# more than is drawn ahead and wait on a shortfall block, and the third,
+# fifth, eighth and last take values from more than one block.
+STREAM_SHAPES = [(2, 3, 5), (7,), (4, 50), (3, 3), (1000,), (6, 7), (2, 2, 2), (10, 100),
+                 (999, 2)]
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_a_keep_factor_stream_gives_the_bytes_of_in_line_draws(dtype):
+    """Dropout through a KeepFactors stream and in line from a twin generator
+    give equal bytes, call by call, however the stream cut its blocks."""
+    rng = np.random.default_rng(11)
+    inputs = [constant(rng.standard_normal(shape).astype(dtype)) for shape in STREAM_SHAPES]
+    twin = np.random.default_rng(5)
+    with ad.KeepFactors(np.random.default_rng(5), 0.3, dtype) as stream:
+        for x in inputs:
+            got = ad.dropout(x, 0.3, stream, train=True).value
+            want = ad.dropout(x, 0.3, twin, train=True).value
+            assert (got.dtype, got.shape) == (want.dtype, want.shape)
+            assert got.tobytes() == want.tobytes(), x.shape
+
+
+def test_in_line_and_streamed_dropout_share_one_keep_factor_formula(monkeypatch):
+    """Both paths call _keep_factors: in line on the calling thread; a
+    stream's first call on the helper, once for its shortfall and once for
+    its refill."""
+    formula, on_main = ad._keep_factors, []
+
+    def recording(rng, shape, rate, dtype):
+        on_main.append(threading.current_thread() is threading.main_thread())
+        return formula(rng, shape, rate, dtype)
+
+    monkeypatch.setattr(ad, "_keep_factors", recording)
+    x = constant(np.ones((3, 4), np.float32))
+    ad.dropout(x, 0.5, np.random.default_rng(0), train=True)
+    with ad.KeepFactors(np.random.default_rng(0), 0.5, np.float32) as stream:
+        ad.dropout(x, 0.5, stream, train=True)
+    assert on_main == [True, False, False]
+
+
+def test_a_keep_factor_stream_refuses_another_rate_or_dtype():
+    with ad.KeepFactors(np.random.default_rng(0), 0.5, np.float32) as stream:
+        with pytest.raises(ValueError, match="rate 0.5 in float32"):
+            ad.dropout(constant(np.ones(4, np.float32)), 0.25, stream, train=True)
+        with pytest.raises(ValueError, match="not at rate 0.5 in float64"):
+            ad.dropout(constant(np.ones(4)), 0.5, stream, train=True)
+
+
+def test_a_failing_draw_is_raised_on_the_main_thread():
+    threads = []
+
+    class Failing:
+        def random(self, size):
+            threads.append(threading.current_thread())
+            raise RuntimeError("draw failed")
+
+    x = constant(np.ones((2, 3), np.float32))
+    with ad.KeepFactors(Failing(), 0.5, np.float32) as stream:
+        with pytest.raises(RuntimeError, match="draw failed"):
+            ad.dropout(x, 0.5, stream, train=True)
+    assert threads and threading.main_thread() not in threads
+
+
+class _RecordingGenerator:
+    """A Generator whose method calls record the thread that made them."""
+
+    def __init__(self, rng, threads):
+        self._rng, self._threads = rng, threads
+
+    def __getattr__(self, name):
+        method = getattr(self._rng, name)
+
+        def call(*args, **kwargs):
+            self._threads.append(threading.current_thread())
+            return method(*args, **kwargs)
+
+        return call
+
+
+@pytest.mark.parametrize("rate", [0.2, 0.0])
+def test_train_draws_dropout_only_on_the_helper_thread(monkeypatch, task, task_index, rate):
+    """train's fourth generator is the dropout one: once its stream exists,
+    only the helper thread reads it, and at rate 0 nothing does."""
+    default_rng, made = np.random.default_rng, []
+
+    def recording(seed):
+        made.append([])
+        return _RecordingGenerator(default_rng(seed), made[-1])
+
+    monkeypatch.setattr(np.random, "default_rng", recording)
+    hp = Hyperparams(hidden=4, attn_dim=4, dropout=rate, epochs=2, batch_positives=3,
+                     batch_negatives=3, seed=7)
+    train(task.examples[:6], task.corpus, task_index, task.table, hp)
+    dropout_threads = made[3]
+    assert len(made) == 4 and all(made[:3])
+    if rate:
+        assert dropout_threads
+        assert all(t.name.startswith("autodiff") for t in dropout_threads)
+    else:
+        assert dropout_threads == []
+
+
+class _RecordingPool:
+    """The helper executor, keeping every future it hands out."""
+
+    def __init__(self, pool):
+        self.pool, self.futures = pool, []
+
+    def submit(self, *args):
+        self.futures.append(self.pool.submit(*args))
+        return self.futures[-1]
+
+
+@pytest.mark.parametrize("learning_rate", [0.05, 1e30])
+def test_train_leaves_no_pending_draw(monkeypatch, task, task_index, learning_rate):
+    """Slow draws: when train returns, and when a diverging run raises after
+    a forward pass, every task it gave the helper has finished."""
+    pool, formula = _RecordingPool(ad._helper), ad._keep_factors
+
+    def slow(*args):
+        time.sleep(0.01)
+        return formula(*args)
+
+    monkeypatch.setattr(ad, "_helper", pool)
+    monkeypatch.setattr(ad, "_keep_factors", slow)
+    hp = Hyperparams(hidden=4, attn_dim=4, dropout=0.2, epochs=2, batch_positives=3,
+                     batch_negatives=3, learning_rate=learning_rate, seed=7)
+    if learning_rate > 1:
+        with pytest.raises(OptimizerError, match="non-finite loss"):
+            train(task.examples[:6], task.corpus, task_index, task.table, hp)
+    else:
+        train(task.examples[:6], task.corpus, task_index, task.table, hp)
+    assert pool.futures and all(future.done() for future in pool.futures)
+
+
 # ---------------------------------------------------------------------------
 # gradients byte for byte against the plain bookkeeping (oracles.ref_*)
 
@@ -547,7 +685,57 @@ def test_adopted_gradients_are_not_aliased(name):
 
 
 # ---------------------------------------------------------------------------
-# leaf-only products on backward's helper thread
+# the helper thread: bilstm_scan's backward-direction products in forward
+
+
+def _scan_weights(rng, in_dim, hidden, dtype=np.float32):
+    draw = lambda *shape: constant((rng.standard_normal(shape) * 0.5).astype(dtype))
+    return ((draw(in_dim, 4 * hidden), draw(in_dim, 4 * hidden)),
+            (draw(4 * hidden), draw(4 * hidden)),
+            (draw(hidden, 4 * hidden), draw(hidden, 4 * hidden)))
+
+
+def test_a_scan_product_on_the_helper_keeps_the_callers_errstate():
+    """The backward direction's input product overflows float32 on the
+    helper thread.  The caller's np.errstate holds there, so no
+    RuntimeWarning (an error in this suite) is raised."""
+    w_in, bias, w_rec = _scan_weights(np.random.default_rng(2), 3, 2)
+    w_in = (w_in[0], constant(np.full((3, 8), 1e30, np.float32)))
+    seq = constant(np.full((2, 3, 4), 1e38, np.float32))
+    with np.errstate(over="ignore"):
+        [out] = ad.bilstm_scan([(seq, np.ones((2, 4), np.float32))], w_in, bias, w_rec)
+    assert np.isfinite(out.value).all()
+
+
+def test_a_failing_scan_product_is_raised_by_bilstm_scan(monkeypatch):
+    """The helper's product raises after the main thread wrote the forward
+    products: bilstm_scan raises it, and the next scan has the bytes of one
+    before the failure."""
+    rng = np.random.default_rng(12)
+    groups = [(constant(rng.standard_normal((3, 4, 5)).astype(np.float32)),
+               np.array([[1] * 5, [1] * 3 + [0] * 2, [1] + [0] * 4], np.float32)),
+              (constant(rng.standard_normal((2, 4, 3)).astype(np.float32)),
+               np.ones((2, 3), np.float32))]
+    weights = _scan_weights(rng, 4, 3)
+    before = [out.value for out in ad.bilstm_scan(groups, *weights)]
+    threads = []
+
+    def failing(xs, w):
+        threads.append(threading.current_thread())
+        time.sleep(0.1)
+        raise RuntimeError("scan product failed")
+
+    monkeypatch.setattr(ad, "_products", failing)
+    with pytest.raises(RuntimeError, match="scan product failed"):
+        ad.bilstm_scan(groups, *weights)
+    assert len(threads) == 1 and threads[0] is not threading.main_thread()
+    monkeypatch.undo()
+    after = [out.value for out in ad.bilstm_scan(groups, *weights)]
+    assert [a.tobytes() for a in after] == [b.tobytes() for b in before]
+
+
+# ---------------------------------------------------------------------------
+# the helper thread: leaf-only products in backward
 
 
 def _weighted(node):

@@ -107,11 +107,25 @@ def test_session_runs_on_one_blas_thread():
     """conftest.py pins the session to the program's one OpenBLAS thread, so
     the goldens do not depend on the core count.  First in this file: the
     in-process main() calls below pin it as well."""
+    blas = cli.blas_description()
+    if blas is None:
+        pytest.skip("numpy's OpenBLAS thread calls not found")
+    assert blas.endswith(", 1 thread"), f"the session runs OpenBLAS on {blas}"
+
+
+def test_blas_description_reads_the_thread_count_it_finds():
+    """The description the goldens' failure messages print reads the set-up
+    as it is: on two threads it says so, where one_blas_thread() would first
+    set one."""
     openblas = cli._openblas()
     if openblas is None:
         pytest.skip("numpy's OpenBLAS thread calls not found")
-    blas = cli._blas_description(openblas)
-    assert blas.endswith(", 1 thread"), f"the session runs OpenBLAS on {blas}"
+    try:
+        openblas["set_num_threads"](2)
+        assert cli.blas_description().endswith(", 2 threads")
+    finally:
+        openblas["set_num_threads"](1)
+    assert cli.blas_description().endswith(", 1 thread")
 
 
 def test_train_bytes_do_not_depend_on_openblas_num_threads(tmp_path):

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import passageqa.autodiff as ad
 import passageqa.evaluation as evaluation
-from passageqa.cli import one_blas_thread
+from passageqa.cli import blas_description
 from passageqa.evaluation import (SCORE_BATCH, AnswerCandidate, ChainSpecError,
                                   ChainStage, EvaluationError, NeuralScorer,
                                   RankerChain, VoteEntry, answer_question,
@@ -396,7 +396,7 @@ def test_scorer_outputs_keep_their_golden_bits(task):
                              varied_records(task, n=70))
     assert hashlib.sha256(repr(outputs).encode()).hexdigest() == GOLDEN_SCORER_SHA256, (
         f"scorer outputs moved; the golden was taken on BLAS SkylakeX, 1 thread, "
-        f"this run had BLAS {one_blas_thread()}")
+        f"this run had BLAS {blas_description()}")
 
 
 def test_scorer_equals_read_chunk_by_chunk(task):

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 import passageqa.autodiff as ad
 from passageqa.autodiff import constant, gradient_check, leaf
-from passageqa.cli import one_blas_thread
+from passageqa.cli import blas_description
 from passageqa.model import bilstm_encode, highway_forward, linear_seq, xavier_uniform
 
 import oracles
@@ -299,7 +299,7 @@ def test_real_token_products_keep_their_bits(in_dim):
     for name, (padded, real_only) in products.items():
         assert padded.tobytes() == real_only.tobytes(), (
             f"{name} at in_dim {in_dim}: over real tokens it differs from the padded "
-            f"product; BLAS {one_blas_thread()}")
+            f"product; BLAS {blas_description()}")
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -327,7 +327,7 @@ def test_halved_gate_columns_keep_their_bits(hidden, rows, dtype):
     for name, (halved, whole) in checks.items():
         assert halved.tobytes() == whole.tobytes(), (
             f"{name} at hidden {hidden}, {rows} rows, {np.dtype(dtype)}: halving is not "
-            f"exact; BLAS {one_blas_thread()}")
+            f"exact; BLAS {blas_description()}")
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -362,7 +362,7 @@ def test_halved_projection_keeps_its_bits(in_dim, hidden, dtype):
     for name, (got, want) in checks.items():
         assert got.tobytes() == want.tobytes(), (
             f"{name} at in_dim {in_dim}, hidden {hidden}, {np.dtype(dtype)}: the bits "
-            f"differ; BLAS {one_blas_thread()}")
+            f"differ; BLAS {blas_description()}")
 
 
 @st.composite

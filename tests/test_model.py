@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import passageqa.autodiff as ad
-from passageqa.cli import one_blas_thread
+from passageqa.cli import blas_description
 from passageqa.model import (Hyperparams, encode_batch, extract_answer,
                              forward_batch, init_weights, named_arrays,
                              param_shapes, select_span, weights_from_named)
@@ -211,7 +211,7 @@ def test_encode_batch_bytes_are_golden(dtype):
         digest.update(arr.tobytes())
     assert digest.hexdigest() == GOLDEN_EMBEDDINGS[dtype], (
         f"{np.dtype(dtype)} embeddings moved; the golden was taken on BLAS SkylakeX, 1 thread, "
-        f"this run had BLAS {one_blas_thread()}")
+        f"this run had BLAS {blas_description()}")
 
 
 # Case variants, punctuation tokens, non-ASCII words; the table holds a drawn

@@ -7,7 +7,7 @@ import pytest
 
 import passageqa.autodiff as ad
 from passageqa.autodiff import constant
-from passageqa.cli import one_blas_thread
+from passageqa.cli import blas_description
 from passageqa.model import ForwardState, Hyperparams, named_arrays
 from passageqa.retriever import build_index
 from passageqa.training import (Batch, OptimizerError, QuestionExample, TrainMode,
@@ -439,7 +439,7 @@ def test_mtl_steps_are_golden(task, task_index):
     assert [h.n_batches for h in result.history] == [1, 1]
     assert result_digest(result) == GOLDEN_MTL_STEPS, (
         f"mtl steps moved; the golden was taken on BLAS SkylakeX, 1 thread, "
-        f"this run had BLAS {one_blas_thread()}")
+        f"this run had BLAS {blas_description()}")
 
 
 # sha256 of one stl-rc step on one example at hidden 100, float32, digested
@@ -459,7 +459,7 @@ def test_one_row_step_at_paper_width_is_golden(task, task_index):
     assert [h.n_batches for h in result.history] == [1]
     assert result_digest(result) == GOLDEN_ONE_ROW_STEP, (
         f"one-row step moved; the golden was taken on BLAS SkylakeX, 1 thread, "
-        f"this run had BLAS {one_blas_thread()}")
+        f"this run had BLAS {blas_description()}")
 
 
 # sha256 of three mtl steps at the bench's train_mtl width, digested as above.
@@ -477,7 +477,7 @@ def test_mtl_steps_at_bench_width_are_golden():
     assert [h.n_batches for h in result.history] == [1, 1, 1]
     assert result_digest(result) == GOLDEN_MTL_BENCH_WIDTH, (
         f"bench-width mtl steps moved; the golden was taken on BLAS SkylakeX, 1 thread, "
-        f"this run had BLAS {one_blas_thread()}")
+        f"this run had BLAS {blas_description()}")
 
 
 def test_train_writes_per_epoch_checkpoints(task, task_index, tmp_path):
