@@ -7,9 +7,12 @@ cosine similarity against the query vector.
 
 Hashing is vectorised: `hash_keys` joins the keys' UTF-8 bytes into one
 buffer and runs FNV-1a one byte position at a time over every key that long,
-in uint64 arrays.  `build_index` hashes the whole corpus in one call and
-counts each (passage, bucket) pair with one sort; a query is featurised the
-same way, as a one-passage list.  Each passage's features keep the order of
+in uint64 arrays.  `passage_features` never builds a bigram string: it hashes
+each token once, and a bigram's hash continues its first token's state over
+the separator and the second token's bytes, which is the hash of the joined
+key.  `build_index` hashes the whole corpus in one call and counts each
+(passage, bucket) pair with one sort; a query is featurised the same way, as
+a one-passage list.  Each passage's features keep the order of
 their first occurrence, as a per-passage Counter would: that order is the
 order in which a passage's norm and a query's dot products are summed, so it
 fixes the bits of the norms written to disk and of every score.
@@ -46,14 +49,12 @@ class CorpusError(ValueError):
     """Raised for malformed corpora (bad or duplicate ids, empty passages, bad rows)."""
 
 
-def hash_keys(keys: list[str]) -> np.ndarray:
-    """64-bit FNV-1a of each key's UTF-8 bytes, as a uint64 array.
+def _utf8(keys: list[str]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The keys' UTF-8 bytes joined into one buffer, and each key's byte
+    offset and byte length in it.
 
-    Keys are hashed side by side, one byte position at a time, longest first,
-    so the keys still live at a position are a prefix of the accumulator.
-    Each key's bytes are found from the lead bytes of the joined buffer, one
-    per character, so ASCII and multi-byte text take the same path.
-    In-place uint64 array arithmetic wraps mod 2**64, as FNV-1a needs.
+    Each key's bytes are found from the lead bytes of the buffer, one per
+    character, so ASCII and multi-byte text take the same path.
     """
     # A closing NUL is one more lead byte, so the end has an offset too.
     data = np.frombuffer("".join(keys).encode("utf-8") + b"\0", np.uint8)
@@ -61,11 +62,21 @@ def hash_keys(keys: list[str]) -> np.ndarray:
     # Byte offset of each character (its UTF-8 lead byte), taken at key starts.
     bounds = np.flatnonzero((data & 0xC0) != 0x80)[np.append(np.cumsum(chars) - chars,
                                                              chars.sum())]
-    lengths = np.diff(bounds)
-    order = np.argsort(-lengths, kind="stable")
-    at = bounds[:-1][order]
-    live = np.cumsum(np.bincount(lengths)[::-1])[::-1]    # live[i]: keys of >= i bytes
-    acc = np.full(len(keys), _FNV_OFFSET)
+    return data, bounds[:-1], np.diff(bounds)
+
+
+def _fnv1a(states: np.ndarray, data: np.ndarray, at: np.ndarray,
+           lengths: np.ndarray) -> np.ndarray:
+    """Each FNV-1a state continued over its `lengths` bytes of `data` from `at`.
+
+    States run side by side, one byte position at a time, longest first, so
+    the states still live at a position are a prefix of the accumulator.
+    In-place uint64 array arithmetic wraps mod 2**64, as FNV-1a needs.
+    """
+    order = np.argsort(-lengths)
+    at = at[order]
+    acc = states[order]
+    live = np.cumsum(np.bincount(lengths)[::-1])[::-1]    # live[i]: states of >= i bytes
     for pos in range(int(lengths.max(initial=0))):
         n = live[pos + 1]
         acc[:n] ^= data[at[:n] + pos]
@@ -75,11 +86,9 @@ def hash_keys(keys: list[str]) -> np.ndarray:
     return out
 
 
-def ngram_keys(tokens: tuple[str, ...] | list[str]) -> list[str]:
-    """Raw unigram and adjacent-bigram keys, before hashing."""
-    keys = list(tokens)
-    keys.extend(tokens[i] + BIGRAM_SEP + tokens[i + 1] for i in range(len(tokens) - 1))
-    return keys
+def hash_keys(keys: list[str]) -> np.ndarray:
+    """64-bit FNV-1a of each key's UTF-8 bytes, as a uint64 array."""
+    return _fnv1a(np.full(len(keys), _FNV_OFFSET), *_utf8(keys))
 
 
 @dataclass
@@ -235,22 +244,53 @@ class TfIdfIndex:
 def passage_features(token_lists, n_buckets: int = DEFAULT_BUCKETS
                      ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(owner, bucket, tf) arrays with one entry per (passage, bucket) pair of
-    the hashed `ngram_keys`, each passage's buckets in first-occurrence order."""
-    keys = [ngram_keys(tokens) for tokens in token_lists]
-    owner = np.repeat(np.arange(len(keys)), np.fromiter(map(len, keys), np.int64, len(keys)))
-    features = hash_keys(list(chain.from_iterable(keys))) % np.uint64(n_buckets)
+    the hashed unigram and adjacent-bigram keys, each passage's buckets in
+    first-occurrence order.
+
+    A passage's keys are its tokens, then each adjacent pair joined by
+    BIGRAM_SEP.  Every token is hashed once, from one joined UTF-8 buffer.
+    FNV-1a is a left fold over bytes, so a bigram's hash continues its first
+    token's state over BIGRAM_SEP's bytes and then over the second token's.
+    """
+    counts = np.fromiter(map(len, token_lists), np.int64, len(token_lists))
+    data, at, lengths = _utf8(list(chain.from_iterable(token_lists)))
+    unigrams = _fnv1a(np.full(len(at), _FNV_OFFSET), data, at, lengths)
+    # Token i starts a bigram when token i + 1 is in the same passage.
+    token_owner = np.repeat(np.arange(len(counts)), counts)
+    firsts = np.flatnonzero(token_owner[1:] == token_owner[:-1])
+    states = unigrams[firsts]
+    for byte in BIGRAM_SEP.encode("utf-8"):
+        states ^= np.uint64(byte)
+        states *= _FNV_PRIME
+    bigrams = _fnv1a(states, data, at[firsts + 1], lengths[firsts + 1])
+    # Keys in passage order, each passage's unigrams before its bigrams: a
+    # token's key index is its own index plus the bigrams of the passages
+    # before its own, and a bigram's is its own index plus the tokens of its
+    # passage and of those before.
+    pairs = np.maximum(counts - 1, 0)
+    features = np.empty(len(at) + len(firsts), np.uint64)
+    features[np.arange(len(at)) + (np.cumsum(pairs) - pairs)[token_owner]] = unigrams
+    features[np.arange(len(firsts)) + np.cumsum(counts)[token_owner[firsts]]] = bigrams
+    features %= np.uint64(n_buckets)
+    owner = np.repeat(np.arange(len(counts)), counts + pairs)
     # Runs of equal (passage, bucket) after a stable sort.  Each run's length,
     # its tf, goes to the run's first occurrence, so reading the tfs in key
-    # order keeps each passage's buckets in first-occurrence order.
-    by_pair = np.lexsort((features, owner))
-    pair_owner, pair_feature = owner[by_pair], features[by_pair]
+    # order keeps each passage's buckets in first-occurrence order.  The sort
+    # key is passage * distinct + the bucket's rank among the distinct
+    # buckets.  It stays below keys**2 whatever n_buckets is, so it is exact
+    # in int64 for fewer than 3e9 keys (passage * n_buckets + bucket would
+    # overflow once passages * n_buckets reached 2**64).
+    distinct, rank = np.unique(features, return_inverse=True)
+    pair = owner * len(distinct) + rank
+    by_pair = np.argsort(pair, kind="stable")
+    pair = pair[by_pair]
     new_run = np.ones(len(by_pair), bool)
-    new_run[1:] = (pair_owner[1:] != pair_owner[:-1]) | (pair_feature[1:] != pair_feature[:-1])
+    new_run[1:] = pair[1:] != pair[:-1]
     starts = np.flatnonzero(new_run)
     tf_at = np.zeros(len(by_pair), np.uint32)
     tf_at[by_pair[starts]] = np.diff(starts, append=len(by_pair))
-    firsts = np.flatnonzero(tf_at)
-    return owner[firsts], features[firsts], tf_at[firsts]
+    runs = np.flatnonzero(tf_at)
+    return owner[runs], features[runs], tf_at[runs]
 
 
 def build_index(corpus: Corpus, n_buckets: int = DEFAULT_BUCKETS) -> TfIdfIndex:
@@ -268,7 +308,9 @@ def build_index(corpus: Corpus, n_buckets: int = DEFAULT_BUCKETS) -> TfIdfIndex:
     ids = np.fromiter((rec.passage_id for rec in corpus), np.uint64, n_docs)
     order = np.argsort(ids)
     docs = np.argsort(order)[owner]    # each passage's row in the sorted ids
-    by_bucket = np.lexsort((docs, bucket_of))
+    # Below distinct buckets * passages, the bound of passage_features' sort
+    # key; no (bucket, passage) pair repeats, so any sort gives one order.
+    by_bucket = np.argsort(bucket_of * n_docs + docs)
     return TfIdfIndex(n_buckets, n_docs, buckets, np.concatenate(([0], np.cumsum(df))),
                       docs[by_bucket], tfs[by_bucket], ids[order],
                       norms[order].astype(np.float32))

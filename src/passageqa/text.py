@@ -6,6 +6,11 @@ chunk into their own tokens.  Punctuation inside a chunk (hyphens,
 apostrophes) stays attached.  Every token carries character offsets into the
 original string so answer spans can be mapped back to text exactly.
 
+`tokenize` finds a text's tokens and their offsets in one compiled-regex
+pass.  The regex's punctuation class is cached and grows with the characters
+seen: a new character is classified, and the class recompiled, before it
+counts as seen, so a text's tokens never depend on what was tokenized before.
+
 Word vectors are one read-only matrix whose row 0 is all zeros: an
 out-of-vocabulary word is row 0, so `model.encode_batch` embeds a whole
 batch with one gather.  The table sets the dtype: everything embedded from
@@ -17,10 +22,10 @@ block's numbers in one call, with the bits float() gives (see load_vectors).
 """
 from __future__ import annotations
 
-import functools
 import re
 import unicodedata
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -33,12 +38,31 @@ class VectorFileError(ValueError):
         super().__init__(f"{path}: line {line_no}: {message}")
 
 
-@functools.cache
 def _is_punct(ch: str) -> bool:
     return unicodedata.category(ch).startswith("P")
 
 
-_CHUNK = re.compile(r"\S+")
+def _token_pattern(punct: frozenset[str]) -> re.Pattern:
+    """One capturing group for a token: a whitespace chunk's core, from its
+    first to its last non-punctuation character, or one punctuation character
+    outside it.  `split` then alternates gaps of whitespace with tokens."""
+    p = "".join(map(re.escape, sorted(punct)))
+    return re.compile(f"([^{p}\\s]+(?:[{p}]+[^{p}\\s]+)*|[{p}])")
+
+
+def _extend(classes, chars: set[str]):
+    """`classes` (seen, punctuation among them, token pattern) with `chars` seen."""
+    seen, punct, pattern = classes
+    new_punct = punct.union(filter(_is_punct, chars))
+    if new_punct != punct:
+        pattern = _token_pattern(new_punct)
+    return seen.union(chars), new_punct, pattern
+
+
+# One tuple, read once per call and replaced whole, so a call that runs beside
+# another uses a pattern that classifies every character it has seen.  ASCII
+# is classified up front, so the class is never empty.
+_classes = _extend((frozenset(), frozenset(), None), set(map(chr, range(128))))
 
 
 def utf8_encodable(text: str) -> bool:
@@ -70,28 +94,20 @@ class TokenSeq:
 
 
 def tokenize(text: str) -> TokenSeq:
-    """Whitespace split with leading/trailing punctuation peeled off."""
-    tokens: list[str] = []
-    offsets: list[tuple[int, int]] = []
+    """Whitespace split with leading/trailing punctuation peeled off.
 
-    def emit(start: int, end: int) -> None:
-        tokens.append(text[start:end])
-        offsets.append((start, end))
-
-    for m in _CHUNK.finditer(text):
-        lo, hi = m.start(), m.end()
-        while lo < hi and _is_punct(text[lo]):
-            emit(lo, lo + 1)
-            lo += 1
-        trailing: list[int] = []
-        while hi > lo and _is_punct(text[hi - 1]):
-            trailing.append(hi - 1)
-            hi -= 1
-        if lo < hi:
-            emit(lo, hi)
-        for pos in reversed(trailing):
-            emit(pos, pos + 1)
-    return TokenSeq(text, tuple(tokens), tuple(offsets))
+    One regex pass: `split` gives [gap, token, gap, ..., token, gap], so the
+    running sums of the parts' lengths are each token's start and end.  The
+    pattern's punctuation class is cached; the text's unseen characters are
+    classified first, so the tokens never depend on earlier calls.
+    """
+    global _classes
+    classes = _classes
+    if not classes[0].issuperset(text):
+        classes = _classes = _extend(classes, set(text) - classes[0])
+    parts = classes[2].split(text)
+    ends = list(accumulate(map(len, parts)))
+    return TokenSeq(text, tuple(parts[1::2]), tuple(zip(ends[::2], ends[1::2])))
 
 
 class VectorTable:
@@ -253,24 +269,3 @@ def _parse_rows(path: str, lines: list[bytes], line_no: int,
         words.append(fields[0])
         vectors.append(vector)
     return words, np.concatenate(vectors)
-
-
-def save_vectors(path: str, table: VectorTable) -> None:
-    """Inverse of load_vectors, mainly for building test fixtures.
-
-    Raises ValueError, before opening the file, for a table load_vectors could
-    not read back: one with no words, an empty word or one holding whitespace,
-    or a NaN or infinite component.
-    """
-    if not table.rows:
-        raise ValueError("no word vectors to save")
-    for word, row in table.rows.items():
-        if word.split() != [word]:
-            raise ValueError(f"cannot save word {word!r}: it is empty or holds whitespace")
-        if not np.isfinite(table.matrix[row]).all():
-            raise ValueError(f"cannot save the vector of {word!r}: a component is not finite")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"{len(table)} {table.dim}\n")
-        for word, row in table.rows.items():
-            values = " ".join(repr(float(x)) for x in table.matrix[row])
-            fh.write(f"{word} {values}\n")

@@ -620,7 +620,8 @@ def fnv1a_64(data: bytes) -> int:
     return acc
 
 
-def string_keys(tokens) -> list[str]:
+def ngram_keys(tokens) -> list[str]:
+    """Raw unigram and adjacent-bigram keys, before hashing."""
     keys = list(tokens)
     keys.extend(tokens[i] + BIGRAM_SEP + tokens[i + 1] for i in range(len(tokens) - 1))
     return keys
@@ -630,7 +631,7 @@ def bucket_collisions(token_lists, n_buckets: int) -> dict[int, set[str]]:
     """Buckets holding more than one distinct raw key across all token lists."""
     seen: dict[int, set[str]] = {}
     for tokens in token_lists:
-        for key in string_keys(tokens):
+        for key in ngram_keys(tokens):
             seen.setdefault(fnv1a_64(key.encode("utf-8")) % n_buckets, set()).add(key)
     return {b: ks for b, ks in seen.items() if len(ks) > 1}
 
@@ -661,8 +662,8 @@ class PlainTfIdf:
 
     def keys(self, tokens) -> list:
         if self.n_buckets is None:
-            return string_keys(tokens)
-        return [fnv1a_64(key.encode("utf-8")) % self.n_buckets for key in string_keys(tokens)]
+            return ngram_keys(tokens)
+        return [fnv1a_64(key.encode("utf-8")) % self.n_buckets for key in ngram_keys(tokens)]
 
     def to_bytes(self) -> bytes:
         """The PQIX v1 file of a bucketed index, packed one record at a time."""

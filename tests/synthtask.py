@@ -21,7 +21,7 @@ import numpy as np
 
 from passageqa.retriever import Corpus, PassageRecord
 from passageqa.squad import ingest_dataset
-from passageqa.text import TokenSeq, VectorTable, save_vectors, tokenize
+from passageqa.text import TokenSeq, VectorTable, tokenize
 from passageqa.training import QuestionExample
 
 SYLLABLES = ["ba", "do", "ke", "lu", "mi", "no", "pa", "ri",
@@ -125,3 +125,24 @@ def ingest_round_trip(task: SynthTask, directory):
     """Ingest the written dataset file; sanity helper for fixture tests."""
     data_path, _ = write_files(task, directory)
     return ingest_dataset(data_path)
+
+
+def save_vectors(path: str, table: VectorTable) -> None:
+    """Inverse of load_vectors, for building test fixtures.
+
+    Raises ValueError, before opening the file, for a table load_vectors could
+    not read back: one with no words, an empty word or one holding whitespace,
+    or a NaN or infinite component.
+    """
+    if not table.rows:
+        raise ValueError("no word vectors to save")
+    for word, row in table.rows.items():
+        if word.split() != [word]:
+            raise ValueError(f"cannot save word {word!r}: it is empty or holds whitespace")
+        if not np.isfinite(table.matrix[row]).all():
+            raise ValueError(f"cannot save the vector of {word!r}: a component is not finite")
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(f"{len(table)} {table.dim}\n")
+        for word, row in table.rows.items():
+            values = " ".join(repr(float(x)) for x in table.matrix[row])
+            fh.write(f"{word} {values}\n")

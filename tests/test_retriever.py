@@ -1,4 +1,5 @@
 """TF-IDF index tests: hashing, weighting, ranking, serialization."""
+import collections
 import functools
 import hashlib
 import json
@@ -14,7 +15,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from passageqa.retriever import (BIGRAM_SEP, DEFAULT_BUCKETS, Corpus, CorpusError,
                                  IndexFormatError, PassageRecord, TfIdfIndex, build_index,
-                                 hash_keys, load_index, ngram_keys, passage_features,
+                                 hash_keys, load_index, passage_features,
                                  query_weights, save_index, similar_passages, top_k)
 
 import oracles
@@ -72,10 +73,39 @@ def test_hash_keys_equals_scalar_fnv1a(keys):
 
 
 def test_ngram_keys_order_and_separator():
-    assert ngram_keys(["a", "b", "c"]) == ["a", "b", "c",
-                                           f"a{BIGRAM_SEP}b", f"b{BIGRAM_SEP}c"]
-    assert ngram_keys(["solo"]) == ["solo"]
-    assert ngram_keys([]) == []
+    assert oracles.ngram_keys(["a", "b", "c"]) == ["a", "b", "c",
+                                                   f"a{BIGRAM_SEP}b", f"b{BIGRAM_SEP}c"]
+    assert oracles.ngram_keys(["solo"]) == ["solo"]
+    assert oracles.ngram_keys([]) == []
+
+
+# Tokens of 1- to 4-byte UTF-8 characters, a few of them frequent so that
+# keys repeat within a passage; passages of 0 to 30 tokens.
+TOKEN = st.text(st.one_of(st.sampled_from("aé日😀"),
+                          st.characters(max_codepoint=0x7F),
+                          st.characters(min_codepoint=0x80, max_codepoint=0x7FF),
+                          st.characters(min_codepoint=0x800, max_codepoint=0xFFFF,
+                                        exclude_categories=("Cs",)),
+                          st.characters(min_codepoint=0x10000)), min_size=1, max_size=4)
+TOKEN_LISTS = st.lists(st.lists(TOKEN, max_size=30), max_size=6)
+
+
+@settings(max_examples=300, deadline=None)
+@given(TOKEN_LISTS, st.sampled_from([1, 7, 2 ** 16, DEFAULT_BUCKETS, 2 ** 63 + 1, 2 ** 64 - 1]))
+@example([], DEFAULT_BUCKETS)
+@example([[], ["solo"], [], ["a", "a", "a"]], DEFAULT_BUCKETS)
+@example([["é", "—"], ["日本", "😀", "日本", "😀"], [f"a{BIGRAM_SEP}b", "c"]], 7)
+def test_passage_features_match_string_keyed_fnv1a(token_lists, n_buckets):
+    """Owners, buckets in first-occurrence order and tfs equal those of the
+    joined string keys hashed one byte at a time."""
+    want = []
+    for row, tokens in enumerate(token_lists):
+        counts = collections.Counter(oracles.fnv1a_64(key.encode("utf-8")) % n_buckets
+                                     for key in oracles.ngram_keys(tokens))
+        want += [(row, bucket, tf) for bucket, tf in counts.items()]
+    owner, buckets, tfs = passage_features(token_lists, n_buckets)
+    assert buckets.dtype == np.uint64 and tfs.dtype == np.uint32
+    assert list(zip(owner.tolist(), buckets.tolist(), tfs.tolist())) == want
 
 
 def test_single_bucket_collapses_all_features():
@@ -324,6 +354,28 @@ def test_index_bytes_are_golden(task_index, tmp_path):
     save_index(str(path), task_index)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == \
         "8cecc9e02bdc4b527cace5adf9eb3d0a64c73c90ca8bdf3a3b63ce7c29b7f1aa"
+
+
+# Accents, CJK, emoji (one with a zero-width joiner), astral letters and
+# non-ASCII spaces, so that the golden pins bytes beyond ASCII.
+MULTILINGUAL = ["Café au lait, s'il vous plaît : déjà vu à Noël.",
+                "東京は日本の首都です。 東京 タワー、 東京 駅",
+                "🎉 party 🎉 time! 👩\u200d💻 codes 😀😀",
+                "naïve\u00a0façade\u2003résumé\u3000naïve\u202fNoël",
+                "Ελληνικά και русский текст — «цитата»",
+                "𝄞 music 𐍈 gothic, and 中文 «東京»"]
+
+
+def test_multilingual_index_bytes_are_golden(tmp_path):
+    corpus = corpus_of(MULTILINGUAL)
+    path = tmp_path / "multilingual.idx"
+    save_index(str(path), build_index(corpus))
+    token_lists = [rec.tokens.tokens for rec in corpus]
+    assert oracles.bucket_collisions(token_lists, DEFAULT_BUCKETS) == {}
+    assert path.read_bytes() == oracles.PlainTfIdf(dict(enumerate(token_lists)),
+                                                   DEFAULT_BUCKETS).to_bytes()
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == \
+        "e63cec5e59385a7b24bc4bf660ccdb92cd2156d1906d95d21bd0e3a13f279968"
 
 
 def test_ids_above_2_to_the_53_survive(tmp_path):

@@ -1,21 +1,25 @@
 """Tokenizer and word-vector file tests."""
 import re
 import string
+import sys
 import tempfile
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from passageqa import text
 from passageqa.model import encode_batch
-from passageqa.text import (TokenSeq, VectorFileError, VectorTable, load_vectors,
-                            save_vectors, tokenize)
+from passageqa.retriever import BIGRAM_SEP
+from passageqa.text import TokenSeq, VectorFileError, VectorTable, load_vectors, tokenize
 
 import oracles
 from fuzzing import draw_damaged
+from synthtask import save_vectors
 
 
 def test_trailing_question_mark_splits():
@@ -89,6 +93,58 @@ TEXT_PIECES = st.one_of(
 @given(st.lists(TEXT_PIECES, max_size=30).map("".join))
 def test_tokenize_matches_character_loop_reference(text):
     assert tokenize(text) == oracles.tokenize(text)
+
+
+# Every whitespace character outside ASCII's " \t\n\v\f\r".
+UNICODE_SPACES = ("\x1c\x1d\x1e\x1f\x85\xa0\u1680" + "".join(map(chr, range(0x2000, 0x200B)))
+                  + "\u2028\u2029\u202f\u205f\u3000")
+PUNCTUATION = ("Pc", "Pd", "Ps", "Pe", "Pi", "Pf", "Po")
+ANY_CHARACTER = st.one_of(
+    st.sampled_from(UNICODE_SPACES),
+    st.characters(categories=PUNCTUATION),
+    st.characters(categories=PUNCTUATION, min_codepoint=0x10000),
+    st.characters(categories=("Mn", "Mc", "Me")),
+    st.sampled_from([" ", BIGRAM_SEP]),
+    st.characters(exclude_categories=("Cs",)),      # any code point but a lone surrogate
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.text(ANY_CHARACTER, max_size=40))
+@example("\u3000\xaba\xbb \U00010100b\u0301!\x85\xbfc?\x1f\u2028\u1363")
+def test_tokenize_matches_reference_on_any_code_point(text):
+    assert tokenize(text) == oracles.tokenize(text)
+
+
+def test_tokens_do_not_depend_on_earlier_texts(monkeypatch):
+    """From an ASCII-only punctuation class, a text's tokens are the same
+    before and after texts that bring new punctuation, and the same when
+    calls that bring new punctuation run at the same time."""
+    ascii_only = text._extend((frozenset(), frozenset(), None), set(map(chr, range(128))))
+    subject = "«Né» a b፣ 𐄀x… 「c」"
+    others = ["¡hola!", "x፣y፣", "𐄀𐄁 z", "“quoted”", "«Né»", "‹a› ⸮b"]
+    monkeypatch.setattr(text, "_classes", ascii_only)
+    before = tokenize(subject)
+    for other in others:
+        assert tokenize(other) == oracles.tokenize(other)
+    assert tokenize(subject) == before == oracles.tokenize(subject)
+
+    monkeypatch.setattr(text, "_classes", ascii_only)
+    texts = [subject, *others] * 4
+    start = threading.Barrier(len(texts), timeout=30)
+
+    def run(t):
+        start.wait()
+        return tokenize(t)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(len(texts)) as pool:
+            got = list(pool.map(run, texts, timeout=60))
+    finally:
+        sys.setswitchinterval(interval)
+    assert got == [oracles.tokenize(t) for t in texts]
 
 
 # ---------------------------------------------------------------------------
