@@ -22,12 +22,11 @@ dropout factors ahead of the `dropout` calls that take them, and forms
 `bilstm_scan`'s backward-direction input products while the main thread
 forms the forward ones.  Backward, it forms the products whose only use is
 a leaf's gradient: `matmul`'s product for a leaf operand, and
-`bilstm_scan`'s `w_in` and `w_rec` ones.  No later node reads a leaf's
-gradient, so nothing waits for them before the loop ends.  The main thread
-makes every addition into a gradient.  A leaf's deferred products are added
-in submission order when the loop ends, or before the leaf's next immediate
-contribution, which waits for them, so every gradient has the bits of a
-serial backward.
+`bilstm_scan`'s `w_in` and `w_rec` ones.  No node reads a leaf's gradient,
+so `backward` holds each leaf's contributions, deferred and immediate, in
+the order they come, and the main thread adds them in that order once the
+loop has ended and every product has finished: every gradient has the bits
+of a serial backward.
 Each task runs in a copy of its caller's `contextvars` context, so an
 `np.errstate` around the caller (numpy keeps it in a context variable) holds
 on the helper too.  Each BLAS call runs on the thread count OpenBLAS is set
@@ -144,9 +143,9 @@ def _make(op: str, value: np.ndarray, parents: tuple[Node, ...],
 
 # The helper thread; it starts with its first task.
 _helper = ThreadPoolExecutor(1, thread_name_prefix="autodiff")
-# While `backward` runs: each leaf -> its deferred products not yet added, in
-# submission order.
-_held: dict[Node, list[Future]] | None = None
+# While `backward` runs: each leaf -> its contributions, in backward order, as
+# (array or helper Future, fresh, at) for `_add`.
+_held: dict[Node, list[tuple]] | None = None
 
 
 def _submit(fn: Callable, *args) -> Future:
@@ -155,31 +154,24 @@ def _submit(fn: Callable, *args) -> Future:
 
 
 def _accumulate(node: Node, grad: np.ndarray, fresh: bool = False, at=None) -> None:
-    """Add `grad` into `node.grad` (see `_add`), after the node's held
-    deferred products, so a leaf's additions keep their backward order."""
+    """Add `grad` into `node.grad` (see `_add`); for a leaf, hold it, and
+    `backward` adds it after the loop, in the order it came."""
     if not node.needs_grad:
         return
-    if _held and node in _held:
-        _add_held(_held, node)
-    _add(node, grad, fresh, at)
+    if node._backward is None:
+        _held.setdefault(node, []).append((grad, fresh, at))
+    else:
+        _add(node, grad, fresh, at)
 
 
 def _defer(node: Node, product: Callable[..., np.ndarray], *args) -> None:
-    """Accumulate product(*args), a new array, into `node`.  Inside `backward`,
-    when `node` is a leaf, the product runs on the helper thread in a copy of
-    the caller's context, and is added when the node's next contribution
-    comes or when the loop ends."""
-    if _held is None or node._backward is not None:
-        _accumulate(node, product(*args), fresh=True)
-        return
-    _held.setdefault(node, []).append(_submit(product, *args))
-
-
-def _add_held(held: dict[Node, list[Future]], node: Node) -> None:
-    """Add the node's deferred products, waiting for each, in submission order."""
-    for future in held[node]:
-        _add(node, future.result(), fresh=True)
-    del held[node]          # kept if one raised, so backward still waits for the rest
+    """Accumulate product(*args), a new array, into `node`.  For a leaf the
+    product runs on the helper thread, in a copy of the caller's context, and
+    its Future is held in the leaf's place in backward order."""
+    if node._backward is None:
+        _held.setdefault(node, []).append((_submit(product, *args), True, None))
+    else:
+        _add(node, product(*args), fresh=True)
 
 
 def _add(node: Node, grad: np.ndarray, fresh: bool = False, at=None) -> None:
@@ -245,27 +237,26 @@ def _toposort(root: Node) -> list[Node]:
     return order
 
 
-def backward(loss: Node) -> dict[Node, np.ndarray]:
+def backward(loss: Node) -> None:
     """Backpropagate from a scalar loss.
 
-    Populates `.grad` on every grad-requiring node reachable from `loss` and
-    returns a map from leaf parameter nodes to their gradients.  Leaves the
-    loss never touched keep a zero gradient (see `Node.gradient`).
+    Populates `.grad` on every grad-requiring node reachable from `loss`.
+    Leaves the loss never touched keep a zero gradient (see `Node.gradient`).
 
     The leaf-only products (`matmul`'s for a leaf operand, `bilstm_scan`'s
     `w_in` and `w_rec` ones) run on the helper thread, each in a copy of its
     caller's context, so an enclosing `np.errstate` holds there too.  A
-    leaf's contributions, deferred and immediate, are added in the order a
-    serial backward adds them, so every gradient has that backward's bits:
-    an immediate one first adds the deferred ones before it, and the rest are
-    added when the loop ends.  Every product has finished when this returns
-    or raises; an exception raised in one is raised here.
+    leaf's contributions, deferred and immediate, are held in the order a
+    serial backward adds them, and added in that order after the loop, once
+    every product has finished, so every gradient has that backward's bits.
+    Every product has finished when this returns or raises; an exception
+    raised in one is raised here.
     """
     global _held
     if loss.value.size != 1:
         raise ValueError(f"backward needs a scalar loss, got shape {loss.value.shape}")
     if not loss.needs_grad:
-        return {}
+        return
     order = _toposort(loss)
     loss.grad = np.ones_like(loss.value)
     _held = held = {}
@@ -275,10 +266,11 @@ def backward(loss: Node) -> dict[Node, np.ndarray]:
                 node._backward(node.grad)
     finally:
         _held = None
-        wait([future for futures in held.values() for future in futures])
-    for node in list(held):
-        _add_held(held, node)
-    return {n: n.gradient() for n in order if not n.parents and n._backward is None}
+        wait([grad for entries in held.values() for grad, _, _ in entries
+              if isinstance(grad, Future)])
+    for node, entries in held.items():
+        for grad, fresh, at in entries:
+            _add(node, grad.result() if isinstance(grad, Future) else grad, fresh, at)
 
 
 # ---------------------------------------------------------------------------
@@ -574,7 +566,7 @@ def reduce_max(a, axis: int, keepdims: bool = False) -> Node:
 # softmax with masking
 
 
-def masked_softmax(logits, mask: np.ndarray | None = None) -> Node:
+def masked_softmax(logits, mask: np.ndarray) -> Node:
     """Softmax over the last axis, restricted to positions where mask is 1.
 
     Masked positions get probability exactly 0.0 and receive no gradient.
@@ -584,13 +576,10 @@ def masked_softmax(logits, mask: np.ndarray | None = None) -> Node:
     """
     a = as_node(logits)
     x = a.value
-    if mask is None:
-        keep = np.ones(x.shape, dtype=bool)
-    else:
-        try:
-            keep = np.broadcast_to(np.asarray(mask) != 0, x.shape)
-        except ValueError:
-            raise ShapeMismatchError("masked_softmax", x.shape, np.asarray(mask).shape) from None
+    try:
+        keep = np.broadcast_to(np.asarray(mask) != 0, x.shape)
+    except ValueError:
+        raise ShapeMismatchError("masked_softmax", x.shape, np.asarray(mask).shape) from None
     low = np.where(keep, x, -np.inf)
     rowmax = low.max(axis=-1, keepdims=True)
     rowmax = np.where(np.isfinite(rowmax), rowmax, 0.0)
@@ -606,15 +595,14 @@ def masked_softmax(logits, mask: np.ndarray | None = None) -> Node:
     return _make("masked_softmax", value, (a,), back)
 
 
-def masked_logsumexp(logits: Node, mask: np.ndarray | None = None) -> Node:
+def masked_logsumexp(logits: Node, mask: np.ndarray) -> Node:
     """log(sum(exp(logits))) over the last axis, masked positions excluded.
 
     Built from graph ops so the gradient is the masked softmax exactly.
     """
     a = as_node(logits)
-    if mask is not None:
-        offset = (np.broadcast_to(np.asarray(mask, a.dtype), a.shape) - 1.0) * MASK_OFFSET
-        a = add(a, constant(offset))
+    offset = (np.broadcast_to(np.asarray(mask, a.dtype), a.shape) - 1.0) * MASK_OFFSET
+    a = add(a, constant(offset))
     peak = reduce_max(a, axis=-1, keepdims=True)
     total = reduce_sum(exp(sub(a, peak)), axis=-1, keepdims=True)
     return reshape(add(peak, log(total)), a.shape[:-1])
@@ -916,7 +904,7 @@ def _keep_factors(rng: np.random.Generator, shape: tuple[int, ...], rate: float,
                   dtype) -> np.ndarray:
     """Inverted dropout's keep factors: 1/(1 - rate) in `dtype` where a
     uniform draw from `rng` is at least `rate`, else 0.  The one formula of
-    both an in-line draw and a `KeepFactors` stream."""
+    a `KeepFactors` stream's blocks."""
     keep = (rng.random(shape) >= rate).astype(dtype)
     keep /= 1.0 - rate
     return keep
@@ -928,8 +916,9 @@ class KeepFactors:
 
     Each `take` returns the next factors of the stream.  Uniform draws
     compose: drawing n1 + n2 values at once gives the values of drawing n1
-    and then n2.  So the factors of a call are those an in-line draw from
-    `rng` would give, however the stream is cut into blocks.  The lookahead
+    and then n2.  So the factors of a call are `_keep_factors` of one draw
+    of the call's size from `rng`, in the order of the calls, however the
+    stream is cut into blocks.  The rate must be in [0, 1).  The lookahead
     follows demand: a call takes what is drawn, waits for a block of the
     shortfall when it asks for more, and hands the helper a block of its own
     size, so at least the largest request seen so far is drawn ahead.  Once
@@ -940,6 +929,8 @@ class KeepFactors:
     """
 
     def __init__(self, rng: np.random.Generator, rate: float, dtype):
+        if not 0.0 <= rate < 1.0:
+            raise ValueError(f"dropout rate must be in [0, 1), got {rate}")
         self.rng, self.rate, self.dtype = rng, rate, np.dtype(dtype)
         self._blocks: deque[Future] = deque()   # drawn or being drawn, in order
         self._taken = 0             # values of the first block already taken
@@ -987,25 +978,13 @@ class KeepFactors:
         self.close()
 
 
-def dropout(a: Node, rate: float, rng: np.random.Generator | KeepFactors | None,
-            train: bool) -> Node:
-    """Inverted dropout. Identity when train is False or rate is 0.
-
-    The keep factors come from `rng`: drawn in line from a Generator, or the
-    next ones of a `KeepFactors` stream, which has drawn them ahead.  Both
-    are `_keep_factors` of the same uniform draws, so they have equal bytes.
-    """
-    if not train or rate == 0.0:
-        return as_node(a)
-    if not 0.0 <= rate < 1.0:
-        raise ValueError(f"dropout rate must be in [0, 1), got {rate}")
-    if rng is None:
-        raise ValueError("dropout in train mode needs an rng")
+def dropout(a: Node, rate: float, keep_factors: KeepFactors | None) -> Node:
+    """Inverted dropout by the next factors of `keep_factors`, a stream that
+    has drawn them ahead.  Identity when it is None or rate is 0."""
     a = as_node(a)
-    if isinstance(rng, KeepFactors):
-        keep = rng.take(a.value.shape, rate, a.value.dtype)
-    else:
-        keep = _keep_factors(rng, a.value.shape, rate, a.value.dtype)
+    if keep_factors is None or rate == 0.0:
+        return a
+    keep = keep_factors.take(a.value.shape, rate, a.value.dtype)
     value = a.value * keep
 
     def back(g):

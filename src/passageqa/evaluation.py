@@ -49,7 +49,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .model import (ForwardState, Hyperparams, ModelWeights, Vocabulary, encode_batch,
-                    encode_sequences, extract_answer, read, select_span, span_head)
+                    encode_sequences, read, select_span, span_head)
 from .retriever import Corpus, PassageRecord, RankedList, TfIdfIndex, top_k
 from .text import TokenSeq, VectorTable
 from .training import QuestionExample
@@ -318,7 +318,7 @@ class NeuralScorer:
                 t1, t2, score = select_span(starts[j, :n], ends[j, :n])
                 out[i] = AnswerCandidate(
                     passage_id=rec.passage_id,
-                    answer=extract_answer(rec.tokens, (t1, t2)),
+                    answer=rec.tokens.span_text(t1, t2),
                     span=(t1, t2), span_score=score, relevance=float(rels[j]))
         return out
 

@@ -28,7 +28,7 @@ Each chunk keeps the bits it gets alone, except a one-row chunk sharing
 steps with others, which may move by an ulp.  Gradients flow through one
 chunk; several chunks run without them, as the scorer's waves do.  Layers
 take dropout as `drop`, a Node -> Node function, the identity by default;
-only `forward_batch` builds one, from `hp.dropout`, `rng` and `train`.
+only `forward_batch` builds one, from `hp.dropout` and a keep-factor stream.
 
 All sequence tensors are (batch, features, time).  Masks are constant float
 arrays (batch, time) and right-padded: 1.0 at the real tokens, which come
@@ -560,20 +560,18 @@ def read(weights: ModelWeights, chunks: Sequence[tuple[Node, Node, EncodedBatch]
 
 
 def forward_batch(weights: ModelWeights, hp: Hyperparams, batch: EncodedBatch,
-                  train: bool = False,
-                  rng: np.random.Generator | ad.KeepFactors | None = None,
+                  keep_factors: ad.KeepFactors | None = None,
                   heads: tuple[str, ...] = ("span", "relevance")) -> ForwardState:
     """Run the network on an encoded batch: `encode_sequences`, then `read`.
 
     `weights` may hold arrays (inference) or graph leaves (training).  This is
-    the one place `hp.dropout`, `rng` and `train` become the layers' `drop`:
-    with train=True, inverted dropout whose keep factors come from `rng`,
-    else the identity.  `rng` is a Generator, drawn from in line, or the
+    the one place `hp.dropout` and `keep_factors` become the layers' `drop`:
+    inverted dropout by the next factors of `keep_factors`, the
     `ad.KeepFactors` stream `training.train` owns, which draws them ahead on
-    autodiff's helper thread; the calls take the same factors either way.
+    autodiff's helper thread; without a stream, the identity.
     """
     def drop(node: Node) -> Node:
-        return ad.dropout(node, hp.dropout, rng, train)
+        return ad.dropout(node, hp.dropout, keep_factors)
 
     ctx_passage, ctx_question = encode_sequences(
         weights, [(batch.passage_emb, batch.passage_mask),
@@ -611,8 +609,3 @@ def select_span(start_probs: np.ndarray, end_probs: np.ndarray
         if best is None or score > best[2]:
             best = (run_at, pos, score)
     return best
-
-
-def extract_answer(passage: TokenSeq, span: tuple[int, int]) -> str:
-    """Original passage text covered by a token span (inclusive)."""
-    return passage.span_text(span[0], span[1])

@@ -5,9 +5,9 @@ fixed number of buckets.  Term weights are ln(1 + tf) * idf with
 idf = max(0, ln((N - df + 0.5) / (df + 0.5))), and passages are ranked by
 cosine similarity against the query vector.
 
-Hashing is vectorised: `hash_keys` joins the keys' UTF-8 bytes into one
-buffer and runs FNV-1a one byte position at a time over every key that long,
-in uint64 arrays.  `passage_features` never builds a bigram string: it hashes
+Hashing is vectorised: `passage_features` joins every token's UTF-8 bytes
+into one buffer and runs FNV-1a one byte position at a time over every token
+that long, in uint64 arrays.  It never builds a bigram string: it hashes
 each token once, and a bigram's hash continues its first token's state over
 the separator and the second token's bytes, which is the hash of the joined
 key.  `build_index` hashes the whole corpus in one call and counts each
@@ -28,8 +28,8 @@ import numpy as np
 
 from .text import TokenSeq, tokenize, utf8_encodable
 
-# Joins the two halves of a bigram key; cannot occur inside a token because
-# the tokenizer splits on whitespace and U+001F is whitespace-adjacent control.
+# Joins the two halves of a bigram key.  U+001F is whitespace to str.isspace
+# and to re's \s, so `tokenize` splits at it and none of its tokens holds it.
 BIGRAM_SEP = "\x1f"
 
 _FNV_OFFSET = np.uint64(0xCBF29CE484222325)
@@ -84,11 +84,6 @@ def _fnv1a(states: np.ndarray, data: np.ndarray, at: np.ndarray,
     out = np.empty_like(acc)
     out[order] = acc
     return out
-
-
-def hash_keys(keys: list[str]) -> np.ndarray:
-    """64-bit FNV-1a of each key's UTF-8 bytes, as a uint64 array."""
-    return _fnv1a(np.full(len(keys), _FNV_OFFSET), *_utf8(keys))
 
 
 @dataclass

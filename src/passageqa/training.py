@@ -234,9 +234,10 @@ def train(positives: list[QuestionExample], corpus: Corpus, index: TfIdfIndex,
 
     `train` owns the dropout stream: an `ad.KeepFactors` over its dropout
     generator, which draws keep factors ahead on autodiff's helper thread
-    while the step runs.  Factors drawn ahead carry over to the next step and
-    the leftovers are dropped at the end, so every step takes the factors an
-    in-line draw would give, and runs stay bit-reproducible.  No draw is
+    while the step runs, and each step's `forward_batch` takes it.  Factors
+    drawn ahead carry over to the next step and the leftovers are dropped at
+    the end, so the factors follow the order of the dropout calls, however
+    the stream cuts its blocks, and runs stay bit-reproducible.  No draw is
     left running when `train` returns or raises.
     """
     if not positives:
@@ -297,8 +298,7 @@ def train(positives: list[QuestionExample], corpus: Corpus, index: TfIdfIndex,
                 node_weights, leaves = as_param_nodes(weights)
                 # A diverging run ends in OptimizerError, not in numpy warnings.
                 with np.errstate(over="ignore", invalid="ignore"):
-                    state = forward_batch(node_weights, hp, encoded, train=True,
-                                          rng=keep_factors, heads=heads)
+                    state = forward_batch(node_weights, hp, encoded, keep_factors, heads=heads)
                     loss = graph_loss(state, targets, hp.ir_weight, mode)
                     loss_value = float(loss.value)
                     if not np.isfinite(loss_value):

@@ -204,11 +204,8 @@ def bilstm_scan_blended(proj: tuple[np.ndarray, np.ndarray],
 # The package takes exp(-inf) = 0 there instead, and must keep these bytes.
 
 
-def masked_softmax(x: np.ndarray, mask: np.ndarray | None) -> np.ndarray:
-    if mask is None:
-        keep = np.ones(x.shape, dtype=bool)
-    else:
-        keep = np.broadcast_to(np.asarray(mask) != 0, x.shape)
+def masked_softmax(x: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    keep = np.broadcast_to(np.asarray(mask) != 0, x.shape)
     low = np.where(keep, x, -np.inf)
     rowmax = low.max(axis=-1, keepdims=True)
     rowmax = np.where(np.isfinite(rowmax), rowmax, 0.0)

@@ -62,7 +62,7 @@ def test_full_model_gradients_match_finite_differences():
 
     def build():
         node_weights, leaves = as_param_nodes(weights)
-        state = forward_batch(node_weights, hp, encoded, train=False)
+        state = forward_batch(node_weights, hp, encoded)
         loss = graph_loss(state, targets, hp.ir_weight, TrainMode.MULTI_TASK)
         return loss, leaves
 

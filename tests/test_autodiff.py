@@ -32,7 +32,7 @@ def fd(arrays, build_loss, tol=1e-6, step=1e-5):
 
 
 def test_softmax_quarter_three_quarters():
-    out = ad.masked_softmax(constant(np.array([0.0, math.log(3.0)])), None)
+    out = ad.masked_softmax(constant(np.array([0.0, math.log(3.0)])), np.ones(2))
     np.testing.assert_allclose(out.value, [0.25, 0.75], atol=1e-12)
 
 
@@ -286,8 +286,9 @@ def test_fd_dropout_with_fixed_mask():
     arrays = {"x": base}
 
     def build_loss(p):
-        rng = np.random.default_rng(99)  # same mask on every rebuild
-        dropped = ad.dropout(p["x"], 0.4, rng, train=True)
+        # same mask on every rebuild
+        with ad.KeepFactors(np.random.default_rng(99), 0.4, np.float64) as stream:
+            dropped = ad.dropout(p["x"], 0.4, stream)
         return ad.reduce_sum(ad.mul(dropped, dropped))
 
     fd(arrays, build_loss)
@@ -335,14 +336,14 @@ _SOFTMAX_SPECIALS = (0.0, -0.0, 1.0, math.inf, -math.inf, math.nan, 1e30, -1e30)
 
 @st.composite
 def _masked_softmax_inputs(draw):
-    """Logits with specials, and no mask or one broadcastable to them."""
+    """Logits with specials, and an all-ones mask or one broadcastable to them."""
     dtype = draw(st.sampled_from([np.float32, np.float64]))
     values = st.one_of(st.sampled_from(_SOFTMAX_SPECIALS).map(dtype),
                        st.floats(width=np.finfo(dtype).bits))
     shape = draw(hnp.array_shapes(min_dims=1, max_dims=3, max_side=6))
     x = draw(hnp.arrays(dtype, shape, elements=values))
     if draw(st.booleans()):
-        return x, None
+        return x, np.ones(shape)
     trailing = shape[draw(st.integers(0, len(shape))):]
     mask_shape = tuple(draw(st.sampled_from([1, n])) for n in trailing)
     return x, draw(hnp.arrays(np.float64, mask_shape, elements=st.sampled_from([0.0, 1.0])))
@@ -399,21 +400,22 @@ def test_masked_logsumexp_exact_when_one_position_survives():
 
 def test_dropout_is_identity_in_eval():
     x = constant(np.ones((2, 2)))
-    assert ad.dropout(x, 0.5, None, train=False) is x
-    assert ad.dropout(x, 0.0, None, train=True) is x
+    assert ad.dropout(x, 0.5, None) is x
+    with ad.KeepFactors(np.random.default_rng(0), 0.0, np.float64) as stream:
+        assert ad.dropout(x, 0.0, stream) is x
 
 
-def test_dropout_needs_rng_and_valid_rate():
-    x = constant(np.ones(4))
-    with pytest.raises(ValueError, match="rng"):
-        ad.dropout(x, 0.5, None, train=True)
-    with pytest.raises(ValueError, match="rate"):
-        ad.dropout(x, 1.0, np.random.default_rng(0), train=True)
+def test_a_keep_factor_stream_needs_a_valid_rate():
+    rng = np.random.default_rng(0)
+    for rate in (1.0, -0.1):
+        with pytest.raises(ValueError, match="rate"):
+            ad.KeepFactors(rng, rate, np.float32)
 
 
 def test_dropout_scales_survivors():
     x = constant(np.ones(1000))
-    out = ad.dropout(x, 0.25, np.random.default_rng(0), train=True).value
+    with ad.KeepFactors(np.random.default_rng(0), 0.25, np.float64) as stream:
+        out = ad.dropout(x, 0.25, stream).value
     survivors = out[out != 0.0]
     assert 600 < survivors.size < 900
     np.testing.assert_allclose(survivors, 1.0 / 0.75, rtol=1e-12)
@@ -429,43 +431,26 @@ STREAM_SHAPES = [(2, 3, 5), (7,), (4, 50), (3, 3), (1000,), (6, 7), (2, 2, 2), (
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_a_keep_factor_stream_gives_the_bytes_of_in_line_draws(dtype):
-    """Dropout through a KeepFactors stream and in line from a twin generator
-    give equal bytes, call by call, however the stream cut its blocks."""
+    """Dropout through a KeepFactors stream and by factors drawn in line from
+    a twin generator give equal bytes, call by call, however the stream cut
+    its blocks."""
     rng = np.random.default_rng(11)
     inputs = [constant(rng.standard_normal(shape).astype(dtype)) for shape in STREAM_SHAPES]
     twin = np.random.default_rng(5)
     with ad.KeepFactors(np.random.default_rng(5), 0.3, dtype) as stream:
         for x in inputs:
-            got = ad.dropout(x, 0.3, stream, train=True).value
-            want = ad.dropout(x, 0.3, twin, train=True).value
+            got = ad.dropout(x, 0.3, stream).value
+            want = x.value * ad._keep_factors(twin, x.shape, 0.3, dtype)
             assert (got.dtype, got.shape) == (want.dtype, want.shape)
             assert got.tobytes() == want.tobytes(), x.shape
-
-
-def test_in_line_and_streamed_dropout_share_one_keep_factor_formula(monkeypatch):
-    """Both paths call _keep_factors: in line on the calling thread; a
-    stream's first call on the helper, once for its shortfall and once for
-    its refill."""
-    formula, on_main = ad._keep_factors, []
-
-    def recording(rng, shape, rate, dtype):
-        on_main.append(threading.current_thread() is threading.main_thread())
-        return formula(rng, shape, rate, dtype)
-
-    monkeypatch.setattr(ad, "_keep_factors", recording)
-    x = constant(np.ones((3, 4), np.float32))
-    ad.dropout(x, 0.5, np.random.default_rng(0), train=True)
-    with ad.KeepFactors(np.random.default_rng(0), 0.5, np.float32) as stream:
-        ad.dropout(x, 0.5, stream, train=True)
-    assert on_main == [True, False, False]
 
 
 def test_a_keep_factor_stream_refuses_another_rate_or_dtype():
     with ad.KeepFactors(np.random.default_rng(0), 0.5, np.float32) as stream:
         with pytest.raises(ValueError, match="rate 0.5 in float32"):
-            ad.dropout(constant(np.ones(4, np.float32)), 0.25, stream, train=True)
+            ad.dropout(constant(np.ones(4, np.float32)), 0.25, stream)
         with pytest.raises(ValueError, match="not at rate 0.5 in float64"):
-            ad.dropout(constant(np.ones(4)), 0.5, stream, train=True)
+            ad.dropout(constant(np.ones(4)), 0.5, stream)
 
 
 def test_a_failing_draw_is_raised_on_the_main_thread():
@@ -479,7 +464,7 @@ def test_a_failing_draw_is_raised_on_the_main_thread():
     x = constant(np.ones((2, 3), np.float32))
     with ad.KeepFactors(Failing(), 0.5, np.float32) as stream:
         with pytest.raises(RuntimeError, match="draw failed"):
-            ad.dropout(x, 0.5, stream, train=True)
+            ad.dropout(x, 0.5, stream)
     assert threads and threading.main_thread() not in threads
 
 
@@ -803,6 +788,28 @@ def test_a_leaf_adds_deferred_and_immediate_contributions_in_backward_order():
     assert shared.grad.tobytes() == expected.tobytes()
 
 
+def test_a_leaf_gradient_is_added_only_after_the_loop(monkeypatch):
+    """w @ x reaches the leaf w first, as a deferred product, and w * k after
+    it, as an immediate contribution: both are added into w.grad only once
+    the loop has ended, and in that order."""
+    add, adds = ad._add, []
+
+    def recording(node, grad, fresh=False, at=None):
+        if node is w:
+            adds.append((ad._held is None, grad.shape))
+        return add(node, grad, fresh, at)
+
+    rng = np.random.default_rng(30)
+    w = leaf(rng.standard_normal((2, 3)), True)
+    x, k = constant(rng.standard_normal((3, 4))), constant(rng.standard_normal((2, 3)))
+    immediate = ad.reduce_sum(ad.mul(w, k))
+    deferred = ad.reduce_sum(ad.matmul(w, x))
+    monkeypatch.setattr(ad, "_add", recording)
+    backward(ad.add(immediate, deferred))
+    assert adds == [(True, (2, 3)), (True, (2, 3))]
+    assert w.grad.tobytes() == (np.ones((2, 4)) @ x.value.T + k.value).tobytes()
+
+
 def test_a_deferred_product_keeps_the_callers_errstate():
     """A leaf's matmul gradient overflows float32 on the helper thread.  The
     caller's np.errstate holds there, so no RuntimeWarning (an error in this
@@ -861,7 +868,7 @@ def test_no_grad_builds_detached_nodes():
         y = ad.mul(x, ad.constant(np.full(3, 2.0)))
     assert y.parents == ()
     assert not y.needs_grad
-    assert backward(ad.reduce_sum(y)) == {}
+    assert backward(ad.reduce_sum(y)) is None
     np.testing.assert_array_equal(x.gradient(), np.zeros(3))
 
 

@@ -7,9 +7,8 @@ from hypothesis import given, settings, strategies as st
 
 import passageqa.autodiff as ad
 from passageqa.cli import blas_description
-from passageqa.model import (Hyperparams, encode_batch, extract_answer,
-                             forward_batch, init_weights, named_arrays,
-                             param_shapes, select_span, weights_from_named)
+from passageqa.model import (Hyperparams, encode_batch, forward_batch, init_weights,
+                             named_arrays, param_shapes, select_span, weights_from_named)
 from passageqa.text import TokenSeq, VectorTable, tokenize
 
 import oracles
@@ -343,9 +342,9 @@ def test_dropout_changes_training_forward_only():
     _, table, weights, _ = tiny_setup(seed=40)
     hp = Hyperparams(hidden=3, attn_dim=2, dropout=0.4)
     batch = encode_batch(seqs("w1 w2"), seqs("w3 w4 w5"), table)
-    eval_state = forward_batch(weights, hp, batch, train=False)
-    train_state = forward_batch(weights, hp, batch, train=True,
-                                rng=np.random.default_rng(5))
+    eval_state = forward_batch(weights, hp, batch)
+    with ad.KeepFactors(np.random.default_rng(5), hp.dropout, np.float64) as stream:
+        train_state = forward_batch(weights, hp, batch, stream)
     assert not np.array_equal(train_state.start_probs.value,
                               eval_state.start_probs.value)
 
@@ -366,12 +365,13 @@ def test_dropout_draws_in_a_fixed_order(monkeypatch, heads, picked):
     shapes = []
     original = ad.dropout
 
-    def recording(node, rate, rng, train):
+    def recording(node, rate, keep_factors):
         shapes.append(node.value.shape)
-        return original(node, rate, rng, train)
+        return original(node, rate, keep_factors)
 
     monkeypatch.setattr(ad, "dropout", recording)
-    forward_batch(weights, hp, batch, train=True, rng=np.random.default_rng(6), heads=heads)
+    with ad.KeepFactors(np.random.default_rng(6), hp.dropout, np.float64) as stream:
+        forward_batch(weights, hp, batch, stream, heads=heads)
     every = [(2, 5, 4), (2, 5, 4), (2, 5, 2), (2, 5, 2),   # highway x2: passage, question
              (2, 5, 4), (2, 5, 2),                           # ctx: passage, question
              (2, 24, 4),                                     # fusion
@@ -465,10 +465,3 @@ def test_select_span_agrees_with_quadratic_search():
         want = oracles.best_span_quadratic(start, end)
         assert got[:2] == want[:2], (trial, got, want)
         assert got[2] == want[2]
-
-
-def test_extract_answer_returns_original_text():
-    passage = tokenize("Born in 1953 , the mayor-elect spoke.")
-    assert extract_answer(passage, (2, 2)) == "1953"
-    assert extract_answer(passage, (4, 5)) == "the mayor-elect"
-    assert extract_answer(passage, (0, 1)) == "Born in"

@@ -15,8 +15,8 @@ from hypothesis import example, given, settings, strategies as st
 
 from passageqa.retriever import (BIGRAM_SEP, DEFAULT_BUCKETS, Corpus, CorpusError,
                                  IndexFormatError, PassageRecord, TfIdfIndex, build_index,
-                                 hash_keys, load_index, passage_features,
-                                 query_weights, save_index, similar_passages, top_k)
+                                 load_index, passage_features, query_weights, save_index,
+                                 similar_passages, top_k)
 
 import oracles
 from fuzzing import draw_damaged
@@ -49,27 +49,9 @@ def test_fnv1a_64_known_vectors():
     assert oracles.fnv1a_64(b"") == 0xCBF29CE484222325
     assert oracles.fnv1a_64(b"a") == 0xAF63DC4C8601EC8C
     assert oracles.fnv1a_64(b"foobar") == 0x85944171F73967E8
-    assert hash_keys(["", "a", "foobar"]).tolist() == [
-        0xCBF29CE484222325, 0xAF63DC4C8601EC8C, 0x85944171F73967E8]
-
-
-# Any code point but a lone surrogate, which has no UTF-8 encoding.
-KEYS = st.lists(st.text(st.characters(exclude_categories=("Cs",)), max_size=300),
-                max_size=30)
-
-
-@settings(max_examples=200, deadline=None)
-@given(KEYS)
-@example([])
-@example([""])
-@example(["a", "\x00", "\x7f", "z"])
-@example(["x" * 300, "é" * 200, "y"])
-@example(["é", "—", "日本", "😀", "aé—😀"])
-@example([BIGRAM_SEP, f"a{BIGRAM_SEP}b", f"日{BIGRAM_SEP}😀"])
-def test_hash_keys_equals_scalar_fnv1a(keys):
-    hashes = hash_keys(keys)
-    assert hashes.dtype == np.uint64
-    assert hashes.tolist() == [oracles.fnv1a_64(k.encode("utf-8")) for k in keys]
+    # Below 2**64 - 1 buckets a hash is its own bucket.
+    _, buckets, _ = passage_features([["a"], ["foobar"]], 2 ** 64 - 1)
+    assert buckets.tolist() == [0xAF63DC4C8601EC8C, 0x85944171F73967E8]
 
 
 def test_ngram_keys_order_and_separator():
@@ -95,6 +77,7 @@ TOKEN_LISTS = st.lists(st.lists(TOKEN, max_size=30), max_size=6)
 @example([], DEFAULT_BUCKETS)
 @example([[], ["solo"], [], ["a", "a", "a"]], DEFAULT_BUCKETS)
 @example([["é", "—"], ["日本", "😀", "日本", "😀"], [f"a{BIGRAM_SEP}b", "c"]], 7)
+@example([["x" * 300, "é" * 200, "y"], ["a", "\x00", "\x7f", "z"]], 2 ** 64 - 1)
 def test_passage_features_match_string_keyed_fnv1a(token_lists, n_buckets):
     """Owners, buckets in first-occurrence order and tfs equal those of the
     joined string keys hashed one byte at a time."""

@@ -52,6 +52,10 @@ def test_span_text_round_trip():
     seq = tokenize("The river Nile is long")
     assert seq.span_text(2, 2) == "Nile"
     assert seq.span_text(1, 3) == "river Nile is"
+    passage = tokenize("Born in 1953 , the mayor-elect spoke.")
+    assert passage.span_text(2, 2) == "1953"
+    assert passage.span_text(4, 5) == "the mayor-elect"
+    assert passage.span_text(0, 1) == "Born in"
     with pytest.raises(IndexError):
         seq.span_text(4, 5)
     with pytest.raises(IndexError):

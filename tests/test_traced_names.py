@@ -1,9 +1,13 @@
-"""Every function the benchmark traces still exists under its traced name.
+"""Every name the benchmark reads from passageqa still exists.
 
 `bench/tracer.py` wraps passageqa functions by module and name, and reports
-a name it cannot find as absent instead of failing.  This test makes such a
-rename fail here, without running a benchmark workload.
+a name it cannot find as absent instead of failing.  `bench/workloads.py`
+calls passageqa module attributes, and a missing one fails only once a
+workload runs.  These tests make such a rename or removal fail here, without
+running a benchmark workload.
 """
+import ast
+import importlib
 from pathlib import Path
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
@@ -19,3 +23,19 @@ def test_every_traced_name_resolves(monkeypatch):
         assert tracer.missing == []
     finally:
         tracer.uninstall()
+
+
+def test_every_passageqa_attribute_the_workloads_read_resolves():
+    """Each `module.name` read in bench/workloads.py, for each passageqa
+    module it imports, is an attribute of that module."""
+    tree = ast.parse((BENCH / "workloads.py").read_text(encoding="utf-8"))
+    modules = {alias.asname or alias.name: importlib.import_module(f"passageqa.{alias.name}")
+               for node in ast.walk(tree)
+               if isinstance(node, ast.ImportFrom) and node.module == "passageqa"
+               for alias in node.names}
+    reads = {(node.value.id, node.attr) for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+             and node.value.id in modules}
+    assert modules and reads
+    assert [f"{module}.{name}" for module, name in sorted(reads)
+            if not hasattr(modules[module], name)] == []
